@@ -20,24 +20,23 @@ from .energy import (
 from .engine import (
     CacheEntry, ChoreographyOutcome, EventKind, FreshnessPolicy, SampleStream,
     SimEvent, SimulationReport, SimulationState, eval_condition,
-    execute_choreography, gateway_uplink, initial_state, next_sample, run_simulation,
+    execute_choreography, gateway_uplink, initial_state, run_simulation,
 )
 from .extmod import (
-    ModuleRegistry, SystemSnapshot, default_registry, invoke_module,
-    register_module, take_snapshot,
+    ModuleRegistry, SystemSnapshot, default_registry, register_module, take_snapshot,
 )
 from .model import (
     Application, Component, ConditionExpr, ConstantSource, DeviceEnergyProfile,
     EventRequest, GeoLocation, IoTSystemModel, MessageField, MessageType,
     ModelError, NetworkLink, PeriodicRequest, PhysicalEntity, Platform,
     PlatformTier, Route, ServiceContract, ServicePort, SimConfig, Task, TaskKind,
-    TraceSource, UniformSource, shortest_path_latency, single_source_routes,
+    TraceSource, UniformSource, single_source_routes,
 )
 from .modelfmt import load_model, parse_model, serialize_model
 from .rng import SplitMix64, derive_seed
 from .validate import (
     DependencyEdge, TaskBinding, ValidationReport, check_protocol_bridge,
-    dependency_edges, eligible_hosts, interface_providers, task_binding,
+    dependency_edges, eligible_hosts, interface_providers, route_between, task_binding,
     validate_model,
 )
 

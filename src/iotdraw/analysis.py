@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 from .energy import lifetime_closed_form, per_request_drain_mah
 from .engine import FreshnessPolicy, gateway_uplink, run_simulation
-from .model import (
-    Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier, Route,
-    single_source_routes,
-)
+from .model import Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier
 from .rng import SplitMix64, derive_seed
-from .validate import check_protocol_bridge, dependency_edges, eligible_hosts, task_binding
+from .validate import dependency_edges, edge_allows, eligible_hosts, route_between, task_binding
 
 
 @dataclass(frozen=True)
@@ -45,32 +42,9 @@ class DeploymentScenario:
         return dict(self.assignment)
 
 
-class _RouteTable:
-    """Shortest-path lookups, one Dijkstra pass per distinct source."""
-
-    def __init__(self, model: IoTSystemModel):
-        self.model = model
-        self._by_source: dict[str, dict[str, Route]] = {}
-
-    def route(self, source: str, target: str) -> Route | None:
-        if source == target:
-            return Route(0.0, (source,))
-        if source not in self._by_source:
-            self._by_source[source] = single_source_routes(self.model, source)
-        return self._by_source[source].get(target)
-
-
-def _edge_allows(model, table: _RouteTable, edge, consumer_host: str,
-                 provider_platform: str) -> bool:
-    """Reachability plus protocol compatibility for one dependency edge."""
-    if consumer_host == provider_platform:
-        return True
-    route = table.route(consumer_host, provider_platform)
-    if route is None:
-        return False
-    if edge.consumer_port is None or edge.provider_port is None:
-        return True
-    return check_protocol_bridge(model, edge.consumer_port, edge.provider_port, route.path)
+def _provider_host(edge, assignment: dict[str, str]) -> str:
+    """Where an edge's provider runs under an assignment."""
+    return edge.provider if edge.provider_kind == "platform" else assignment[edge.provider]
 
 
 def enumerate_deployments(model: IoTSystemModel) -> list[DeploymentScenario]:
@@ -90,20 +64,15 @@ def enumerate_deployments(model: IoTSystemModel) -> list[DeploymentScenario]:
         pools.append(pool)
 
     edges = dependency_edges(model)
-    table = _RouteTable(model)
     names = [c.name for c in components]
     scenarios = []
     for choice in itertools.product(*pools):
         assignment = dict(zip(names, choice))
-        ok = True
         for edge in edges:
-            host = assignment[edge.consumer]
-            provider_platform = (edge.provider if edge.provider_kind == "platform"
-                                 else assignment[edge.provider])
-            if not _edge_allows(model, table, edge, host, provider_platform):
-                ok = False
+            if not edge_allows(model, edge, assignment[edge.consumer],
+                               _provider_host(edge, assignment)):
                 break
-        if ok:
+        else:
             scenarios.append(DeploymentScenario(
                 id=len(scenarios) + 1,
                 assignment=tuple(sorted(assignment.items())),
@@ -137,26 +106,19 @@ def _processing_time_ms(model: IoTSystemModel, edge, assignment: dict[str, str])
     return 0.0
 
 
-def scenario_response_time(model: IoTSystemModel, scenario: DeploymentScenario,
-                           table: _RouteTable | None = None) -> float:
+def scenario_response_time(model: IoTSystemModel, scenario: DeploymentScenario) -> float:
     """Sum of network latency plus provider processing time over all
     service dependencies; infinite when some provider is unreachable."""
-    if table is None:
-        table = _RouteTable(model)
-    assignment = scenario.assignment_map()
+    return _response_time(model, dependency_edges(model), scenario.assignment_map())
+
+
+def _response_time(model: IoTSystemModel, edges, assignment: dict[str, str]) -> float:
     total = 0.0
-    for edge in dependency_edges(model):
-        host = assignment[edge.consumer]
-        provider_platform = (edge.provider if edge.provider_kind == "platform"
-                             else assignment[edge.provider])
-        if host == provider_platform:
-            latency = 0.0
-        else:
-            route = table.route(host, provider_platform)
-            if route is None:
-                return math.inf
-            latency = route.latency_ms
-        total += latency + _processing_time_ms(model, edge, assignment)
+    for edge in edges:
+        route = route_between(model, assignment[edge.consumer], _provider_host(edge, assignment))
+        if route is None:
+            return math.inf
+        total += route.latency_ms + _processing_time_ms(model, edge, assignment)
     return total
 
 
@@ -166,11 +128,11 @@ def evaluate_scenarios(model: IoTSystemModel,
     """Fill in availability and response time for each scenario."""
     if scenarios is None:
         scenarios = enumerate_deployments(model)
-    table = _RouteTable(model)
+    edges = dependency_edges(model)
     return [dataclasses.replace(
         s,
         availability=scenario_availability(model, s),
-        response_time_ms=scenario_response_time(model, s, table),
+        response_time_ms=_response_time(model, edges, s.assignment_map()),
     ) for s in scenarios]
 
 
@@ -309,6 +271,8 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
         parameter_name, values = "max_age_ticks", list(max_ages)
     if not values:
         raise ModelError("sweep needs at least one parameter value")
+    if rounds < 1:
+        raise ModelError(f"sweep needs at least one round, got {rounds}")
     for value in values:
         if value < (1 if intervals is not None else 0):
             raise ModelError(f"bad sweep value {value} for {parameter_name}")
@@ -326,7 +290,7 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
             else:
                 variant = model
                 freshness = FreshnessPolicy(value)
-            report = run_simulation(variant, freshness=freshness, stop_on_depletion=True,
+            report = run_simulation(variant, freshness=freshness, halt_on={device_name},
                                     seed=run_seed, record_events=False,
                                     distance_overrides={device_name: distance})
             lifetime = report.lifetimes.get(device_name)

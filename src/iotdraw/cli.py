@@ -17,7 +17,7 @@ from .analysis import (
     predicted_lifetime, rank_scenarios, scenario_text, scenarios_to_csv,
 )
 from .engine import FreshnessPolicy, run_simulation
-from .model import ModelError
+from .model import ModelError, PlatformTier
 from .modelfmt import parse_model
 from .validate import validate_model
 
@@ -74,6 +74,19 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _cmd_validate(args) -> int:
     model = _load(args.model)
     report = validate_model(model, path=args.model)
@@ -85,10 +98,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load(args.model)
+    devices = [p.name for p in model.platforms if p.tier is PlatformTier.DEVICE]
     report = run_simulation(
         model,
         freshness=FreshnessPolicy(args.max_age),
-        stop_on_depletion=args.stop_on_depletion,
+        halt_on=devices if args.stop_on_depletion else (),
         seed=_resolve_seed(args),
         record_events=args.log is not None,
     )
@@ -99,24 +113,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_deployments(args) -> int:
+    """Both ``deployments`` and ``rank``, which always ranks."""
     model = _load(args.model)
     scenarios = enumerate_deployments(model)
+    summary = f"{len(scenarios)} deployment scenario(s)"
     if args.rank:
         scenarios = rank_scenarios(evaluate_scenarios(model, scenarios), args.rank)
+        if args.command == "rank":
+            summary += f", best first by {args.rank}"
     for scenario in scenarios:
         print(scenario_text(scenario))
-    print(f"{len(scenarios)} deployment scenario(s)")
-    if args.csv:
-        _write(args.csv, scenarios_to_csv(scenarios))
-    return 0
-
-
-def _cmd_rank(args) -> int:
-    model = _load(args.model)
-    scenarios = rank_scenarios(evaluate_scenarios(model), args.by)
-    for scenario in scenarios:
-        print(scenario_text(scenario))
-    print(f"{len(scenarios)} deployment scenario(s), best first by {args.by}")
+    print(summary)
     if args.csv:
         _write(args.csv, scenarios_to_csv(scenarios))
     return 0
@@ -139,7 +146,7 @@ def _cmd_lifetime(args) -> int:
         return 0
 
     predicted = predicted_lifetime(model, args.device)
-    report = run_simulation(model, stop_on_depletion=True, seed=seed, record_events=False)
+    report = run_simulation(model, halt_on={args.device}, seed=seed, record_events=False)
     measured = report.lifetimes.get(args.device)
     print(f"device {args.device!r}")
     if predicted is None:
@@ -168,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the model's discrete-event simulation")
     p.add_argument("model")
     p.add_argument("--seed", type=int, help=f"override the run seed (also {SEED_ENV_VAR})")
-    p.add_argument("--max-age", type=int, default=0, metavar="TICKS",
+    p.add_argument("--max-age", type=_int_at_least(0), default=0, metavar="TICKS",
                    help="serve cached sensor data up to this age (default 0: no cache)")
     p.add_argument("--stop-on-depletion", action="store_true",
                    help="halt at the first battery depletion")
@@ -183,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="score every scenario and order by one metric")
     p.add_argument("model")
-    p.add_argument("--by", choices=RANK_METRICS, required=True)
+    p.add_argument("--by", dest="rank", choices=RANK_METRICS, required=True)
     p.add_argument("--csv", metavar="FILE", help="write the ranking as CSV")
-    p.set_defaults(handler=_cmd_rank)
+    p.set_defaults(handler=_cmd_deployments)
 
     p = sub.add_parser("lifetime", help="predict and measure a device's battery lifetime")
     p.add_argument("model")
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare request intervals (ticks)")
     sweep.add_argument("--sweep-max-age", type=_int_list, metavar="A,B,C",
                        help="compare freshness windows (ticks)")
-    p.add_argument("--rounds", type=int, default=30, help="sweep rounds per value")
+    p.add_argument("--rounds", type=_int_at_least(1), default=30, help="sweep rounds per value")
     p.add_argument("--seed", type=int, help=f"sweep seed (also {SEED_ENV_VAR})")
     p.add_argument("--csv", metavar="FILE", help="write the sweep table as CSV")
     p.set_defaults(handler=_cmd_lifetime)

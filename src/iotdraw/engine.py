@@ -33,7 +33,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .energy import BatteryState, EnergyAmount, drain, initial_battery, sense_energy, transmit_energy
 from .model import (
@@ -102,11 +102,6 @@ class SampleStream:
         return value
 
 
-def next_sample(stream: SampleStream) -> float:
-    """Advance a device's sample stream by one reading."""
-    return stream.next()
-
-
 _OPS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
@@ -140,7 +135,7 @@ class SimulationState:
 
     model: IoTSystemModel
     freshness: FreshnessPolicy
-    stop_on_depletion: bool
+    halt_on: frozenset[str]
     record_events: bool
     global_timer: int = 0
     component_timers: dict[str, int] = field(default_factory=dict)
@@ -151,10 +146,6 @@ class SimulationState:
     lifetimes: dict[str, int] = field(default_factory=dict)
     module_outputs: dict[str, str] = field(default_factory=dict)
     halt: bool = False
-
-    @property
-    def batteries(self) -> dict[str, BatteryState]:
-        return {name: rt.battery for name, rt in self.devices.items()}
 
     def log(self, kind: EventKind, subject: str, detail: str = "") -> None:
         self.counts[kind.value] += 1
@@ -181,21 +172,22 @@ def gateway_uplink(model: IoTSystemModel, device: Platform) -> tuple[float, floa
 
 
 def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = None,
-                  stop_on_depletion: bool = False, seed: int | None = None,
+                  halt_on: Collection[str] = (), seed: int | None = None,
                   distance_overrides: Mapping[str, float] | None = None,
                   record_events: bool = True) -> SimulationState:
     """Set up batteries, sample streams, and gateway energies for a run.
 
     ``seed`` overrides the model's configured seed; ``distance_overrides``
     maps device names to a transmission distance in meters replacing the
-    gateway link's distance (used by lifetime sweeps).
+    gateway link's distance (used by lifetime sweeps).  The run halts
+    when a device named in ``halt_on`` depletes.
     """
     run_seed = model.sim_config.rng_seed if seed is None else seed
     overrides = distance_overrides or {}
     state = SimulationState(
         model=model,
         freshness=freshness or FreshnessPolicy(0),
-        stop_on_depletion=stop_on_depletion,
+        halt_on=frozenset(halt_on),
         record_events=record_events,
     )
     for platform in model.platforms:
@@ -212,6 +204,9 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
             transmit=transmit_energy(platform.energy, distance) if distance is not None else None,
             gateway_distance_m=distance,
         )
+    unknown = state.halt_on - state.devices.keys()
+    if unknown:
+        raise ModelError(f"cannot halt on {', '.join(sorted(unknown))}: not a device")
     return state
 
 
@@ -221,23 +216,24 @@ class ChoreographyOutcome:
     value: float | None = None
 
 
-def _request_status(state: SimulationState, contract: ServiceContract,
-                    provider: Platform, freshness: FreshnessPolicy) -> str | None:
-    """Why a request against a device provider would fail, or None if it can go ahead."""
+def _request_status(state: SimulationState, contract: ServiceContract, provider: Platform,
+                    freshness: FreshnessPolicy) -> tuple[str | None, CacheEntry | None]:
+    """Why a request against a provider would fail (None if it can go ahead),
+    and the cached reading young enough to serve its sense tasks, if any."""
     if provider.tier is not PlatformTier.DEVICE:
-        return None
+        return None, None
     kinds = {t.kind for t in contract.tasks}
     runtime = state.devices[provider.name]
     if TaskKind.SENSE in kinds:
         entry = state.caches.get(provider.name)
         if (freshness.max_age_ticks > 0 and entry is not None
                 and state.global_timer - entry.sampled_at <= freshness.max_age_ticks):
-            return None  # servable from cache regardless of the device's health
+            return None, entry  # servable from cache regardless of the device's health
     if runtime.battery.depleted:
-        return "provider-depleted"
+        return "provider-depleted", None
     if (TaskKind.SENSE in kinds or TaskKind.ACTUATE in kinds) and runtime.transmit is None:
-        return "no-route"
-    return None
+        return "no-route", None
+    return None, None
 
 
 def execute_choreography(state: SimulationState, contract: ServiceContract,
@@ -250,27 +246,31 @@ def execute_choreography(state: SimulationState, contract: ServiceContract,
     actuate tasks record an actuation and cost nothing under this energy
     model.  Non-device providers record the request with no side effects.
     """
-    if provider.tier is not PlatformTier.DEVICE:
-        return ChoreographyOutcome("recorded")
-    failure = _request_status(state, contract, provider, freshness)
+    failure, fresh = _request_status(state, contract, provider, freshness)
     if failure is not None:
         return ChoreographyOutcome(f"failed:{failure}")
+    return _serve(state, contract, consumer, provider, freshness, fresh)
 
+
+def _serve(state: SimulationState, contract: ServiceContract, consumer: Component,
+           provider: Platform, freshness: FreshnessPolicy,
+           fresh: CacheEntry | None) -> ChoreographyOutcome:
+    """The tasks of a request that _request_status let through."""
+    if provider.tier is not PlatformTier.DEVICE:
+        return ChoreographyOutcome("recorded")
     runtime = state.devices[provider.name]
     now = state.global_timer
     outcome = ChoreographyOutcome("recorded")
     for task in contract.tasks:
         if task.kind is TaskKind.SENSE:
-            entry = state.caches.get(provider.name)
-            if (freshness.max_age_ticks > 0 and entry is not None
-                    and now - entry.sampled_at <= freshness.max_age_ticks):
+            if fresh is not None:
                 if state.record_events:
                     state.log(EventKind.CACHE_HIT, provider.name,
-                              f"value={entry.value!r} age={now - entry.sampled_at} "
+                              f"value={fresh.value!r} age={now - fresh.sampled_at} "
                               f"consumer={consumer.name}")
                 else:
                     state.log(EventKind.CACHE_HIT, provider.name)
-                outcome = ChoreographyOutcome("cache-hit", entry.value)
+                outcome = ChoreographyOutcome("cache-hit", fresh.value)
                 continue
             value = runtime.stream.next()
             if state.record_events:
@@ -287,9 +287,12 @@ def execute_choreography(state: SimulationState, contract: ServiceContract,
                 state.lifetimes[provider.name] = now
                 state.log(EventKind.DEVICE_DEPLETED, provider.name,
                           f"residual_mah={runtime.battery.residual_mah!r}")
-                if state.stop_on_depletion:
+                if provider.name in state.halt_on:
                     state.halt = True
             state.caches[provider.name] = CacheEntry(value, now)
+            if freshness.max_age_ticks > 0:
+                # Age 0: a later sense task of this contract is served from it.
+                fresh = state.caches[provider.name]
             outcome = ChoreographyOutcome("sensed", value)
         elif task.kind is TaskKind.ACTUATE:
             state.log(EventKind.ACTUATION, provider.name,
@@ -356,7 +359,7 @@ def _dispatch(state: SimulationState, kind: EventKind, consumer: Component,
         state.log(kind, consumer.name, detail if state.record_events else "")
         return ChoreographyOutcome("recorded")
     provider = state.model.platform(binding.provider.name)
-    failure = _request_status(state, binding.contract, provider, state.freshness)
+    failure, fresh = _request_status(state, binding.contract, provider, state.freshness)
     if state.record_events:
         suffix = f" status=failed:{failure}" if failure else ""
         state.log(kind, consumer.name, detail + suffix)
@@ -364,23 +367,23 @@ def _dispatch(state: SimulationState, kind: EventKind, consumer: Component,
         state.log(kind, consumer.name)
     if failure is not None:
         return None
-    return execute_choreography(state, binding.contract, consumer, provider, state.freshness)
+    return _serve(state, binding.contract, consumer, provider, state.freshness, fresh)
 
 
 def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = None,
-                   stop_on_depletion: bool = False, *, seed: int | None = None,
+                   halt_on: Collection[str] = (), *, seed: int | None = None,
                    registry=None, distance_overrides: Mapping[str, float] | None = None,
                    record_events: bool = True) -> "SimulationReport":
     """Execute the model for ticks 0..simulation_time and report what happened.
 
     Identical inputs (model, seed, freshness policy) produce identical
-    reports and byte-identical event logs.  With ``stop_on_depletion``
-    the run halts at the first device depletion.  ``registry`` supplies
+    reports and byte-identical event logs.  The run halts as soon as a
+    device named in ``halt_on`` depletes.  ``registry`` supplies
     the execution-module hooks; the default registry carries the built-in
     analyses.  ``record_events``=False keeps only the event counts, which
     makes multi-hundred-thousand-tick runs cheap.
     """
-    state = initial_state(model, freshness=freshness, stop_on_depletion=stop_on_depletion,
+    state = initial_state(model, freshness=freshness, halt_on=halt_on,
                           seed=seed, distance_overrides=distance_overrides,
                           record_events=record_events)
     plans = _build_plans(model)

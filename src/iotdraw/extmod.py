@@ -54,10 +54,6 @@ def register_module(registry: ModuleRegistry, name: str, hook: Hook) -> ModuleRe
     return registry
 
 
-def invoke_module(registry: ModuleRegistry, name: str, snapshot: SystemSnapshot) -> str:
-    return registry.resolve(name)(snapshot)
-
-
 def take_snapshot(state) -> SystemSnapshot:
     """Freeze the interesting parts of a running simulation for hooks."""
     return SystemSnapshot(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .diagnostics import SourceSpan
 
@@ -399,32 +400,49 @@ class IoTSystemModel:
     interfaces: tuple[str, ...] = ()
     sim_config: SimConfig = field(default_factory=SimConfig)
 
-    def platform(self, name: str) -> Platform | None:
-        for p in self.platforms:
-            if p.name == name:
-                return p
-        return None
+    def derived(self, compute, *args):
+        """``compute(self, *args)``, worked out once per model object.
 
-    def entity(self, name: str) -> PhysicalEntity | None:
-        for e in self.physical_entities:
-            if e.name == name:
-                return e
-        return None
+        Models never change, so a derived fact never goes stale.  The cache
+        is not a dataclass field: equality, hashing and repr ignore it, and
+        ``dataclasses.replace`` gives a model with an empty one.  Threads
+        that race to fill an entry store equal values.
+        """
+        cache = self._derived
+        key = (compute, args)
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = compute(self, *args)
+            return value
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def platform(self, name: str) -> Platform | None:
+        return self.derived(_platforms_by_name).get(name)
 
     def all_components(self) -> tuple[Component, ...]:
         return tuple(c for app in self.applications for c in app.components)
 
     def component(self, name: str) -> Component | None:
-        for c in self.all_components():
-            if c.name == name:
-                return c
-        return None
+        return self.derived(_components_by_name).get(name)
 
     def application_of(self, component_name: str) -> Application | None:
         for app in self.applications:
             if any(c.name == component_name for c in app.components):
                 return app
         return None
+
+
+# Built back to front: of two items sharing a name, the first declared wins.
+def _platforms_by_name(model: IoTSystemModel) -> dict[str, Platform]:
+    return {p.name: p for p in reversed(model.platforms)}
+
+
+def _components_by_name(model: IoTSystemModel) -> dict[str, Component]:
+    return {c.name: c for c in reversed(model.all_components())}
 
 
 # --------------------------------------------------------------------------
@@ -798,13 +816,3 @@ def single_source_routes(model: IoTSystemModel, source: str) -> dict[str, Route]
             if neighbor not in routes:
                 heapq.heappush(frontier, (latency + hop, path + (neighbor,)))
     return routes
-
-
-def shortest_path_latency(model: IoTSystemModel, source: str, target: str) -> Route | None:
-    """Minimum-latency route between two platforms, or None when disconnected.
-
-    A platform trivially reaches itself with zero latency.
-    """
-    if model.platform(target) is None:
-        raise ModelError(f"unknown platform: {target!r}")
-    return single_source_routes(model, source).get(target)

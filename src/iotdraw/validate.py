@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .diagnostics import ERROR, WARNING, Diagnostic, SourceSpan
 from .model import (
-    Component, IoTSystemModel, ModelError, Platform, PlatformTier, ServiceContract,
+    Component, IoTSystemModel, ModelError, Platform, PlatformTier, Route, ServiceContract,
     ServicePort, Task, single_source_routes,
 )
 
@@ -51,6 +51,10 @@ class TaskBinding:
 
 def interface_providers(model: IoTSystemModel, interface: str) -> list[ProviderRef]:
     """All ports realizing an interface, sorted by provider name."""
+    return list(model.derived(_find_providers, interface))
+
+
+def _find_providers(model: IoTSystemModel, interface: str) -> list[ProviderRef]:
     refs = []
     for platform in model.platforms:
         for port in platform.services:
@@ -110,6 +114,10 @@ def dependency_edges(model: IoTSystemModel) -> list[DependencyEdge]:
 
     Validation reports the skipped ones; analyses work on what resolves.
     """
+    return list(model.derived(_find_edges))
+
+
+def _find_edges(model: IoTSystemModel) -> list[DependencyEdge]:
     edges = []
     for component in model.all_components():
         for interface in component.required_interfaces:
@@ -151,8 +159,40 @@ def check_protocol_bridge(model: IoTSystemModel, consumer_port: ServicePort,
 
 def eligible_hosts(model: IoTSystemModel, component: Component) -> list[Platform]:
     """Platforms providing every software item the component requires, by name."""
+    return list(model.derived(_hosts_providing, component.required_software))
+
+
+def _hosts_providing(model: IoTSystemModel, software: frozenset[str]) -> list[Platform]:
     return [p for p in sorted(model.platforms, key=lambda p: p.name)
-            if component.required_software <= p.provided_software]
+            if software <= p.provided_software]
+
+
+def route_between(model: IoTSystemModel, source: str, target: str) -> Route | None:
+    """Minimum-latency route between two platforms, or None when disconnected.
+
+    Runs one Dijkstra pass per source platform and model object.  A
+    platform reaches itself with zero latency.
+    """
+    route = model.derived(single_source_routes, source).get(target)
+    if route is None and model.platform(target) is None:
+        raise ModelError(f"unknown platform: {target!r}")
+    return route
+
+
+def edge_allows(model: IoTSystemModel, edge: DependencyEdge, consumer_host: str,
+                provider_host: str) -> bool:
+    """Whether an edge works with its consumer and provider on these platforms.
+
+    The provider's platform must be reachable from the consumer's, and
+    the two ports must be able to interact over the route.
+    """
+    if consumer_host == provider_host:
+        return True
+    route = route_between(model, consumer_host, provider_host)
+    if route is None:
+        return False
+    return edge.consumer_port is None or check_protocol_bridge(
+        model, edge.consumer_port, edge.provider_port, route.path)
 
 
 # --------------------------------------------------------------------------
@@ -295,57 +335,21 @@ def validate_model(model: IoTSystemModel, path: str | None = None) -> Validation
                       f"condition of {component.name!r} tests field {condition.field!r}, which no "
                       f"periodic sample in application {app.name!r} delivers")
 
-    # Consumers must be able to reach fixed (platform) providers under the
-    # protocol rules from at least one software-eligible host.
-    hosts_cache: dict[str, list[Platform]] = {}
-    routes_cache: dict[str, dict] = {}
-
-    def routes_from(name: str):
-        if name not in routes_cache:
-            routes_cache[name] = single_source_routes(model, name)
-        return routes_cache[name]
-
+    # Consumers must be able to reach their providers under the protocol
+    # rules from at least one software-eligible host.
     for component in model.all_components():
-        hosts_cache[component.name] = eligible_hosts(model, component)
-        if not hosts_cache[component.name]:
+        if not eligible_hosts(model, component):
             warning("no-eligible-host",
                     f"no platform provides the software component {component.name!r} requires")
 
     for edge in dependency_edges(model):
-        hosts = hosts_cache[edge.consumer]
-        if not hosts:
-            continue
-        reachable = False
+        hosts = eligible_hosts(model, model.component(edge.consumer))
         if edge.provider_kind == "platform":
-            for host in hosts:
-                if host.name == edge.provider:
-                    reachable = True
-                    break
-                route = routes_from(host.name).get(edge.provider)
-                if route is None:
-                    continue
-                if edge.consumer_port is None or check_protocol_bridge(
-                        model, edge.consumer_port, edge.provider_port, route.path):
-                    reachable = True
-                    break
+            targets = [edge.provider]
         else:
-            provider_component = model.component(edge.provider)
-            provider_hosts = hosts_cache.get(edge.provider) or eligible_hosts(model, provider_component)
-            for host in hosts:
-                for provider_host in provider_hosts:
-                    if host.name == provider_host.name:
-                        reachable = True
-                        break
-                    route = routes_from(host.name).get(provider_host.name)
-                    if route is None:
-                        continue
-                    if edge.consumer_port is None or check_protocol_bridge(
-                            model, edge.consumer_port, edge.provider_port, route.path):
-                        reachable = True
-                        break
-                if reachable:
-                    break
-        if not reachable:
+            targets = [p.name for p in eligible_hosts(model, model.component(edge.provider))]
+        if hosts and not any(edge_allows(model, edge, host.name, target)
+                             for host in hosts for target in targets):
             error("protocol-unroutable",
                   f"component {edge.consumer!r} cannot reach provider {edge.provider!r} of interface "
                   f"{edge.interface!r} from any eligible host under the protocol rules")

@@ -31,6 +31,85 @@ def freshness_model():
     return model
 
 
+# A second, weaker sensor for freshness_demo.iot: it has its own contract,
+# consumer and application, and depletes at tick 199, long before
+# level_sensor_1 (tick 399).
+SECOND_SENSOR = """
+entity "tank_2" {
+  location = (44.5, 11.3)
+}
+
+interface "LevelSensor2" {}
+interface "LevelSensor2Client" {}
+
+device "level_sensor_2" {
+  location = (44.5, 11.3)
+  cpu_ghz = 0.1
+  attached_to = "tank_2"
+  mtbf_hours = 800
+  mttr_hours = 100
+  battery {
+    capacity_mah = 5.03
+    supply_voltage_v = 3
+    depletion_threshold_mah = 5
+  }
+  sense {
+    current_ma = 25
+    duration_ms = 10
+  }
+  transmit {
+    packet_kb = 2
+    e_elec_nj_per_bit = 50
+    e_amp_pj_per_bit_m = 100
+    loss_exponent = 2
+  }
+  data = uniform(0, 30) seed 7
+  service "LevelPort2" {
+    interface = "LevelSensor2"
+    protocol = "CoAP"
+  }
+}
+
+link "level_sensor_2" <-> "fog_hub" {
+  protocol = "CoAP"
+  latency_ms = 2
+  distance_m = 10
+}
+
+contract "RequestLevelSensor2" {
+  provider_interface = "LevelSensor2"
+  consumer_interface = "LevelSensor2Client"
+  task "MonitorLevel2" = sense
+  message "LevelData2" {
+    field "level_cm" = number
+  }
+}
+
+component "Monitor2" {
+  cpu_demand_cycles = 500
+  requires_software = ["jboss"]
+  requires = ["LevelSensor2"]
+  periodic "MonitorLevel2" {
+    interval_ticks = 1
+  }
+}
+
+application "TankWatch2" {
+  region = (44.5, 11.3)
+  components = ["Monitor2"]
+}
+"""
+
+
+@pytest.fixture()
+def two_sensor_file(tmp_path) -> str:
+    """freshness_demo.iot plus SECOND_SENSOR, written to a temporary file."""
+    path = tmp_path / "two_sensors.iot"
+    text = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+    path.write_text(text + SECOND_SENSOR, encoding="utf-8")
+    return str(path)
+
+
 TINY_TEMPLATE = """
 system "tiny" {{
   simulation_time = {sim_time}
@@ -376,6 +455,34 @@ def reference_scenarios(model):
         if keep:
             survivors.append((len(survivors) + 1, assignment))
     return survivors
+
+
+def reference_unroutable(model):
+    """Ground truth for validation's protocol-unroutable verdict.
+
+    The (consumer, provider, interface) of every dependency edge whose
+    consumer has an eligible host but no pair of eligible hosts (the
+    provider's own platform when it is one) that are equal, or connected
+    by a shortest path the two ports can use.
+    """
+    _, path = _reference_paths(model)
+
+    def hosts(component):
+        return [p.name for p in model.platforms
+                if set(component.required_software) <= set(p.provided_software)]
+
+    unroutable = set()
+    for consumer, consumer_port, kind, provider, provider_port in _reference_edges(model):
+        consumer_hosts = hosts(model.component(consumer))
+        if not consumer_hosts:
+            continue
+        provider_hosts = [provider] if kind == "platform" else hosts(model.component(provider))
+        if not any(host == target or (
+                path(host, target) is not None and _reference_protocol_ok(
+                    model, consumer_port, provider_port, path(host, target)))
+                   for host in consumer_hosts for target in provider_hosts):
+            unroutable.add((consumer, provider, provider_port.interface))
+    return unroutable
 
 
 def reference_availability(model, assignment):

@@ -280,7 +280,7 @@ def test_criterion_06_lifetime_tracks_closed_form(capfd):
         rnd = random.Random(606)
         for _ in range(50):
             model, closed, interval = drained_device_model(rnd)
-            report = run_simulation(model, stop_on_depletion=True,
+            report = run_simulation(model, halt_on={"probe_1"},
                                     record_events=False)
             measured = report.lifetimes["probe_1"]
             assert measured is not None

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotdraw import (
     DeploymentScenario, ModelError, device_periodic_component,
@@ -29,18 +30,31 @@ def test_enumeration_matches_reference_on_random_models():
     assert nonempty >= 5  # the generator must exercise the non-trivial side
 
 
+def assert_metrics_match_reference(model, scenarios):
+    for scenario in scenarios:
+        assignment = scenario.assignment_map()
+        assert scenario.availability == pytest.approx(
+            reference_availability(model, assignment), rel=1e-9)
+        expected = reference_response_time(model, assignment)
+        if math.isinf(expected):
+            assert math.isinf(scenario.response_time_ms)
+        else:
+            assert scenario.response_time_ms == pytest.approx(expected, rel=1e-9)
+
+
 def test_metrics_match_reference_on_random_models():
     for seed in range(20):
         model = random_placement_model(seed)
-        for scenario in evaluate_scenarios(model):
-            assignment = scenario.assignment_map()
-            assert scenario.availability == pytest.approx(
-                reference_availability(model, assignment), rel=1e-9)
-            expected = reference_response_time(model, assignment)
-            if math.isinf(expected):
-                assert math.isinf(scenario.response_time_ms)
-            else:
-                assert scenario.response_time_ms == pytest.approx(expected, rel=1e-9)
+        assert_metrics_match_reference(model, evaluate_scenarios(model))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=20, max_value=2**32))
+def test_enumeration_and_metrics_match_reference_beyond_fixed_seeds(seed):
+    model = random_placement_model(seed)
+    scenarios = evaluate_scenarios(model)
+    assert [(s.id, s.assignment_map()) for s in scenarios] == reference_scenarios(model)
+    assert_metrics_match_reference(model, scenarios)
 
 
 def test_fixture_has_thirty_scenarios(padova_model):
@@ -205,6 +219,15 @@ def test_sweep_reports_censored_rounds(freshness_model):
     assert "horizon" in row.note
 
 
+def test_sweep_halts_on_the_swept_device(two_sensor_file):
+    from iotdraw import load_model
+    # the second sensor depletes at tick 199 without ending any round
+    table = lifetime_sweep(load_model(two_sensor_file), "level_sensor_1",
+                           max_ages=[0, 1], rounds=3)
+    assert [(row.depleted_rounds, row.note) for row in table.rows] == [(3, ""), (3, "")]
+    assert all(row.mean >= 365 for row in table.rows)
+
+
 def test_sweep_does_not_mutate_the_model(freshness_model):
     before = freshness_model.component("Monitor").periodic_request.interval_ticks
     lifetime_sweep(freshness_model, "level_sensor_1", intervals=[2], rounds=1, seed=0)
@@ -221,6 +244,8 @@ def test_sweep_argument_validation(freshness_model):
         lifetime_sweep(freshness_model, "level_sensor_1", intervals=[0])
     with pytest.raises(ModelError):
         lifetime_sweep(freshness_model, "fog_hub", intervals=[1])
+    with pytest.raises(ModelError, match="round"):
+        lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[0], rounds=0)
 
 
 def test_sweep_csv_shape(freshness_model):

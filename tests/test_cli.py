@@ -1,7 +1,13 @@
 """Command-line behavior: commands, seeds, files, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import iotdraw
 from iotdraw.cli import main
 
 from conftest import MODELS_DIR, tiny_text
@@ -62,6 +68,30 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["rank", PADOVA])  # --by is required
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-max-age", "0,1",
+      "--rounds", "-3"], "--rounds"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--rounds", "0"], "--rounds"),
+    (["simulate", FRESH, "--max-age", "-1"], "--max-age"),
+    (["simulate", FRESH, "--max-age", "soon"], "--max-age"),
+])
+def test_out_of_range_options_exit_two(argv, option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    source_root = str(Path(iotdraw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "iotdraw", "validate", PADOVA],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.rstrip().endswith("ok")
 
 
 def test_simulate_prints_summary(capsys):
@@ -135,6 +165,14 @@ def test_lifetime_report(capsys):
     out = capsys.readouterr().out
     assert "predicted lifetime: 399998 ticks" in out
     assert "measured lifetime: 399999 ticks" in out
+
+
+def test_lifetime_halts_on_the_asked_device(two_sensor_file, capsys):
+    # level_sensor_2 depletes at tick 199; the run must go on to level_sensor_1's
+    assert main(["lifetime", two_sensor_file, "--device", "level_sensor_1"]) == 0
+    out = capsys.readouterr().out
+    assert "predicted lifetime: 399 ticks" in out
+    assert "measured lifetime: 399 ticks" in out
 
 
 def test_lifetime_unknown_device_exits_one(capsys):

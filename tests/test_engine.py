@@ -3,7 +3,7 @@
 import pytest
 
 from iotdraw import (
-    FreshnessPolicy, ModelError, SampleStream, eval_condition, next_sample,
+    FreshnessPolicy, ModelError, SampleStream, eval_condition,
     per_request_drain_mah, run_simulation,
 )
 from iotdraw.engine import EventKind
@@ -97,10 +97,12 @@ def test_depletion_event_and_lifetime():
 def test_stop_on_depletion_halts_the_run():
     per = 1.5000012e-4
     model = tiny_model(sim_time=30, interval=2, capacity=5 + 3.5 * per)
-    report = run_simulation(model, stop_on_depletion=True)
+    report = run_simulation(model, halt_on={"probe_1"})
     assert report.halted_on_depletion
     assert report.final_tick == 7
     assert report.events[-1].kind == "DeviceDepleted"
+    with pytest.raises(ModelError, match="hub"):
+        run_simulation(model, halt_on={"probe_1", "hub"})
 
 
 def test_depleted_device_stops_serving():
@@ -247,28 +249,28 @@ def test_event_log_ticks_never_decrease():
 
 def test_sample_stream_kinds():
     constant = SampleStream(ConstantSource(7.5), fallback_seed=1)
-    assert [next_sample(constant) for _ in range(3)] == [7.5, 7.5, 7.5]
+    assert [constant.next() for _ in range(3)] == [7.5, 7.5, 7.5]
 
     trace = SampleStream(TraceSource((1.0, 2.0)), fallback_seed=1)
-    assert [next_sample(trace) for _ in range(5)] == [1.0, 2.0, 1.0, 2.0, 1.0]
+    assert [trace.next() for _ in range(5)] == [1.0, 2.0, 1.0, 2.0, 1.0]
 
     seeded = SampleStream(UniformSource(0.0, 30.0, seed=42), fallback_seed=999)
     reference = SplitMix64(42)
     for _ in range(10):
-        value = next_sample(seeded)
+        value = seeded.next()
         assert value == reference.uniform(0.0, 30.0)
         assert 0.0 <= value <= 30.0
 
     unseeded = SampleStream(UniformSource(0.0, 30.0), fallback_seed=1234)
     reference = SplitMix64(1234)
-    assert next_sample(unseeded) == reference.uniform(0.0, 30.0)
+    assert unseeded.next() == reference.uniform(0.0, 30.0)
 
 
 def test_device_streams_are_decorrelated():
     # two devices sharing a run seed must not draw the same values
     a = SampleStream(UniformSource(0.0, 1.0), derive_seed(9, "source", "dev_a"))
     b = SampleStream(UniformSource(0.0, 1.0), derive_seed(9, "source", "dev_b"))
-    assert [next_sample(a) for _ in range(5)] != [next_sample(b) for _ in range(5)]
+    assert [a.next() for _ in range(5)] != [b.next() for _ in range(5)]
 
 
 # execution modules -----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from iotdraw import (
     ModelError, default_registry, enumerate_deployments, evaluate_scenarios,
-    initial_state, invoke_module, rank_scenarios, register_module,
+    initial_state, rank_scenarios, register_module,
     run_simulation, scenarios_to_csv, take_snapshot,
 )
 
@@ -48,7 +48,7 @@ def test_invoke_module_passes_the_snapshot():
     registry = register_module(default_registry(), "Probe", probe)
     model = tiny_model(sim_time=3)
     snapshot = take_snapshot(initial_state(model))
-    assert invoke_module(registry, "Probe", snapshot) == "probed"
+    assert registry.resolve("Probe")(snapshot) == "probed"
     assert seen == {"tick": 0, "devices": ["probe_1"]}
 
 
@@ -67,15 +67,15 @@ def test_builtin_outputs_match_direct_calls(padova_model):
     state = initial_state(padova_model)
     snapshot = take_snapshot(state)
 
-    enumeration = invoke_module(registry, "DeploymentScenarios", snapshot)
+    enumeration = registry.resolve("DeploymentScenarios")(snapshot)
     assert enumeration == scenarios_to_csv(enumerate_deployments(padova_model))
 
-    availability = invoke_module(registry, "AvailabilityAnalysis", snapshot)
+    availability = registry.resolve("AvailabilityAnalysis")(snapshot)
     expected = scenarios_to_csv(rank_scenarios(
         evaluate_scenarios(padova_model), "availability"))
     assert availability == expected
 
-    response = invoke_module(registry, "ResponseTimeAnalysis", snapshot)
+    response = registry.resolve("ResponseTimeAnalysis")(snapshot)
     expected = scenarios_to_csv(rank_scenarios(
         evaluate_scenarios(padova_model), "response-time"))
     assert response == expected

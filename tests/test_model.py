@@ -7,8 +7,9 @@ from iotdraw.model import (
     Declarations, DeviceEnergyProfile, EnergyDecl, EntityDecl, GeoLocation,
     InterfaceDecl, LinkDecl, ModelError, PlatformDecl, PlatformTier, Route,
     ServicePort, SystemDecl, Task, TaskKind, TraceSource, build_system,
-    shortest_path_latency, single_source_routes,
+    single_source_routes,
 )
+from iotdraw.validate import route_between
 
 
 def base_decls(**overrides) -> Declarations:
@@ -190,21 +191,21 @@ def diamond_model(low_road=3.0):
 
 def test_shortest_path_picks_lower_latency():
     model = diamond_model()
-    route = shortest_path_latency(model, "a", "d")
+    route = route_between(model, "a", "d")
     assert route.latency_ms == 4.0
     assert route.path == ("a", "b", "d")
 
 
 def test_shortest_path_tie_breaks_lexicographically():
     model = diamond_model(low_road=11.0)  # a-b-d now costs 12, a-c-d costs 12
-    route = shortest_path_latency(model, "a", "d")
+    route = route_between(model, "a", "d")
     assert route.latency_ms == 12.0
     assert route.path == ("a", "b", "d")
 
 
 def test_route_to_self_is_free():
     model = diamond_model()
-    route = shortest_path_latency(model, "b", "b")
+    route = route_between(model, "b", "b")
     assert route == Route(0.0, ("b",))
 
 
@@ -214,7 +215,7 @@ def test_unreachable_returns_none():
         platforms=[PlatformDecl(n, tier=PlatformTier.FOG) for n in "ab"],
     )
     model = build_system(decls)
-    assert shortest_path_latency(model, "a", "b") is None
+    assert route_between(model, "a", "b") is None
 
 
 def test_single_source_routes_cover_every_reachable_platform():
@@ -228,4 +229,23 @@ def test_single_source_routes_cover_every_reachable_platform():
 def test_unknown_platform_raises():
     model = diamond_model()
     with pytest.raises(ModelError):
-        shortest_path_latency(model, "a", "zz")
+        route_between(model, "a", "zz")
+
+
+def test_cached_facts_stay_out_of_equality_and_replace():
+    import dataclasses
+
+    from iotdraw.modelfmt import serialize_model
+
+    primed, fresh = diamond_model(), diamond_model()
+    assert route_between(primed, "a", "d").latency_ms == 4.0
+    assert primed.platform("c").name == "c"
+    assert primed == fresh and hash(primed) == hash(fresh)
+    assert repr(primed) == repr(fresh)
+    assert serialize_model(primed) == serialize_model(fresh)
+    # a replaced model answers from its own fields, not the original's cache
+    cheap_c = tuple(dataclasses.replace(link, latency_ms=0.5) if "c" in link.endpoints else link
+                    for link in primed.networks)
+    rerouted = dataclasses.replace(primed, networks=cheap_c)
+    assert route_between(rerouted, "a", "d").path == ("a", "c", "d")
+    assert route_between(primed, "a", "d").path == ("a", "b", "d")

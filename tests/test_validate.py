@@ -1,6 +1,9 @@
 """Design-rule validation: bindings, conjugates, protocols, reachability."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotdraw import parse_model, validate_model
 from iotdraw.model import ModelError
@@ -9,7 +12,10 @@ from iotdraw.validate import (
     task_binding,
 )
 
-from conftest import ALARMED_TEMPLATE, alarmed_model, tiny_text
+from conftest import (
+    ALARMED_TEMPLATE, alarmed_model, random_placement_model, reference_unroutable,
+    tiny_text,
+)
 
 
 def model_of(text):
@@ -128,6 +134,31 @@ contract "UseWatcher" {
     assert "protocol-unroutable" in codes_of(text)
     # the same wiring through a fog is fine: the fog translates
     assert "protocol-unroutable" not in codes_of(text.replace('cloud "hub"', 'fog "hub"'))
+
+
+UNROUTABLE = re.compile(r"component '(.+)' cannot reach provider '(.+)' of interface '(.+)' from")
+
+
+def unroutable_of(model):
+    return {UNROUTABLE.match(d.message).groups()
+            for d in validate_model(model).diagnostics if d.code == "protocol-unroutable"}
+
+
+def test_protocol_unroutable_matches_reference_on_random_models():
+    flagged = 0
+    for seed in range(60):
+        model = random_placement_model(seed)
+        truth = reference_unroutable(model)
+        assert unroutable_of(model) == truth, f"seed {seed}"
+        flagged += bool(truth)
+    assert flagged >= 3  # the generator must exercise the unroutable side
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=60, max_value=2**32))
+def test_protocol_unroutable_matches_reference_beyond_fixed_seeds(seed):
+    model = random_placement_model(seed)
+    assert unroutable_of(model) == reference_unroutable(model)
 
 
 def test_validation_is_idempotent(padova_model):
