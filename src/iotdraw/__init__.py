@@ -18,9 +18,8 @@ from .energy import (
     lifetime_closed_form, per_request_drain_mah, sense_energy, transmit_energy,
 )
 from .engine import (
-    CacheEntry, ChoreographyOutcome, EventKind, FreshnessPolicy, SampleStream,
-    SimEvent, SimulationReport, SimulationState, eval_condition,
-    execute_choreography, gateway_uplink, initial_state, run_simulation,
+    EventKind, FreshnessPolicy, SampleStream, SimEvent, SimulationReport, SimulationState,
+    eval_condition, gateway_uplink, initial_state, run_simulation,
 )
 from .extmod import (
     ModuleRegistry, SystemSnapshot, default_registry, register_module, take_snapshot,

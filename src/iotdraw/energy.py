@@ -67,20 +67,28 @@ def joules_to_mah(energy: EnergyAmount, voltage_v: float) -> float:
     return 1000.0 * (energy.joules * WH_PER_JOULE) / voltage_v
 
 
-def drain(state: BatteryState, profile: DeviceEnergyProfile, energy: EnergyAmount) -> BatteryState:
-    """Subtract one expenditure from the battery, clamping at empty.
+def drain_mah(residual_mah: float, threshold_mah: float,
+              *costs_mah: float) -> tuple[float, bool]:
+    """Subtract expenditures in mAh one at a time, clamping at empty.
 
-    The device counts as depleted once the residual charge falls to the
-    profile's depletion threshold or below; from then on its service is
-    considered unavailable.
+    Returns the residual charge and whether the device is depleted: it
+    is once the residual falls to the depletion threshold or below, and
+    from then on its service is considered unavailable.
     """
-    residual = max(0.0, state.residual_mah - joules_to_mah(energy, profile.supply_voltage_v))
-    return BatteryState(residual, residual <= profile.depletion_threshold_mah)
+    for cost in costs_mah:
+        residual_mah = residual_mah - cost
+        residual_mah = residual_mah if residual_mah > 0.0 else 0.0
+    return residual_mah, residual_mah <= threshold_mah
+
+
+def drain(state: BatteryState, profile: DeviceEnergyProfile, energy: EnergyAmount) -> BatteryState:
+    """Subtract one expenditure from the battery under ``drain_mah``'s rule."""
+    return BatteryState(*drain_mah(state.residual_mah, profile.depletion_threshold_mah,
+                                   joules_to_mah(energy, profile.supply_voltage_v)))
 
 
 def initial_battery(profile: DeviceEnergyProfile) -> BatteryState:
-    residual = profile.residual_energy_mah
-    return BatteryState(residual, residual <= profile.depletion_threshold_mah)
+    return BatteryState(*drain_mah(profile.residual_energy_mah, profile.depletion_threshold_mah))
 
 
 def per_request_drain_mah(profile: DeviceEnergyProfile, distance_m: float) -> float:

@@ -1,11 +1,16 @@
 """Discrete-event execution of a system model.
 
-Time advances in integer ticks.  Each tick, every component holding a
-periodic request advances its own timer; when the timer reaches the
-request interval it fires: the bound contract's choreography runs, the
-timer restarts, and the next firing lands exactly one interval later.
-A run covers ticks 0 through ``simulation_time`` inclusive, so a
-component with interval k fires at ticks k-1, 2k-1, 3k-1, ...
+A run covers ticks 0 through ``simulation_time`` inclusive.  Before
+tick 0, every periodic request and every event request is compiled once
+into a request program: its event kind, consumer and log detail, the
+contract's sense and actuate tasks as plain tuples, and the provider's
+device cell, or None when the provider is not a device.  A device cell
+holds the battery's residual charge and depleted flag, the mAh one
+sensing and one transmission cost, the sample stream and the cached
+reading.  Each periodic program keeps the tick it fires next: a
+component with interval k fires at ticks k-1, 2k-1, 3k-1, ..., programs
+due on the same tick fire in declaration order, and ticks on which
+nothing fires are never visited.
 
 Requests served by a device follow the data-freshness rule: if a cached
 reading is at most ``max_age_ticks`` old the consumer gets the cached
@@ -22,6 +27,13 @@ and, when satisfied, the event task is requested in turn (an alarm
 actuation, typically).  The delivered scalar stands for every field of
 the message record during evaluation.
 
+A run that keeps only event counts (``record_events=False``) ends early
+once it settles: when the provider of every periodic request is either
+not a device, or a depleted device with no cached reading young enough
+to serve again.  Depleted batteries never recover, so every later firing
+is a request that delivers nothing; those are counted in closed form and
+the report equals that of the full run.
+
 Declared execution modules run exactly once, before tick 0; an unknown
 module name aborts the run before any tick executes.
 """
@@ -29,19 +41,22 @@ module name aborts the run before any tick executes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Mapping
+from typing import Callable, Collection, Mapping
 
-from .energy import BatteryState, EnergyAmount, drain, initial_battery, sense_energy, transmit_energy
+from .energy import BatteryState, drain_mah, joules_to_mah, sense_energy, transmit_energy
 from .model import (
     Component, ConditionExpr, ConstantSource, IoTSystemModel, ModelError, Platform,
     PlatformTier, ServiceContract, TaskKind, UniformSource,
 )
 from .rng import SplitMix64, derive_seed
-from .validate import TaskBinding, task_binding
+from .validate import task_binding
 
 
 class EventKind(Enum):
@@ -52,6 +67,11 @@ class EventKind(Enum):
     ACTUATION = "Actuation"
     DEVICE_DEPLETED = "DeviceDepleted"
     MODULE_OUTPUT = "ModuleOutput"
+
+
+# Plain strings for the request loop: they hash far faster than enum members.
+_SENSED, _HIT, _ACTUATED, _DEPLETED = (kind.value for kind in (
+    EventKind.SENSE_SAMPLE, EventKind.CACHE_HIT, EventKind.ACTUATION, EventKind.DEVICE_DEPLETED))
 
 
 @dataclass(frozen=True)
@@ -73,42 +93,29 @@ class FreshnessPolicy:
             raise ModelError(f"max age cannot be negative: {self.max_age_ticks}")
 
 
-@dataclass
-class CacheEntry:
-    value: float
-    sampled_at: int
-
-
 class SampleStream:
-    """Draw state for one device's data source."""
+    """Draw state for one device's data source; ``next()`` gives the next reading."""
 
-    __slots__ = ("source", "_rng", "_index")
+    __slots__ = ("source", "next")
 
     def __init__(self, source, fallback_seed: int):
         self.source = source
-        seed = source.seed if isinstance(source, UniformSource) and source.seed is not None \
-            else fallback_seed
-        self._rng = SplitMix64(seed)
-        self._index = 0
-
-    def next(self) -> float:
-        source = self.source
         if isinstance(source, ConstantSource):
-            return source.value
-        if isinstance(source, UniformSource):
-            return self._rng.uniform(source.lo, source.hi)
-        value = source.values[self._index % len(source.values)]
-        self._index += 1
-        return value
+            self.next = itertools.repeat(source.value).__next__
+        elif isinstance(source, UniformSource):
+            rng = SplitMix64(fallback_seed if source.seed is None else source.seed)
+            self.next = functools.partial(rng.uniform, source.lo, source.hi)
+        else:
+            self.next = itertools.cycle(source.values).__next__
 
 
 _OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "!=": operator.ne,
 }
 
 
@@ -119,14 +126,34 @@ def eval_condition(expr: ConditionExpr, sample: Mapping[str, float]) -> bool:
     return _OPS[expr.op](sample[expr.field], expr.threshold)
 
 
-@dataclass
-class _DeviceRuntime:
-    platform: Platform
-    battery: BatteryState
-    stream: SampleStream
-    sense: EnergyAmount
-    transmit: EnergyAmount | None  # None when the device has no link
-    gateway_distance_m: float | None
+class _DeviceCell:
+    """One device's run-time state, with its per-request costs worked out once."""
+
+    __slots__ = ("name", "residual_mah", "depleted", "threshold_mah", "sense_mah",
+                 "transmit_mah", "sense_detail", "sample", "cached_value", "cached_at", "halts")
+
+    def __init__(self, platform: Platform, distance_m: float | None, stream: SampleStream,
+                 halts: bool):
+        profile = platform.energy
+        sense = sense_energy(profile)
+        transmit = transmit_energy(profile, distance_m) if distance_m is not None else None
+        self.name = platform.name
+        self.threshold_mah = profile.depletion_threshold_mah
+        self.residual_mah, self.depleted = drain_mah(profile.residual_energy_mah,
+                                                     self.threshold_mah)
+        self.sense_mah = joules_to_mah(sense, profile.supply_voltage_v)
+        # None when the device has no link: it can neither report nor be told anything.
+        self.transmit_mah = (joules_to_mah(transmit, profile.supply_voltage_v)
+                             if transmit is not None else None)
+        self.sense_detail = (f"sense_j={sense.joules!r} transmit_j={transmit.joules!r} "
+                             f"distance_m={distance_m!r}" if transmit is not None else "")
+        self.sample = stream.next
+        self.cached_value = self.cached_at = None  # the last reading and its tick
+        self.halts = halts
+
+    @property
+    def battery(self) -> BatteryState:
+        return BatteryState(self.residual_mah, self.depleted)
 
 
 @dataclass
@@ -135,22 +162,13 @@ class SimulationState:
 
     model: IoTSystemModel
     freshness: FreshnessPolicy
-    halt_on: frozenset[str]
     record_events: bool
-    global_timer: int = 0
-    component_timers: dict[str, int] = field(default_factory=dict)
-    devices: dict[str, _DeviceRuntime] = field(default_factory=dict)
-    caches: dict[str, CacheEntry] = field(default_factory=dict)
+    devices: dict[str, _DeviceCell] = field(default_factory=dict)
     event_log: list[SimEvent] = field(default_factory=list)
     counts: Counter = field(default_factory=Counter)
     lifetimes: dict[str, int] = field(default_factory=dict)
     module_outputs: dict[str, str] = field(default_factory=dict)
-    halt: bool = False
-
-    def log(self, kind: EventKind, subject: str, detail: str = "") -> None:
-        self.counts[kind.value] += 1
-        if self.record_events:
-            self.event_log.append(SimEvent(self.global_timer, kind.value, subject, detail))
+    halted_by: str | None = None
 
 
 def gateway_uplink(model: IoTSystemModel, device: Platform) -> tuple[float, float] | None:
@@ -184,190 +202,94 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     """
     run_seed = model.sim_config.rng_seed if seed is None else seed
     overrides = distance_overrides or {}
-    state = SimulationState(
-        model=model,
-        freshness=freshness or FreshnessPolicy(0),
-        halt_on=frozenset(halt_on),
-        record_events=record_events,
-    )
+    halt_on = frozenset(halt_on)
+    state = SimulationState(model=model, freshness=freshness or FreshnessPolicy(0),
+                            record_events=record_events)
     for platform in model.platforms:
         if platform.tier is not PlatformTier.DEVICE:
             continue
         gateway = gateway_uplink(model, platform)
-        distance = overrides.get(platform.name, gateway[1] if gateway else None)
-        state.devices[platform.name] = _DeviceRuntime(
-            platform=platform,
-            battery=initial_battery(platform.energy),
-            stream=SampleStream(platform.data_source,
-                                derive_seed(run_seed, "source", platform.name)),
-            sense=sense_energy(platform.energy),
-            transmit=transmit_energy(platform.energy, distance) if distance is not None else None,
-            gateway_distance_m=distance,
+        state.devices[platform.name] = _DeviceCell(
+            platform,
+            overrides.get(platform.name, gateway[1] if gateway else None),
+            SampleStream(platform.data_source, derive_seed(run_seed, "source", platform.name)),
+            platform.name in halt_on,
         )
-    unknown = state.halt_on - state.devices.keys()
+    unknown = halt_on - state.devices.keys()
     if unknown:
         raise ModelError(f"cannot halt on {', '.join(sorted(unknown))}: not a device")
     return state
 
 
-@dataclass(frozen=True)
-class ChoreographyOutcome:
-    status: str  # sensed | cache-hit | actuated | recorded | failed:...
-    value: float | None = None
+@dataclass(frozen=True, slots=True)
+class _Request:
+    """One request compiled before tick 0: what it logs and what it asks of its provider."""
+
+    kind: str
+    consumer: str
+    detail: str
+    cell: _DeviceCell | None  # None when the provider is not a device
+    tasks: tuple[tuple[str, str], ...]  # (_SENSED, "") or (_ACTUATED, log detail)
+    has_sense: bool
+    needs_link: bool  # a sense or actuate task must cross the device's link
 
 
-def _request_status(state: SimulationState, contract: ServiceContract, provider: Platform,
-                    freshness: FreshnessPolicy) -> tuple[str | None, CacheEntry | None]:
-    """Why a request against a provider would fail (None if it can go ahead),
-    and the cached reading young enough to serve its sense tasks, if any."""
-    if provider.tier is not PlatformTier.DEVICE:
-        return None, None
-    kinds = {t.kind for t in contract.tasks}
-    runtime = state.devices[provider.name]
-    if TaskKind.SENSE in kinds:
-        entry = state.caches.get(provider.name)
-        if (freshness.max_age_ticks > 0 and entry is not None
-                and state.global_timer - entry.sampled_at <= freshness.max_age_ticks):
-            return None, entry  # servable from cache regardless of the device's health
-    if runtime.battery.depleted:
-        return "provider-depleted", None
-    if (TaskKind.SENSE in kinds or TaskKind.ACTUATE in kinds) and runtime.transmit is None:
-        return "no-route", None
-    return None, None
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """A periodic request, with the (test, threshold, event request) its readings feed."""
 
-
-def execute_choreography(state: SimulationState, contract: ServiceContract,
-                         consumer: Component, provider: Platform,
-                         freshness: FreshnessPolicy) -> ChoreographyOutcome:
-    """Run one request against a provider, applying the contract's tasks.
-
-    Device providers serve sense tasks from the freshness cache when
-    possible and otherwise sample and pay the sense + transmit energy;
-    actuate tasks record an actuation and cost nothing under this energy
-    model.  Non-device providers record the request with no side effects.
-    """
-    failure, fresh = _request_status(state, contract, provider, freshness)
-    if failure is not None:
-        return ChoreographyOutcome(f"failed:{failure}")
-    return _serve(state, contract, consumer, provider, freshness, fresh)
-
-
-def _serve(state: SimulationState, contract: ServiceContract, consumer: Component,
-           provider: Platform, freshness: FreshnessPolicy,
-           fresh: CacheEntry | None) -> ChoreographyOutcome:
-    """The tasks of a request that _request_status let through."""
-    if provider.tier is not PlatformTier.DEVICE:
-        return ChoreographyOutcome("recorded")
-    runtime = state.devices[provider.name]
-    now = state.global_timer
-    outcome = ChoreographyOutcome("recorded")
-    for task in contract.tasks:
-        if task.kind is TaskKind.SENSE:
-            if fresh is not None:
-                if state.record_events:
-                    state.log(EventKind.CACHE_HIT, provider.name,
-                              f"value={fresh.value!r} age={now - fresh.sampled_at} "
-                              f"consumer={consumer.name}")
-                else:
-                    state.log(EventKind.CACHE_HIT, provider.name)
-                outcome = ChoreographyOutcome("cache-hit", fresh.value)
-                continue
-            value = runtime.stream.next()
-            if state.record_events:
-                state.log(EventKind.SENSE_SAMPLE, provider.name,
-                          f"value={value!r} sense_j={runtime.sense.joules!r} "
-                          f"transmit_j={runtime.transmit.joules!r} "
-                          f"distance_m={runtime.gateway_distance_m!r} consumer={consumer.name}")
-            else:
-                state.log(EventKind.SENSE_SAMPLE, provider.name)
-            was_depleted = runtime.battery.depleted
-            runtime.battery = drain(runtime.battery, provider.energy, runtime.sense)
-            runtime.battery = drain(runtime.battery, provider.energy, runtime.transmit)
-            if not was_depleted and runtime.battery.depleted:
-                state.lifetimes[provider.name] = now
-                state.log(EventKind.DEVICE_DEPLETED, provider.name,
-                          f"residual_mah={runtime.battery.residual_mah!r}")
-                if provider.name in state.halt_on:
-                    state.halt = True
-            state.caches[provider.name] = CacheEntry(value, now)
-            if freshness.max_age_ticks > 0:
-                # Age 0: a later sense task of this contract is served from it.
-                fresh = state.caches[provider.name]
-            outcome = ChoreographyOutcome("sensed", value)
-        elif task.kind is TaskKind.ACTUATE:
-            state.log(EventKind.ACTUATION, provider.name,
-                      f"task={task.name} by={consumer.name}" if state.record_events else "")
-            if outcome.status == "recorded":
-                outcome = ChoreographyOutcome("actuated")
-        # transmit/receive/compute tasks are bookkept by the request itself
-    return outcome
-
-
-@dataclass
-class _Watcher:
-    component: Component
-    condition: ConditionExpr
-    binding: TaskBinding
-    request_detail: str
-
-
-@dataclass
-class _PeriodicPlan:
-    component: Component
     interval: int
-    binding: TaskBinding
-    fields: tuple[str, ...]
-    request_detail: str
-    watchers: tuple[_Watcher, ...]
+    request: _Request
+    watchers: tuple[tuple[Callable[[float, float], bool], float, _Request], ...]
 
 
-def _build_plans(model: IoTSystemModel) -> list[_PeriodicPlan]:
+def _compile(state: SimulationState, kind: EventKind, consumer: Component, task: str,
+             condition: ConditionExpr | None = None) -> tuple[_Request, ServiceContract]:
+    """The request program for one task, and the contract it runs."""
+    binding = task_binding(state.model, task)
+    cell = None
+    if binding.provider.kind == "platform":
+        provider = state.model.platform(binding.provider.name)
+        if provider.tier is PlatformTier.DEVICE:
+            cell = state.devices[provider.name]
+    # Transmit, receive and compute tasks are bookkept by the request itself.
+    tasks = tuple((_SENSED, "") if t.kind is TaskKind.SENSE
+                  else (_ACTUATED, f"task={t.name} by={consumer.name}")
+                  for t in binding.contract.tasks
+                  if t.kind is TaskKind.SENSE or t.kind is TaskKind.ACTUATE)
+    detail = f"task={binding.task.name} provider={binding.provider.name}"
+    if condition is not None:
+        detail += f" condition={condition.render()}"
+    request = _Request(kind.value, consumer.name, detail, cell, tasks,
+                       has_sense=(_SENSED, "") in tasks, needs_link=bool(tasks))
+    return request, binding.contract
+
+
+def _build_plans(state: SimulationState) -> list[_Plan]:
+    """Compile every periodic request, with the event requests its samples feed."""
     plans = []
-    for app in model.applications:
+    for app in state.model.applications:
         watchers = []
         for component in app.components:
             if component.event_request is None:
                 continue
-            binding = task_binding(model, component.event_request.task)
-            watchers.append(_Watcher(
-                component=component,
-                condition=component.event_request.condition,
-                binding=binding,
-                request_detail=(f"task={binding.task.name} provider={binding.provider.name} "
-                                f"condition={component.event_request.condition.render()}"),
-            ))
+            condition = component.event_request.condition
+            request, _ = _compile(state, EventKind.EVENT_REQUEST, component,
+                                  component.event_request.task, condition)
+            watchers.append((condition, request))
         for component in app.components:
             if component.periodic_request is None:
                 continue
-            binding = task_binding(model, component.periodic_request.task)
-            fields = binding.contract.message_type.field_names()
-            plans.append(_PeriodicPlan(
-                component=component,
+            request, contract = _compile(state, EventKind.PERIODIC_REQUEST, component,
+                                         component.periodic_request.task)
+            fields = contract.message_type.field_names()
+            plans.append(_Plan(
                 interval=component.periodic_request.interval_ticks,
-                binding=binding,
-                fields=fields,
-                request_detail=f"task={binding.task.name} provider={binding.provider.name}",
-                watchers=tuple(w for w in watchers if w.condition.field in fields),
+                request=request,
+                watchers=tuple((_OPS[c.op], c.threshold, w) for c, w in watchers
+                               if c.field in fields),
             ))
     return plans
-
-
-def _dispatch(state: SimulationState, kind: EventKind, consumer: Component,
-              binding: TaskBinding, detail: str) -> ChoreographyOutcome | None:
-    """Log one request and run its choreography when the provider is a platform."""
-    if binding.provider.kind != "platform":
-        state.log(kind, consumer.name, detail if state.record_events else "")
-        return ChoreographyOutcome("recorded")
-    provider = state.model.platform(binding.provider.name)
-    failure, fresh = _request_status(state, binding.contract, provider, state.freshness)
-    if state.record_events:
-        suffix = f" status=failed:{failure}" if failure else ""
-        state.log(kind, consumer.name, detail + suffix)
-    else:
-        state.log(kind, consumer.name)
-    if failure is not None:
-        return None
-    return _serve(state, binding.contract, consumer, provider, state.freshness, fresh)
 
 
 def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = None,
@@ -386,7 +308,10 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     state = initial_state(model, freshness=freshness, halt_on=halt_on,
                           seed=seed, distance_overrides=distance_overrides,
                           record_events=record_events)
-    plans = _build_plans(model)
+    plans = _build_plans(state)
+    record = state.record_events
+    counts = state.counts
+    log = state.event_log.append
 
     # Execution modules run once, before the loop; resolve all of them
     # first so an unknown name aborts before tick 0.
@@ -399,44 +324,110 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         for name, hook in resolved:
             output = hook(snapshot)
             state.module_outputs[name] = output
-            state.log(EventKind.MODULE_OUTPUT, name, output if state.record_events else "")
+            counts[EventKind.MODULE_OUTPUT.value] += 1
+            if record:
+                log(SimEvent(0, EventKind.MODULE_OUTPUT.value, name, output))
 
-    timers = state.component_timers
-    for plan in plans:
-        timers[plan.component.name] = 0
+    max_age = state.freshness.max_age_ticks
+    lifetimes = state.lifetimes
+    settling = False  # a counts-only run checks for settling once a device depletes
 
-    for tick in range(model.sim_config.simulation_time + 1):
-        state.global_timer = tick
-        for plan in plans:
-            name = plan.component.name
-            timer = timers[name] + 1
-            if timer < plan.interval:
-                timers[name] = timer
+    def serve(request: _Request, now: int, note: str = "") -> float | None:
+        """Run one request at tick ``now``; the reading it delivers, if any."""
+        nonlocal settling
+        counts[request.kind] += 1
+        cell = request.cell
+        failure = None
+        fresh = False
+        if cell is not None:
+            if (request.has_sense and max_age and cell.cached_at is not None
+                    and now - cell.cached_at <= max_age):
+                fresh = True  # servable from cache regardless of the device's health
+            elif cell.depleted:
+                failure = "provider-depleted"
+            elif request.needs_link and cell.transmit_mah is None:
+                failure = "no-route"
+        if record:
+            suffix = f" status=failed:{failure}" if failure else ""
+            log(SimEvent(now, request.kind, request.consumer, request.detail + note + suffix))
+        if cell is None or failure:
+            return None
+        value = None
+        for task, action in request.tasks:
+            if task == _ACTUATED:
+                counts[_ACTUATED] += 1
+                if record:
+                    log(SimEvent(now, _ACTUATED, cell.name, action))
                 continue
-            timers[name] = 0
-            outcome = _dispatch(state, EventKind.PERIODIC_REQUEST, plan.component,
-                                plan.binding, plan.request_detail)
-            if outcome is not None and outcome.value is not None:
-                for watcher in plan.watchers:
-                    record = dict.fromkeys(plan.fields, outcome.value)
-                    if eval_condition(watcher.condition, record):
-                        _dispatch(state, EventKind.EVENT_REQUEST, watcher.component,
-                                  watcher.binding,
-                                  f"{watcher.request_detail} value={outcome.value!r}")
-            if state.halt:
+            if fresh:
+                value = cell.cached_value
+                counts[_HIT] += 1
+                if record:
+                    log(SimEvent(now, _HIT, cell.name, f"value={value!r} "
+                                 f"age={now - cell.cached_at} consumer={request.consumer}"))
+                continue
+            value = cell.sample()
+            counts[_SENSED] += 1
+            if record:
+                log(SimEvent(now, _SENSED, cell.name,
+                             f"value={value!r} {cell.sense_detail} consumer={request.consumer}"))
+            was_depleted = cell.depleted
+            cell.residual_mah, cell.depleted = drain_mah(cell.residual_mah, cell.threshold_mah,
+                                                         cell.sense_mah, cell.transmit_mah)
+            if cell.depleted and not was_depleted:
+                lifetimes[cell.name] = now
+                counts[_DEPLETED] += 1
+                if record:
+                    log(SimEvent(now, _DEPLETED, cell.name,
+                                 f"residual_mah={cell.residual_mah!r}"))
+                if cell.halts and state.halted_by is None:
+                    state.halted_by = cell.name
+                settling = not record
+            cell.cached_value, cell.cached_at = value, now
+            if max_age:
+                fresh = True  # age 0: a later sense task of this contract is served from it
+        return value
+
+    horizon = model.sim_config.simulation_time
+    due = [plan.interval - 1 for plan in plans]
+    cells = [plan.request.cell for plan in plans if plan.request.cell is not None]
+    tick = horizon
+    while plans:
+        now = min(due)
+        if now > horizon:
+            break
+        for index, plan in enumerate(plans):
+            if due[index] != now:
+                continue
+            due[index] = now + plan.interval
+            value = serve(plan.request, now)
+            if value is not None:
+                for test, threshold, watcher in plan.watchers:
+                    if test(value, threshold):
+                        serve(watcher, now, f" value={value!r}" if record else "")
+            if state.halted_by is not None:
                 break
-        if state.halt:
+        if state.halted_by is not None:
+            tick = now
+            break
+        if settling and all(c.depleted and (c.cached_at is None or now - c.cached_at >= max_age)
+                            for c in cells):
+            # Settled: each remaining firing is a request that delivers nothing.
+            remaining = sum((horizon - d) // plan.interval + 1
+                            for d, plan in zip(due, plans) if d <= horizon)
+            if remaining:
+                counts[EventKind.PERIODIC_REQUEST.value] += remaining
             break
 
     return SimulationReport(
         model_name=model.name,
-        simulation_time=model.sim_config.simulation_time,
+        simulation_time=horizon,
         tick_seconds=model.sim_config.tick_seconds,
-        final_tick=state.global_timer,
-        halted_on_depletion=state.halt,
-        residual_mah={name: rt.battery.residual_mah for name, rt in state.devices.items()},
-        lifetimes={name: state.lifetimes.get(name) for name in state.devices},
-        counts=dict(sorted(state.counts.items())),
+        final_tick=tick,
+        halted_by=state.halted_by,
+        residual_mah={name: cell.residual_mah for name, cell in state.devices.items()},
+        lifetimes={name: lifetimes.get(name) for name in state.devices},
+        counts=dict(sorted(counts.items())),
         module_outputs=dict(state.module_outputs),
         events=tuple(state.event_log),
     )
@@ -448,12 +439,16 @@ class SimulationReport:
     simulation_time: int
     tick_seconds: float
     final_tick: int
-    halted_on_depletion: bool
+    halted_by: str | None  # the device in ``halt_on`` whose depletion ended the run
     residual_mah: dict[str, float]
     lifetimes: dict[str, int | None]
     counts: dict[str, int]
     module_outputs: dict[str, str]
     events: tuple[SimEvent, ...]
+
+    @property
+    def halted_on_depletion(self) -> bool:
+        return self.halted_by is not None
 
     def events_csv(self) -> str:
         buffer = io.StringIO()
@@ -465,7 +460,7 @@ class SimulationReport:
 
     def to_text(self) -> str:
         lines = []
-        halt = " (halted on first depletion)" if self.halted_on_depletion else ""
+        halt = f" (halted when {self.halted_by} depleted)" if self.halted_by else ""
         lines.append(f"simulation {self.model_name!r}: ran ticks 0..{self.final_tick} "
                      f"of {self.simulation_time}{halt}")
         if self.counts:

@@ -55,12 +55,11 @@ def register_module(registry: ModuleRegistry, name: str, hook: Hook) -> ModuleRe
 
 
 def take_snapshot(state) -> SystemSnapshot:
-    """Freeze the interesting parts of a running simulation for hooks."""
+    """Freeze the interesting parts of a simulation for hooks, which run before tick 0."""
     return SystemSnapshot(
         model=copy.deepcopy(state.model),
-        tick=state.global_timer,
-        residual_energy_mah={name: rt.battery.residual_mah
-                             for name, rt in state.devices.items()},
+        tick=0,
+        residual_energy_mah={name: cell.residual_mah for name, cell in state.devices.items()},
     )
 
 

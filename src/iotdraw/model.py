@@ -4,8 +4,8 @@ A system is a set of platforms (clouds, fogs, battery-powered devices)
 joined by network links, plus applications whose components consume
 services that platforms or other components provide under declared
 contracts.  Instances are immutable; anything that changes over a run
-(timers, batteries, caches) lives in the simulation state instead, so a
-model can be shared freely between threads and analyses.
+(batteries, cached readings, request schedules) lives in the engine
+instead, so a model can be shared freely between threads and analyses.
 
 Models are usually produced by :func:`iotdraw.modelfmt.parse_model`, but
 they can be assembled in code through :func:`build_system`, which takes
@@ -419,6 +419,12 @@ class IoTSystemModel:
     @cached_property
     def _derived(self) -> dict:
         return {}
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the fields only; they refill their own cache."""
+        state = dict(self.__dict__)
+        state.pop("_derived", None)
+        return state
 
     def platform(self, name: str) -> Platform | None:
         return self.derived(_platforms_by_name).get(name)

@@ -97,7 +97,7 @@ def test_python_dash_m_runs_the_cli():
 def test_simulate_prints_summary(capsys):
     assert main(["simulate", FRESH, "--max-age", "1", "--stop-on-depletion"]) == 0
     out = capsys.readouterr().out
-    assert "halted on first depletion" in out
+    assert "(halted when level_sensor_1 depleted)" in out
     assert "depleted at tick 798" in out
 
 

@@ -1,16 +1,21 @@
 """Discrete-event execution: timing, caching, draining, determinism."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotdraw import (
-    FreshnessPolicy, ModelError, SampleStream, eval_condition,
-    per_request_drain_mah, run_simulation,
+    FreshnessPolicy, ModelError, SampleStream, eval_condition, lifetime_closed_form,
+    parse_model, per_request_drain_mah, run_simulation,
 )
 from iotdraw.engine import EventKind
 from iotdraw.model import ConditionExpr, ConstantSource, TraceSource, UniformSource
 from iotdraw.rng import SplitMix64, derive_seed
 
-from conftest import alarmed_model, tiny_model
+from conftest import MODELS_DIR, SECOND_SENSOR, alarmed_model, tiny_model, tiny_text
+
+PER = 1.5000012e-4  # mAh of one sense + transmit on the fixture devices
 
 
 def events_of(report, kind):
@@ -103,6 +108,15 @@ def test_stop_on_depletion_halts_the_run():
     assert report.events[-1].kind == "DeviceDepleted"
     with pytest.raises(ModelError, match="hub"):
         run_simulation(model, halt_on={"probe_1", "hub"})
+
+
+def test_halt_names_the_device_that_ended_the_run(two_sensor_file):
+    from iotdraw import load_model
+    report = run_simulation(load_model(two_sensor_file), halt_on={"level_sensor_1"},
+                            record_events=False)
+    assert report.lifetimes["level_sensor_2"] == 199  # depleted first, halted nothing
+    assert report.halted_by == "level_sensor_1" and report.final_tick == 399
+    assert "ran ticks 0..399 of 50000 (halted when level_sensor_1 depleted)" in report.to_text()
 
 
 def test_depleted_device_stops_serving():
@@ -304,3 +318,107 @@ def test_unknown_module_aborts_before_any_tick():
     assert not isinstance(model, list)
     with pytest.raises(ModelError, match="NoSuchAnalysis"):
         run_simulation(model)
+
+
+# properties -------------------------------------------------------------------
+
+
+def two_sensor_model(sim_time, intervals, capacities):
+    """freshness_demo.iot plus SECOND_SENSOR, with both request intervals and batteries set."""
+    first = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+    first = (first.replace("simulation_time = 50000", f"simulation_time = {sim_time}")
+             .replace("interval_ticks = 1", f"interval_ticks = {intervals[0]}")
+             .replace("capacity_mah = 5.06", f"capacity_mah = {capacities[0]!r}"))
+    second = (SECOND_SENSOR.replace("interval_ticks = 1", f"interval_ticks = {intervals[1]}")
+              .replace("capacity_mah = 5.03", f"capacity_mah = {capacities[1]!r}"))
+    model = parse_model(first + second, "<two_sensors>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    return model
+
+
+@st.composite
+def engine_runs(draw):
+    """A small model whose batteries may deplete mid-run, with a freshness window and halt set."""
+    family = draw(st.sampled_from(["tiny", "alarmed", "two_sensors"]))
+    sim_time = draw(st.integers(min_value=0, max_value=300))
+    interval = st.integers(min_value=1, max_value=7)
+    capacity = st.integers(min_value=1, max_value=6000).map(lambda n: 5 + n / 100 * PER)
+    if family == "tiny":
+        model = tiny_model(sim_time=sim_time, interval=draw(interval), capacity=draw(capacity),
+                           data=draw(st.sampled_from(["trace [5, 10, 20, 40]", "uniform(0, 30)",
+                                                      "constant(25)"])))
+    elif family == "alarmed":
+        model = alarmed_model(sim_time=sim_time, interval=draw(interval),
+                              capacity=draw(capacity),
+                              data=draw(st.sampled_from(["trace [30, 5, 25]", "uniform(0, 40)"])))
+    else:
+        model = two_sensor_model(sim_time, (draw(interval), draw(interval)),
+                                 (draw(capacity), draw(capacity)))
+    devices = sorted(p.name for p in model.platforms if p.tier.value == "device")
+    halt_on = draw(st.sets(st.sampled_from(devices)))
+    return model, FreshnessPolicy(draw(st.integers(min_value=0, max_value=6))), halt_on
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=engine_runs())
+def test_counts_only_runs_match_recording_runs(run):
+    model, freshness, halt_on = run
+    loud = run_simulation(model, freshness, halt_on)
+    quiet = run_simulation(model, freshness, halt_on, record_events=False)
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick",
+                      "halted_on_depletion", "halted_by"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
+    assert len(loud.events) == sum(loud.counts.values())
+    # Each periodic request fires at k-1, 2k-1, ...; a halt may cut the last tick short.
+    fired = defaultdict(list)
+    for event in events_of(loud, EventKind.PERIODIC_REQUEST):
+        fired[event.subject].append(event.tick)
+    for component in model.all_components():
+        if component.periodic_request is None:
+            continue
+        k = component.periodic_request.interval_ticks
+        expected = list(range(k - 1, loud.final_tick + 1, k))
+        if fired[component.name] != expected:
+            assert loud.halted_on_depletion and expected[-1] == loud.final_tick
+            assert fired[component.name] == expected[:-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(voltage=st.integers(min_value=15, max_value=50), current=st.integers(1, 50),
+       duration=st.integers(1, 50), packet=st.integers(1, 16), e_elec=st.integers(10, 100),
+       e_amp=st.integers(10, 200), exponent=st.integers(2, 4),
+       threshold=st.integers(0, 1000), requests=st.floats(0.5, 300.0),
+       interval=st.integers(1, 9))
+def test_simulated_lifetime_within_one_interval_of_closed_form(
+        voltage, current, duration, packet, e_elec, e_amp, exponent, threshold, requests,
+        interval):
+    def model(capacity):
+        text = (tiny_text(sim_time=3000, interval=interval, capacity=capacity)
+                .replace("supply_voltage_v = 3", f"supply_voltage_v = {voltage / 10}")
+                .replace("depletion_threshold_mah = 5", f"depletion_threshold_mah = {threshold / 100}")
+                .replace("current_ma = 25", f"current_ma = {current}")
+                .replace("duration_ms = 10", f"duration_ms = {duration}")
+                .replace("packet_kb = 2", f"packet_kb = {packet / 4}")
+                .replace("e_elec_nj_per_bit = 50", f"e_elec_nj_per_bit = {e_elec}")
+                .replace("e_amp_pj_per_bit_m = 100", f"e_amp_pj_per_bit_m = {e_amp}")
+                .replace("loss_exponent = 2", f"loss_exponent = {exponent}"))
+        parsed = parse_model(text, "<profile>")
+        assert not isinstance(parsed, list), [d.render() for d in parsed]
+        return parsed
+
+    probe = model(threshold / 100 + 1).platform("probe_1").energy
+    per = per_request_drain_mah(probe, 10.0)
+    drawn = model(repr(threshold / 100 + requests * per))
+    profile = drawn.platform("probe_1").energy
+    predicted = lifetime_closed_form(profile, 10.0, interval)
+    report = run_simulation(drawn, halt_on={"probe_1"}, record_events=False)
+    # In exact arithmetic the run depletes on request ceil(budget / per),
+    # at tick interval * that - 1: one tick before the closed form when the
+    # budget is a whole number of requests, interval - 1 ticks after it
+    # otherwise.  Near a whole number, the closed form's division and the
+    # run's one-cost-at-a-time subtraction may each round to the other side,
+    # which puts them one more request apart.
+    ratio = (profile.residual_energy_mah - profile.depletion_threshold_mah) / per
+    slack = interval if abs(ratio - round(ratio)) < 1e-4 else 0
+    assert -1 <= report.lifetimes["probe_1"] - predicted <= interval - 1 + slack
+

@@ -249,3 +249,17 @@ def test_cached_facts_stay_out_of_equality_and_replace():
     rerouted = dataclasses.replace(primed, networks=cheap_c)
     assert route_between(rerouted, "a", "d").path == ("a", "c", "d")
     assert route_between(primed, "a", "d").path == ("a", "b", "d")
+
+
+def test_copies_and_pickles_leave_the_cache_behind():
+    import copy
+    import pickle
+
+    primed = diamond_model()
+    assert route_between(primed, "a", "d").latency_ms == 4.0
+    assert primed._derived
+    for clone in (copy.deepcopy(primed), pickle.loads(pickle.dumps(primed))):
+        assert clone == primed and clone is not primed
+        assert clone._derived == {}
+        assert route_between(clone, "a", "d") == route_between(primed, "a", "d")
+
