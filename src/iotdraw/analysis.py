@@ -248,18 +248,20 @@ def _with_interval(model: IoTSystemModel, component_name: str,
     return dataclasses.replace(model, applications=tuple(applications))
 
 
+SWEEP_DISTANCE_RANGE_M = (1.0, 50.0)
+
+
 def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
                    intervals: list[int] | None = None,
                    max_ages: list[int] | None = None,
-                   rounds: int = 30, seed: int = 0,
-                   distance_range: tuple[float, float] = (1.0, 50.0)) -> SweepTable:
+                   rounds: int = 30, seed: int = 0) -> SweepTable:
     """Measure mean device lifetime across one varied parameter.
 
     Exactly one of ``intervals`` (request period sweep, caching off) or
     ``max_ages`` (freshness window sweep at the declared period) must be
     given.  Each round draws one transmission distance from
-    ``distance_range`` and reuses it for every parameter value, so the
-    values are compared under identical conditions and only the swept
+    ``SWEEP_DISTANCE_RANGE_M`` and reuses it for every parameter value, so
+    the values are compared under identical conditions and only the swept
     parameter moves the result.
     """
     if (intervals is None) == (max_ages is None):
@@ -279,7 +281,7 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
 
     lifetimes: dict[int, list[int]] = {value: [] for value in values}
     censored: dict[int, int] = {value: 0 for value in values}
-    lo, hi = distance_range
+    lo, hi = SWEEP_DISTANCE_RANGE_M
     for round_index in range(rounds):
         distance = SplitMix64(derive_seed(seed, "distance", round_index)).uniform(lo, hi)
         run_seed = derive_seed(seed, "run", round_index)

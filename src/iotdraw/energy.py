@@ -104,7 +104,10 @@ def lifetime_closed_form(profile: DeviceEnergyProfile, distance_m: float,
     Counts how many whole requests fit into the charge budget above the
     depletion threshold, then scales by the request interval.  Returns
     None when a request costs nothing, since the lifetime is unbounded
-    then.  A simulated run lands within one interval of this figure.
+    then.  A simulated run lands within one interval of this figure,
+    except where the budget is within rounding of a whole number of
+    requests: the run subtracts each cost in turn, so it can land one
+    interval later still.
     """
     if interval_ticks < 1:
         raise ModelError(f"interval must be at least 1 tick: {interval_ticks}")

@@ -15,7 +15,7 @@ the same declaration records the parser emits.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -46,6 +46,11 @@ class BuildIssue:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ModelError(message)
+
+
+def format_number(value: float) -> str:
+    """Integral values print bare (``20``), all others as their ``repr``."""
+    return str(int(value)) if value == int(value) else repr(value)
 
 
 # --------------------------------------------------------------------------
@@ -314,9 +319,7 @@ class ConditionExpr:
         _require(bool(self.field), "condition needs a field name")
 
     def render(self) -> str:
-        value = self.threshold
-        text = str(int(value)) if value == int(value) else repr(value)
-        return f"{self.field} {self.op} {text}"
+        return f"{self.field} {self.op} {format_number(self.threshold)}"
 
 
 @dataclass(frozen=True)
@@ -361,6 +364,10 @@ class Application:
 
     def __post_init__(self):
         _require(len(self.components) > 0, f"application {self.name} needs at least one component")
+
+    @property
+    def component_names(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -458,7 +465,8 @@ def _components_by_name(model: IoTSystemModel) -> dict[str, Component]:
 @dataclass
 class EnergyDecl:
     """Raw numbers for a device energy profile; defaults model a generic
-    low-power sensing node."""
+    low-power sensing node.  Each field has the name of the
+    :class:`DeviceEnergyProfile` field that ``build_system`` passes it to."""
 
     battery_capacity_mah: float = 100.0
     supply_voltage_v: float = 3.0
@@ -640,18 +648,8 @@ def build_system(decls: Declarations) -> IoTSystemModel:
             energy = None
             if pd.tier is PlatformTier.DEVICE:
                 e = pd.energy or EnergyDecl()
-                energy = DeviceEnergyProfile(
-                    battery_capacity_mah=e.battery_capacity_mah,
-                    residual_energy_mah=e.battery_capacity_mah,
-                    supply_voltage_v=e.supply_voltage_v,
-                    sense_current_ma=e.sense_current_ma,
-                    sense_duration_ms=e.sense_duration_ms,
-                    packet_kb=e.packet_kb,
-                    e_elec_nj_per_bit=e.e_elec_nj_per_bit,
-                    e_amp_pj_per_bit_m=e.e_amp_pj_per_bit_m,
-                    loss_exponent_n=e.loss_exponent_n,
-                    depletion_threshold_mah=e.depletion_threshold_mah,
-                )
+                energy = DeviceEnergyProfile(residual_energy_mah=e.battery_capacity_mah,
+                                             **asdict(e))
             return Platform(
                 name=pd.name,
                 tier=pd.tier,

@@ -6,6 +6,9 @@ attribute order inside a block is free.  The full grammar lives in
 docs/model-language.md.  Unknown keys are hard errors so that typos
 surface at parse time instead of silently skewing an analysis.
 
+Each block's ``key = value`` attributes are listed once, in the row
+tables below; the parser and the serializer both work from them.
+
 ``serialize_model`` writes a canonical form: blocks sorted by category
 and then by name, two-space indentation, numbers rendered without a
 trailing ``.0`` when integral.  Parsing the canonical form reproduces
@@ -15,14 +18,17 @@ the model exactly, and serializing again is byte-stable.
 from __future__ import annotations
 
 import re
+from functools import partial
+from operator import attrgetter
+from types import SimpleNamespace
 
 from .diagnostics import ERROR, Diagnostic, SourceSpan
 from .model import (
-    ApplicationDecl, Component, ComponentDecl, ConditionExpr, ConstantSource, ContractDecl,
-    DataSource, Declarations, EnergyDecl, EntityDecl, EventRequest, ExecutionModuleDecl,
-    InterfaceDecl, IoTSystemModel, LinkDecl, MessageField, MessageType, ModelError,
-    PeriodicRequest, Platform, PlatformDecl, PlatformTier, ServicePort, SystemDecl, Task,
-    TaskKind, TraceSource, UniformSource, build_system,
+    FIELD_KINDS, ApplicationDecl, Component, ComponentDecl, ConditionExpr, ConstantSource,
+    ContractDecl, DataSource, Declarations, EnergyDecl, EntityDecl, EventRequest,
+    ExecutionModuleDecl, InterfaceDecl, IoTSystemModel, LinkDecl, MessageField, ModelError,
+    PeriodicRequest, Platform, PlatformDecl, PlatformTier, ServiceContract, ServicePort,
+    SystemDecl, Task, TaskKind, TraceSource, UniformSource, build_system, format_number,
 )
 
 _TOKEN_RE = re.compile(r"""
@@ -40,8 +46,78 @@ _CONDITION_RE = re.compile(
 
 _OP_ALIASES = {"==": "=", "≤": "<=", "≥": ">=", "≠": "!="}
 
-_TASK_KINDS = {k.value: k for k in TaskKind}
-_FIELD_KINDS = ("number", "integer", "text", "boolean")
+_TASK_KINDS = tuple(k.value for k in TaskKind)
+
+# --------------------------------------------------------------------------
+# The attribute keys of each block, as (key, attribute, kind) rows in
+# canonical order.  The parser reads a key's value into that attribute of
+# the block's declaration record; the serializer writes the same attribute
+# of the built model object, skipping None.  ``_Parser.read_value`` reads
+# each kind and ``_WRITERS`` writes it.  A "set" is written sorted and a
+# "list" in its own order; a "condition" is read as text and checked once
+# its block closes.
+
+_SYSTEM_ROWS = (
+    ("simulation_time", "simulation_time", "int"),
+    ("tick_seconds", "tick_seconds", "number"),
+    ("rng_seed", "rng_seed", "int"),
+)
+_EXECUTION_MODULE_ROWS = (
+    ("module", "module", "string"),
+    ("language", "language", "string"),
+    ("code", "code", "string"),
+)
+_ENTITY_ROWS = (("location", "location", "point"),)
+_PLATFORM_ROWS = (
+    ("location", "location", "point"),
+    ("cpu_ghz", "cpu_frequency_ghz", "number"),
+    ("provides_software", "provided_software", "set"),
+    ("mtbf_hours", "mtbf_hours", "number"),
+    ("mttr_hours", "mttr_hours", "number"),
+)
+_DEVICE_ROWS = _PLATFORM_ROWS + (("attached_to", "attached_to", "string"),)
+# A device's energy sub-blocks; every row fills its one EnergyDecl.
+_ENERGY_BLOCKS = (
+    ("battery", (
+        ("capacity_mah", "battery_capacity_mah", "number"),
+        ("supply_voltage_v", "supply_voltage_v", "number"),
+        ("depletion_threshold_mah", "depletion_threshold_mah", "number"),
+    )),
+    ("sense", (
+        ("current_ma", "sense_current_ma", "number"),
+        ("duration_ms", "sense_duration_ms", "number"),
+    )),
+    ("transmit", (
+        ("packet_kb", "packet_kb", "number"),
+        ("e_elec_nj_per_bit", "e_elec_nj_per_bit", "number"),
+        ("e_amp_pj_per_bit_m", "e_amp_pj_per_bit_m", "number"),
+        ("loss_exponent", "loss_exponent_n", "int"),
+    )),
+)
+_SERVICE_ROWS = (
+    ("interface", "interface", "string"),
+    ("protocol", "protocol", "string"),
+)
+_LINK_ROWS = (
+    ("protocol", "protocol", "string"),
+    ("latency_ms", "latency_ms", "number"),
+    ("distance_m", "distance_m", "number"),
+)
+_CONTRACT_ROWS = (
+    ("provider_interface", "provider_interface", "string"),
+    ("consumer_interface", "consumer_interface", "string"),
+)
+_COMPONENT_ROWS = (
+    ("cpu_demand_cycles", "mean_cpu_demand_cycles", "number"),
+    ("requires_software", "required_software", "set"),
+    ("requires", "required_interfaces", "set"),
+)
+_PERIODIC_ROWS = (("interval_ticks", "interval_ticks", "int"),)
+_EVENT_ROWS = (("condition", "condition", "condition"),)
+_APPLICATION_ROWS = (
+    ("region", "region", "point"),
+    ("components", "component_names", "list"),
+)
 
 
 class _Token:
@@ -123,6 +199,13 @@ class _Parser:
             return self.advance()
         return None
 
+    def build(self, token: _Token, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, its rejection reported at ``token``."""
+        try:
+            return make(*args, **kwargs)
+        except ModelError as exc:
+            self.fail(str(exc), token)
+
     # -- value readers
 
     def read_string(self, what: str) -> str:
@@ -138,7 +221,7 @@ class _Parser:
             self.fail(f"{what} must be an integer, found {token.text!r}", token)
         return int(token.text)
 
-    def read_point(self) -> tuple[float, float]:
+    def read_pair(self) -> tuple[float, float]:
         self.expect("punct", "(")
         first = self.read_number()
         self.expect("punct", ",")
@@ -146,25 +229,28 @@ class _Parser:
         self.expect("punct", ")")
         return (first, second)
 
-    def read_string_list(self) -> list[str]:
+    def read_list(self, read_item) -> list:
         self.expect("punct", "[")
-        items: list[str] = []
+        items = []
         if not self.accept("punct", "]"):
-            items.append(self.read_string("a quoted name"))
+            items.append(read_item())
             while self.accept("punct", ","):
-                items.append(self.read_string("a quoted name"))
+                items.append(read_item())
             self.expect("punct", "]")
         return items
 
-    def read_number_list(self) -> list[float]:
-        self.expect("punct", "[")
-        items: list[float] = []
-        if not self.accept("punct", "]"):
-            items.append(self.read_number())
-            while self.accept("punct", ","):
-                items.append(self.read_number())
-            self.expect("punct", "]")
-        return items
+    def read_value(self, kind: str, key: str):
+        """The ``= value`` after ``key``, read as a row kind."""
+        self.expect("punct", "=")
+        if kind == "int":
+            return self.read_int(key)
+        if kind == "number":
+            return self.read_number()
+        if kind == "point":
+            return self.read_pair()
+        if kind in ("set", "list"):
+            return self.read_list(lambda: self.read_string("a quoted name"))
+        return self.read_string(key)  # "string", and "condition" as its text
 
     def read_data_source(self) -> DataSource:
         token = self.expect("ident", what="a data source (constant, uniform, or trace)")
@@ -172,28 +258,35 @@ class _Parser:
             self.expect("punct", "(")
             value = self.read_number()
             self.expect("punct", ")")
-            return ConstantSource(value)
+            return self.build(token, ConstantSource, value)
         if token.text == "uniform":
-            self.expect("punct", "(")
-            lo = self.read_number()
-            self.expect("punct", ",")
-            hi = self.read_number()
-            self.expect("punct", ")")
-            seed = None
-            if self.accept("ident", "seed"):
-                seed = self.read_int("seed")
-            return UniformSource(lo, hi, seed)
+            lo, hi = self.read_pair()
+            seed = self.read_int("seed") if self.accept("ident", "seed") else None
+            return self.build(token, UniformSource, lo, hi, seed)
         if token.text == "trace":
-            return TraceSource(tuple(self.read_number_list()))
+            return self.build(token, TraceSource, tuple(self.read_list(self.read_number)))
         self.fail(f"unknown data source {token.text!r}", token)
+
+    def read_entry(self, what: str, kinds) -> tuple[_Token, str]:
+        """A ``STRING = kind`` entry (a task or a message field), checked against ``kinds``."""
+        name = self.expect("string", what=f"a {what} name")
+        self.expect("punct", "=")
+        kind = self.expect("ident", what=f"a {what} kind")
+        if kind.text not in kinds:
+            self.fail(f"unknown {what} kind {kind.text!r}", kind)
+        return name, kind.text
 
     # -- block machinery
 
-    def block_keys(self, block: str, handlers: dict):
-        """Dispatch ``key = value`` and sub-block entries until the closing brace.
+    def read_block(self, block: str, rows=(), target=None, special: dict | None = None):
+        """Read ``{ ... }`` up to the closing brace.
 
-        Handler keys ending in "*" may repeat; scalar keys may not.
+        Each row's key sets its attribute on ``target``; ``special`` maps
+        the block's other keys to handlers.  Special keys ending in "*" may
+        repeat; all other keys may not.
         """
+        handlers = {key: partial(self._set, target, attr, kind, key) for key, attr, kind in rows}
+        handlers.update(special or {})
         self.expect("punct", "{")
         seen: set[str] = set()
         while not self.accept("punct", "}"):
@@ -213,80 +306,40 @@ class _Parser:
             self.advance()
             handler()
 
+    def _set(self, target, attr: str, kind: str, key: str) -> None:
+        setattr(target, attr, self.read_value(kind, key))
+
     def read_service_port(self) -> ServicePort:
         name_token = self.expect("string", what="a service name")
-        port = {"interface": "", "protocol": ""}
-        self.block_keys("service", {
-            "interface": lambda: port.__setitem__("interface", self._eq_string("interface")),
-            "protocol": lambda: port.__setitem__("protocol", self._eq_string("protocol")),
-        })
-        try:
-            return ServicePort(name_token.text[1:-1], port["interface"], port["protocol"])
-        except ModelError as exc:
-            self.fail(str(exc), name_token)
-
-    def _eq_string(self, what: str) -> str:
-        self.expect("punct", "=")
-        return self.read_string(what)
-
-    def _eq_number(self) -> float:
-        self.expect("punct", "=")
-        return self.read_number()
-
-    def _eq_int(self, what: str) -> int:
-        self.expect("punct", "=")
-        return self.read_int(what)
-
-    def _eq_point(self) -> tuple[float, float]:
-        self.expect("punct", "=")
-        return self.read_point()
-
-    def _eq_string_list(self) -> list[str]:
-        self.expect("punct", "=")
-        return self.read_string_list()
+        port = SimpleNamespace(interface="", protocol="")
+        self.read_block("service", _SERVICE_ROWS, port)
+        return self.build(name_token, ServicePort, name_token.text[1:-1], **vars(port))
 
     # -- top-level blocks
 
     def parse(self) -> Declarations:
         decls = Declarations()
-        while True:
-            token = self.peek()
-            if token.kind == "eof":
-                break
+        readers = {
+            "system": lambda: setattr(decls, "system", self.parse_system()),
+            "entity": lambda: decls.entities.append(self.parse_entity()),
+            "interface": lambda: decls.interfaces.append(self.parse_interface()),
+            "contract": lambda: decls.contracts.append(self.parse_contract()),
+            "component": lambda: decls.components.append(self.parse_component()),
+            "application": lambda: decls.applications.append(self.parse_application()),
+            "link": lambda: decls.links.append(self.parse_link()),
+        }
+        for tier in PlatformTier:
+            readers[tier.value] = lambda tier=tier: decls.platforms.append(self.parse_platform(tier))
+        while (token := self.peek()).kind != "eof":
             if token.kind != "ident":
                 self.fail(f"expected a block keyword, found {token.text!r}")
-            keyword = token.text
-            if keyword == "system":
-                if decls.system is not None:
-                    self.fail("duplicate 'system' block", token)
-                self.advance()
-                decls.system = self.parse_system()
-            elif keyword == "entity":
-                self.advance()
-                decls.entities.append(self.parse_entity())
-            elif keyword == "interface":
-                self.advance()
-                name = self.expect("string", what="an interface name")
-                self.expect("punct", "{")
-                self.expect("punct", "}")
-                decls.interfaces.append(InterfaceDecl(name.text[1:-1], self.span(name)))
-            elif keyword in ("cloud", "fog", "device"):
-                self.advance()
-                decls.platforms.append(self.parse_platform(PlatformTier(keyword)))
-            elif keyword == "contract":
-                self.advance()
-                decls.contracts.append(self.parse_contract())
-            elif keyword == "component":
-                self.advance()
-                decls.components.append(self.parse_component())
-            elif keyword == "application":
-                self.advance()
-                decls.applications.append(self.parse_application())
-            elif keyword == "link":
-                self.advance()
-                decls.links.append(self.parse_link())
-            else:
-                self.fail(f"unknown block keyword {keyword!r}", token)
+            read = readers.get(token.text)
+            if read is None:
+                self.fail(f"unknown block keyword {token.text!r}", token)
+            if token.text == "system" and decls.system is not None:
+                self.fail("duplicate 'system' block", token)
+            self.advance()
+            read()
         if decls.system is None:
             self.fail("expected a 'system' block", self.tokens[0])
         return decls
@@ -295,81 +348,44 @@ class _Parser:
         name_token = self.expect("string", what="a system name")
         decl = SystemDecl(name=name_token.text[1:-1], span=self.span(name_token))
 
-        def exec_module():
-            entry = {"module": "", "language": "python", "code": "builtin"}
-            self.block_keys("execution_module", {
-                "module": lambda: entry.__setitem__("module", self._eq_string("module")),
-                "language": lambda: entry.__setitem__("language", self._eq_string("language")),
-                "code": lambda: entry.__setitem__("code", self._eq_string("code")),
-            })
-            decl.execution_modules.append(
-                ExecutionModuleDecl(entry["module"], entry["language"], entry["code"]))
+        def execution_module():
+            module = SimpleNamespace(module="", language="python", code="builtin")
+            brace = self.peek()
+            self.read_block("execution_module", _EXECUTION_MODULE_ROWS, module)
+            decl.execution_modules.append(self.build(brace, ExecutionModuleDecl, **vars(module)))
 
-        self.block_keys("system", {
-            "simulation_time": lambda: setattr(decl, "simulation_time", self._eq_int("simulation_time")),
-            "tick_seconds": lambda: setattr(decl, "tick_seconds", self._eq_number()),
-            "rng_seed": lambda: setattr(decl, "rng_seed", self._eq_int("rng_seed")),
-            "execution_module*": exec_module,
-        })
+        self.read_block("system", _SYSTEM_ROWS, decl, {"execution_module*": execution_module})
         return decl
 
     def parse_entity(self) -> EntityDecl:
         name_token = self.expect("string", what="an entity name")
         decl = EntityDecl(name=name_token.text[1:-1], span=self.span(name_token))
-        self.block_keys("entity", {
-            "location": lambda: setattr(decl, "location", self._eq_point()),
-        })
+        self.read_block("entity", _ENTITY_ROWS, decl)
         return decl
+
+    def parse_interface(self) -> InterfaceDecl:
+        name_token = self.expect("string", what="an interface name")
+        self.expect("punct", "{")
+        self.expect("punct", "}")
+        return InterfaceDecl(name_token.text[1:-1], self.span(name_token))
 
     def parse_platform(self, tier: PlatformTier) -> PlatformDecl:
         name_token = self.expect("string", what="a platform name")
         decl = PlatformDecl(name=name_token.text[1:-1], tier=tier, span=self.span(name_token))
-
-        handlers = {
-            "location": lambda: setattr(decl, "location", self._eq_point()),
-            "cpu_ghz": lambda: setattr(decl, "cpu_frequency_ghz", self._eq_number()),
-            "provides_software": lambda: setattr(decl, "provided_software", self._eq_string_list()),
-            "mtbf_hours": lambda: setattr(decl, "mtbf_hours", self._eq_number()),
-            "mttr_hours": lambda: setattr(decl, "mttr_hours", self._eq_number()),
-            "service*": lambda: decl.services.append(self.read_service_port()),
-        }
+        special = {"service*": lambda: decl.services.append(self.read_service_port())}
+        rows = _PLATFORM_ROWS
         if tier is PlatformTier.DEVICE:
+            rows = _DEVICE_ROWS
             decl.energy = EnergyDecl()
-
-            def battery():
-                self.block_keys("battery", {
-                    "capacity_mah": lambda: setattr(decl.energy, "battery_capacity_mah", self._eq_number()),
-                    "supply_voltage_v": lambda: setattr(decl.energy, "supply_voltage_v", self._eq_number()),
-                    "depletion_threshold_mah": lambda: setattr(
-                        decl.energy, "depletion_threshold_mah", self._eq_number()),
-                })
-
-            def sense():
-                self.block_keys("sense", {
-                    "current_ma": lambda: setattr(decl.energy, "sense_current_ma", self._eq_number()),
-                    "duration_ms": lambda: setattr(decl.energy, "sense_duration_ms", self._eq_number()),
-                })
-
-            def transmit():
-                self.block_keys("transmit", {
-                    "packet_kb": lambda: setattr(decl.energy, "packet_kb", self._eq_number()),
-                    "e_elec_nj_per_bit": lambda: setattr(decl.energy, "e_elec_nj_per_bit", self._eq_number()),
-                    "e_amp_pj_per_bit_m": lambda: setattr(decl.energy, "e_amp_pj_per_bit_m", self._eq_number()),
-                    "loss_exponent": lambda: setattr(decl.energy, "loss_exponent_n", self._eq_int("loss_exponent")),
-                })
+            for block, block_rows in _ENERGY_BLOCKS:
+                special[block] = partial(self.read_block, block, block_rows, decl.energy)
 
             def data():
                 self.expect("punct", "=")
                 decl.data_source = self.read_data_source()
 
-            handlers.update({
-                "attached_to": lambda: setattr(decl, "attached_to", self._eq_string("attached_to")),
-                "battery": battery,
-                "sense": sense,
-                "transmit": transmit,
-                "data": data,
-            })
-        self.block_keys(tier.value, handlers)
+            special["data"] = data
+        self.read_block(tier.value, rows, decl, special)
         return decl
 
     def parse_contract(self) -> ContractDecl:
@@ -377,87 +393,48 @@ class _Parser:
         decl = ContractDecl(name=name_token.text[1:-1], span=self.span(name_token))
 
         def task():
-            task_name = self.expect("string", what="a task name")
-            self.expect("punct", "=")
-            kind_token = self.expect("ident", what="a task kind")
-            kind = _TASK_KINDS.get(kind_token.text)
-            if kind is None:
-                self.fail(f"unknown task kind {kind_token.text!r}", kind_token)
-            decl.tasks.append(Task(task_name.text[1:-1], kind))
+            name, kind = self.read_entry("task", _TASK_KINDS)
+            decl.tasks.append(self.build(name, Task, name.text[1:-1], TaskKind(kind)))
+
+        def field():
+            name, kind = self.read_entry("field", FIELD_KINDS)
+            decl.message_fields.append(self.build(name, MessageField, name.text[1:-1], kind))
 
         def message():
-            message_name = self.expect("string", what="a message name")
-            decl.message_name = message_name.text[1:-1]
+            decl.message_name = self.read_string("a message name")
+            self.read_block("message", special={"field*": field})
 
-            def field_entry():
-                field_name = self.expect("string", what="a field name")
-                self.expect("punct", "=")
-                kind_token = self.expect("ident", what="a field kind")
-                if kind_token.text not in _FIELD_KINDS:
-                    self.fail(f"unknown field kind {kind_token.text!r}", kind_token)
-                decl.message_fields.append(MessageField(field_name.text[1:-1], kind_token.text))
-
-            self.block_keys("message", {"field*": field_entry})
-
-        self.block_keys("contract", {
-            "provider_interface": lambda: setattr(decl, "provider_interface",
-                                                  self._eq_string("provider_interface")),
-            "consumer_interface": lambda: setattr(decl, "consumer_interface",
-                                                  self._eq_string("consumer_interface")),
-            "task*": task,
-            "message": message,
-        })
+        self.read_block("contract", _CONTRACT_ROWS, decl, {"task*": task, "message": message})
         return decl
 
     def parse_component(self) -> ComponentDecl:
         name_token = self.expect("string", what="a component name")
         decl = ComponentDecl(name=name_token.text[1:-1], span=self.span(name_token))
 
-        def periodic():
-            task_name = self.read_string("a task name")
-            box = {"interval_ticks": 0}
-            self.block_keys("periodic", {
-                "interval_ticks": lambda: box.__setitem__("interval_ticks",
-                                                          self._eq_int("interval_ticks")),
-            })
-            try:
-                decl.periodic_request = PeriodicRequest(task_name, box["interval_ticks"])
-            except ModelError as exc:
-                self.fail(str(exc), name_token)
-
-        def event():
-            task_name = self.read_string("a task name")
-            box = {"condition": ""}
-            condition_token = self.peek()
-            self.block_keys("event", {
-                "condition": lambda: box.__setitem__("condition", self._eq_string("condition")),
-            })
-            try:
-                expr = condition_from_text(box["condition"])
-            except ModelError as exc:
-                self.fail(str(exc), condition_token)
-            decl.event_request = EventRequest(task_name, expr)
-
         def service():
             decl.provided_service = self.read_service_port()
 
-        self.block_keys("component", {
-            "cpu_demand_cycles": lambda: setattr(decl, "mean_cpu_demand_cycles", self._eq_number()),
-            "requires_software": lambda: setattr(decl, "required_software", self._eq_string_list()),
-            "requires": lambda: setattr(decl, "required_interfaces", self._eq_string_list()),
-            "service": service,
-            "periodic": periodic,
-            "event": event,
-        })
+        def periodic():
+            request = SimpleNamespace(task=self.read_string("a task name"), interval_ticks=0)
+            self.read_block("periodic", _PERIODIC_ROWS, request)
+            decl.periodic_request = self.build(name_token, PeriodicRequest, **vars(request))
+
+        def event():
+            task = self.read_string("a task name")
+            request = SimpleNamespace(condition="")
+            brace = self.peek()
+            self.read_block("event", _EVENT_ROWS, request)
+            decl.event_request = self.build(
+                brace, lambda: EventRequest(task, condition_from_text(request.condition)))
+
+        self.read_block("component", _COMPONENT_ROWS, decl,
+                        {"service": service, "periodic": periodic, "event": event})
         return decl
 
     def parse_application(self) -> ApplicationDecl:
         name_token = self.expect("string", what="an application name")
         decl = ApplicationDecl(name=name_token.text[1:-1], span=self.span(name_token))
-        self.block_keys("application", {
-            "region": lambda: setattr(decl, "region", self._eq_point()),
-            "components": lambda: setattr(decl, "component_names", self._eq_string_list()),
-        })
+        self.read_block("application", _APPLICATION_ROWS, decl)
         return decl
 
     def parse_link(self) -> LinkDecl:
@@ -466,11 +443,7 @@ class _Parser:
         second = self.expect("string", what="a platform name")
         decl = LinkDecl(endpoint_a=first.text[1:-1], endpoint_b=second.text[1:-1],
                         span=self.span(first))
-        self.block_keys("link", {
-            "protocol": lambda: setattr(decl, "protocol", self._eq_string("protocol")),
-            "latency_ms": lambda: setattr(decl, "latency_ms", self._eq_number()),
-            "distance_m": lambda: setattr(decl, "distance_m", self._eq_number()),
-        })
+        self.read_block("link", _LINK_ROWS, decl)
         return decl
 
 
@@ -481,16 +454,6 @@ def condition_from_text(text: str) -> ConditionExpr:
         raise ModelError(f"cannot parse condition {text!r}; expected 'field op number'")
     op = _OP_ALIASES.get(match["op"], match["op"])
     return ConditionExpr(match["field"], op, float(match["value"]))
-
-
-def parse_condition(text: str, message_type: MessageType) -> ConditionExpr:
-    """Parse a condition and check its field against the message schema."""
-    expr = condition_from_text(text)
-    if expr.field not in message_type.field_names():
-        raise ModelError(
-            f"condition field {expr.field!r} is not part of message {message_type.name!r} "
-            f"(fields: {', '.join(message_type.field_names()) or 'none'})")
-    return expr
 
 
 def parse_model(text: str, path: str = "<model>") -> IoTSystemModel | list[Diagnostic]:
@@ -522,154 +485,100 @@ def load_model(path: str) -> IoTSystemModel | list[Diagnostic]:
 # Serialization
 
 
-def _fmt_num(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
+_BY_NAME = attrgetter("name")
 
 
-def _fmt_point(point) -> str:
-    return f"({_fmt_num(point.latitude)}, {_fmt_num(point.longitude)})"
+def _quote(text: str) -> str:
+    return f'"{text}"'
 
 
-def _fmt_string_list(items) -> str:
-    return "[" + ", ".join(f'"{item}"' for item in items) + "]"
+def _fmt_pair(first: float, second: float) -> str:
+    return f"({format_number(first)}, {format_number(second)})"
+
+
+def _fmt_list(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+_WRITERS = {
+    "int": str,
+    "number": format_number,
+    "string": _quote,
+    "condition": lambda condition: _quote(condition.render()),
+    "point": lambda point: _fmt_pair(point.latitude, point.longitude),
+    "set": lambda names: _fmt_list(map(_quote, sorted(names))),
+    "list": lambda names: _fmt_list(map(_quote, names)),
+}
+
+
+def _block(header: str, obj, rows, *inner: list[str]) -> list[str]:
+    """``header { ... }`` as lines: ``obj``'s rows, then the ``inner`` lines, indented."""
+    body = [f"{key} = {_WRITERS[kind](value)}" for key, attr, kind in rows
+            if (value := getattr(obj, attr)) is not None]
+    body += [line for lines in inner for line in lines]
+    return [f"{header} {{", *("  " + line for line in body), "}"]
 
 
 def _fmt_source(source: DataSource) -> str:
     if isinstance(source, ConstantSource):
-        return f"constant({_fmt_num(source.value)})"
+        return f"constant({format_number(source.value)})"
     if isinstance(source, UniformSource):
-        text = f"uniform({_fmt_num(source.lo)}, {_fmt_num(source.hi)})"
+        text = "uniform" + _fmt_pair(source.lo, source.hi)
         if source.seed is not None:
             text += f" seed {source.seed}"
         return text
-    return "trace [" + ", ".join(_fmt_num(v) for v in source.values) + "]"
+    return "trace " + _fmt_list(map(format_number, source.values))
 
 
-def _port_lines(out: list[str], port: ServicePort, indent: str) -> None:
-    out.append(f'{indent}service "{port.name}" {{')
-    out.append(f'{indent}  interface = "{port.interface}"')
-    out.append(f'{indent}  protocol = "{port.protocol}"')
-    out.append(f"{indent}}}")
+def _port_lines(port: ServicePort) -> list[str]:
+    return _block(f"service {_quote(port.name)}", port, _SERVICE_ROWS)
 
 
-def _platform_lines(out: list[str], platform: Platform) -> None:
-    out.append(f'{platform.tier.value} "{platform.name}" {{')
-    out.append(f"  location = {_fmt_point(platform.location)}")
-    out.append(f"  cpu_ghz = {_fmt_num(platform.cpu_frequency_ghz)}")
-    out.append(f"  provides_software = {_fmt_string_list(sorted(platform.provided_software))}")
-    out.append(f"  mtbf_hours = {_fmt_num(platform.mtbf_hours)}")
-    out.append(f"  mttr_hours = {_fmt_num(platform.mttr_hours)}")
-    if platform.attached_to is not None:
-        out.append(f'  attached_to = "{platform.attached_to}"')
-    if platform.energy is not None:
-        e = platform.energy
-        out.append("  battery {")
-        out.append(f"    capacity_mah = {_fmt_num(e.battery_capacity_mah)}")
-        out.append(f"    supply_voltage_v = {_fmt_num(e.supply_voltage_v)}")
-        out.append(f"    depletion_threshold_mah = {_fmt_num(e.depletion_threshold_mah)}")
-        out.append("  }")
-        out.append("  sense {")
-        out.append(f"    current_ma = {_fmt_num(e.sense_current_ma)}")
-        out.append(f"    duration_ms = {_fmt_num(e.sense_duration_ms)}")
-        out.append("  }")
-        out.append("  transmit {")
-        out.append(f"    packet_kb = {_fmt_num(e.packet_kb)}")
-        out.append(f"    e_elec_nj_per_bit = {_fmt_num(e.e_elec_nj_per_bit)}")
-        out.append(f"    e_amp_pj_per_bit_m = {_fmt_num(e.e_amp_pj_per_bit_m)}")
-        out.append(f"    loss_exponent = {e.loss_exponent_n}")
-        out.append("  }")
-    if platform.data_source is not None:
-        out.append(f"  data = {_fmt_source(platform.data_source)}")
-    for port in platform.services:
-        _port_lines(out, port, "  ")
-    out.append("}")
+def _platform_lines(platform: Platform) -> list[str]:
+    rows, inner = _PLATFORM_ROWS, []
+    if platform.tier is PlatformTier.DEVICE:
+        rows = _DEVICE_ROWS
+        inner = [_block(block, platform.energy, block_rows) for block, block_rows in _ENERGY_BLOCKS]
+        inner.append([f"data = {_fmt_source(platform.data_source)}"])
+    return _block(f"{platform.tier.value} {_quote(platform.name)}", platform, rows,
+                  *inner, *map(_port_lines, platform.services))
 
 
-def _component_lines(out: list[str], component: Component) -> None:
-    out.append(f'component "{component.name}" {{')
-    out.append(f"  cpu_demand_cycles = {_fmt_num(component.mean_cpu_demand_cycles)}")
-    out.append(f"  requires_software = {_fmt_string_list(sorted(component.required_software))}")
-    out.append(f"  requires = {_fmt_string_list(component.required_interfaces)}")
+def _contract_lines(contract: ServiceContract) -> list[str]:
+    inner = [[f"task {_quote(task.name)} = {task.kind.value}" for task in contract.tasks]]
+    message = contract.message_type
+    if message.fields or message.name != f"{contract.name}Message":
+        fields = [f"field {_quote(field.name)} = {field.kind}" for field in message.fields]
+        inner.append(_block(f"message {_quote(message.name)}", message, (), fields))
+    return _block(f"contract {_quote(contract.name)}", contract, _CONTRACT_ROWS, *inner)
+
+
+def _component_lines(component: Component) -> list[str]:
+    inner = []
     if component.provided_service is not None:
-        _port_lines(out, component.provided_service, "  ")
-    if component.periodic_request is not None:
-        out.append(f'  periodic "{component.periodic_request.task}" {{')
-        out.append(f"    interval_ticks = {component.periodic_request.interval_ticks}")
-        out.append("  }")
-    if component.event_request is not None:
-        out.append(f'  event "{component.event_request.task}" {{')
-        out.append(f'    condition = "{component.event_request.condition.render()}"')
-        out.append("  }")
-    out.append("}")
+        inner.append(_port_lines(component.provided_service))
+    if (periodic := component.periodic_request) is not None:
+        inner.append(_block(f"periodic {_quote(periodic.task)}", periodic, _PERIODIC_ROWS))
+    if (event := component.event_request) is not None:
+        inner.append(_block(f"event {_quote(event.task)}", event, _EVENT_ROWS))
+    return _block(f"component {_quote(component.name)}", component, _COMPONENT_ROWS, *inner)
 
 
 def serialize_model(model: IoTSystemModel) -> str:
     """Render a model in the canonical text form (see module docstring)."""
-    out: list[str] = []
     config = model.sim_config
-
-    out.append(f'system "{model.name}" {{')
-    out.append(f"  simulation_time = {config.simulation_time}")
-    out.append(f"  tick_seconds = {_fmt_num(config.tick_seconds)}")
-    out.append(f"  rng_seed = {config.rng_seed}")
-    for em in config.execution_modules:
-        out.append("  execution_module {")
-        out.append(f'    module = "{em.module}"')
-        out.append(f'    language = "{em.language}"')
-        out.append(f'    code = "{em.code}"')
-        out.append("  }")
-    out.append("}")
-
-    for entity in sorted(model.physical_entities, key=lambda e: e.name):
-        out.append("")
-        out.append(f'entity "{entity.name}" {{')
-        out.append(f"  location = {_fmt_point(entity.location)}")
-        out.append("}")
-
-    for interface in model.interfaces:
-        out.append("")
-        out.append(f'interface "{interface}" {{}}')
-
-    for platform in sorted(model.platforms, key=lambda p: p.name):
-        out.append("")
-        _platform_lines(out, platform)
-
-    for link in sorted(model.networks, key=lambda l: (l.endpoint_a, l.endpoint_b)):
-        out.append("")
-        out.append(f'link "{link.endpoint_a}" <-> "{link.endpoint_b}" {{')
-        out.append(f'  protocol = "{link.protocol}"')
-        out.append(f"  latency_ms = {_fmt_num(link.latency_ms)}")
-        out.append(f"  distance_m = {_fmt_num(link.distance_m)}")
-        out.append("}")
-
-    for contract in sorted(model.contracts, key=lambda c: c.name):
-        out.append("")
-        out.append(f'contract "{contract.name}" {{')
-        out.append(f'  provider_interface = "{contract.provider_interface}"')
-        out.append(f'  consumer_interface = "{contract.consumer_interface}"')
-        for task in contract.tasks:
-            out.append(f'  task "{task.name}" = {task.kind.value}')
-        message = contract.message_type
-        if message.fields or message.name != f"{contract.name}Message":
-            out.append(f'  message "{message.name}" {{')
-            for field in message.fields:
-                out.append(f'    field "{field.name}" = {field.kind}')
-            out.append("  }")
-        out.append("}")
-
-    for component in sorted(model.all_components(), key=lambda c: c.name):
-        out.append("")
-        _component_lines(out, component)
-
-    for app in sorted(model.applications, key=lambda a: a.name):
-        out.append("")
-        out.append(f'application "{app.name}" {{')
-        out.append(f"  region = {_fmt_point(app.region)}")
-        out.append(f"  components = {_fmt_string_list(c.name for c in app.components)}")
-        out.append("}")
-
-    return "\n".join(out) + "\n"
+    modules = [_block("execution_module", module, _EXECUTION_MODULE_ROWS)
+               for module in config.execution_modules]
+    blocks = [_block(f"system {_quote(model.name)}", config, _SYSTEM_ROWS, *modules)]
+    blocks += [_block(f"entity {_quote(entity.name)}", entity, _ENTITY_ROWS)
+               for entity in sorted(model.physical_entities, key=_BY_NAME)]
+    blocks += [[f"interface {_quote(interface)} {{}}"] for interface in model.interfaces]
+    blocks += [_platform_lines(platform) for platform in sorted(model.platforms, key=_BY_NAME)]
+    blocks += [_block(f"link {_quote(link.endpoint_a)} <-> {_quote(link.endpoint_b)}", link, _LINK_ROWS)
+               for link in sorted(model.networks, key=lambda l: (l.endpoint_a, l.endpoint_b))]
+    blocks += [_contract_lines(contract) for contract in sorted(model.contracts, key=_BY_NAME)]
+    blocks += [_component_lines(component)
+               for component in sorted(model.all_components(), key=_BY_NAME)]
+    blocks += [_block(f"application {_quote(app.name)}", app, _APPLICATION_ROWS)
+               for app in sorted(model.applications, key=_BY_NAME)]
+    return "\n\n".join("\n".join(lines) for lines in blocks) + "\n"

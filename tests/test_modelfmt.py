@@ -1,10 +1,21 @@
 """Model text parsing, diagnostics, and canonical serialization."""
 
-import pytest
+import re
+from itertools import combinations
+from pathlib import Path
 
-from iotdraw import load_model, parse_model, serialize_model
-from iotdraw.model import ConditionExpr, ModelError, TraceSource, UniformSource
-from iotdraw.modelfmt import condition_from_text, parse_condition
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from iotdraw import load_model, modelfmt, parse_model, serialize_model
+from iotdraw.model import (
+    CONDITION_OPS, FIELD_KINDS, ApplicationDecl, ComponentDecl, ConditionExpr, ConstantSource,
+    ContractDecl, Declarations, EnergyDecl, EntityDecl, EventRequest, ExecutionModuleDecl,
+    InterfaceDecl, LinkDecl, MessageField, ModelError, PeriodicRequest, PlatformDecl,
+    PlatformTier, ServicePort, SystemDecl, Task, TaskKind, TraceSource, UniformSource,
+    build_system,
+)
+from iotdraw.modelfmt import condition_from_text
 
 from conftest import tiny_text
 
@@ -95,6 +106,42 @@ def test_interval_must_be_integer():
     assert any("integer" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("text, message, column", [
+    (tiny_text(data="uniform(5, 1)"), "uniform bounds out of order", 10),
+    (tiny_text(data="trace []"), "trace source needs at least one value", 10),
+    ('system "m" {\n  execution_module { }\n}', "needs a module name", 20),
+    (tiny_text().replace('task "ReadProbe"', 'task ""'), "task needs a name", 8),
+], ids=["uniform-bounds", "empty-trace", "no-module", "unnamed-task"])
+def test_rejected_values_come_back_as_diagnostics(text, message, column):
+    diags = diagnostics(text)
+    assert diags[0].code == "syntax"
+    assert message in diags[0].message
+    assert diags[0].span.column == column
+
+
+def test_grammar_quotes_exactly_the_keywords_the_parser_accepts(monkeypatch, models_dir):
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "model-language.md").read_text("utf-8")
+    grammar = re.sub(r"#.*", "", doc.split("## Grammar", 1)[1].split("```")[1])
+    quoted = set(re.findall(r'"([A-Za-z_]+)"', grammar))
+
+    # Every key each block offers, whether or not a text uses it ...
+    keys = set()
+    read_block = modelfmt._Parser.read_block
+
+    def spy(self, block, rows=(), target=None, special=None):
+        keys.update(key for key, _, _ in rows)
+        keys.update(key.rstrip("*") for key in special or {})
+        return read_block(self, block, rows, target, special)
+
+    monkeypatch.setattr(modelfmt._Parser, "read_block", spy)
+    texts = [(models_dir / "padova_fw.iot").read_text("utf-8"), tiny_text()]
+    for text in texts:
+        parsed(text)
+    # ... plus the block keywords and data sources these texts use, and the kinds.
+    words = {t.text for text in texts for t in modelfmt._lex(text, "<test>") if t.kind == "ident"}
+    assert quoted == keys | words | {kind.value for kind in TaskKind} | set(FIELD_KINDS)
+
+
 # conditions ----------------------------------------------------------------
 
 
@@ -108,14 +155,6 @@ def test_condition_operators_and_aliases():
         condition_from_text("level >")
     with pytest.raises(ModelError):
         condition_from_text("20 > level")
-
-
-def test_parse_condition_checks_message_fields():
-    model = parsed(tiny_text())
-    message = model.contracts[0].message_type
-    assert parse_condition("level > 1", message) == ConditionExpr("level", ">", 1.0)
-    with pytest.raises(ModelError):
-        parse_condition("bogus > 1", message)
 
 
 # serialization -------------------------------------------------------------
@@ -163,3 +202,111 @@ def test_load_model_reads_files(tmp_path):
     model = load_model(target)
     assert not isinstance(model, list)
     assert model.name == "tiny"
+
+
+# round trip over generated models ----------------------------------------
+
+# Quoted strings hold anything but a double quote or a line break.
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters='"'),
+                max_size=6)
+_NAME = _TEXT.filter(bool)
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POINT = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+_SOURCE = st.one_of(
+    st.builds(ConstantSource, _NUMBER),
+    st.builds(lambda a, b, seed: UniformSource(min(a, b), max(a, b), seed),
+              _NUMBER, _NUMBER, st.none() | st.integers(0, 2**64)),
+    st.builds(lambda values: TraceSource(tuple(values)), st.lists(_NUMBER, min_size=1, max_size=4)),
+)
+
+
+def _names(low, high):
+    return st.lists(_NAME, min_size=low, max_size=high, unique=True)
+
+
+@st.composite
+def declarations(draw) -> Declarations:
+    """Random but buildable declarations that use every key of the language."""
+    pool = draw(_names(2, 5))
+
+    def port(name):
+        return ServicePort(name, draw(st.sampled_from(pool)), draw(_NAME))
+
+    system = SystemDecl(
+        name=draw(_TEXT), simulation_time=draw(st.integers(0, 10**9)),
+        tick_seconds=draw(_POSITIVE), rng_seed=draw(st.integers(-2**63, 2**64)),
+        execution_modules=[ExecutionModuleDecl(draw(_NAME), draw(_TEXT), draw(_TEXT))
+                           for _ in range(draw(st.integers(0, 2)))])
+    entities = [EntityDecl(name, draw(_POINT)) for name in draw(_names(0, 3))]
+
+    platforms = []
+    for name in draw(_names(1, 5)):
+        decl = PlatformDecl(
+            name, draw(st.sampled_from(PlatformTier)), location=draw(_POINT),
+            cpu_frequency_ghz=draw(_POSITIVE), provided_software=draw(st.lists(_TEXT, max_size=3)),
+            mtbf_hours=draw(_POSITIVE), mttr_hours=draw(_NON_NEGATIVE),
+            services=[port(service) for service in draw(_names(0, 2))])
+        if decl.tier is PlatformTier.DEVICE:
+            capacity = draw(_POSITIVE)
+            decl.energy = EnergyDecl(
+                battery_capacity_mah=capacity, supply_voltage_v=draw(_POSITIVE),
+                sense_current_ma=draw(_POSITIVE), sense_duration_ms=draw(_POSITIVE),
+                packet_kb=draw(_POSITIVE), e_elec_nj_per_bit=draw(_NON_NEGATIVE),
+                e_amp_pj_per_bit_m=draw(_NON_NEGATIVE), loss_exponent_n=draw(st.integers(1, 6)),
+                depletion_threshold_mah=draw(st.floats(0.0, capacity, exclude_max=True)))
+            decl.data_source = draw(_SOURCE)
+            if entities:
+                decl.attached_to = draw(st.none() | st.sampled_from([e.name for e in entities]))
+        platforms.append(decl)
+
+    pairs = list(combinations([p.name for p in platforms], 2))
+    links = [LinkDecl(*(pair if draw(st.booleans()) else pair[::-1]), protocol=draw(_NAME),
+                      latency_ms=draw(_NON_NEGATIVE), distance_m=draw(_POSITIVE))
+             for pair in (draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+                          if pairs else [])]
+
+    contracts = []
+    for name in draw(_names(0, 3)):
+        provider, consumer = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2,
+                                           unique=True))
+        contracts.append(ContractDecl(
+            name, provider, consumer,
+            tasks=[Task(task, draw(st.sampled_from(TaskKind))) for task in draw(_names(1, 3))],
+            message_name=draw(st.sampled_from(["", f"{name}Message"]) | _NAME),
+            message_fields=[MessageField(f, draw(st.sampled_from(FIELD_KINDS)))
+                            for f in draw(_names(0, 3))]))
+
+    condition = st.builds(ConditionExpr, st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+                          st.sampled_from(CONDITION_OPS), _NUMBER)
+    components = [ComponentDecl(
+        name, mean_cpu_demand_cycles=draw(_POSITIVE),
+        required_software=draw(st.lists(_TEXT, max_size=3)),
+        required_interfaces=draw(st.lists(st.sampled_from(pool), max_size=3)),
+        provided_service=draw(st.none() | st.just(name).map(port)),
+        periodic_request=draw(st.none() | st.builds(PeriodicRequest, _TEXT, st.integers(1, 10**6))),
+        event_request=draw(st.none() | st.builds(EventRequest, _TEXT, condition)))
+        for name in draw(_names(1, 4))]
+
+    # Every component belongs to exactly one application, in a drawn order.
+    app_names = draw(_names(1, len(components)))
+    owners = [draw(st.sampled_from(app_names)) for _ in components]
+    applications = [ApplicationDecl(app, draw(_POINT), [c.name for c, owner in
+                                                        zip(components, owners) if owner == app])
+                    for app in app_names if app in owners]
+    for app in applications:
+        app.component_names = draw(st.permutations(app.component_names))
+
+    interfaces = [InterfaceDecl(name) for name in pool] if draw(st.booleans()) else []
+    return Declarations(system, entities, interfaces, platforms, contracts, components,
+                        applications, links)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decls=declarations())
+def test_round_trip_over_generated_models(decls):
+    model = build_system(decls)
+    text = serialize_model(model)
+    assert parsed(text) == model
+    assert serialize_model(parsed(text)) == text
