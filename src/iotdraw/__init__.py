@@ -18,8 +18,9 @@ from .energy import (
     lifetime_closed_form, per_request_drain_mah, sense_energy, transmit_energy,
 )
 from .engine import (
-    EventKind, FreshnessPolicy, SampleStream, SimEvent, SimulationReport, SimulationState,
-    eval_condition, gateway_uplink, initial_state, run_simulation,
+    COLLECT, EventKind, FreshnessPolicy, SampleStream, SimEvent, SimulationReport,
+    SimulationState, csv_event_sink, eval_condition, gateway_uplink, initial_state,
+    run_simulation,
 )
 from .extmod import (
     ModuleRegistry, SystemSnapshot, default_registry, register_module, take_snapshot,

@@ -293,7 +293,7 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
                 variant = model
                 freshness = FreshnessPolicy(value)
             report = run_simulation(variant, freshness=freshness, halt_on={device_name},
-                                    seed=run_seed, record_events=False,
+                                    seed=run_seed, sink=None,
                                     distance_overrides={device_name: distance})
             lifetime = report.lifetimes.get(device_name)
             if lifetime is None:

@@ -8,15 +8,17 @@ mistakes and unreadable or unwritable files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .analysis import (
     RANK_METRICS, enumerate_deployments, evaluate_scenarios, lifetime_sweep,
     predicted_lifetime, rank_scenarios, scenario_text, scenarios_to_csv,
 )
-from .engine import FreshnessPolicy, run_simulation
+from .engine import FreshnessPolicy, csv_event_sink, run_simulation
 from .model import ModelError, PlatformTier
 from .modelfmt import parse_model
 from .validate import validate_model
@@ -43,11 +45,38 @@ def _load(path: str):
     return result
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text handle on a new file beside ``path`` that replaces ``path`` when the block succeeds.
+
+    The file is created before the block runs, so an unwritable ``path``
+    fails first.  If the block raises, the new file is removed and any
+    existing ``path`` is left as it was.
+    """
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path!r} is a directory")
+        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                                    dir=os.path.dirname(path) or ".")
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc}") from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(temp, 0o666 & ~umask)  # the mode a plain open() would give
+            yield handle
+        os.replace(temp, path)
+    except OSError as exc:
+        raise _IoFailure(f"cannot write {path}: {exc}") from None
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)  # already gone once it has replaced ``path``
+
+
+def _write(path: str, text: str) -> None:
+    with _replacing(path) as handle:
+        handle.write(text)
     print(f"wrote {path}")
 
 
@@ -99,16 +128,17 @@ def _cmd_validate(args) -> int:
 def _cmd_simulate(args) -> int:
     model = _load(args.model)
     devices = [p.name for p in model.platforms if p.tier is PlatformTier.DEVICE]
-    report = run_simulation(
-        model,
-        freshness=FreshnessPolicy(args.max_age),
-        halt_on=devices if args.stop_on_depletion else (),
-        seed=_resolve_seed(args),
-        record_events=args.log is not None,
-    )
+    options = dict(freshness=FreshnessPolicy(args.max_age),
+                   halt_on=devices if args.stop_on_depletion else (), seed=_resolve_seed(args))
+    if args.log is None:
+        report = run_simulation(model, sink=None, **options)
+    else:
+        # The log streams to disk row by row and appears only if the run succeeds.
+        with _replacing(args.log) as handle:
+            report = run_simulation(model, sink=csv_event_sink(handle), **options)
     print(report.to_text())
-    if args.log:
-        _write(args.log, report.events_csv())
+    if args.log is not None:
+        print(f"wrote {args.log}")
     return 0
 
 
@@ -146,7 +176,7 @@ def _cmd_lifetime(args) -> int:
         return 0
 
     predicted = predicted_lifetime(model, args.device)
-    report = run_simulation(model, halt_on={args.device}, seed=seed, record_events=False)
+    report = run_simulation(model, halt_on={args.device}, seed=seed, sink=None)
     measured = report.lifetimes.get(args.device)
     print(f"device {args.device!r}")
     if predicted is None:

@@ -27,12 +27,17 @@ and, when satisfied, the event task is requested in turn (an alarm
 actuation, typically).  The delivered scalar stands for every field of
 the message record during evaluation.
 
-A run that keeps only event counts (``record_events=False``) ends early
-once it settles: when the provider of every periodic request is either
-not a device, or a depleted device with no cached reading young enough
-to serve again.  Depleted batteries never recover, so every later firing
-is a request that delivers nothing; those are counted in closed form and
-the report equals that of the full run.
+Each event goes to the run's sink as one ``SimEvent`` row, ``(tick, kind,
+subject, detail)``, the moment it happens.  There are three sinks.  The
+default, ``COLLECT``, keeps every row on ``SimulationReport.events``.  Any
+callable that takes a row streams the log instead: ``csv_event_sink(handle)``
+writes each row to an open text file as it comes, so the log never sits in
+memory, and ``simulate --log`` runs on it.  ``None`` keeps only the event
+counts; such a run ends early once it settles: when the provider of every
+periodic request is either not a device, or a depleted device with no cached
+reading young enough to serve again.  Depleted batteries never recover, so
+every later firing is a request that delivers nothing; those are counted in
+closed form and the report equals that of the full run.
 
 Declared execution modules run exactly once, before tick 0; an unknown
 module name aborts the run before any tick executes.
@@ -48,7 +53,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Mapping, NamedTuple, TextIO
 
 from .energy import BatteryState, drain_mah, joules_to_mah, sense_energy, transmit_energy
 from .model import (
@@ -74,12 +79,28 @@ _SENSED, _HIT, _ACTUATED, _DEPLETED = (kind.value for kind in (
     EventKind.SENSE_SAMPLE, EventKind.CACHE_HIT, EventKind.ACTUATION, EventKind.DEVICE_DEPLETED))
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One event-log row; its field names are the CSV header."""
+
     tick: int
     kind: str
     subject: str
     detail: str = ""
+
+
+EventSink = Callable[[SimEvent], object]
+COLLECT = object()  # the default sink: keep every event on ``SimulationReport.events``
+
+
+def csv_event_sink(handle: TextIO) -> EventSink:
+    """Write the event log's header to ``handle``; return the sink that writes each row.
+
+    This is the one CSV rule for event logs: ``SimulationReport.events_csv``
+    and ``simulate --log`` both go through it.
+    """
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(SimEvent._fields)
+    return writer.writerow
 
 
 @dataclass(frozen=True)
@@ -162,9 +183,7 @@ class SimulationState:
 
     model: IoTSystemModel
     freshness: FreshnessPolicy
-    record_events: bool
     devices: dict[str, _DeviceCell] = field(default_factory=dict)
-    event_log: list[SimEvent] = field(default_factory=list)
     counts: Counter = field(default_factory=Counter)
     lifetimes: dict[str, int] = field(default_factory=dict)
     module_outputs: dict[str, str] = field(default_factory=dict)
@@ -191,8 +210,7 @@ def gateway_uplink(model: IoTSystemModel, device: Platform) -> tuple[float, floa
 
 def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = None,
                   halt_on: Collection[str] = (), seed: int | None = None,
-                  distance_overrides: Mapping[str, float] | None = None,
-                  record_events: bool = True) -> SimulationState:
+                  distance_overrides: Mapping[str, float] | None = None) -> SimulationState:
     """Set up batteries, sample streams, and gateway energies for a run.
 
     ``seed`` overrides the model's configured seed; ``distance_overrides``
@@ -203,8 +221,7 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     run_seed = model.sim_config.rng_seed if seed is None else seed
     overrides = distance_overrides or {}
     halt_on = frozenset(halt_on)
-    state = SimulationState(model=model, freshness=freshness or FreshnessPolicy(0),
-                            record_events=record_events)
+    state = SimulationState(model=model, freshness=freshness or FreshnessPolicy(0))
     for platform in model.platforms:
         if platform.tier is not PlatformTier.DEVICE:
             continue
@@ -295,23 +312,25 @@ def _build_plans(state: SimulationState) -> list[_Plan]:
 def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = None,
                    halt_on: Collection[str] = (), *, seed: int | None = None,
                    registry=None, distance_overrides: Mapping[str, float] | None = None,
-                   record_events: bool = True) -> "SimulationReport":
+                   sink: EventSink | None = COLLECT) -> "SimulationReport":
     """Execute the model for ticks 0..simulation_time and report what happened.
 
     Identical inputs (model, seed, freshness policy) produce identical
     reports and byte-identical event logs.  The run halts as soon as a
     device named in ``halt_on`` depletes.  ``registry`` supplies
     the execution-module hooks; the default registry carries the built-in
-    analyses.  ``record_events``=False keeps only the event counts, which
-    makes multi-hundred-thousand-tick runs cheap.
+    analyses.  ``sink`` receives each event as it happens: ``COLLECT``
+    keeps them on ``report.events``, a callable gets each ``SimEvent``
+    row (and ``report.events`` stays empty), and None keeps only the
+    event counts, which makes multi-hundred-thousand-tick runs cheap.
     """
     state = initial_state(model, freshness=freshness, halt_on=halt_on,
-                          seed=seed, distance_overrides=distance_overrides,
-                          record_events=record_events)
+                          seed=seed, distance_overrides=distance_overrides)
     plans = _build_plans(state)
-    record = state.record_events
+    events: list[SimEvent] = []
+    log = events.append if sink is COLLECT else sink
+    record = log is not None
     counts = state.counts
-    log = state.event_log.append
 
     # Execution modules run once, before the loop; resolve all of them
     # first so an unknown name aborts before tick 0.
@@ -429,7 +448,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         lifetimes={name: lifetimes.get(name) for name in state.devices},
         counts=dict(sorted(counts.items())),
         module_outputs=dict(state.module_outputs),
-        events=tuple(state.event_log),
+        events=tuple(events),
     )
 
 
@@ -452,10 +471,9 @@ class SimulationReport:
 
     def events_csv(self) -> str:
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["tick", "kind", "subject", "detail"])
+        write = csv_event_sink(buffer)
         for event in self.events:
-            writer.writerow([event.tick, event.kind, event.subject, event.detail])
+            write(event)
         return buffer.getvalue()
 
     def to_text(self) -> str:

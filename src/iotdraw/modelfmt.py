@@ -17,6 +17,7 @@ the model exactly, and serializing again is byte-stable.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import partial
 from operator import attrgetter
@@ -213,7 +214,11 @@ class _Parser:
         return token.text[1:-1]
 
     def read_number(self) -> float:
-        return float(self.expect("number", what="a number").text)
+        token = self.expect("number", what="a number")
+        value = float(token.text)
+        if not math.isfinite(value):
+            self.fail(f"number {token.text!r} is too large to represent", token)
+        return value
 
     def read_int(self, what: str) -> int:
         token = self.expect("number", what=what)
@@ -453,7 +458,10 @@ def condition_from_text(text: str) -> ConditionExpr:
     if match is None:
         raise ModelError(f"cannot parse condition {text!r}; expected 'field op number'")
     op = _OP_ALIASES.get(match["op"], match["op"])
-    return ConditionExpr(match["field"], op, float(match["value"]))
+    threshold = float(match["value"])
+    if not math.isfinite(threshold):
+        raise ModelError(f"condition {text!r} has a threshold too large to represent")
+    return ConditionExpr(match["field"], op, threshold)
 
 
 def parse_model(text: str, path: str = "<model>") -> IoTSystemModel | list[Diagnostic]:

@@ -281,7 +281,7 @@ def test_criterion_06_lifetime_tracks_closed_form(capfd):
         for _ in range(50):
             model, closed, interval = drained_device_model(rnd)
             report = run_simulation(model, halt_on={"probe_1"},
-                                    record_events=False)
+                                    sink=None)
             measured = report.lifetimes["probe_1"]
             assert measured is not None
             assert abs(measured - closed) <= interval, (measured, closed)

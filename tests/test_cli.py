@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,60 @@ def test_simulate_writes_event_log(tmp_path, capsys):
     lines = log.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "tick,kind,subject,detail"
     assert any("SenseSample" in line for line in lines)
+
+
+def test_simulate_log_replaces_the_file_only_when_the_run_succeeds(tmp_path, capsys):
+    log = tmp_path / "events.csv"
+    log.write_text("old log\n", encoding="utf-8")
+    assert main(["simulate", FRESH, "--stop-on-depletion", "--log", str(log)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {log}\n")
+    assert log.read_text(encoding="utf-8").startswith("tick,kind,subject,detail\n")
+    assert os.listdir(tmp_path) == ["events.csv"]  # no temporary file left behind
+
+
+def test_failed_run_leaves_the_old_log_alone(tmp_path, capsys):
+    model = tmp_path / "badmod.iot"
+    model.write_text(tiny_text().replace("rng_seed = 0", """rng_seed = 0
+  execution_module {
+    module = "NoSuchAnalysis"
+  }"""), encoding="utf-8")
+    log = tmp_path / "events.csv"
+    log.write_text("old log\n", encoding="utf-8")
+    assert main(["simulate", str(model), "--log", str(log)]) == 1
+    assert "NoSuchAnalysis" in capsys.readouterr().err
+    assert log.read_text(encoding="utf-8") == "old log\n"
+    assert sorted(os.listdir(tmp_path)) == ["badmod.iot", "events.csv"]
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_log_exits_two_before_the_run(where, tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "events.csv" if where == "missing_dir" else tmp_path
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("iotdraw.cli.run_simulation", no_run)
+    assert main(["simulate", FRESH, "--log", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {target}" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_simulate_log_is_not_held_in_memory(tmp_path, capsys):
+    model = tmp_path / "padova.iot"
+    text = Path(PADOVA).read_text(encoding="utf-8")
+    model.write_text(text.replace("simulation_time = 1051200", "simulation_time = 20000"),
+                     encoding="utf-8")
+    log = tmp_path / "events.csv"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", str(model), "--log", str(log)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "ran ticks 0..20000 of 20000" in capsys.readouterr().out
+    assert peak < log.stat().st_size / 4, (peak, log.stat().st_size)
 
 
 def test_simulate_seed_beats_environment(unseeded_model, tmp_path, monkeypatch, capsys):

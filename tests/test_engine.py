@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotdraw import (
-    FreshnessPolicy, ModelError, SampleStream, eval_condition, lifetime_closed_form,
+    COLLECT, FreshnessPolicy, ModelError, SampleStream, eval_condition, lifetime_closed_form,
     parse_model, per_request_drain_mah, run_simulation,
 )
 from iotdraw.engine import EventKind
@@ -113,7 +113,7 @@ def test_stop_on_depletion_halts_the_run():
 def test_halt_names_the_device_that_ended_the_run(two_sensor_file):
     from iotdraw import load_model
     report = run_simulation(load_model(two_sensor_file), halt_on={"level_sensor_1"},
-                            record_events=False)
+                            sink=None)
     assert report.lifetimes["level_sensor_2"] == 199  # depleted first, halted nothing
     assert report.halted_by == "level_sensor_1" and report.final_tick == 399
     assert "ran ticks 0..399 of 50000 (halted when level_sensor_1 depleted)" in report.to_text()
@@ -242,7 +242,7 @@ def test_seed_defaults_to_model_config():
 
 def test_record_events_off_keeps_counts():
     model = tiny_model(sim_time=10, interval=2)
-    quiet = run_simulation(model, record_events=False)
+    quiet = run_simulation(model, sink=None)
     loud = run_simulation(model)
     assert quiet.events == ()
     assert quiet.counts == loud.counts
@@ -295,7 +295,7 @@ def test_declared_module_runs_once_before_tick_zero(padova_model):
     short = dataclasses.replace(
         padova_model,
         sim_config=dataclasses.replace(padova_model.sim_config, simulation_time=10))
-    report = run_simulation(short, seed=1, record_events=True)
+    report = run_simulation(short, seed=1, sink=COLLECT)
     outputs = report.module_outputs
     assert list(outputs) == ["DeploymentScenarios"]
     lines = outputs["DeploymentScenarios"].splitlines()
@@ -364,7 +364,7 @@ def engine_runs(draw):
 def test_counts_only_runs_match_recording_runs(run):
     model, freshness, halt_on = run
     loud = run_simulation(model, freshness, halt_on)
-    quiet = run_simulation(model, freshness, halt_on, record_events=False)
+    quiet = run_simulation(model, freshness, halt_on, sink=None)
     for attribute in ("counts", "residual_mah", "lifetimes", "final_tick",
                       "halted_on_depletion", "halted_by"):
         assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
@@ -411,7 +411,7 @@ def test_simulated_lifetime_within_one_interval_of_closed_form(
     drawn = model(repr(threshold / 100 + requests * per))
     profile = drawn.platform("probe_1").energy
     predicted = lifetime_closed_form(profile, 10.0, interval)
-    report = run_simulation(drawn, halt_on={"probe_1"}, record_events=False)
+    report = run_simulation(drawn, halt_on={"probe_1"}, sink=None)
     # In exact arithmetic the run depletes on request ceil(budget / per),
     # at tick interval * that - 1: one tick before the closed form when the
     # budget is a whole number of requests, interval - 1 ticks after it

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import re
 import sys
 from functools import lru_cache
@@ -89,11 +90,11 @@ def _cases():
 
 
 def digest(case_id: str) -> str:
-    from iotdraw import FreshnessPolicy, run_simulation
+    from iotdraw import COLLECT, FreshnessPolicy, run_simulation
     name, age, halt, mode = case_id.split("-")
     report = run_simulation(_model(name), freshness=FreshnessPolicy(int(age[3:])),
                             halt_on=_halt_sets(name)[halt[5:]],
-                            record_events=mode == "log")
+                            sink=COLLECT if mode == "log" else None)
     text = re.sub(r" \(halted[^)]*\)", " (halted)", report.to_text())
     parts = [report.events_csv(), text, repr(report.final_tick),
              repr(report.halted_on_depletion), repr(report.residual_mah),
@@ -242,6 +243,20 @@ def test_golden_digest(case_id):
 
 def test_every_case_has_a_digest():
     assert sorted(GOLDEN) == sorted(_cases())
+
+
+@pytest.mark.parametrize("case_id", [c for c in _cases() if c.endswith("-log")])
+def test_streamed_log_equals_the_collected_one(case_id):
+    from iotdraw import FreshnessPolicy, csv_event_sink, run_simulation
+    name, age, halt, _ = case_id.split("-")
+    options = dict(freshness=FreshnessPolicy(int(age[3:])), halt_on=_halt_sets(name)[halt[5:]])
+    collected = run_simulation(_model(name), **options)
+    handle = io.StringIO()
+    streamed = run_simulation(_model(name), sink=csv_event_sink(handle), **options)
+    assert handle.getvalue() == collected.events_csv()
+    assert streamed.events == ()
+    for attribute in ("counts", "residual_mah", "final_tick"):
+        assert getattr(streamed, attribute) == getattr(collected, attribute), attribute
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from iotdraw.model import (
 )
 from iotdraw.modelfmt import condition_from_text
 
-from conftest import tiny_text
+from conftest import ALARMED_TEMPLATE, tiny_text
 
 
 def parsed(text):
@@ -117,6 +117,22 @@ def test_rejected_values_come_back_as_diagnostics(text, message, column):
     assert diags[0].code == "syntax"
     assert message in diags[0].message
     assert diags[0].span.column == column
+
+
+@pytest.mark.parametrize("number", ["1e999", "-1e999"])
+def test_numbers_too_large_for_a_float_are_rejected(number):
+    text = tiny_text().replace("latency_ms = 2", f"latency_ms = {number}")
+    diags = diagnostics(text)
+    assert diags[0].code == "syntax" and "too large" in diags[0].message
+    line = text.splitlines().index(f"  latency_ms = {number}") + 1
+    assert (diags[0].span.line, diags[0].span.column) == (line, 16)  # the number token
+
+    event = ALARMED_TEMPLATE.format(sim_time=10, interval=1, capacity=100, rng_seed=0,
+                                    data="trace [30, 5]", condition=f"level > {number}")
+    diags = diagnostics(event)
+    assert diags[0].code == "syntax" and "too large" in diags[0].message
+    with pytest.raises(ModelError, match="too large"):
+        condition_from_text(f"level > {number}")
 
 
 def test_grammar_quotes_exactly_the_keywords_the_parser_accepts(monkeypatch, models_dir):
