@@ -8,19 +8,16 @@ availability, and response time.
 
 from .analysis import (
     DeploymentScenario, SweepRow, SweepTable, device_periodic_component,
-    enumerate_deployments, evaluate_scenarios, lifetime_sweep, per_request_mah,
-    platform_availability, predicted_lifetime, rank_scenarios, scenario_availability,
-    scenario_response_time, scenario_text, scenarios_to_csv,
+    enumerate_deployments, evaluate_scenarios, lifetime_sweep, platform_availability,
+    predicted_lifetime, rank_scenarios, scenario_availability, scenario_text, scenarios_to_csv,
 )
 from .diagnostics import Diagnostic, SourceSpan
 from .energy import (
-    BatteryState, EnergyAmount, drain, initial_battery, joules_to_mah,
-    lifetime_closed_form, per_request_drain_mah, sense_energy, transmit_energy,
+    joules_to_mah, lifetime_closed_form, per_request_drain_mah, sense_energy, transmit_energy,
 )
 from .engine import (
     COLLECT, EventKind, FreshnessPolicy, SampleStream, SimEvent, SimulationReport,
-    SimulationState, csv_event_sink, eval_condition, gateway_uplink, initial_state,
-    run_simulation,
+    SimulationState, csv_event_sink, gateway_uplink, initial_state, run_simulation,
 )
 from .extmod import (
     ModuleRegistry, SystemSnapshot, default_registry, register_module, take_snapshot,

@@ -18,7 +18,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .energy import lifetime_closed_form, per_request_drain_mah
+from .energy import lifetime_closed_form
 from .engine import FreshnessPolicy, gateway_uplink, run_simulation
 from .model import Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier
 from .rng import SplitMix64, derive_seed
@@ -106,13 +106,9 @@ def _processing_time_ms(model: IoTSystemModel, edge, assignment: dict[str, str])
     return 0.0
 
 
-def scenario_response_time(model: IoTSystemModel, scenario: DeploymentScenario) -> float:
+def _response_time(model: IoTSystemModel, edges, assignment: dict[str, str]) -> float:
     """Sum of network latency plus provider processing time over all
     service dependencies; infinite when some provider is unreachable."""
-    return _response_time(model, dependency_edges(model), scenario.assignment_map())
-
-
-def _response_time(model: IoTSystemModel, edges, assignment: dict[str, str]) -> float:
     total = 0.0
     for edge in edges:
         route = route_between(model, assignment[edge.consumer], _provider_host(edge, assignment))
@@ -273,6 +269,8 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
         parameter_name, values = "max_age_ticks", list(max_ages)
     if not values:
         raise ModelError("sweep needs at least one parameter value")
+    if len(set(values)) < len(values):
+        raise ModelError(f"sweep values repeat: {values}")
     if rounds < 1:
         raise ModelError(f"sweep needs at least one round, got {rounds}")
     for value in values:
@@ -335,12 +333,3 @@ def predicted_lifetime(model: IoTSystemModel, device_name: str,
         distance_m = uplink[1]
     return lifetime_closed_form(platform.energy, distance_m,
                                 component.periodic_request.interval_ticks)
-
-
-def per_request_mah(model: IoTSystemModel, device_name: str,
-                    distance_m: float) -> float:
-    """Battery charge one sense-and-transmit request costs the device."""
-    platform = model.platform(device_name)
-    if platform is None or platform.tier is not PlatformTier.DEVICE:
-        raise ModelError(f"{device_name!r} is not a device")
-    return per_request_drain_mah(platform.energy, distance_m)

@@ -18,7 +18,7 @@ from .analysis import (
     RANK_METRICS, enumerate_deployments, evaluate_scenarios, lifetime_sweep,
     predicted_lifetime, rank_scenarios, scenario_text, scenarios_to_csv,
 )
-from .engine import FreshnessPolicy, csv_event_sink, run_simulation
+from .engine import FreshnessPolicy, csv_event_sink, gateway_uplink, run_simulation
 from .model import ModelError, PlatformTier
 from .modelfmt import parse_model
 from .validate import validate_model
@@ -93,16 +93,6 @@ def _resolve_seed(args) -> int | None:
         raise _IoFailure(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
-
-
 def _int_at_least(low: int):
     """An argparse type for integers no smaller than ``low``."""
     def parse(text: str) -> int:
@@ -113,6 +103,18 @@ def _int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
+    return parse
+
+
+def _int_list(low: int):
+    """An argparse type for comma-separated distinct integers no smaller than ``low``."""
+    item = _int_at_least(low)
+
+    def parse(text: str) -> list[int]:
+        values = [item(part) for part in text.split(",")]
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"values repeat in {text!r}")
+        return values
     return parse
 
 
@@ -180,7 +182,10 @@ def _cmd_lifetime(args) -> int:
     measured = report.lifetimes.get(args.device)
     print(f"device {args.device!r}")
     if predicted is None:
-        print("  predicted lifetime: no depletion (requests cost nothing)")
+        why = ("it has no link, so every request fails"
+               if gateway_uplink(model, model.platform(args.device)) is None
+               else "requests cost nothing")
+        print(f"  predicted lifetime: no depletion ({why})")
     else:
         print(f"  predicted lifetime: {predicted} ticks")
     if measured is None:
@@ -228,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--device", required=True)
     sweep = p.add_mutually_exclusive_group()
-    sweep.add_argument("--sweep-interval", type=_int_list, metavar="A,B,C",
+    sweep.add_argument("--sweep-interval", type=_int_list(1), metavar="A,B,C",
                        help="compare request intervals (ticks)")
-    sweep.add_argument("--sweep-max-age", type=_int_list, metavar="A,B,C",
+    sweep.add_argument("--sweep-max-age", type=_int_list(0), metavar="A,B,C",
                        help="compare freshness windows (ticks)")
     p.add_argument("--rounds", type=_int_at_least(1), default=30, help="sweep rounds per value")
     p.add_argument("--seed", type=int, help=f"sweep seed (also {SEED_ENV_VAR})")

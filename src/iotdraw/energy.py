@@ -16,55 +16,34 @@ calculations done with the same constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import DeviceEnergyProfile, ModelError
 
 WH_PER_JOULE = 0.000277778
 
 
-@dataclass(frozen=True)
-class EnergyAmount:
-    joules: float
-
-    def __post_init__(self):
-        if self.joules < 0:
-            raise ModelError(f"energy cannot be negative: {self.joules}")
-
-    def __add__(self, other: "EnergyAmount") -> "EnergyAmount":
-        return EnergyAmount(self.joules + other.joules)
-
-
-@dataclass(frozen=True)
-class BatteryState:
-    residual_mah: float
-    depleted: bool
-
-
-def sense_energy(profile: DeviceEnergyProfile) -> EnergyAmount:
+def sense_energy(profile: DeviceEnergyProfile) -> float:
     """Energy in joules for one sensing operation of ``packet_kb`` kilobits."""
-    joules = (profile.packet_kb
-              * profile.supply_voltage_v
-              * (profile.sense_current_ma * 1e-3)
-              * (profile.sense_duration_ms * 1e-3))
-    return EnergyAmount(joules)
+    return (profile.packet_kb
+            * profile.supply_voltage_v
+            * (profile.sense_current_ma * 1e-3)
+            * (profile.sense_duration_ms * 1e-3))
 
 
-def transmit_energy(profile: DeviceEnergyProfile, distance_m: float) -> EnergyAmount:
+def transmit_energy(profile: DeviceEnergyProfile, distance_m: float) -> float:
     """Energy in joules to radio one packet over ``distance_m`` meters."""
     if distance_m <= 0:
         raise ModelError(f"transmit distance must be positive: {distance_m}")
     bits = profile.packet_kb * 1000.0
-    joules = (bits * (profile.e_elec_nj_per_bit * 1e-9)
-              + bits * distance_m ** profile.loss_exponent_n * (profile.e_amp_pj_per_bit_m * 1e-12))
-    return EnergyAmount(joules)
+    return (bits * (profile.e_elec_nj_per_bit * 1e-9)
+            + bits * distance_m ** profile.loss_exponent_n * (profile.e_amp_pj_per_bit_m * 1e-12))
 
 
-def joules_to_mah(energy: EnergyAmount, voltage_v: float) -> float:
+def joules_to_mah(joules: float, voltage_v: float) -> float:
     """Convert joules to milliamp-hours at the given supply voltage."""
     if voltage_v <= 0:
         raise ModelError(f"voltage must be positive: {voltage_v}")
-    return 1000.0 * (energy.joules * WH_PER_JOULE) / voltage_v
+    return 1000.0 * (joules * WH_PER_JOULE) / voltage_v
 
 
 def drain_mah(residual_mah: float, threshold_mah: float,
@@ -79,16 +58,6 @@ def drain_mah(residual_mah: float, threshold_mah: float,
         residual_mah = residual_mah - cost
         residual_mah = residual_mah if residual_mah > 0.0 else 0.0
     return residual_mah, residual_mah <= threshold_mah
-
-
-def drain(state: BatteryState, profile: DeviceEnergyProfile, energy: EnergyAmount) -> BatteryState:
-    """Subtract one expenditure from the battery under ``drain_mah``'s rule."""
-    return BatteryState(*drain_mah(state.residual_mah, profile.depletion_threshold_mah,
-                                   joules_to_mah(energy, profile.supply_voltage_v)))
-
-
-def initial_battery(profile: DeviceEnergyProfile) -> BatteryState:
-    return BatteryState(*drain_mah(profile.residual_energy_mah, profile.depletion_threshold_mah))
 
 
 def per_request_drain_mah(profile: DeviceEnergyProfile, distance_m: float) -> float:

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Mapping, NamedTuple, TextIO
 
-from .energy import BatteryState, drain_mah, joules_to_mah, sense_energy, transmit_energy
+from .energy import drain_mah, joules_to_mah, sense_energy, transmit_energy
 from .model import (
     Component, ConditionExpr, ConstantSource, IoTSystemModel, ModelError, Platform,
     PlatformTier, ServiceContract, TaskKind, UniformSource,
@@ -140,13 +140,6 @@ _OPS = {
 }
 
 
-def eval_condition(expr: ConditionExpr, sample: Mapping[str, float]) -> bool:
-    """Apply a threshold condition to a sample record."""
-    if expr.field not in sample:
-        raise ModelError(f"sample record has no field {expr.field!r}")
-    return _OPS[expr.op](sample[expr.field], expr.threshold)
-
-
 class _DeviceCell:
     """One device's run-time state, with its per-request costs worked out once."""
 
@@ -166,15 +159,11 @@ class _DeviceCell:
         # None when the device has no link: it can neither report nor be told anything.
         self.transmit_mah = (joules_to_mah(transmit, profile.supply_voltage_v)
                              if transmit is not None else None)
-        self.sense_detail = (f"sense_j={sense.joules!r} transmit_j={transmit.joules!r} "
+        self.sense_detail = (f"sense_j={sense!r} transmit_j={transmit!r} "
                              f"distance_m={distance_m!r}" if transmit is not None else "")
         self.sample = stream.next
         self.cached_value = self.cached_at = None  # the last reading and its tick
         self.halts = halts
-
-    @property
-    def battery(self) -> BatteryState:
-        return BatteryState(self.residual_mah, self.depleted)
 
 
 @dataclass
@@ -215,7 +204,8 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
 
     ``seed`` overrides the model's configured seed; ``distance_overrides``
     maps device names to a transmission distance in meters replacing the
-    gateway link's distance (used by lifetime sweeps).  The run halts
+    gateway link's distance (used by lifetime sweeps).  A device with no
+    link keeps none: it has no gateway to transmit to.  The run halts
     when a device named in ``halt_on`` depletes.
     """
     run_seed = model.sim_config.rng_seed if seed is None else seed
@@ -228,7 +218,7 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
         gateway = gateway_uplink(model, platform)
         state.devices[platform.name] = _DeviceCell(
             platform,
-            overrides.get(platform.name, gateway[1] if gateway else None),
+            overrides.get(platform.name, gateway[1]) if gateway else None,
             SampleStream(platform.data_source, derive_seed(run_seed, "source", platform.name)),
             platform.name in halt_on,
         )

@@ -7,15 +7,16 @@ contracts.  Instances are immutable; anything that changes over a run
 (batteries, cached readings, request schedules) lives in the engine
 instead, so a model can be shared freely between threads and analyses.
 
-Models are usually produced by :func:`iotdraw.modelfmt.parse_model`, but
-they can be assembled in code through :func:`build_system`, which takes
-the same declaration records the parser emits.
+Models are produced by :func:`iotdraw.modelfmt.parse_model`, which reads
+each block of the text straight into its constructor here and resolves
+the names the blocks use.  Each constructor checks its own object's
+invariants; the parser checks uniqueness and references.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -442,12 +443,6 @@ class IoTSystemModel:
     def component(self, name: str) -> Component | None:
         return self.derived(_components_by_name).get(name)
 
-    def application_of(self, component_name: str) -> Application | None:
-        for app in self.applications:
-            if any(c.name == component_name for c in app.components):
-                return app
-        return None
-
 
 # Built back to front: of two items sharing a name, the first declared wins.
 def _platforms_by_name(model: IoTSystemModel) -> dict[str, Platform]:
@@ -456,332 +451,6 @@ def _platforms_by_name(model: IoTSystemModel) -> dict[str, Platform]:
 
 def _components_by_name(model: IoTSystemModel) -> dict[str, Component]:
     return {c.name: c for c in reversed(model.all_components())}
-
-
-# --------------------------------------------------------------------------
-# Declarations: the parser's output and build_system's input
-
-
-@dataclass
-class EnergyDecl:
-    """Raw numbers for a device energy profile; defaults model a generic
-    low-power sensing node.  Each field has the name of the
-    :class:`DeviceEnergyProfile` field that ``build_system`` passes it to."""
-
-    battery_capacity_mah: float = 100.0
-    supply_voltage_v: float = 3.0
-    sense_current_ma: float = 25.0
-    sense_duration_ms: float = 10.0
-    packet_kb: float = 2.0
-    e_elec_nj_per_bit: float = 50.0
-    e_amp_pj_per_bit_m: float = 100.0
-    loss_exponent_n: int = 2
-    depletion_threshold_mah: float = 5.0
-
-
-@dataclass
-class SystemDecl:
-    name: str = "system"
-    simulation_time: int = 0
-    tick_seconds: float = 60.0
-    rng_seed: int = 0
-    execution_modules: list[ExecutionModuleDecl] = field(default_factory=list)
-    span: SourceSpan | None = None
-
-
-@dataclass
-class EntityDecl:
-    name: str
-    location: tuple[float, float] = (0.0, 0.0)
-    span: SourceSpan | None = None
-
-
-@dataclass
-class InterfaceDecl:
-    name: str
-    span: SourceSpan | None = None
-
-
-@dataclass
-class PlatformDecl:
-    name: str
-    tier: PlatformTier = PlatformTier.CLOUD
-    location: tuple[float, float] = (0.0, 0.0)
-    cpu_frequency_ghz: float = 1.0
-    provided_software: list[str] = field(default_factory=list)
-    mtbf_hours: float = 8760.0
-    mttr_hours: float = 0.0
-    services: list[ServicePort] = field(default_factory=list)
-    attached_to: str | None = None
-    energy: EnergyDecl | None = None
-    data_source: DataSource | None = None
-    span: SourceSpan | None = None
-
-
-@dataclass
-class ContractDecl:
-    name: str
-    provider_interface: str = ""
-    consumer_interface: str = ""
-    tasks: list[Task] = field(default_factory=list)
-    message_name: str = ""
-    message_fields: list[MessageField] = field(default_factory=list)
-    span: SourceSpan | None = None
-
-
-@dataclass
-class ComponentDecl:
-    name: str
-    mean_cpu_demand_cycles: float = 1.0
-    required_software: list[str] = field(default_factory=list)
-    required_interfaces: list[str] = field(default_factory=list)
-    provided_service: ServicePort | None = None
-    periodic_request: PeriodicRequest | None = None
-    event_request: EventRequest | None = None
-    span: SourceSpan | None = None
-
-
-@dataclass
-class ApplicationDecl:
-    name: str
-    region: tuple[float, float] = (0.0, 0.0)
-    component_names: list[str] = field(default_factory=list)
-    span: SourceSpan | None = None
-
-
-@dataclass
-class LinkDecl:
-    endpoint_a: str
-    endpoint_b: str
-    protocol: str = "IP"
-    latency_ms: float = 0.0
-    distance_m: float = 1.0
-    span: SourceSpan | None = None
-
-
-@dataclass
-class Declarations:
-    """Everything a model file declares, before cross-references are resolved."""
-
-    system: SystemDecl | None = None
-    entities: list[EntityDecl] = field(default_factory=list)
-    interfaces: list[InterfaceDecl] = field(default_factory=list)
-    platforms: list[PlatformDecl] = field(default_factory=list)
-    contracts: list[ContractDecl] = field(default_factory=list)
-    components: list[ComponentDecl] = field(default_factory=list)
-    applications: list[ApplicationDecl] = field(default_factory=list)
-    links: list[LinkDecl] = field(default_factory=list)
-
-
-def _check_unique(issues: list[BuildIssue], kind: str, decls) -> None:
-    seen: dict[str, SourceSpan | None] = {}
-    for d in decls:
-        if d.name in seen:
-            issues.append(BuildIssue(f"duplicate identifier: {kind} {d.name!r}", d.name, d.span))
-        seen[d.name] = d.span
-
-
-def build_system(decls: Declarations) -> IoTSystemModel:
-    """Resolve a declaration set into an immutable, structurally sound model.
-
-    Checks identifier uniqueness within each category, resolves every
-    name reference (entities, components, link endpoints, declared
-    interfaces), and enforces per-type invariants.  Contract-level
-    consistency (whether requested tasks and interfaces are actually
-    provided) is the validator's job, so models that are structurally
-    sound but semantically broken can still be constructed and reported
-    on.  Raises :class:`ModelError` carrying every issue found.
-    """
-    issues: list[BuildIssue] = []
-
-    _check_unique(issues, "entity", decls.entities)
-    _check_unique(issues, "interface", decls.interfaces)
-    _check_unique(issues, "platform", decls.platforms)
-    _check_unique(issues, "contract", decls.contracts)
-    _check_unique(issues, "component", decls.components)
-    _check_unique(issues, "application", decls.applications)
-
-    entity_names = {e.name for e in decls.entities}
-    platform_names = {p.name for p in decls.platforms}
-    component_names = {c.name for c in decls.components}
-    interface_names = {i.name for i in decls.interfaces}
-
-    def guard(fn, subject: str, span: SourceSpan | None):
-        # Collect constructor rejections instead of stopping at the first.
-        try:
-            return fn()
-        except ModelError as exc:
-            for issue in exc.issues:
-                issues.append(BuildIssue(f"{subject}: {issue.message}", subject, span))
-            return None
-
-    entities = []
-    for ed in decls.entities:
-        built = guard(lambda ed=ed: PhysicalEntity(ed.name, GeoLocation(*ed.location)), ed.name, ed.span)
-        if built:
-            entities.append(built)
-
-    # When the model declares interfaces explicitly, every interface name
-    # used by a contract or port must be among them; without declarations
-    # the names are free-form and contracts introduce them implicitly.
-    def check_interface_ref(name: str, subject: str, span: SourceSpan | None):
-        if interface_names and name and name not in interface_names:
-            issues.append(BuildIssue(f"dangling reference: interface {name!r} (used by {subject})",
-                                     subject, span))
-
-    platforms = []
-    for pd in decls.platforms:
-        if pd.attached_to is not None and pd.attached_to not in entity_names:
-            issues.append(BuildIssue(f"dangling reference: {pd.attached_to!r} (entity of device {pd.name})",
-                                     pd.name, pd.span))
-            continue
-        if pd.tier is not PlatformTier.DEVICE and (
-                pd.attached_to is not None or pd.energy is not None
-                or pd.data_source is not None):
-            issues.append(BuildIssue(f"{pd.name}: entity attachment, battery, and data "
-                                     "source apply to devices only", pd.name, pd.span))
-            continue
-        for port in pd.services:
-            check_interface_ref(port.interface, f"platform {pd.name}", pd.span)
-
-        def make_platform(pd=pd):
-            energy = None
-            if pd.tier is PlatformTier.DEVICE:
-                e = pd.energy or EnergyDecl()
-                energy = DeviceEnergyProfile(residual_energy_mah=e.battery_capacity_mah,
-                                             **asdict(e))
-            return Platform(
-                name=pd.name,
-                tier=pd.tier,
-                location=GeoLocation(*pd.location),
-                cpu_frequency_ghz=pd.cpu_frequency_ghz,
-                provided_software=frozenset(pd.provided_software),
-                mtbf_hours=pd.mtbf_hours,
-                mttr_hours=pd.mttr_hours,
-                services=tuple(pd.services),
-                attached_to=pd.attached_to,
-                energy=energy,
-                data_source=(pd.data_source or ConstantSource(0.0)) if pd.tier is PlatformTier.DEVICE else None,
-            )
-
-        built = guard(make_platform, pd.name, pd.span)
-        if built:
-            platforms.append(built)
-
-    contracts = []
-    for cd in decls.contracts:
-        check_interface_ref(cd.provider_interface, f"contract {cd.name}", cd.span)
-        check_interface_ref(cd.consumer_interface, f"contract {cd.name}", cd.span)
-        built = guard(
-            lambda cd=cd: ServiceContract(
-                name=cd.name,
-                provider_interface=cd.provider_interface,
-                consumer_interface=cd.consumer_interface,
-                tasks=tuple(cd.tasks),
-                message_type=MessageType(cd.message_name or f"{cd.name}Message",
-                                         tuple(cd.message_fields)),
-            ),
-            cd.name, cd.span,
-        )
-        if built:
-            contracts.append(built)
-
-    components: dict[str, Component] = {}
-    for comp in decls.components:
-        for iface in comp.required_interfaces:
-            check_interface_ref(iface, f"component {comp.name}", comp.span)
-        if comp.provided_service is not None:
-            check_interface_ref(comp.provided_service.interface, f"component {comp.name}", comp.span)
-        built = guard(
-            lambda comp=comp: Component(
-                name=comp.name,
-                mean_cpu_demand_cycles=comp.mean_cpu_demand_cycles,
-                required_software=frozenset(comp.required_software),
-                required_interfaces=tuple(sorted(set(comp.required_interfaces))),
-                provided_service=comp.provided_service,
-                periodic_request=comp.periodic_request,
-                event_request=comp.event_request,
-            ),
-            comp.name, comp.span,
-        )
-        if built:
-            components[comp.name] = built
-
-    # Every component must be claimed by exactly one application.
-    claimed: dict[str, str] = {}
-    applications = []
-    for ad in decls.applications:
-        members = []
-        for cname in ad.component_names:
-            if cname not in component_names:
-                issues.append(BuildIssue(f"dangling reference: component {cname!r} (in application {ad.name})",
-                                         ad.name, ad.span))
-                continue
-            if cname in claimed:
-                issues.append(BuildIssue(
-                    f"component {cname!r} belongs to both {claimed[cname]!r} and {ad.name!r}",
-                    ad.name, ad.span))
-                continue
-            claimed[cname] = ad.name
-            if cname in components:
-                members.append(components[cname])
-        built = guard(
-            lambda ad=ad, members=members: Application(ad.name, GeoLocation(*ad.region), tuple(members)),
-            ad.name, ad.span,
-        )
-        if built:
-            applications.append(built)
-    for cname in sorted(component_names - set(claimed)):
-        issues.append(BuildIssue(f"component {cname!r} belongs to no application", cname))
-
-    links = []
-    seen_pairs: set[frozenset[str]] = set()
-    for ld in decls.links:
-        for end in (ld.endpoint_a, ld.endpoint_b):
-            if end not in platform_names:
-                issues.append(BuildIssue(f"dangling reference: platform {end!r} (link endpoint)",
-                                         end, ld.span))
-        if {ld.endpoint_a, ld.endpoint_b} <= platform_names:
-            pair = frozenset((ld.endpoint_a, ld.endpoint_b))
-            if pair in seen_pairs:
-                issues.append(BuildIssue(
-                    f"duplicate link between {min(pair)!r} and {max(pair)!r}", ld.endpoint_a, ld.span))
-                continue
-            seen_pairs.add(pair)
-            a, b = sorted((ld.endpoint_a, ld.endpoint_b))
-            built = guard(
-                lambda ld=ld, a=a, b=b: NetworkLink(a, b, ld.protocol, ld.latency_ms, ld.distance_m),
-                f"{a}<->{b}", ld.span,
-            )
-            if built:
-                links.append(built)
-
-    sd = decls.system or SystemDecl()
-    config = guard(
-        lambda: SimConfig(
-            simulation_time=sd.simulation_time,
-            tick_seconds=sd.tick_seconds,
-            execution_modules=tuple(sd.execution_modules),
-            rng_seed=sd.rng_seed,
-        ),
-        sd.name, sd.span,
-    )
-
-    if issues:
-        raise ModelError(issues)
-
-    # Collections are stored in name order, so two declarations of the
-    # same system compare equal no matter how the blocks were arranged.
-    return IoTSystemModel(
-        name=sd.name,
-        platforms=tuple(sorted(platforms, key=lambda p: p.name)),
-        networks=tuple(sorted(links, key=lambda l: (l.endpoint_a, l.endpoint_b))),
-        applications=tuple(sorted(applications, key=lambda a: a.name)),
-        contracts=tuple(sorted(contracts, key=lambda c: c.name)),
-        physical_entities=tuple(sorted(entities, key=lambda e: e.name)),
-        interfaces=tuple(sorted(interface_names)),
-        sim_config=config,
-    )
 
 
 # --------------------------------------------------------------------------

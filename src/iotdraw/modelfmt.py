@@ -6,8 +6,11 @@ attribute order inside a block is free.  The full grammar lives in
 docs/model-language.md.  Unknown keys are hard errors so that typos
 surface at parse time instead of silently skewing an analysis.
 
-Each block's ``key = value`` attributes are listed once, in the row
-tables below; the parser and the serializer both work from them.
+Each block's ``key = value`` attributes are listed once, with their
+defaults, in the row tables below; the parser and the serializer both
+work from them.  The parser reads each block into the keyword arguments
+of its model constructor, and ``build_system`` resolves the names the
+blocks use and constructs the model.
 
 ``serialize_model`` writes a canonical form: blocks sorted by category
 and then by name, two-space indentation, numbers rendered without a
@@ -21,15 +24,14 @@ import math
 import re
 from functools import partial
 from operator import attrgetter
-from types import SimpleNamespace
 
 from .diagnostics import ERROR, Diagnostic, SourceSpan
 from .model import (
-    FIELD_KINDS, ApplicationDecl, Component, ComponentDecl, ConditionExpr, ConstantSource,
-    ContractDecl, DataSource, Declarations, EnergyDecl, EntityDecl, EventRequest,
-    ExecutionModuleDecl, InterfaceDecl, IoTSystemModel, LinkDecl, MessageField, ModelError,
-    PeriodicRequest, Platform, PlatformDecl, PlatformTier, ServiceContract, ServicePort,
-    SystemDecl, Task, TaskKind, TraceSource, UniformSource, build_system, format_number,
+    FIELD_KINDS, Application, BuildIssue, Component, ConditionExpr, ConstantSource, DataSource,
+    DeviceEnergyProfile, EventRequest, ExecutionModuleDecl, GeoLocation, IoTSystemModel,
+    MessageField, MessageType, ModelError, NetworkLink, PeriodicRequest, PhysicalEntity,
+    Platform, PlatformTier, ServiceContract, ServicePort, SimConfig, Task, TaskKind,
+    TraceSource, UniformSource, format_number,
 )
 
 _TOKEN_RE = re.compile(r"""
@@ -49,76 +51,89 @@ _OP_ALIASES = {"==": "=", "≤": "<=", "≥": ">=", "≠": "!="}
 
 _TASK_KINDS = tuple(k.value for k in TaskKind)
 
+# The categories of top-level blocks; names are unique within each but links'.
+_CATEGORIES = ("system", "entity", "interface", "platform", "contract", "component",
+               "application", "link")
+
 # --------------------------------------------------------------------------
-# The attribute keys of each block, as (key, attribute, kind) rows in
-# canonical order.  The parser reads a key's value into that attribute of
-# the block's declaration record; the serializer writes the same attribute
-# of the built model object, skipping None.  ``_Parser.read_value`` reads
-# each kind and ``_WRITERS`` writes it.  A "set" is written sorted and a
-# "list" in its own order; a "condition" is read as text and checked once
-# its block closes.
+# The attribute keys of each block, as (key, attribute, kind, default) rows
+# in canonical order.  The parser starts each block from its defaults and
+# reads a key's value into that attribute's constructor keyword; the
+# serializer writes the same attribute of the model object, skipping None.
+# ``_Parser.read_value`` reads each kind and ``_WRITERS`` writes it.  A
+# "set" is read into a frozenset and a "sorted" list into a sorted tuple
+# without repeats, and both are written sorted; a "list" keeps its own
+# order.  A "point" stays a pair until ``build_system`` makes it a
+# GeoLocation.  A "condition" is read as text and checked once its block
+# closes.  A default of "" marks a key a model must give: the constructor
+# rejects the empty value.
 
 _SYSTEM_ROWS = (
-    ("simulation_time", "simulation_time", "int"),
-    ("tick_seconds", "tick_seconds", "number"),
-    ("rng_seed", "rng_seed", "int"),
+    ("simulation_time", "simulation_time", "int", 0),
+    ("tick_seconds", "tick_seconds", "number", 60.0),
+    ("rng_seed", "rng_seed", "int", 0),
 )
 _EXECUTION_MODULE_ROWS = (
-    ("module", "module", "string"),
-    ("language", "language", "string"),
-    ("code", "code", "string"),
+    ("module", "module", "string", ""),
+    ("language", "language", "string", "python"),
+    ("code", "code", "string", "builtin"),
 )
-_ENTITY_ROWS = (("location", "location", "point"),)
+_ENTITY_ROWS = (("location", "location", "point", (0.0, 0.0)),)
 _PLATFORM_ROWS = (
-    ("location", "location", "point"),
-    ("cpu_ghz", "cpu_frequency_ghz", "number"),
-    ("provides_software", "provided_software", "set"),
-    ("mtbf_hours", "mtbf_hours", "number"),
-    ("mttr_hours", "mttr_hours", "number"),
+    ("location", "location", "point", (0.0, 0.0)),
+    ("cpu_ghz", "cpu_frequency_ghz", "number", 1.0),
+    ("provides_software", "provided_software", "set", frozenset()),
+    ("mtbf_hours", "mtbf_hours", "number", 8760.0),
+    ("mttr_hours", "mttr_hours", "number", 0.0),
 )
-_DEVICE_ROWS = _PLATFORM_ROWS + (("attached_to", "attached_to", "string"),)
-# A device's energy sub-blocks; every row fills its one EnergyDecl.
+_DEVICE_ROWS = _PLATFORM_ROWS + (("attached_to", "attached_to", "string", None),)
+# A device's energy sub-blocks; together their rows fill one DeviceEnergyProfile.
 _ENERGY_BLOCKS = (
     ("battery", (
-        ("capacity_mah", "battery_capacity_mah", "number"),
-        ("supply_voltage_v", "supply_voltage_v", "number"),
-        ("depletion_threshold_mah", "depletion_threshold_mah", "number"),
+        ("capacity_mah", "battery_capacity_mah", "number", 100.0),
+        ("supply_voltage_v", "supply_voltage_v", "number", 3.0),
+        ("depletion_threshold_mah", "depletion_threshold_mah", "number", 5.0),
     )),
     ("sense", (
-        ("current_ma", "sense_current_ma", "number"),
-        ("duration_ms", "sense_duration_ms", "number"),
+        ("current_ma", "sense_current_ma", "number", 25.0),
+        ("duration_ms", "sense_duration_ms", "number", 10.0),
     )),
     ("transmit", (
-        ("packet_kb", "packet_kb", "number"),
-        ("e_elec_nj_per_bit", "e_elec_nj_per_bit", "number"),
-        ("e_amp_pj_per_bit_m", "e_amp_pj_per_bit_m", "number"),
-        ("loss_exponent", "loss_exponent_n", "int"),
+        ("packet_kb", "packet_kb", "number", 2.0),
+        ("e_elec_nj_per_bit", "e_elec_nj_per_bit", "number", 50.0),
+        ("e_amp_pj_per_bit_m", "e_amp_pj_per_bit_m", "number", 100.0),
+        ("loss_exponent", "loss_exponent_n", "int", 2),
     )),
 )
+_DEFAULT_SOURCE = ConstantSource(0.0)  # a device's ``data`` when it gives none
 _SERVICE_ROWS = (
-    ("interface", "interface", "string"),
-    ("protocol", "protocol", "string"),
+    ("interface", "interface", "string", ""),
+    ("protocol", "protocol", "string", ""),
 )
 _LINK_ROWS = (
-    ("protocol", "protocol", "string"),
-    ("latency_ms", "latency_ms", "number"),
-    ("distance_m", "distance_m", "number"),
+    ("protocol", "protocol", "string", "IP"),
+    ("latency_ms", "latency_ms", "number", 0.0),
+    ("distance_m", "distance_m", "number", 1.0),
 )
 _CONTRACT_ROWS = (
-    ("provider_interface", "provider_interface", "string"),
-    ("consumer_interface", "consumer_interface", "string"),
+    ("provider_interface", "provider_interface", "string", ""),
+    ("consumer_interface", "consumer_interface", "string", ""),
 )
 _COMPONENT_ROWS = (
-    ("cpu_demand_cycles", "mean_cpu_demand_cycles", "number"),
-    ("requires_software", "required_software", "set"),
-    ("requires", "required_interfaces", "set"),
+    ("cpu_demand_cycles", "mean_cpu_demand_cycles", "number", 1.0),
+    ("requires_software", "required_software", "set", frozenset()),
+    ("requires", "required_interfaces", "sorted", ()),
 )
-_PERIODIC_ROWS = (("interval_ticks", "interval_ticks", "int"),)
-_EVENT_ROWS = (("condition", "condition", "condition"),)
+_PERIODIC_ROWS = (("interval_ticks", "interval_ticks", "int", 0),)
+_EVENT_ROWS = (("condition", "condition", "condition", ""),)
 _APPLICATION_ROWS = (
-    ("region", "region", "point"),
-    ("components", "component_names", "list"),
+    ("region", "region", "point", (0.0, 0.0)),
+    ("components", "component_names", "list", ()),
 )
+
+
+def _defaults(rows) -> dict:
+    return {attr: default for _, attr, _, default in rows}
 
 
 class _Token:
@@ -253,8 +268,10 @@ class _Parser:
             return self.read_number()
         if kind == "point":
             return self.read_pair()
-        if kind in ("set", "list"):
-            return self.read_list(lambda: self.read_string("a quoted name"))
+        if kind in ("set", "sorted", "list"):
+            names = self.read_list(lambda: self.read_string("a quoted name"))
+            return (frozenset(names) if kind == "set" else
+                    tuple(sorted(set(names))) if kind == "sorted" else tuple(names))
         return self.read_string(key)  # "string", and "condition" as its text
 
     def read_data_source(self) -> DataSource:
@@ -283,14 +300,17 @@ class _Parser:
 
     # -- block machinery
 
-    def read_block(self, block: str, rows=(), target=None, special: dict | None = None):
-        """Read ``{ ... }`` up to the closing brace.
+    def read_block(self, block: str, rows=(), special: dict | None = None,
+                   fields: dict | None = None) -> dict:
+        """Read ``{ ... }`` up to the closing brace; return the keywords read.
 
-        Each row's key sets its attribute on ``target``; ``special`` maps
-        the block's other keys to handlers.  Special keys ending in "*" may
-        repeat; all other keys may not.
+        Each row's key sets its attribute in ``fields``, which starts from
+        the rows' defaults when not given; ``special`` maps the block's
+        other keys to handlers.  Special keys ending in "*" may repeat; all
+        other keys may not.
         """
-        handlers = {key: partial(self._set, target, attr, kind, key) for key, attr, kind in rows}
+        fields = _defaults(rows) if fields is None else fields
+        handlers = {key: partial(self._set, fields, attr, kind, key) for key, attr, kind, _ in rows}
         handlers.update(special or {})
         self.expect("punct", "{")
         seen: set[str] = set()
@@ -310,146 +330,145 @@ class _Parser:
                 seen.add(key)
             self.advance()
             handler()
+        return fields
 
-    def _set(self, target, attr: str, kind: str, key: str) -> None:
-        setattr(target, attr, self.read_value(kind, key))
+    def _set(self, fields: dict, attr: str, kind: str, key: str) -> None:
+        fields[attr] = self.read_value(kind, key)
+
+    def read_name(self, what: str) -> tuple[str, SourceSpan]:
+        token = self.expect("string", what=what)
+        return token.text[1:-1], self.span(token)
 
     def read_service_port(self) -> ServicePort:
         name_token = self.expect("string", what="a service name")
-        port = SimpleNamespace(interface="", protocol="")
-        self.read_block("service", _SERVICE_ROWS, port)
-        return self.build(name_token, ServicePort, name_token.text[1:-1], **vars(port))
+        port = self.read_block("service", _SERVICE_ROWS)
+        return self.build(name_token, ServicePort, name_token.text[1:-1], **port)
 
-    # -- top-level blocks
+    # -- top-level blocks: each gives (name, span of the name, constructor keywords)
 
-    def parse(self) -> Declarations:
-        decls = Declarations()
-        readers = {
-            "system": lambda: setattr(decls, "system", self.parse_system()),
-            "entity": lambda: decls.entities.append(self.parse_entity()),
-            "interface": lambda: decls.interfaces.append(self.parse_interface()),
-            "contract": lambda: decls.contracts.append(self.parse_contract()),
-            "component": lambda: decls.components.append(self.parse_component()),
-            "application": lambda: decls.applications.append(self.parse_application()),
-            "link": lambda: decls.links.append(self.parse_link()),
-        }
+    def parse(self) -> dict[str, list[tuple]]:
+        """Every block the text declares, by category, in text order."""
+        blocks = {category: [] for category in _CATEGORIES}
+        readers = {"system": ("system", self.parse_system),
+                   "entity": ("entity", self.parse_entity),
+                   "interface": ("interface", self.parse_interface),
+                   "contract": ("contract", self.parse_contract),
+                   "component": ("component", self.parse_component),
+                   "application": ("application", self.parse_application),
+                   "link": ("link", self.parse_link)}
         for tier in PlatformTier:
-            readers[tier.value] = lambda tier=tier: decls.platforms.append(self.parse_platform(tier))
+            readers[tier.value] = ("platform", partial(self.parse_platform, tier))
         while (token := self.peek()).kind != "eof":
             if token.kind != "ident":
                 self.fail(f"expected a block keyword, found {token.text!r}")
-            read = readers.get(token.text)
-            if read is None:
+            if token.text not in readers:
                 self.fail(f"unknown block keyword {token.text!r}", token)
-            if token.text == "system" and decls.system is not None:
+            category, read = readers[token.text]
+            if category == "system" and blocks["system"]:
                 self.fail("duplicate 'system' block", token)
             self.advance()
-            read()
-        if decls.system is None:
+            blocks[category].append(read())
+        if not blocks["system"]:
             self.fail("expected a 'system' block", self.tokens[0])
-        return decls
+        return blocks
 
-    def parse_system(self) -> SystemDecl:
-        name_token = self.expect("string", what="a system name")
-        decl = SystemDecl(name=name_token.text[1:-1], span=self.span(name_token))
+    def parse_system(self):
+        name, span = self.read_name("a system name")
+        modules = []
 
         def execution_module():
-            module = SimpleNamespace(module="", language="python", code="builtin")
             brace = self.peek()
-            self.read_block("execution_module", _EXECUTION_MODULE_ROWS, module)
-            decl.execution_modules.append(self.build(brace, ExecutionModuleDecl, **vars(module)))
+            module = self.read_block("execution_module", _EXECUTION_MODULE_ROWS)
+            modules.append(self.build(brace, ExecutionModuleDecl, **module))
 
-        self.read_block("system", _SYSTEM_ROWS, decl, {"execution_module*": execution_module})
-        return decl
+        fields = self.read_block("system", _SYSTEM_ROWS, {"execution_module*": execution_module})
+        return name, span, dict(fields, execution_modules=tuple(modules))
 
-    def parse_entity(self) -> EntityDecl:
-        name_token = self.expect("string", what="an entity name")
-        decl = EntityDecl(name=name_token.text[1:-1], span=self.span(name_token))
-        self.read_block("entity", _ENTITY_ROWS, decl)
-        return decl
+    def parse_entity(self):
+        return *self.read_name("an entity name"), self.read_block("entity", _ENTITY_ROWS)
 
-    def parse_interface(self) -> InterfaceDecl:
-        name_token = self.expect("string", what="an interface name")
+    def parse_interface(self):
+        name, span = self.read_name("an interface name")
         self.expect("punct", "{")
         self.expect("punct", "}")
-        return InterfaceDecl(name_token.text[1:-1], self.span(name_token))
+        return name, span, {}
 
-    def parse_platform(self, tier: PlatformTier) -> PlatformDecl:
-        name_token = self.expect("string", what="a platform name")
-        decl = PlatformDecl(name=name_token.text[1:-1], tier=tier, span=self.span(name_token))
-        special = {"service*": lambda: decl.services.append(self.read_service_port())}
+    def parse_platform(self, tier: PlatformTier):
+        name, span = self.read_name("a platform name")
+        services = []
+        special = {"service*": lambda: services.append(self.read_service_port())}
         rows = _PLATFORM_ROWS
+        fields = {"tier": tier}
         if tier is PlatformTier.DEVICE:
             rows = _DEVICE_ROWS
-            decl.energy = EnergyDecl()
+            energy = fields["energy"] = {}
             for block, block_rows in _ENERGY_BLOCKS:
-                special[block] = partial(self.read_block, block, block_rows, decl.energy)
+                energy.update(_defaults(block_rows))
+                special[block] = partial(self.read_block, block, block_rows, fields=energy)
+            fields["data_source"] = _DEFAULT_SOURCE
 
             def data():
                 self.expect("punct", "=")
-                decl.data_source = self.read_data_source()
+                fields["data_source"] = self.read_data_source()
 
             special["data"] = data
-        self.read_block(tier.value, rows, decl, special)
-        return decl
+        fields.update(_defaults(rows))
+        self.read_block(tier.value, rows, special, fields)
+        return name, span, dict(fields, services=tuple(services))
 
-    def parse_contract(self) -> ContractDecl:
-        name_token = self.expect("string", what="a contract name")
-        decl = ContractDecl(name=name_token.text[1:-1], span=self.span(name_token))
+    def parse_contract(self):
+        name, span = self.read_name("a contract name")
+        tasks, message_fields = [], []
+        message_name = ""
 
         def task():
-            name, kind = self.read_entry("task", _TASK_KINDS)
-            decl.tasks.append(self.build(name, Task, name.text[1:-1], TaskKind(kind)))
+            entry, kind = self.read_entry("task", _TASK_KINDS)
+            tasks.append(self.build(entry, Task, entry.text[1:-1], TaskKind(kind)))
 
         def field():
-            name, kind = self.read_entry("field", FIELD_KINDS)
-            decl.message_fields.append(self.build(name, MessageField, name.text[1:-1], kind))
+            entry, kind = self.read_entry("field", FIELD_KINDS)
+            message_fields.append(self.build(entry, MessageField, entry.text[1:-1], kind))
 
         def message():
-            decl.message_name = self.read_string("a message name")
+            nonlocal message_name
+            message_name = self.read_string("a message name")
             self.read_block("message", special={"field*": field})
 
-        self.read_block("contract", _CONTRACT_ROWS, decl, {"task*": task, "message": message})
-        return decl
+        fields = self.read_block("contract", _CONTRACT_ROWS, {"task*": task, "message": message})
+        message_type = MessageType(message_name or f"{name}Message", tuple(message_fields))
+        return name, span, dict(fields, tasks=tuple(tasks), message_type=message_type)
 
-    def parse_component(self) -> ComponentDecl:
+    def parse_component(self):
         name_token = self.expect("string", what="a component name")
-        decl = ComponentDecl(name=name_token.text[1:-1], span=self.span(name_token))
+        fields = _defaults(_COMPONENT_ROWS)
 
         def service():
-            decl.provided_service = self.read_service_port()
+            fields["provided_service"] = self.read_service_port()
 
         def periodic():
-            request = SimpleNamespace(task=self.read_string("a task name"), interval_ticks=0)
-            self.read_block("periodic", _PERIODIC_ROWS, request)
-            decl.periodic_request = self.build(name_token, PeriodicRequest, **vars(request))
+            task = self.read_string("a task name")
+            request = self.read_block("periodic", _PERIODIC_ROWS)
+            fields["periodic_request"] = self.build(name_token, PeriodicRequest, task, **request)
 
         def event():
             task = self.read_string("a task name")
-            request = SimpleNamespace(condition="")
             brace = self.peek()
-            self.read_block("event", _EVENT_ROWS, request)
-            decl.event_request = self.build(
-                brace, lambda: EventRequest(task, condition_from_text(request.condition)))
+            request = self.read_block("event", _EVENT_ROWS)
+            fields["event_request"] = self.build(
+                brace, lambda: EventRequest(task, condition_from_text(request["condition"])))
 
-        self.read_block("component", _COMPONENT_ROWS, decl,
-                        {"service": service, "periodic": periodic, "event": event})
-        return decl
+        self.read_block("component", _COMPONENT_ROWS,
+                        {"service": service, "periodic": periodic, "event": event}, fields)
+        return name_token.text[1:-1], self.span(name_token), fields
 
-    def parse_application(self) -> ApplicationDecl:
-        name_token = self.expect("string", what="an application name")
-        decl = ApplicationDecl(name=name_token.text[1:-1], span=self.span(name_token))
-        self.read_block("application", _APPLICATION_ROWS, decl)
-        return decl
+    def parse_application(self):
+        return *self.read_name("an application name"), self.read_block("application", _APPLICATION_ROWS)
 
-    def parse_link(self) -> LinkDecl:
-        first = self.expect("string", what="a platform name")
+    def parse_link(self):
+        first, span = self.read_name("a platform name")
         self.expect("punct", "<->")
-        second = self.expect("string", what="a platform name")
-        decl = LinkDecl(endpoint_a=first.text[1:-1], endpoint_b=second.text[1:-1],
-                        span=self.span(first))
-        self.read_block("link", _LINK_ROWS, decl)
-        return decl
+        second, _ = self.read_name("a platform name")
+        return (first, second), span, self.read_block("link", _LINK_ROWS)
 
 
 def condition_from_text(text: str) -> ConditionExpr:
@@ -464,6 +483,156 @@ def condition_from_text(text: str) -> ConditionExpr:
     return ConditionExpr(match["field"], op, threshold)
 
 
+# --------------------------------------------------------------------------
+# Resolution
+
+
+_BY_NAME = attrgetter("name")
+
+
+def _named(built) -> tuple:
+    """The objects that were built, in name order."""
+    return tuple(sorted((item for item in built if item is not None), key=_BY_NAME))
+
+
+def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
+    """Resolve the parsed blocks into an immutable, structurally sound model.
+
+    Checks identifier uniqueness within each category, resolves every
+    name reference (entities, components, link endpoints, declared
+    interfaces), and constructs each model object, whose constructor
+    enforces its own invariants.  Contract-level consistency (whether
+    requested tasks and interfaces are actually provided) is the
+    validator's job, so models that are structurally sound but
+    semantically broken can still be constructed and reported on.
+    Raises :class:`ModelError` carrying every issue found.
+    """
+    issues: list[BuildIssue] = []
+    for category in _CATEGORIES[1:-1]:
+        seen: set[str] = set()
+        for name, span, _ in blocks[category]:
+            if name in seen:
+                issues.append(BuildIssue(f"duplicate identifier: {category} {name!r}", name, span))
+            seen.add(name)
+    entity_names, interface_names, platform_names, component_names = (
+        {name for name, _, _ in blocks[category]}
+        for category in ("entity", "interface", "platform", "component"))
+
+    def guard(make, subject: str, span: SourceSpan):
+        # Collect constructor rejections instead of stopping at the first.
+        try:
+            return make()
+        except ModelError as exc:
+            for issue in exc.issues:
+                issues.append(BuildIssue(f"{subject}: {issue.message}", subject, span))
+            return None
+
+    # When the model declares interfaces explicitly, every interface name
+    # used by a contract or port must be among them; without declarations
+    # the names are free-form and contracts introduce them implicitly.
+    def check_interface_ref(name: str, subject: str, span: SourceSpan):
+        if interface_names and name and name not in interface_names:
+            issues.append(BuildIssue(f"dangling reference: interface {name!r} (used by {subject})",
+                                     subject, span))
+
+    entities = [guard(lambda: PhysicalEntity(name, GeoLocation(*fields["location"])), name, span)
+                for name, span, fields in blocks["entity"]]
+
+    def make_platform(name, fields):
+        energy = fields.get("energy")
+        if energy is not None:
+            energy = DeviceEnergyProfile(residual_energy_mah=energy["battery_capacity_mah"], **energy)
+        return Platform(name, **{**fields, "energy": energy,
+                                 "location": GeoLocation(*fields["location"])})
+
+    platforms = []
+    for name, span, fields in blocks["platform"]:
+        attached_to = fields.get("attached_to")
+        if attached_to is not None and attached_to not in entity_names:
+            issues.append(BuildIssue(f"dangling reference: {attached_to!r} (entity of device {name})",
+                                     name, span))
+            continue
+        for port in fields["services"]:
+            check_interface_ref(port.interface, f"platform {name}", span)
+        platforms.append(guard(lambda: make_platform(name, fields), name, span))
+
+    contracts = []
+    for name, span, fields in blocks["contract"]:
+        check_interface_ref(fields["provider_interface"], f"contract {name}", span)
+        check_interface_ref(fields["consumer_interface"], f"contract {name}", span)
+        contracts.append(guard(lambda: ServiceContract(name, **fields), name, span))
+
+    components: dict[str, Component] = {}
+    for name, span, fields in blocks["component"]:
+        for interface in fields["required_interfaces"]:
+            check_interface_ref(interface, f"component {name}", span)
+        if (port := fields.get("provided_service")) is not None:
+            check_interface_ref(port.interface, f"component {name}", span)
+        built = guard(lambda: Component(name, **fields), name, span)
+        if built:
+            components[name] = built
+
+    # Every component must be claimed by exactly one application.
+    claimed: dict[str, str] = {}
+    applications = []
+    for name, span, fields in blocks["application"]:
+        members = []
+        for cname in fields["component_names"]:
+            if cname not in component_names:
+                issues.append(BuildIssue(f"dangling reference: component {cname!r} (in application {name})",
+                                         name, span))
+                continue
+            if cname in claimed:
+                issues.append(BuildIssue(
+                    f"component {cname!r} belongs to both {claimed[cname]!r} and {name!r}", name, span))
+                continue
+            claimed[cname] = name
+            if cname in components:
+                members.append(components[cname])
+        applications.append(guard(
+            lambda: Application(name, GeoLocation(*fields["region"]), tuple(members)), name, span))
+    for cname in sorted(component_names - set(claimed)):
+        issues.append(BuildIssue(f"component {cname!r} belongs to no application", cname))
+
+    links = []
+    seen_pairs: set[frozenset[str]] = set()
+    for ends, span, fields in blocks["link"]:
+        for end in ends:
+            if end not in platform_names:
+                issues.append(BuildIssue(f"dangling reference: platform {end!r} (link endpoint)",
+                                         end, span))
+        if set(ends) <= platform_names:
+            pair = frozenset(ends)
+            if pair in seen_pairs:
+                issues.append(BuildIssue(
+                    f"duplicate link between {min(pair)!r} and {max(pair)!r}", ends[0], span))
+                continue
+            seen_pairs.add(pair)
+            a, b = sorted(ends)
+            built = guard(lambda: NetworkLink(a, b, **fields), f"{a}<->{b}", span)
+            if built:
+                links.append(built)
+
+    (name, span, fields), = blocks["system"]
+    config = guard(lambda: SimConfig(**fields), name, span)
+
+    if issues:
+        raise ModelError(issues)
+
+    # Collections are stored in name order, so two declarations of the
+    # same system compare equal no matter how the blocks were arranged.
+    return IoTSystemModel(
+        name=name,
+        platforms=_named(platforms),
+        networks=tuple(sorted(links, key=lambda l: (l.endpoint_a, l.endpoint_b))),
+        applications=_named(applications),
+        contracts=_named(contracts),
+        physical_entities=_named(entities),
+        interfaces=tuple(sorted(interface_names)),
+        sim_config=config,
+    )
+
+
 def parse_model(text: str, path: str = "<model>") -> IoTSystemModel | list[Diagnostic]:
     """Parse model text; returns the model or the list of diagnostics.
 
@@ -473,11 +642,11 @@ def parse_model(text: str, path: str = "<model>") -> IoTSystemModel | list[Diagn
     """
     try:
         tokens = _lex(text, path)
-        decls = _Parser(tokens, path).parse()
+        blocks = _Parser(tokens, path).parse()
     except _ParseAbort as abort:
         return [abort.diagnostic]
     try:
-        return build_system(decls)
+        return build_system(blocks)
     except ModelError as exc:
         fallback = SourceSpan(path, 1, 1)
         return [Diagnostic(ERROR, issue.message, issue.span or fallback, code="build")
@@ -491,9 +660,6 @@ def load_model(path: str) -> IoTSystemModel | list[Diagnostic]:
 
 # --------------------------------------------------------------------------
 # Serialization
-
-
-_BY_NAME = attrgetter("name")
 
 
 def _quote(text: str) -> str:
@@ -515,13 +681,14 @@ _WRITERS = {
     "condition": lambda condition: _quote(condition.render()),
     "point": lambda point: _fmt_pair(point.latitude, point.longitude),
     "set": lambda names: _fmt_list(map(_quote, sorted(names))),
+    "sorted": lambda names: _fmt_list(map(_quote, sorted(names))),
     "list": lambda names: _fmt_list(map(_quote, names)),
 }
 
 
 def _block(header: str, obj, rows, *inner: list[str]) -> list[str]:
     """``header { ... }`` as lines: ``obj``'s rows, then the ``inner`` lines, indented."""
-    body = [f"{key} = {_WRITERS[kind](value)}" for key, attr, kind in rows
+    body = [f"{key} = {_WRITERS[kind](value)}" for key, attr, kind, _ in rows
             if (value := getattr(obj, attr)) is not None]
     body += [line for lines in inner for line in lines]
     return [f"{header} {{", *("  " + line for line in body), "}"]

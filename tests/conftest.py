@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -107,6 +108,24 @@ def two_sensor_file(tmp_path) -> str:
     path = tmp_path / "two_sensors.iot"
     text = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
     path.write_text(text + SECOND_SENSOR, encoding="utf-8")
+    return str(path)
+
+
+FRESHNESS_LINK = """link "level_sensor_1" <-> "fog_hub" {
+  protocol = "CoAP"
+  latency_ms = 2
+  distance_m = 10
+}
+"""
+
+
+@pytest.fixture()
+def no_link_file(tmp_path) -> str:
+    """freshness_demo.iot without its one link, written to a temporary file."""
+    path = tmp_path / "no_link.iot"
+    text = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+    assert FRESHNESS_LINK in text
+    path.write_text(text.replace(FRESHNESS_LINK, ""), encoding="utf-8")
     return str(path)
 
 
@@ -523,87 +542,71 @@ def random_placement_model(seed: int):
     interfaces come from platform service ports, others from components,
     and each interface has exactly one provider.
     """
-    from iotdraw.model import (
-        ApplicationDecl, ComponentDecl, ContractDecl, Declarations, LinkDecl,
-        PlatformDecl, PlatformTier, ServicePort, SystemDecl, Task, TaskKind,
-        build_system,
-    )
-
     rnd = random.Random(seed)
     software_pool = ["spark", "jboss", "dotnet", "node"]
     protocols = ["HTTP", "CoAP"]
 
+    def service(name, interface):
+        return [f'  service "{name}" {{', f'    interface = "{interface}"',
+                f'    protocol = "{rnd.choice(protocols)}"', "  }"]
+
     platform_count = rnd.randint(5, 7)
     platforms = []
     for index in range(platform_count):
-        tier = PlatformTier(rnd.choice(["cloud", "fog", "fog"]))
-        platforms.append(PlatformDecl(
-            name=f"p{index:02d}",
-            tier=tier,
-            location=(float(index), 0.0),
-            cpu_frequency_ghz=rnd.choice([1.0, 1.6, 2.5, 3.0]),
-            provided_software=rnd.sample(software_pool, rnd.randint(1, 3)),
-            mtbf_hours=float(rnd.randint(500, 2000)),
-            mttr_hours=float(rnd.randint(1, 50)),
-        ))
+        tier = rnd.choice(["cloud", "fog", "fog"])
+        platforms.append([
+            f'{tier} "p{index:02d}" {{', f"  location = ({index}, 0)",
+            f"  cpu_ghz = {rnd.choice([1.0, 1.6, 2.5, 3.0])}",
+            f"  provides_software = {json.dumps(rnd.sample(software_pool, rnd.randint(1, 3)))}",
+            f"  mtbf_hours = {rnd.randint(500, 2000)}", f"  mttr_hours = {rnd.randint(1, 50)}"])
 
     # a few platform service ports, each with a unique interface
     port_interfaces = []
-    for index, decl in enumerate(platforms):
+    for index, lines in enumerate(platforms):
         if rnd.random() < 0.4:
-            interface = f"PortSvc{index}"
-            decl.services.append(ServicePort(f"port{index}", interface,
-                                             rnd.choice(protocols)))
-            port_interfaces.append(interface)
+            lines += service(f"port{index}", f"PortSvc{index}")
+            port_interfaces.append(f"PortSvc{index}")
 
     component_count = rnd.randint(3, 4)
     components = []
     component_interfaces = []
     for index in range(component_count):
         provides = None
+        lines = [f'component "c{index}" {{']
         if rnd.random() < 0.5:
-            interface = f"CompSvc{index}"
-            provides = ServicePort(f"csvc{index}", interface, rnd.choice(protocols))
-            component_interfaces.append(interface)
-        components.append(ComponentDecl(
-            name=f"c{index}",
-            mean_cpu_demand_cycles=float(rnd.randint(100, 4000)),
-            required_software=rnd.sample(software_pool, rnd.randint(0, 2)),
-            provided_service=provides,
-        ))
+            provides = f"CompSvc{index}"
+            lines += service(f"csvc{index}", provides)
+            component_interfaces.append(provides)
+        lines += [f"  cpu_demand_cycles = {rnd.randint(100, 4000)}",
+                  f"  requires_software = {json.dumps(rnd.sample(software_pool, rnd.randint(0, 2)))}"]
+        components.append((provides, lines))
     all_interfaces = port_interfaces + component_interfaces
-    for comp in components:
-        own = comp.provided_service.interface if comp.provided_service else None
-        candidates = [i for i in all_interfaces if i != own]
+    for provides, lines in components:
+        candidates = [i for i in all_interfaces if i != provides]
         if candidates:
-            comp.required_interfaces = rnd.sample(
-                candidates, rnd.randint(0, min(2, len(candidates))))
+            requires = rnd.sample(candidates, rnd.randint(0, min(2, len(candidates))))
+            lines.append(f"  requires = {json.dumps(requires)}")
 
-    contracts = [ContractDecl(name=f"Use{interface}",
-                              provider_interface=interface,
-                              consumer_interface=f"{interface}Client",
-                              tasks=[Task(f"Call{interface}", TaskKind.COMPUTE)])
+    contracts = [[f'contract "Use{interface}" {{', f'  provider_interface = "{interface}"',
+                  f'  consumer_interface = "{interface}Client"',
+                  f'  task "Call{interface}" = compute']
                  for interface in all_interfaces]
 
     links = []
     for a in range(platform_count):
         for b in range(a + 1, platform_count):
             if rnd.random() < 0.45:
-                links.append(LinkDecl(
-                    endpoint_a=platforms[a].name,
-                    endpoint_b=platforms[b].name,
-                    protocol=rnd.choice(protocols + ["IP"]),
-                    latency_ms=rnd.random() * 100 + 0.001,
-                    distance_m=rnd.random() * 100 + 1.0,
-                ))
+                links.append([f'link "p{a:02d}" <-> "p{b:02d}" {{',
+                              f'  protocol = "{rnd.choice(protocols + ["IP"])}"',
+                              f"  latency_ms = {rnd.random() * 100 + 0.001!r}",
+                              f"  distance_m = {rnd.random() * 100 + 1.0!r}"])
 
-    decls = Declarations(
-        system=SystemDecl(name=f"random_{seed}"),
-        platforms=platforms,
-        links=links,
-        contracts=contracts,
-        components=components,
-        applications=[ApplicationDecl(name="app", region=(0.0, 0.0),
-                                      component_names=[c.name for c in components])],
-    )
-    return build_system(decls)
+    names = [f"c{index}" for index in range(component_count)]
+    blocks = platforms + [lines for _, lines in components] + contracts + links
+    text = "\n".join([f'system "random_{seed}" {{}}',
+                      f"application \"app\" {{\n  components = {json.dumps(names)}\n}}",
+                      *("\n".join(lines + ["}"]) for lines in blocks)])
+    from iotdraw import parse_model
+    model = parse_model(text, f"<random_{seed}>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    return model

@@ -7,6 +7,7 @@ arithmetic.
 """
 
 import dataclasses
+import json
 import math
 import random
 import time
@@ -15,19 +16,14 @@ from contextlib import contextmanager
 import pytest
 
 from iotdraw import (
-    DeploymentScenario, DeviceEnergyProfile, EnergyAmount, ModelError,
+    DeploymentScenario, DeviceEnergyProfile, ModelError,
     default_registry, enumerate_deployments, evaluate_scenarios,
     joules_to_mah, lifetime_closed_form, lifetime_sweep, parse_model,
     per_request_drain_mah, rank_scenarios, register_module, run_simulation,
-    scenario_availability, scenario_response_time, scenarios_to_csv,
+    scenario_availability, scenarios_to_csv,
     sense_energy, serialize_model, transmit_energy,
 )
-from iotdraw.model import (
-    ApplicationDecl, ComponentDecl, ConstantSource, ContractDecl,
-    Declarations, EnergyDecl, ExecutionModuleDecl, LinkDecl, PeriodicRequest,
-    PlatformDecl, PlatformTier, ServicePort, SystemDecl, Task, TaskKind,
-    build_system,
-)
+from iotdraw.model import ExecutionModuleDecl, PlatformTier
 
 from conftest import (
     alarmed_model, random_placement_model, reference_availability,
@@ -48,9 +44,9 @@ def scored(capfd, number, label):
             print(f"[{verdict}] criterion {number:02d}: {label}", flush=True)
 
 
-def built(decls):
-    model = build_system(decls)
-    assert not isinstance(model, list), [i.message for i in model]
+def built(text):
+    model = parse_model(text, "<acceptance>")
+    assert not isinstance(model, list), [d.render() for d in model]
     return model
 
 
@@ -76,29 +72,25 @@ REFERENCE_PROFILE = DeviceEnergyProfile(
 def test_criterion_01_energy_formulas(capfd):
     with scored(capfd, 1, "sensing and radio energy formulas"):
         # 2 kb * 3 V * 25 mA * 10 ms = 1.5e-3 J
-        assert sense_energy(REFERENCE_PROFILE).joules == pytest.approx(
+        assert sense_energy(REFERENCE_PROFILE) == pytest.approx(
             1.5e-3, rel=1e-12)
         # 2000 bits * 50 nJ + 2000 bits * 10^2 m * 100 pJ = 1.2e-4 J
-        assert transmit_energy(REFERENCE_PROFILE, 10.0).joules == pytest.approx(
+        assert transmit_energy(REFERENCE_PROFILE, 10.0) == pytest.approx(
             1.2e-4, rel=1e-12)
         # 3600 J at 1 V through the 0.000277778 Wh/J constant
-        assert joules_to_mah(EnergyAmount(3600.0), 1.0) == pytest.approx(
+        assert joules_to_mah(3600.0, 1.0) == pytest.approx(
             1000.0008, rel=1e-12)
 
 
 def availability_fixture():
-    return built(Declarations(
-        system=SystemDecl(name="avail"),
-        platforms=[
-            PlatformDecl(name="P", tier=PlatformTier.CLOUD, mtbf_hours=99.0,
-                         mttr_hours=1.0, provided_software=["pa"]),
-            PlatformDecl(name="Q", tier=PlatformTier.CLOUD, mtbf_hours=98.0,
-                         mttr_hours=2.0, provided_software=["qb"]),
-        ],
-        components=[ComponentDecl(name="A", required_software=["pa"]),
-                    ComponentDecl(name="B", required_software=["qb"])],
-        applications=[ApplicationDecl(name="app", component_names=["A", "B"])],
-    ))
+    return built("""
+system "avail" {}
+cloud "P" { mtbf_hours = 99 mttr_hours = 1 provides_software = ["pa"] }
+cloud "Q" { mtbf_hours = 98 mttr_hours = 2 provides_software = ["qb"] }
+component "A" { requires_software = ["pa"] }
+component "B" { requires_software = ["qb"] }
+application "app" { components = ["A", "B"] }
+""")
 
 
 def test_criterion_02_availability_product(capfd):
@@ -114,29 +106,22 @@ def test_criterion_02_availability_product(capfd):
 
 
 def response_fixture():
-    return built(Declarations(
-        system=SystemDecl(name="resp"),
-        platforms=[
-            PlatformDecl(name="Front", tier=PlatformTier.CLOUD,
-                         cpu_frequency_ghz=1.0, provided_software=["front"]),
-            PlatformDecl(name="Back", tier=PlatformTier.CLOUD,
-                         cpu_frequency_ghz=3.0, provided_software=["backend"]),
-        ],
-        links=[LinkDecl(endpoint_a="Front", endpoint_b="Back",
-                        protocol="HTTP", latency_ms=50.0)],
-        contracts=[ContractDecl(name="UseCalc", provider_interface="Calc",
-                                consumer_interface="CalcClient",
-                                tasks=[Task("RunCalc", TaskKind.COMPUTE)])],
-        components=[
-            ComponentDecl(name="Caller", required_software=["front"],
-                          required_interfaces=["Calc"]),
-            ComponentDecl(name="Calculator", mean_cpu_demand_cycles=3500.0,
-                          required_software=["backend"],
-                          provided_service=ServicePort("calc", "Calc", "HTTP")),
-        ],
-        applications=[ApplicationDecl(
-            name="app", component_names=["Caller", "Calculator"])],
-    ))
+    return built("""
+system "resp" {}
+cloud "Front" { cpu_ghz = 1 provides_software = ["front"] }
+cloud "Back" { cpu_ghz = 3 provides_software = ["backend"] }
+link "Front" <-> "Back" { protocol = "HTTP" latency_ms = 50 }
+contract "UseCalc" {
+  provider_interface = "Calc" consumer_interface = "CalcClient"
+  task "RunCalc" = compute
+}
+component "Caller" { requires_software = ["front"] requires = ["Calc"] }
+component "Calculator" {
+  cpu_demand_cycles = 3500 requires_software = ["backend"]
+  service "calc" { interface = "Calc" protocol = "HTTP" }
+}
+application "app" { components = ["Caller", "Calculator"] }
+""")
 
 
 def test_criterion_03_response_time(capfd, padova_model):
@@ -144,15 +129,15 @@ def test_criterion_03_response_time(capfd, padova_model):
         model = response_fixture()
         scenarios = enumerate_deployments(model)
         assert len(scenarios) == 1
-        measured = scenario_response_time(model, scenarios[0])
+        measured = evaluate_scenarios(model, scenarios)[0].response_time_ms
         # 50 ms hop + 3500 cycles / 3 GHz = 50.0011667 ms
         assert measured == pytest.approx(50.0011667, abs=1e-6)
         assert measured == pytest.approx(50.0 + 3500.0 / 3.0e9 * 1000.0,
                                          rel=1e-12)
         # device-provider flavor: four hops of 162 ms plus a 10 ms sense each
         all_cloud = enumerate_deployments(padova_model)[0]
-        assert scenario_response_time(padova_model, all_cloud) == pytest.approx(
-            688.0, abs=1e-9)
+        assert evaluate_scenarios(padova_model, [all_cloud])[0].response_time_ms \
+            == pytest.approx(688.0, abs=1e-9)
 
 
 def test_criterion_04_enumeration_matches_brute_force(capfd, padova_model):
@@ -223,54 +208,54 @@ def drained_device_model(rnd):
     distance = rnd.uniform(2.0, 60.0)
     requests = rnd.randint(50, 500) + rnd.uniform(0.25, 0.75)
     threshold = rnd.uniform(1.0, 10.0)
-    energy = EnergyDecl(
-        battery_capacity_mah=threshold + 1.0,
-        supply_voltage_v=rnd.uniform(1.8, 5.0),
-        sense_current_ma=rnd.uniform(5.0, 50.0),
-        sense_duration_ms=rnd.uniform(1.0, 30.0),
-        packet_kb=rnd.uniform(0.5, 8.0),
-        e_elec_nj_per_bit=rnd.uniform(10.0, 200.0),
-        e_amp_pj_per_bit_m=rnd.uniform(50.0, 500.0),
-        loss_exponent_n=rnd.choice([2, 3, 4]),
-        depletion_threshold_mah=threshold,
-    )
+    supply_voltage = rnd.uniform(1.8, 5.0)
+    sense_current = rnd.uniform(5.0, 50.0)
+    sense_duration = rnd.uniform(1.0, 30.0)
+    packet = rnd.uniform(0.5, 8.0)
+    e_elec = rnd.uniform(10.0, 200.0)
+    e_amp = rnd.uniform(50.0, 500.0)
+    loss_exponent = rnd.choice([2, 3, 4])
 
-    def assemble(energy_decl, sim_time):
-        return built(Declarations(
-            system=SystemDecl(name="drain", simulation_time=sim_time),
-            platforms=[
-                PlatformDecl(name="hub", tier=PlatformTier.FOG,
-                             provided_software=["jboss"]),
-                PlatformDecl(name="probe_1", tier=PlatformTier.DEVICE,
-                             energy=energy_decl,
-                             data_source=ConstantSource(7.0),
-                             services=[ServicePort("ProbePort", "Probe",
-                                                   "CoAP")]),
-            ],
-            links=[LinkDecl(endpoint_a="probe_1", endpoint_b="hub",
-                            protocol="CoAP", latency_ms=1.0,
-                            distance_m=distance)],
-            contracts=[ContractDecl(name="RequestProbe",
-                                    provider_interface="Probe",
-                                    consumer_interface="ProbeClient",
-                                    tasks=[Task("ReadProbe", TaskKind.SENSE)])],
-            components=[ComponentDecl(
-                name="Watcher", required_software=["jboss"],
-                required_interfaces=["Probe"],
-                periodic_request=PeriodicRequest("ReadProbe", interval))],
-            applications=[ApplicationDecl(name="app",
-                                          component_names=["Watcher"])],
-        ))
+    def assemble(capacity, sim_time):
+        return built(f"""
+system "drain" {{ simulation_time = {sim_time} }}
+fog "hub" {{ provides_software = ["jboss"] }}
+device "probe_1" {{
+  battery {{
+    capacity_mah = {capacity!r}
+    supply_voltage_v = {supply_voltage!r}
+    depletion_threshold_mah = {threshold!r}
+  }}
+  sense {{ current_ma = {sense_current!r} duration_ms = {sense_duration!r} }}
+  transmit {{
+    packet_kb = {packet!r}
+    e_elec_nj_per_bit = {e_elec!r}
+    e_amp_pj_per_bit_m = {e_amp!r}
+    loss_exponent = {loss_exponent}
+  }}
+  data = constant(7)
+  service "ProbePort" {{ interface = "Probe" protocol = "CoAP" }}
+}}
+link "probe_1" <-> "hub" {{ protocol = "CoAP" latency_ms = 1 distance_m = {distance!r} }}
+contract "RequestProbe" {{
+  provider_interface = "Probe" consumer_interface = "ProbeClient"
+  task "ReadProbe" = sense
+}}
+component "Watcher" {{
+  requires_software = ["jboss"] requires = ["Probe"]
+  periodic "ReadProbe" {{ interval_ticks = {interval} }}
+}}
+application "app" {{ components = ["Watcher"] }}
+""")
 
-    probe = assemble(energy, 10)
+    probe = assemble(threshold + 1.0, 10)
     per = per_request_drain_mah(probe.platform("probe_1").energy, distance)
-    capacity = energy.depletion_threshold_mah + per * requests
-    energy = dataclasses.replace(energy, battery_capacity_mah=capacity)
+    capacity = threshold + per * requests
     profile = dataclasses.replace(probe.platform("probe_1").energy,
                                   battery_capacity_mah=capacity,
                                   residual_energy_mah=capacity)
     closed = lifetime_closed_form(profile, distance, interval)
-    model = assemble(energy, closed + 3 * interval + 10)
+    model = assemble(capacity, closed + 3 * interval + 10)
     return model, closed, interval
 
 
@@ -317,42 +302,31 @@ def thousand_scenario_model():
     every host reaches the shared service hub over its own link.  The
     spare platforms advertise software nobody wants.
     """
-    platforms = [PlatformDecl(name="core", tier=PlatformTier.CLOUD,
-                              cpu_frequency_ghz=3.0, provided_software=["base"],
-                              mtbf_hours=2000.0, mttr_hours=2.0,
-                              services=[ServicePort("hub", "Hub", "HTTP")])]
-    links = []
+    blocks = ['system "scale" {}',
+              'cloud "core" {\n  cpu_ghz = 3 provides_software = ["base"]\n'
+              '  mtbf_hours = 2000 mttr_hours = 2\n'
+              '  service "hub" { interface = "Hub" protocol = "HTTP" }\n}',
+              'contract "UseHub" {\n  provider_interface = "Hub" consumer_interface = "HubClient"\n'
+              '  task "CallHub" = compute\n}']
+    platforms = 1
     components = []
     latency = 0.5
     for index in range(12):
         token = f"sw{index:02d}"
         for copy in range(2 if index < 10 else 1):
             name = f"host_{index:02d}_{copy}"
-            platforms.append(PlatformDecl(
-                name=name, tier=PlatformTier.FOG, cpu_frequency_ghz=1.6,
-                provided_software=[token],
-                mtbf_hours=900.0 + index * 10 + copy, mttr_hours=20.0 + copy))
+            blocks.append(f'fog "{name}" {{ cpu_ghz = 1.6 provides_software = ["{token}"] '
+                          f'mtbf_hours = {900 + index * 10 + copy} mttr_hours = {20 + copy} }}')
+            platforms += 1
             latency += 1.37
-            links.append(LinkDecl(endpoint_a=name, endpoint_b="core",
-                                  protocol="HTTP", latency_ms=latency))
-        components.append(ComponentDecl(
-            name=f"comp_{index:02d}", mean_cpu_demand_cycles=100.0 * (index + 1),
-            required_software=[token], required_interfaces=["Hub"]))
-    for index in range(50 - len(platforms)):
-        platforms.append(PlatformDecl(name=f"spare_{index:02d}",
-                                      tier=PlatformTier.FOG,
-                                      provided_software=[f"idle{index}"]))
-    return built(Declarations(
-        system=SystemDecl(name="scale"),
-        platforms=platforms,
-        links=links,
-        contracts=[ContractDecl(name="UseHub", provider_interface="Hub",
-                                consumer_interface="HubClient",
-                                tasks=[Task("CallHub", TaskKind.COMPUTE)])],
-        components=components,
-        applications=[ApplicationDecl(
-            name="app", component_names=[c.name for c in components])],
-    ))
+            blocks.append(f'link "{name}" <-> "core" {{ protocol = "HTTP" latency_ms = {latency!r} }}')
+        components.append(f"comp_{index:02d}")
+        blocks.append(f'component "comp_{index:02d}" {{ cpu_demand_cycles = {100 * (index + 1)} '
+                      f'requires_software = ["{token}"] requires = ["Hub"] }}')
+    blocks += [f'fog "spare_{index:02d}" {{ provides_software = ["idle{index}"] }}'
+               for index in range(50 - platforms)]
+    blocks.append(f'application "app" {{ components = {json.dumps(components)} }}')
+    return built("\n".join(blocks))
 
 
 def test_criterion_09_scale_run(capfd):

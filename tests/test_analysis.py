@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from iotdraw import (
     DeploymentScenario, ModelError, device_periodic_component,
     enumerate_deployments, evaluate_scenarios, lifetime_sweep, parse_model,
-    per_request_mah, platform_availability, predicted_lifetime, rank_scenarios,
-    scenario_availability, scenario_response_time, scenario_text,
-    scenarios_to_csv,
+    per_request_drain_mah, platform_availability, predicted_lifetime, rank_scenarios,
+    scenario_availability, scenario_text, scenarios_to_csv,
 )
 
 from conftest import (
@@ -159,10 +158,10 @@ def test_predicted_lifetime_fixture_value(padova_model):
 
 
 def test_per_request_mah_fixture_value(padova_model):
-    assert per_request_mah(padova_model, "water_sensor_1", 10.0) == pytest.approx(
-        1.5000012e-4, rel=1e-12)
+    profile = padova_model.platform("water_sensor_1").energy
+    assert per_request_drain_mah(profile, 10.0) == pytest.approx(1.5000012e-4, rel=1e-12)
     with pytest.raises(ModelError):
-        per_request_mah(padova_model, "fog_1", 10.0)
+        predicted_lifetime(padova_model, "fog_1", 10.0)  # not a device: no request cost
 
 
 def test_device_periodic_component_resolution(padova_model):
@@ -226,6 +225,21 @@ def test_sweep_halts_on_the_swept_device(two_sensor_file):
                            max_ages=[0, 1], rounds=3)
     assert [(row.depleted_rounds, row.note) for row in table.rows] == [(3, ""), (3, "")]
     assert all(row.mean >= 365 for row in table.rows)
+
+
+def test_sweep_rejects_repeated_values(freshness_model):
+    # a repeated value would run its rounds twice and report them as one row each
+    with pytest.raises(ModelError, match="repeat"):
+        lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[1, 1], rounds=3)
+    with pytest.raises(ModelError, match="repeat"):
+        lifetime_sweep(freshness_model, "level_sensor_1", intervals=[2, 4, 2], rounds=1)
+
+
+def test_sweep_gives_no_radio_to_a_device_with_no_link(no_link_file):
+    from iotdraw import load_model
+    # every request fails for want of a route, as in a plain run, so no round depletes
+    table = lifetime_sweep(load_model(no_link_file), "level_sensor_1", max_ages=[0], rounds=2)
+    assert [(row.mean, row.depleted_rounds) for row in table.rows] == [(None, 0)]
 
 
 def test_sweep_does_not_mutate_the_model(freshness_model):

@@ -77,6 +77,19 @@ def test_usage_error_exits_two(capsys):
     (["lifetime", FRESH, "--device", "level_sensor_1", "--rounds", "0"], "--rounds"),
     (["simulate", FRESH, "--max-age", "-1"], "--max-age"),
     (["simulate", FRESH, "--max-age", "soon"], "--max-age"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-interval", "0"],
+     "--sweep-interval"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-interval", "2,0,4"],
+     "--sweep-interval"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-max-age=-1"], "--sweep-max-age"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-max-age", "1,,2"],
+     "--sweep-max-age"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-max-age", "1,"],
+     "--sweep-max-age"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-max-age", "1,1"],
+     "--sweep-max-age"),
+    (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-interval", "2,3,2"],
+     "--sweep-interval"),
 ])
 def test_out_of_range_options_exit_two(argv, option, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -228,6 +241,18 @@ def test_lifetime_halts_on_the_asked_device(two_sensor_file, capsys):
     out = capsys.readouterr().out
     assert "predicted lifetime: 399 ticks" in out
     assert "measured lifetime: 399 ticks" in out
+
+
+def test_lifetime_of_a_device_with_no_link(no_link_file, capsys):
+    assert main(["lifetime", no_link_file, "--device", "level_sensor_1"]) == 0
+    out = capsys.readouterr().out
+    assert "predicted lifetime: no depletion (it has no link, so every request fails)" in out
+    assert "measured lifetime: not depleted by tick 50000" in out
+
+    assert main(["lifetime", no_link_file, "--device", "level_sensor_1",
+                 "--sweep-max-age", "0", "--rounds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "max_age_ticks=0: never depleted within the horizon  (2 round(s) outlived" in out
 
 
 def test_lifetime_unknown_device_exits_one(capsys):

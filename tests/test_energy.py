@@ -14,10 +14,10 @@ import random
 import pytest
 
 from iotdraw import (
-    BatteryState, DeviceEnergyProfile, EnergyAmount, drain, initial_battery,
-    joules_to_mah, lifetime_closed_form, per_request_drain_mah, sense_energy,
-    transmit_energy,
+    DeviceEnergyProfile, joules_to_mah, lifetime_closed_form, per_request_drain_mah,
+    sense_energy, transmit_energy,
 )
+from iotdraw.energy import drain_mah
 
 REL = 1e-12
 
@@ -41,24 +41,24 @@ def profile(**overrides):
 
 def test_sense_energy_reference_value():
     # 2 kb * 3 V * 25 mA * 10 ms = 1.5 mJ
-    assert sense_energy(profile()).joules == pytest.approx(1.5e-3, rel=REL)
+    assert sense_energy(profile()) == pytest.approx(1.5e-3, rel=REL)
 
 
 def test_transmit_energy_reference_value():
     # 2000 bits: electronics 2000*50 nJ = 1e-4 J, amplifier
     # 2000*100 pJ*10^2 = 2e-5 J
-    assert transmit_energy(profile(), 10.0).joules == pytest.approx(1.2e-4, rel=REL)
+    assert transmit_energy(profile(), 10.0) == pytest.approx(1.2e-4, rel=REL)
 
 
 def test_transmit_scales_with_loss_exponent():
-    close = transmit_energy(profile(loss_exponent_n=3.0), 2.0).joules
+    close = transmit_energy(profile(loss_exponent_n=3.0), 2.0)
     # amplifier term: 2000*100e-12*8 = 1.6e-6, electronics 1e-4
     assert close == pytest.approx(1e-4 + 1.6e-6, rel=REL)
 
 
 def test_joules_to_mah_reference_value():
     # one watt-hour of energy at one volt, through the rounded constant
-    assert joules_to_mah(EnergyAmount(3600.0), 1.0) == pytest.approx(1000.0008, rel=REL)
+    assert joules_to_mah(3600.0, 1.0) == pytest.approx(1000.0008, rel=REL)
 
 
 def test_per_request_drain_reference_value():
@@ -73,38 +73,27 @@ def test_transmit_rejects_nonpositive_distance():
 
 def test_drain_subtracts_and_flags_depletion():
     p = profile()
-    state = initial_battery(p)
-    assert state.residual_mah == 35.0 and not state.depleted
-    one_request = EnergyAmount(sense_energy(p).joules + transmit_energy(p, 10.0).joules)
-    state = drain(state, p, one_request)
-    assert state.residual_mah == pytest.approx(35.0 - 1.5000012e-4, rel=REL)
-    assert not state.depleted
+    residual, depleted = drain_mah(p.residual_energy_mah, p.depletion_threshold_mah)
+    assert residual == 35.0 and not depleted
+    one_request = joules_to_mah(sense_energy(p) + transmit_energy(p, 10.0), p.supply_voltage_v)
+    residual, depleted = drain_mah(residual, p.depletion_threshold_mah, one_request)
+    assert residual == pytest.approx(35.0 - 1.5000012e-4, rel=REL)
+    assert not depleted
 
 
 def test_drain_depletes_at_threshold_not_zero():
-    p = profile(battery_capacity_mah=5.1, residual_energy_mah=5.1)
-    state = BatteryState(residual_mah=5.1, depleted=False)
     # drop just past the 5 mAh cutoff
     joules = 0.11 / 1000.0 / 0.000277778 * 3.0
-    state = drain(state, p, EnergyAmount(joules))
-    assert state.depleted
-    assert state.residual_mah < 5.0 + 1e-9
-    assert state.residual_mah > 0.0
+    residual, depleted = drain_mah(5.1, 5.0, joules_to_mah(joules, 3.0))
+    assert depleted
+    assert residual < 5.0 + 1e-9
+    assert residual > 0.0
 
 
 def test_drain_clamps_at_zero():
-    p = profile()
-    state = BatteryState(residual_mah=0.001, depleted=True)
-    state = drain(state, p, EnergyAmount(1000.0))
-    assert state.residual_mah == 0.0
-    assert state.depleted
-
-
-def test_energy_amount_addition():
-    total = EnergyAmount(1.0) + EnergyAmount(2.5)
-    assert total.joules == 3.5
-    with pytest.raises(Exception):
-        EnergyAmount(-1.0)
+    residual, depleted = drain_mah(0.001, 5.0, joules_to_mah(1000.0, 3.0))
+    assert residual == 0.0
+    assert depleted
 
 
 def test_lifetime_closed_form_counts_whole_requests():
@@ -148,8 +137,8 @@ def test_mah_conversion_is_linear():
     for _ in range(100):
         joules = rnd.uniform(1e-6, 10.0)
         volts = rnd.uniform(1.0, 12.0)
-        a = joules_to_mah(EnergyAmount(joules), volts)
-        b = joules_to_mah(EnergyAmount(2.0 * joules), volts)
+        a = joules_to_mah(joules, volts)
+        b = joules_to_mah(2.0 * joules, volts)
         assert b == pytest.approx(2.0 * a, rel=1e-12)
         assert a == pytest.approx(1000.0 * joules * 0.000277778 / volts, rel=1e-12)
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotdraw import (
-    COLLECT, FreshnessPolicy, ModelError, SampleStream, eval_condition, lifetime_closed_form,
+    COLLECT, FreshnessPolicy, ModelError, SampleStream, lifetime_closed_form,
     parse_model, per_request_drain_mah, run_simulation,
 )
-from iotdraw.engine import EventKind
-from iotdraw.model import ConditionExpr, ConstantSource, TraceSource, UniformSource
+from iotdraw.energy import drain_mah, joules_to_mah
+from iotdraw.engine import _OPS, EventKind
+from iotdraw.model import CONDITION_OPS, ConstantSource, TraceSource, UniformSource
 from iotdraw.rng import SplitMix64, derive_seed
 
 from conftest import MODELS_DIR, SECOND_SENSOR, alarmed_model, tiny_model, tiny_text
@@ -80,12 +81,13 @@ def test_battery_bookkeeping_matches_event_log():
     senses = report.counts["SenseSample"]
     profile = model.platform("probe_1").energy
     expected = profile.residual_energy_mah
-    from iotdraw import drain, initial_battery, sense_energy, transmit_energy
-    state = initial_battery(profile)
+    from iotdraw import sense_energy, transmit_energy
+    residual = expected
     for _ in range(senses):
-        state = drain(state, profile, sense_energy(profile))
-        state = drain(state, profile, transmit_energy(profile, 10.0))
-    assert report.residual_mah["probe_1"] == state.residual_mah  # bit-exact
+        for joules in (sense_energy(profile), transmit_energy(profile, 10.0)):
+            residual, _ = drain_mah(residual, profile.depletion_threshold_mah,
+                                    joules_to_mah(joules, profile.supply_voltage_v))
+    assert report.residual_mah["probe_1"] == residual  # bit-exact
 
 
 def test_depletion_event_and_lifetime():
@@ -197,14 +199,22 @@ def test_event_detail_names_condition_and_value():
     assert "value=30.0" in event.detail
 
 
+def test_distance_override_needs_a_link(no_link_file):
+    from iotdraw import initial_state, load_model
+    state = initial_state(load_model(no_link_file), distance_overrides={"level_sensor_1": 10.0})
+    assert state.devices["level_sensor_1"].transmit_mah is None
+
+
 def test_eval_condition_operators():
-    assert eval_condition(ConditionExpr("x", ">", 1.0), {"x": 2.0})
-    assert eval_condition(ConditionExpr("x", "<=", 2.0), {"x": 2.0})
-    assert eval_condition(ConditionExpr("x", "=", 2.0), {"x": 2.0})
-    assert eval_condition(ConditionExpr("x", "!=", 1.0), {"x": 2.0})
-    assert not eval_condition(ConditionExpr("x", "<", 2.0), {"x": 2.0})
-    with pytest.raises(ModelError):
-        eval_condition(ConditionExpr("y", ">", 1.0), {"x": 2.0})
+    assert _OPS[">"](2.0, 1.0)
+    assert _OPS["<="](2.0, 2.0)
+    assert _OPS["="](2.0, 2.0)
+    assert _OPS["!="](2.0, 1.0)
+    assert not _OPS["<"](2.0, 2.0)
+    assert set(_OPS) == set(CONDITION_OPS)
+    # a condition on a field the delivered message lacks never fires
+    quiet = alarmed_model(condition="depth > -1")
+    assert run_simulation(quiet).counts.get("EventRequest", 0) == 0
 
 
 # determinism ----------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_snapshot_is_isolated_from_the_run():
     assert snapshot.model is not state.model
     assert snapshot.model == state.model
     snapshot.residual_energy_mah["probe_1"] = -1.0
-    assert state.devices["probe_1"].battery.residual_mah == 100.0
+    assert state.devices["probe_1"].residual_mah == 100.0
 
 
 def test_builtin_outputs_match_direct_calls(padova_model):

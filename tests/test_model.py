@@ -3,47 +3,41 @@
 import pytest
 
 from iotdraw.model import (
-    ApplicationDecl, ComponentDecl, ConditionExpr, ConstantSource, ContractDecl,
-    Declarations, DeviceEnergyProfile, EnergyDecl, EntityDecl, GeoLocation,
-    InterfaceDecl, LinkDecl, ModelError, PlatformDecl, PlatformTier, Route,
-    ServicePort, SystemDecl, Task, TaskKind, TraceSource, build_system,
-    single_source_routes,
+    ConditionExpr, ConstantSource, GeoLocation, ModelError, Platform, PlatformTier, Route,
+    TraceSource, single_source_routes,
 )
+from iotdraw.modelfmt import parse_model
 from iotdraw.validate import route_between
 
-
-def base_decls(**overrides) -> Declarations:
-    decls = Declarations(
-        system=SystemDecl(name="t"),
-        entities=[EntityDecl("post", (1.0, 2.0))],
-        platforms=[
-            PlatformDecl("cloudy", tier=PlatformTier.CLOUD,
-                         provided_software=["jboss"]),
-            PlatformDecl("sensor", tier=PlatformTier.DEVICE, attached_to="post",
-                         energy=EnergyDecl(),
-                         services=[ServicePort("P", "Probe", "CoAP")]),
-        ],
-        links=[LinkDecl("sensor", "cloudy", latency_ms=1.0, distance_m=5.0)],
-        contracts=[ContractDecl("UseProbe", provider_interface="Probe",
-                                consumer_interface="ProbeClient",
-                                tasks=[Task("Read", TaskKind.SENSE)])],
-        components=[ComponentDecl("Watcher", required_software=["jboss"],
-                                  required_interfaces=["Probe"])],
-        applications=[ApplicationDecl("App", (0.0, 0.0), ["Watcher"])],
-    )
-    for key, value in overrides.items():
-        setattr(decls, key, value)
-    return decls
+BASE_BLOCKS = (
+    'system "t" {}',
+    'entity "post" { location = (1, 2) }',
+    'cloud "cloudy" { provides_software = ["jboss"] }',
+    'device "sensor" {\n  attached_to = "post"\n'
+    '  service "P" { interface = "Probe" protocol = "CoAP" }\n}',
+    'link "sensor" <-> "cloudy" { latency_ms = 1 distance_m = 5 }',
+    'contract "UseProbe" {\n  provider_interface = "Probe" consumer_interface = "ProbeClient"\n'
+    '  task "Read" = sense\n}',
+    'component "Watcher" { requires_software = ["jboss"] requires = ["Probe"] }',
+    'application "App" { region = (0, 0) components = ["Watcher"] }',
+)
+BASE = "\n".join(BASE_BLOCKS) + "\n"
 
 
-def issues_of(decls) -> list[str]:
-    with pytest.raises(ModelError) as err:
-        build_system(decls)
-    return [issue.message for issue in err.value.issues]
+def built(text):
+    model = parse_model(text, "<test>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    return model
+
+
+def issues_of(text) -> list[str]:
+    result = parse_model(text, "<test>")
+    assert isinstance(result, list) and all(d.code == "build" for d in result)
+    return [d.message for d in result]
 
 
 def test_build_happy_path():
-    model = build_system(base_decls())
+    model = built(BASE)
     assert model.name == "t"
     assert {p.name for p in model.platforms} == {"cloudy", "sensor"}
     device = model.platform("sensor")
@@ -53,94 +47,62 @@ def test_build_happy_path():
     assert device.energy.residual_energy_mah == 100.0
     assert isinstance(device.data_source, ConstantSource)
     assert model.component("Watcher").required_interfaces == ("Probe",)
-    assert model.application_of("Watcher").name == "App"
+    assert [app.name for app in model.applications if "Watcher" in app.component_names] == ["App"]
 
 
 def test_collections_are_name_sorted():
-    decls = base_decls()
-    decls.platforms.reverse()
-    model = build_system(decls)
+    model = built("\n".join(reversed(BASE_BLOCKS)))
     assert [p.name for p in model.platforms] == ["cloudy", "sensor"]
 
 
 def test_duplicate_names_rejected_per_category():
-    decls = base_decls()
-    decls.platforms.append(PlatformDecl("cloudy"))
-    messages = issues_of(decls)
+    messages = issues_of(BASE + 'cloud "cloudy" {}')
     assert any("cloudy" in m and "duplicate" in m.lower() for m in messages)
 
 
 def test_unknown_entity_reference():
-    decls = base_decls()
-    decls.platforms[1].attached_to = "ghost"
-    messages = issues_of(decls)
+    messages = issues_of(BASE.replace('attached_to = "post"', 'attached_to = "ghost"'))
     assert any("ghost" in m for m in messages)
 
 
 def test_component_must_belong_to_exactly_one_application():
-    decls = base_decls()
-    decls.applications = []
-    messages = issues_of(decls)
+    messages = issues_of(BASE.replace(BASE_BLOCKS[-1], ""))
     assert any("Watcher" in m for m in messages)
 
-    decls = base_decls()
-    decls.applications.append(ApplicationDecl("App2", (0.0, 0.0), ["Watcher"]))
-    messages = issues_of(decls)
+    messages = issues_of(BASE + 'application "App2" { region = (0, 0) components = ["Watcher"] }')
     assert any("Watcher" in m for m in messages)
 
 
 def test_application_unknown_component():
-    decls = base_decls()
-    decls.applications[0].component_names = ["Watcher", "Ghost"]
-    messages = issues_of(decls)
+    messages = issues_of(BASE.replace('components = ["Watcher"]', 'components = ["Watcher", "Ghost"]'))
     assert any("Ghost" in m for m in messages)
 
 
 def test_link_endpoints_must_exist_and_differ():
-    decls = base_decls()
-    decls.links.append(LinkDecl("cloudy", "nowhere", latency_ms=1.0))
-    messages = issues_of(decls)
+    messages = issues_of(BASE + 'link "cloudy" <-> "nowhere" { latency_ms = 1 }')
     assert any("nowhere" in m for m in messages)
 
-    decls = base_decls()
-    decls.links.append(LinkDecl("cloudy", "sensor", latency_ms=9.0))
-    messages = issues_of(decls)
+    messages = issues_of(BASE + 'link "cloudy" <-> "sensor" { latency_ms = 9 }')
     assert any("second link" in m or "duplicate" in m.lower() for m in messages)
 
 
 def test_device_without_battery_block_gets_generic_profile():
-    decls = base_decls()
-    decls.platforms[1].energy = None
-    model = build_system(decls)
-    profile = model.platform("sensor").energy
+    profile = built(BASE).platform("sensor").energy
     assert profile.battery_capacity_mah == 100.0
     assert profile.depletion_threshold_mah == 5.0
 
 
-def test_cloud_rejects_device_only_fields():
-    decls = base_decls()
-    decls.platforms[0].energy = EnergyDecl()
-    messages = issues_of(decls)
-    assert any("cloudy" in m for m in messages)
-
-
 def test_interface_declarations_enforced_when_present():
-    decls = base_decls()
-    decls.interfaces = [InterfaceDecl("Probe")]  # ProbeClient missing
-    messages = issues_of(decls)
+    messages = issues_of(BASE + 'interface "Probe" {}')  # ProbeClient missing
     assert any("ProbeClient" in m for m in messages)
 
-    decls = base_decls()
-    decls.interfaces = [InterfaceDecl("Probe"), InterfaceDecl("ProbeClient")]
-    model = build_system(decls)
+    model = built(BASE + 'interface "Probe" {}\ninterface "ProbeClient" {}')
     assert model.interfaces == ("Probe", "ProbeClient")
 
 
 def test_errors_are_collected_not_first_only():
-    decls = base_decls()
-    decls.platforms[1].attached_to = "ghost"
-    decls.applications[0].component_names = ["Watcher", "Ghost"]
-    messages = issues_of(decls)
+    text = BASE.replace('attached_to = "post"', 'attached_to = "ghost"')
+    messages = issues_of(text.replace('components = ["Watcher"]', 'components = ["Watcher", "Ghost"]'))
     assert len(messages) >= 2
 
 
@@ -163,12 +125,13 @@ def test_condition_render_uses_bare_ints():
 
 
 def test_non_device_platform_rejects_device_fields():
-    with pytest.raises(Exception):
-        # a direct constructor call, not via declarations
-        from iotdraw.model import Platform
-        Platform(name="x", tier=PlatformTier.CLOUD, location=GeoLocation(0, 0),
-                 cpu_frequency_ghz=1.0, provided_software=frozenset(),
-                 mtbf_hours=10.0, mttr_hours=1.0, attached_to="post")
+    device = built(BASE).platform("sensor")
+    for field in (dict(attached_to="post"), dict(energy=device.energy),
+                  dict(data_source=device.data_source)):
+        with pytest.raises(ModelError, match="device-only"):
+            Platform(name="x", tier=PlatformTier.CLOUD, location=GeoLocation(0, 0),
+                     cpu_frequency_ghz=1.0, provided_software=frozenset(),
+                     mtbf_hours=10.0, mttr_hours=1.0, **field)
 
 
 # routing ------------------------------------------------------------------
@@ -176,17 +139,12 @@ def test_non_device_platform_rejects_device_fields():
 
 def diamond_model(low_road=3.0):
     """a - b - d and a - c - d; the b road is the cheap one by default."""
-    decls = Declarations(
-        system=SystemDecl(name="diamond"),
-        platforms=[PlatformDecl(n, tier=PlatformTier.FOG) for n in "abcd"],
-        links=[
-            LinkDecl("a", "b", latency_ms=1.0),
-            LinkDecl("b", "d", latency_ms=low_road),
-            LinkDecl("a", "c", latency_ms=2.0),
-            LinkDecl("c", "d", latency_ms=10.0),
-        ],
-    )
-    return build_system(decls)
+    return built('system "diamond" {}\n'
+                 + "".join(f'fog "{n}" {{}}\n' for n in "abcd")
+                 + 'link "a" <-> "b" { latency_ms = 1 }\n'
+                 + f'link "b" <-> "d" {{ latency_ms = {low_road} }}\n'
+                 + 'link "a" <-> "c" { latency_ms = 2 }\n'
+                 + 'link "c" <-> "d" { latency_ms = 10 }\n')
 
 
 def test_shortest_path_picks_lower_latency():
@@ -210,11 +168,7 @@ def test_route_to_self_is_free():
 
 
 def test_unreachable_returns_none():
-    decls = Declarations(
-        system=SystemDecl(name="split"),
-        platforms=[PlatformDecl(n, tier=PlatformTier.FOG) for n in "ab"],
-    )
-    model = build_system(decls)
+    model = built('system "split" {}\nfog "a" {}\nfog "b" {}')
     assert route_between(model, "a", "b") is None
 
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from iotdraw import load_model, modelfmt, parse_model, serialize_model
 from iotdraw.model import (
-    CONDITION_OPS, FIELD_KINDS, ApplicationDecl, ComponentDecl, ConditionExpr, ConstantSource,
-    ContractDecl, Declarations, EnergyDecl, EntityDecl, EventRequest, ExecutionModuleDecl,
-    InterfaceDecl, LinkDecl, MessageField, ModelError, PeriodicRequest, PlatformDecl,
-    PlatformTier, ServicePort, SystemDecl, Task, TaskKind, TraceSource, UniformSource,
-    build_system,
+    CONDITION_OPS, FIELD_KINDS, Application, Component, ConditionExpr, ConstantSource,
+    DeviceEnergyProfile, EventRequest, ExecutionModuleDecl, GeoLocation, IoTSystemModel,
+    MessageField, MessageType, ModelError, NetworkLink, PeriodicRequest, PhysicalEntity,
+    Platform, PlatformTier, ServiceContract, ServicePort, SimConfig, Task, TaskKind,
+    TraceSource, UniformSource,
 )
 from iotdraw.modelfmt import condition_from_text
 
@@ -137,17 +137,18 @@ def test_numbers_too_large_for_a_float_are_rejected(number):
 
 def test_grammar_quotes_exactly_the_keywords_the_parser_accepts(monkeypatch, models_dir):
     doc = (Path(__file__).resolve().parents[1] / "docs" / "model-language.md").read_text("utf-8")
-    grammar = re.sub(r"#.*", "", doc.split("## Grammar", 1)[1].split("```")[1])
+    commented = doc.split("## Grammar", 1)[1].split("```")[1]
+    grammar = re.sub(r"#.*", "", commented)
     quoted = set(re.findall(r'"([A-Za-z_]+)"', grammar))
 
     # Every key each block offers, whether or not a text uses it ...
     keys = set()
     read_block = modelfmt._Parser.read_block
 
-    def spy(self, block, rows=(), target=None, special=None):
-        keys.update(key for key, _, _ in rows)
+    def spy(self, block, rows=(), special=None, fields=None):
+        keys.update(key for key, *_ in rows)
         keys.update(key.rstrip("*") for key in special or {})
-        return read_block(self, block, rows, target, special)
+        return read_block(self, block, rows, special, fields)
 
     monkeypatch.setattr(modelfmt._Parser, "read_block", spy)
     texts = [(models_dir / "padova_fw.iot").read_text("utf-8"), tiny_text()]
@@ -156,6 +157,38 @@ def test_grammar_quotes_exactly_the_keywords_the_parser_accepts(monkeypatch, mod
     # ... plus the block keywords and data sources these texts use, and the kinds.
     words = {t.text for text in texts for t in modelfmt._lex(text, "<test>") if t.kind == "ident"}
     assert quoted == keys | words | {kind.value for kind in TaskKind} | set(FIELD_KINDS)
+
+    # Each key's comment gives its default, as the serializer writes the row
+    # table's default, or marks it required: its row default is then a
+    # placeholder the constructor rejects.
+    documented = {}
+    production = None
+    for line in commented.splitlines():
+        if match := re.match(r"(\w+)\s*:=", line):
+            production = match[1]
+        if key := re.search(r'"(\w+)" "="', line):
+            note = re.fullmatch(r"default (.+)|(required)", line.rsplit(";", 1)[-1].split("#")[-1].strip())
+            assert note, line
+            documented[production, key[1]] = note[1] or note[2]
+    tables = {"system_attr": modelfmt._SYSTEM_ROWS, "em_attr": modelfmt._EXECUTION_MODULE_ROWS,
+              "entity_attr": modelfmt._ENTITY_ROWS, "platform_attr": modelfmt._DEVICE_ROWS,
+              "service": modelfmt._SERVICE_ROWS, "link_attr": modelfmt._LINK_ROWS,
+              "contract_attr": modelfmt._CONTRACT_ROWS, "application": modelfmt._APPLICATION_ROWS,
+              "component_attr": (modelfmt._COMPONENT_ROWS + modelfmt._PERIODIC_ROWS
+                                 + modelfmt._EVENT_ROWS),
+              **dict(modelfmt._ENERGY_BLOCKS)}
+    expected = {("platform_attr", "data"): modelfmt._fmt_source(modelfmt._DEFAULT_SOURCE)}
+    for production, rows in tables.items():
+        for key, _, kind, default in rows:
+            if documented.get((production, key)) == "required":
+                assert not default, (production, key)
+                expected[production, key] = "required"
+            elif default is None:
+                expected[production, key] = "none"
+            else:  # a point's default is a pair until it is built
+                value = GeoLocation(*default) if kind == "point" else default
+                expected[production, key] = modelfmt._WRITERS[kind](value)
+    assert documented == expected
 
 
 # conditions ----------------------------------------------------------------
@@ -243,43 +276,48 @@ def _names(low, high):
 
 
 @st.composite
-def declarations(draw) -> Declarations:
-    """Random but buildable declarations that use every key of the language."""
+def models(draw) -> IoTSystemModel:
+    """Random canonical models that use every key of the language."""
     pool = draw(_names(2, 5))
 
     def port(name):
         return ServicePort(name, draw(st.sampled_from(pool)), draw(_NAME))
 
-    system = SystemDecl(
-        name=draw(_TEXT), simulation_time=draw(st.integers(0, 10**9)),
-        tick_seconds=draw(_POSITIVE), rng_seed=draw(st.integers(-2**63, 2**64)),
-        execution_modules=[ExecutionModuleDecl(draw(_NAME), draw(_TEXT), draw(_TEXT))
-                           for _ in range(draw(st.integers(0, 2)))])
-    entities = [EntityDecl(name, draw(_POINT)) for name in draw(_names(0, 3))]
+    def point():
+        return GeoLocation(*draw(_POINT))
+
+    config = SimConfig(
+        simulation_time=draw(st.integers(0, 10**9)), tick_seconds=draw(_POSITIVE),
+        rng_seed=draw(st.integers(-2**63, 2**64)),
+        execution_modules=tuple(ExecutionModuleDecl(draw(_NAME), draw(_TEXT), draw(_TEXT))
+                                for _ in range(draw(st.integers(0, 2)))))
+    entities = [PhysicalEntity(name, point()) for name in draw(_names(0, 3))]
 
     platforms = []
     for name in draw(_names(1, 5)):
-        decl = PlatformDecl(
-            name, draw(st.sampled_from(PlatformTier)), location=draw(_POINT),
-            cpu_frequency_ghz=draw(_POSITIVE), provided_software=draw(st.lists(_TEXT, max_size=3)),
-            mtbf_hours=draw(_POSITIVE), mttr_hours=draw(_NON_NEGATIVE),
-            services=[port(service) for service in draw(_names(0, 2))])
-        if decl.tier is PlatformTier.DEVICE:
+        tier = draw(st.sampled_from(PlatformTier))
+        device = {}
+        if tier is PlatformTier.DEVICE:
             capacity = draw(_POSITIVE)
-            decl.energy = EnergyDecl(
-                battery_capacity_mah=capacity, supply_voltage_v=draw(_POSITIVE),
-                sense_current_ma=draw(_POSITIVE), sense_duration_ms=draw(_POSITIVE),
-                packet_kb=draw(_POSITIVE), e_elec_nj_per_bit=draw(_NON_NEGATIVE),
-                e_amp_pj_per_bit_m=draw(_NON_NEGATIVE), loss_exponent_n=draw(st.integers(1, 6)),
+            device["energy"] = DeviceEnergyProfile(
+                battery_capacity_mah=capacity, residual_energy_mah=capacity,
+                supply_voltage_v=draw(_POSITIVE), sense_current_ma=draw(_POSITIVE),
+                sense_duration_ms=draw(_POSITIVE), packet_kb=draw(_POSITIVE),
+                e_elec_nj_per_bit=draw(_NON_NEGATIVE), e_amp_pj_per_bit_m=draw(_NON_NEGATIVE),
+                loss_exponent_n=draw(st.integers(1, 6)),
                 depletion_threshold_mah=draw(st.floats(0.0, capacity, exclude_max=True)))
-            decl.data_source = draw(_SOURCE)
+            device["data_source"] = draw(_SOURCE)
             if entities:
-                decl.attached_to = draw(st.none() | st.sampled_from([e.name for e in entities]))
-        platforms.append(decl)
+                device["attached_to"] = draw(st.none() | st.sampled_from([e.name for e in entities]))
+        platforms.append(Platform(
+            name, tier, point(), cpu_frequency_ghz=draw(_POSITIVE),
+            provided_software=frozenset(draw(st.lists(_TEXT, max_size=3))),
+            mtbf_hours=draw(_POSITIVE), mttr_hours=draw(_NON_NEGATIVE),
+            services=tuple(port(service) for service in draw(_names(0, 2))), **device))
 
-    pairs = list(combinations([p.name for p in platforms], 2))
-    links = [LinkDecl(*(pair if draw(st.booleans()) else pair[::-1]), protocol=draw(_NAME),
-                      latency_ms=draw(_NON_NEGATIVE), distance_m=draw(_POSITIVE))
+    pairs = list(combinations(sorted(p.name for p in platforms), 2))
+    links = [NetworkLink(*pair, protocol=draw(_NAME), latency_ms=draw(_NON_NEGATIVE),
+                         distance_m=draw(_POSITIVE))
              for pair in (draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
                           if pairs else [])]
 
@@ -287,19 +325,20 @@ def declarations(draw) -> Declarations:
     for name in draw(_names(0, 3)):
         provider, consumer = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2,
                                            unique=True))
-        contracts.append(ContractDecl(
+        contracts.append(ServiceContract(
             name, provider, consumer,
-            tasks=[Task(task, draw(st.sampled_from(TaskKind))) for task in draw(_names(1, 3))],
-            message_name=draw(st.sampled_from(["", f"{name}Message"]) | _NAME),
-            message_fields=[MessageField(f, draw(st.sampled_from(FIELD_KINDS)))
-                            for f in draw(_names(0, 3))]))
+            tasks=tuple(Task(task, draw(st.sampled_from(TaskKind))) for task in draw(_names(1, 3))),
+            message_type=MessageType(
+                draw(st.sampled_from([f"{name}Message"]) | _NAME),
+                tuple(MessageField(f, draw(st.sampled_from(FIELD_KINDS)))
+                      for f in draw(_names(0, 3))))))
 
     condition = st.builds(ConditionExpr, st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
                           st.sampled_from(CONDITION_OPS), _NUMBER)
-    components = [ComponentDecl(
+    components = [Component(
         name, mean_cpu_demand_cycles=draw(_POSITIVE),
-        required_software=draw(st.lists(_TEXT, max_size=3)),
-        required_interfaces=draw(st.lists(st.sampled_from(pool), max_size=3)),
+        required_software=frozenset(draw(st.lists(_TEXT, max_size=3))),
+        required_interfaces=tuple(sorted(set(draw(st.lists(st.sampled_from(pool), max_size=3))))),
         provided_service=draw(st.none() | st.just(name).map(port)),
         periodic_request=draw(st.none() | st.builds(PeriodicRequest, _TEXT, st.integers(1, 10**6))),
         event_request=draw(st.none() | st.builds(EventRequest, _TEXT, condition)))
@@ -308,21 +347,24 @@ def declarations(draw) -> Declarations:
     # Every component belongs to exactly one application, in a drawn order.
     app_names = draw(_names(1, len(components)))
     owners = [draw(st.sampled_from(app_names)) for _ in components]
-    applications = [ApplicationDecl(app, draw(_POINT), [c.name for c, owner in
-                                                        zip(components, owners) if owner == app])
+    applications = [Application(app, point(), tuple(draw(st.permutations(
+                        [c for c, owner in zip(components, owners) if owner == app]))))
                     for app in app_names if app in owners]
-    for app in applications:
-        app.component_names = draw(st.permutations(app.component_names))
 
-    interfaces = [InterfaceDecl(name) for name in pool] if draw(st.booleans()) else []
-    return Declarations(system, entities, interfaces, platforms, contracts, components,
-                        applications, links)
+    def by_name(items):
+        return tuple(sorted(items, key=lambda item: item.name))
+
+    return IoTSystemModel(
+        draw(_TEXT), platforms=by_name(platforms),
+        networks=tuple(sorted(links, key=lambda l: (l.endpoint_a, l.endpoint_b))),
+        applications=by_name(applications), contracts=by_name(contracts),
+        physical_entities=by_name(entities),
+        interfaces=tuple(sorted(pool)) if draw(st.booleans()) else (), sim_config=config)
 
 
 @settings(max_examples=200, deadline=None)
-@given(decls=declarations())
-def test_round_trip_over_generated_models(decls):
-    model = build_system(decls)
+@given(model=models())
+def test_round_trip_over_generated_models(model):
     text = serialize_model(model)
     assert parsed(text) == model
     assert serialize_model(parsed(text)) == text
