@@ -51,7 +51,7 @@ _OP_ALIASES = {"==": "=", "≤": "<=", "≥": ">=", "≠": "!="}
 
 _TASK_KINDS = tuple(k.value for k in TaskKind)
 
-# The categories of top-level blocks; names are unique within each but links'.
+# The categories of top-level blocks, in the order their issues are reported.
 _CATEGORIES = ("system", "entity", "interface", "platform", "contract", "component",
                "application", "link")
 
@@ -65,8 +65,7 @@ _CATEGORIES = ("system", "entity", "interface", "platform", "contract", "compone
 # without repeats, and both are written sorted; a "list" keeps its own
 # order.  A "point" stays a pair until ``build_system`` makes it a
 # GeoLocation.  A "condition" is read as text and checked once its block
-# closes.  A default of "" marks a key a model must give: the constructor
-# rejects the empty value.
+# closes.  A required key's default is a placeholder its constructor rejects.
 
 _SYSTEM_ROWS = (
     ("simulation_time", "simulation_time", "int", 0),
@@ -270,8 +269,9 @@ class _Parser:
             return self.read_pair()
         if kind in ("set", "sorted", "list"):
             names = self.read_list(lambda: self.read_string("a quoted name"))
-            return (frozenset(names) if kind == "set" else
-                    tuple(sorted(set(names))) if kind == "sorted" else tuple(names))
+            if kind == "set":
+                return frozenset(names)
+            return tuple(sorted(set(names))) if kind == "sorted" else tuple(names)
         return self.read_string(key)  # "string", and "condition" as its text
 
     def read_data_source(self) -> DataSource:
@@ -397,10 +397,9 @@ class _Parser:
         name, span = self.read_name("a platform name")
         services = []
         special = {"service*": lambda: services.append(self.read_service_port())}
-        rows = _PLATFORM_ROWS
-        fields = {"tier": tier}
+        rows = _DEVICE_ROWS if tier is PlatformTier.DEVICE else _PLATFORM_ROWS
+        fields = {"tier": tier, **_defaults(rows)}
         if tier is PlatformTier.DEVICE:
-            rows = _DEVICE_ROWS
             energy = fields["energy"] = {}
             for block, block_rows in _ENERGY_BLOCKS:
                 energy.update(_defaults(block_rows))
@@ -412,7 +411,6 @@ class _Parser:
                 fields["data_source"] = self.read_data_source()
 
             special["data"] = data
-        fields.update(_defaults(rows))
         self.read_block(tier.value, rows, special, fields)
         return name, span, dict(fields, services=tuple(services))
 
@@ -508,7 +506,7 @@ def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
     Raises :class:`ModelError` carrying every issue found.
     """
     issues: list[BuildIssue] = []
-    for category in _CATEGORIES[1:-1]:
+    for category in _CATEGORIES[1:-1]:  # the system is single and links have no name
         seen: set[str] = set()
         for name, span, _ in blocks[category]:
             if name in seen:
