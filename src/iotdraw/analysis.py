@@ -1,20 +1,21 @@
 """Design-space analyses over a validated model.
 
-Deployment enumeration walks every assignment of components to
-platforms, keeps the ones where each host carries the component's
-required software and every consumed service stays reachable over the
-network (crossing a protocol boundary only where a fog can translate),
-and numbers the survivors in lexicographic order.  The metric functions
-then score a scenario by joint platform availability and by worst-case
-response time, and lifetime sweeps measure how a device's battery
-horizon moves as a request interval or freshness window changes.
+Deployment enumeration is a depth-first search that places components
+in name order, each on its software-eligible hosts in name order, so
+scenarios come out, and are numbered from 1, in the lexicographic order
+of their assignments.  Each dependency edge is checked as soon as both
+of its endpoints are placed, in the edge's table of host pairs
+(``validate.edge_table``): the provider must be reachable and the ports
+able to interact, crossing a protocol boundary only where a fog can
+translate.  Scoring sums the same tables' costs into a worst-case
+response time and multiplies platform availabilities, and lifetime
+sweeps measure how a device's battery horizon moves as a request
+interval or freshness window changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import math
 import statistics
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .energy import lifetime_closed_form
 from .engine import FreshnessPolicy, gateway_uplink, run_simulation
 from .model import Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier
 from .rng import SplitMix64, derive_seed
-from .validate import dependency_edges, edge_allows, eligible_hosts, route_between, task_binding
+from .validate import dependency_edges, edge_fact, edge_table, eligible_hosts, task_binding
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,6 @@ class DeploymentScenario:
         return dict(self.assignment)
 
 
-def _provider_host(edge, assignment: dict[str, str]) -> str:
-    """Where an edge's provider runs under an assignment."""
-    return edge.provider if edge.provider_kind == "platform" else assignment[edge.provider]
-
-
 def enumerate_deployments(model: IoTSystemModel) -> list[DeploymentScenario]:
     """All deployment scenarios that satisfy software and connectivity needs.
 
@@ -63,20 +59,39 @@ def enumerate_deployments(model: IoTSystemModel) -> list[DeploymentScenario]:
             return []
         pools.append(pool)
 
-    edges = dependency_edges(model)
-    names = [c.name for c in components]
+    # An edge between two components is checked at the depth of whichever
+    # is placed later; one to a platform narrows its consumer's pool.
+    depth_of = {c.name: depth for depth, c in enumerate(components)}
+    checks: list[list[tuple[int, int, set[tuple[str, str]]]]] = [[] for _ in components]
+    for edge in dependency_edges(model):
+        table = edge_table(model, edge)
+        consumer = depth_of[edge.consumer]
+        if edge.provider_kind == "platform":
+            pools[consumer] = [host for host in pools[consumer]
+                               if table[host, edge.provider].allowed]
+        else:
+            provider = depth_of[edge.provider]
+            allowed = {pair for pair, fact in table.items() if fact.allowed}
+            checks[max(consumer, provider)].append((consumer, provider, allowed))
+
+    # Scenarios share their (component, platform) pairs.
+    choices = [[(c.name, host) for host in pool] for c, pool in zip(components, pools)]
+    chosen = [("", "")] * len(components)
     scenarios = []
-    for choice in itertools.product(*pools):
-        assignment = dict(zip(names, choice))
-        for edge in edges:
-            if not edge_allows(model, edge, assignment[edge.consumer],
-                               _provider_host(edge, assignment)):
+    stack = [iter(choices[0])]
+    while stack:
+        depth = len(stack) - 1
+        for pair in stack[-1]:
+            chosen[depth] = pair
+            if all((chosen[c][1], chosen[p][1]) in allowed for c, p, allowed in checks[depth]):
                 break
         else:
-            scenarios.append(DeploymentScenario(
-                id=len(scenarios) + 1,
-                assignment=tuple(sorted(assignment.items())),
-            ))
+            stack.pop()
+            continue
+        if len(stack) == len(choices):
+            scenarios.append(DeploymentScenario(len(scenarios) + 1, tuple(chosen)))
+        else:
+            stack.append(iter(choices[depth + 1]))
     return scenarios
 
 
@@ -87,49 +102,43 @@ def platform_availability(platform) -> float:
 
 def scenario_availability(model: IoTSystemModel, scenario: DeploymentScenario) -> float:
     """Joint availability: product over the distinct platforms actually used."""
-    used = sorted({platform for _, platform in scenario.assignment})
+    return _joint_availability(model, {platform for _, platform in scenario.assignment})
+
+
+def _joint_availability(model: IoTSystemModel, platforms) -> float:
     result = 1.0
-    for name in used:
+    for name in sorted(platforms):
         result *= platform_availability(model.platform(name))
     return result
-
-
-def _processing_time_ms(model: IoTSystemModel, edge, assignment: dict[str, str]) -> float:
-    """Time the provider spends producing its answer."""
-    if edge.provider_kind == "component":
-        component = model.component(edge.provider)
-        host = model.platform(assignment[edge.provider])
-        return component.mean_cpu_demand_cycles / (host.cpu_frequency_ghz * 1e9) * 1000.0
-    platform = model.platform(edge.provider)
-    if platform.tier is PlatformTier.DEVICE:
-        return platform.energy.sense_duration_ms
-    return 0.0
-
-
-def _response_time(model: IoTSystemModel, edges, assignment: dict[str, str]) -> float:
-    """Sum of network latency plus provider processing time over all
-    service dependencies; infinite when some provider is unreachable."""
-    total = 0.0
-    for edge in edges:
-        route = route_between(model, assignment[edge.consumer], _provider_host(edge, assignment))
-        if route is None:
-            return math.inf
-        total += route.latency_ms + _processing_time_ms(model, edge, assignment)
-    return total
 
 
 def evaluate_scenarios(model: IoTSystemModel,
                        scenarios: list[DeploymentScenario] | None = None
                        ) -> list[DeploymentScenario]:
-    """Fill in availability and response time for each scenario."""
+    """Fill in availability and response time for each scenario.
+
+    Response time sums, over the dependency edges in order, the latency of
+    the route to the provider plus the provider's processing time; it is
+    infinite when some provider is unreachable.
+    """
     if scenarios is None:
         scenarios = enumerate_deployments(model)
-    edges = dependency_edges(model)
-    return [dataclasses.replace(
-        s,
-        availability=scenario_availability(model, s),
-        response_time_ms=_response_time(model, edges, s.assignment_map()),
-    ) for s in scenarios]
+    terms = [(edge_table(model, edge), edge, edge.consumer, edge.provider,
+              edge.provider_kind == "component") for edge in dependency_edges(model)]
+    availabilities: dict[frozenset[str], float] = {}
+    evaluated = []
+    for s in scenarios:
+        hosts = dict(s.assignment)
+        total = 0.0
+        for table, edge, consumer, provider, placed in terms:
+            pair = (hosts[consumer], hosts[provider] if placed else provider)
+            total += (table.get(pair) or edge_fact(model, edge, *pair)).cost_ms
+        used = frozenset(hosts.values())
+        availability = availabilities.get(used)
+        if availability is None:
+            availability = availabilities[used] = _joint_availability(model, used)
+        evaluated.append(DeploymentScenario(s.id, s.assignment, availability, total))
+    return evaluated
 
 
 RANK_METRICS = ("availability", "response-time")

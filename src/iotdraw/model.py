@@ -44,9 +44,14 @@ class BuildIssue:
     span: SourceSpan | None = None
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, subject: str = "") -> None:
+    """Reject with ``message`` unless ``condition`` holds.
+
+    ``subject`` is the name the message already gives, so that a caller
+    adding the name as context does not repeat it.
+    """
     if not condition:
-        raise ModelError(message)
+        raise ModelError([BuildIssue(message, subject)])
 
 
 def format_number(value: float) -> str:
@@ -175,8 +180,8 @@ class ServicePort:
 
     def __post_init__(self):
         _require(bool(self.name), "service port needs a name")
-        _require(bool(self.interface), f"service port {self.name} needs an interface")
-        _require(bool(self.protocol), f"service port {self.name} needs a protocol")
+        _require(bool(self.interface), f"service port {self.name} needs an interface", self.name)
+        _require(bool(self.protocol), f"service port {self.name} needs a protocol", self.name)
 
 
 @dataclass(frozen=True)
@@ -203,15 +208,16 @@ class Platform:
 
     def __post_init__(self):
         _require(bool(self.name), "platform needs a name")
-        _require(self.cpu_frequency_ghz > 0, f"{self.name}: CPU frequency must be positive")
-        _require(self.mtbf_hours > 0, f"{self.name}: MTBF must be positive")
-        _require(self.mttr_hours >= 0, f"{self.name}: MTTR must be non-negative")
+        _require(self.cpu_frequency_ghz > 0, f"{self.name}: CPU frequency must be positive", self.name)
+        _require(self.mtbf_hours > 0, f"{self.name}: MTBF must be positive", self.name)
+        _require(self.mttr_hours >= 0, f"{self.name}: MTTR must be non-negative", self.name)
         if self.tier is PlatformTier.DEVICE:
-            _require(self.energy is not None, f"device {self.name} needs an energy profile")
-            _require(self.data_source is not None, f"device {self.name} needs a data source")
+            _require(self.energy is not None, f"device {self.name} needs an energy profile", self.name)
+            _require(self.data_source is not None, f"device {self.name} needs a data source", self.name)
         else:
             _require(self.attached_to is None and self.energy is None and self.data_source is None,
-                     f"{self.name}: entity attachment, energy, and data source are device-only")
+                     f"{self.name}: entity attachment, energy, and data source are device-only",
+                     self.name)
 
 
 @dataclass(frozen=True)
@@ -291,11 +297,13 @@ class ServiceContract:
     message_type: MessageType
 
     def __post_init__(self):
-        _require(bool(self.provider_interface), f"contract {self.name} needs a provider interface")
-        _require(bool(self.consumer_interface), f"contract {self.name} needs a consumer interface")
+        _require(bool(self.provider_interface), f"contract {self.name} needs a provider interface",
+                 self.name)
+        _require(bool(self.consumer_interface), f"contract {self.name} needs a consumer interface",
+                 self.name)
         _require(self.provider_interface != self.consumer_interface,
-                 f"contract {self.name}: conjugate interfaces must differ")
-        _require(len(self.tasks) > 0, f"contract {self.name} needs at least one task")
+                 f"contract {self.name}: conjugate interfaces must differ", self.name)
+        _require(len(self.tasks) > 0, f"contract {self.name} needs at least one task", self.name)
 
     def task(self, name: str) -> Task | None:
         for t in self.tasks:
@@ -354,7 +362,7 @@ class Component:
 
     def __post_init__(self):
         _require(bool(self.name), "component needs a name")
-        _require(self.mean_cpu_demand_cycles > 0, f"{self.name}: CPU demand must be positive")
+        _require(self.mean_cpu_demand_cycles > 0, f"{self.name}: CPU demand must be positive", self.name)
 
 
 @dataclass(frozen=True)
@@ -364,7 +372,8 @@ class Application:
     components: tuple[Component, ...]
 
     def __post_init__(self):
-        _require(len(self.components) > 0, f"application {self.name} needs at least one component")
+        _require(len(self.components) > 0, f"application {self.name} needs at least one component",
+                 self.name)
 
     @property
     def component_names(self) -> tuple[str, ...]:

@@ -518,11 +518,14 @@ def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
 
     def guard(make, subject: str, span: SourceSpan):
         # Collect constructor rejections instead of stopping at the first.
+        # The subject is named once: some messages give it already.
         try:
             return make()
         except ModelError as exc:
             for issue in exc.issues:
-                issues.append(BuildIssue(f"{subject}: {issue.message}", subject, span))
+                named = issue.subject or not subject
+                issues.append(BuildIssue(issue.message if named else f"{subject}: {issue.message}",
+                                         subject, span))
             return None
 
     # When the model declares interfaces explicitly, every interface name
@@ -587,8 +590,11 @@ def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
             claimed[cname] = name
             if cname in components:
                 members.append(components[cname])
-        applications.append(guard(
-            lambda: Application(name, GeoLocation(*fields["region"]), tuple(members)), name, span))
+        # An application left empty only by members already reported is
+        # not built, so its own check does not report them again.
+        if members or not fields["component_names"]:
+            applications.append(guard(
+                lambda: Application(name, GeoLocation(*fields["region"]), tuple(members)), name, span))
     for cname in sorted(component_names - set(claimed)):
         issues.append(BuildIssue(f"component {cname!r} belongs to no application", cname))
 

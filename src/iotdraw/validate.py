@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import ERROR, WARNING, Diagnostic, SourceSpan
 from .model import (
@@ -179,20 +181,66 @@ def route_between(model: IoTSystemModel, source: str, target: str) -> Route | No
     return route
 
 
-def edge_allows(model: IoTSystemModel, edge: DependencyEdge, consumer_host: str,
-                provider_host: str) -> bool:
-    """Whether an edge works with its consumer and provider on these platforms.
+class EdgeFact(NamedTuple):
+    """What one dependency edge gives with its consumer and provider on two platforms."""
 
-    The provider's platform must be reachable from the consumer's, and
-    the two ports must be able to interact over the route.
+    allowed: bool  # reachable, and the two ports can interact over the route
+    cost_ms: float  # route latency plus the provider's processing time; inf when unreachable
+
+
+def edge_fact(model: IoTSystemModel, edge: DependencyEdge, consumer_host: str,
+              provider_host: str) -> EdgeFact:
+    """The edge's verdict and cost with its consumer and provider on these platforms.
+
+    The verdict needs the provider's platform reachable from the
+    consumer's and the two ports able to interact over the route.  A pair
+    outside the edge's table is worked out the same way and cached too.
     """
-    if consumer_host == provider_host:
-        return True
+    fact = edge_table(model, edge).get((consumer_host, provider_host))
+    if fact is None:
+        fact = model.derived(_edge_fact, edge, consumer_host, provider_host)
+    return fact
+
+
+def edge_table(model: IoTSystemModel, edge: DependencyEdge) -> dict[tuple[str, str], EdgeFact]:
+    """``edge_fact`` for every (consumer host, provider host) pair of eligible hosts.
+
+    A platform provider has its own platform as its only host.  Computed
+    once per edge and model object.
+    """
+    return model.derived(_edge_table, edge)
+
+
+def _edge_table(model: IoTSystemModel, edge: DependencyEdge) -> dict[tuple[str, str], EdgeFact]:
+    # The pools are read from the cache rather than through eligible_hosts:
+    # perfbench counts a deployment space from the eligible_hosts calls that
+    # enumerate_deployments makes itself.
+    def pool(name: str) -> list[str]:
+        return [p.name for p in model.derived(_hosts_providing,
+                                              model.component(name).required_software)]
+
+    providers = pool(edge.provider) if edge.provider_kind == "component" else [edge.provider]
+    return {(consumer_host, provider_host): _edge_fact(model, edge, consumer_host, provider_host)
+            for consumer_host in pool(edge.consumer) for provider_host in providers}
+
+
+def _edge_fact(model: IoTSystemModel, edge: DependencyEdge, consumer_host: str,
+               provider_host: str) -> EdgeFact:
     route = route_between(model, consumer_host, provider_host)
     if route is None:
-        return False
-    return edge.consumer_port is None or check_protocol_bridge(
-        model, edge.consumer_port, edge.provider_port, route.path)
+        return EdgeFact(False, math.inf)
+    allowed = (consumer_host == provider_host or edge.consumer_port is None
+               or check_protocol_bridge(model, edge.consumer_port, edge.provider_port, route.path))
+    return EdgeFact(allowed, route.latency_ms + _processing_time_ms(model, edge, provider_host))
+
+
+def _processing_time_ms(model: IoTSystemModel, edge: DependencyEdge, provider_host: str) -> float:
+    """Time the provider spends producing its answer."""
+    host = model.platform(provider_host)
+    if edge.provider_kind == "component":
+        cycles = model.component(edge.provider).mean_cpu_demand_cycles
+        return cycles / (host.cpu_frequency_ghz * 1e9) * 1000.0
+    return host.energy.sense_duration_ms if host.tier is PlatformTier.DEVICE else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -336,20 +384,15 @@ def validate_model(model: IoTSystemModel, path: str | None = None) -> Validation
                       f"periodic sample in application {app.name!r} delivers")
 
     # Consumers must be able to reach their providers under the protocol
-    # rules from at least one software-eligible host.
+    # rules from at least one pair of software-eligible hosts.
     for component in model.all_components():
         if not eligible_hosts(model, component):
             warning("no-eligible-host",
                     f"no platform provides the software component {component.name!r} requires")
 
     for edge in dependency_edges(model):
-        hosts = eligible_hosts(model, model.component(edge.consumer))
-        if edge.provider_kind == "platform":
-            targets = [edge.provider]
-        else:
-            targets = [p.name for p in eligible_hosts(model, model.component(edge.provider))]
-        if hosts and not any(edge_allows(model, edge, host.name, target)
-                             for host in hosts for target in targets):
+        if eligible_hosts(model, model.component(edge.consumer)) and not any(
+                fact.allowed for fact in edge_table(model, edge).values()):
             error("protocol-unroutable",
                   f"component {edge.consumer!r} cannot reach provider {edge.provider!r} of interface "
                   f"{edge.interface!r} from any eligible host under the protocol rules")

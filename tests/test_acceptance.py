@@ -7,7 +7,6 @@ arithmetic.
 """
 
 import dataclasses
-import json
 import math
 import random
 import time
@@ -27,7 +26,7 @@ from iotdraw.model import ExecutionModuleDecl, PlatformTier
 
 from conftest import (
     alarmed_model, random_placement_model, reference_availability,
-    reference_response_time, reference_scenarios, tiny_model,
+    reference_response_time, reference_scenarios, thousand_scenario_model, tiny_model,
 )
 
 
@@ -293,40 +292,6 @@ def test_criterion_08_freshness_extends_lifetime(capfd, freshness_model):
         assert low is not None and high is not None
         assert high >= 1.4 * low
         assert time.perf_counter() - start < 10.0
-
-
-def thousand_scenario_model():
-    """Twelve components over fifty platforms, 2^10 eligible placements.
-
-    Ten components can live on either of two hosts, two are pinned, and
-    every host reaches the shared service hub over its own link.  The
-    spare platforms advertise software nobody wants.
-    """
-    blocks = ['system "scale" {}',
-              'cloud "core" {\n  cpu_ghz = 3 provides_software = ["base"]\n'
-              '  mtbf_hours = 2000 mttr_hours = 2\n'
-              '  service "hub" { interface = "Hub" protocol = "HTTP" }\n}',
-              'contract "UseHub" {\n  provider_interface = "Hub" consumer_interface = "HubClient"\n'
-              '  task "CallHub" = compute\n}']
-    platforms = 1
-    components = []
-    latency = 0.5
-    for index in range(12):
-        token = f"sw{index:02d}"
-        for copy in range(2 if index < 10 else 1):
-            name = f"host_{index:02d}_{copy}"
-            blocks.append(f'fog "{name}" {{ cpu_ghz = 1.6 provides_software = ["{token}"] '
-                          f'mtbf_hours = {900 + index * 10 + copy} mttr_hours = {20 + copy} }}')
-            platforms += 1
-            latency += 1.37
-            blocks.append(f'link "{name}" <-> "core" {{ protocol = "HTTP" latency_ms = {latency!r} }}')
-        components.append(f"comp_{index:02d}")
-        blocks.append(f'component "comp_{index:02d}" {{ cpu_demand_cycles = {100 * (index + 1)} '
-                      f'requires_software = ["{token}"] requires = ["Hub"] }}')
-    blocks += [f'fog "spare_{index:02d}" {{ provides_software = ["idle{index}"] }}'
-               for index in range(50 - platforms)]
-    blocks.append(f'application "app" {{ components = {json.dumps(components)} }}')
-    return built("\n".join(blocks))
 
 
 def test_criterion_09_scale_run(capfd):

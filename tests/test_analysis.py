@@ -14,7 +14,7 @@ from iotdraw import (
 
 from conftest import (
     random_placement_model, reference_availability, reference_response_time,
-    reference_scenarios, tiny_text,
+    reference_scenarios, thousand_scenario_model, tiny_text,
 )
 
 
@@ -96,6 +96,89 @@ def test_availability_counts_each_platform_once(padova_model):
     assert scenario_availability(padova_model, shared) == pytest.approx(av_m, rel=1e-12)
     assert scenario_availability(padova_model, split) == pytest.approx(av_m * av_s,
                                                                        rel=1e-12)
+
+
+# Client (CoAP) consumes Provider (HTTP).  Both need software "x": a, b and
+# far carry it, c does not.  a and b are clouds one link apart, so the
+# protocols cannot be bridged between them; far has no link at all.
+HAND_BUILT_TEXT = """
+system "hand_built" {}
+cloud "a" { cpu_ghz = 2 provides_software = ["x"] mtbf_hours = 1000 mttr_hours = 10 }
+cloud "b" { cpu_ghz = 4 provides_software = ["x"] mtbf_hours = 1500 mttr_hours = 5 }
+cloud "c" { cpu_ghz = 1 provides_software = ["y"] mtbf_hours = 800 mttr_hours = 40 }
+cloud "far" { cpu_ghz = 1 provides_software = ["x"] mtbf_hours = 900 mttr_hours = 9 }
+link "a" <-> "b" { protocol = "IP" latency_ms = 5.5 }
+link "a" <-> "c" { protocol = "IP" latency_ms = 7.25 }
+contract "UseSvc" { provider_interface = "Svc" consumer_interface = "SvcClient"
+  task "Call" = compute }
+contract "Publish" { provider_interface = "Out" consumer_interface = "OutClient"
+  task "Emit" = compute }
+component "Client" { requires_software = ["x"] requires = ["Svc"]
+  service "ClientOut" { interface = "Out" protocol = "CoAP" } }
+component "Provider" { cpu_demand_cycles = 3000 requires_software = ["x"]
+  service "P" { interface = "Svc" protocol = "HTTP" } }
+application "app" { components = ["Client", "Provider"] }
+"""
+
+
+def test_hand_built_scenarios_score_every_pair_the_same_way():
+    model = parse_model(HAND_BUILT_TEXT, "<hand-built>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    # Only co-located placements pass the protocol rule.
+    assert [s.assignment for s in enumerate_deployments(model)] == [
+        (("Client", "a"), ("Provider", "a")), (("Client", "b"), ("Provider", "b")),
+        (("Client", "far"), ("Provider", "far"))]
+    not_allowed = DeploymentScenario(1, (("Client", "a"), ("Provider", "b")))
+    unreachable = DeploymentScenario(2, (("Client", "far"), ("Provider", "a")))
+    outside_pool = DeploymentScenario(3, (("Client", "c"), ("Provider", "a")))
+    scored = evaluate_scenarios(model, [not_allowed, unreachable, outside_pool])
+    assert [s.id for s in scored] == [1, 2, 3]
+    # A routable pair scores its latency plus processing, allowed or not.
+    assert scored[0].response_time_ms == 5.5 + 3000 / (4 * 1e9) * 1000.0
+    assert math.isinf(scored[1].response_time_ms)
+    assert scored[2].response_time_ms == 7.25 + 3000 / (2 * 1e9) * 1000.0
+    a, b, c, far = (platform_availability(model.platform(n)) for n in ("a", "b", "c", "far"))
+    assert [s.availability for s in scored] == [1.0 * a * b, 1.0 * a * far, 1.0 * a * c]
+    # Scoring the same scenarios again gives the same figures.
+    assert evaluate_scenarios(model, [not_allowed, unreachable, outside_pool]) == scored
+
+
+@pytest.mark.parametrize("make_model", [thousand_scenario_model,
+                                        lambda: random_placement_model(19)],
+                         ids=["criterion-09", "placement-seed-19"])
+def test_deployment_work_is_bounded_by_eligible_host_pairs(monkeypatch, make_model):
+    """Route and protocol checks run once per eligible (edge, consumer host,
+    provider host) triple, however many candidates the pools multiply to.
+
+    The criterion-09 consumers have no service port, so only their route
+    look-ups are counted there; placement seed 19 checks protocols.
+    """
+    import iotdraw.analysis
+    import iotdraw.validate
+    from iotdraw.validate import dependency_edges, eligible_hosts
+
+    model = make_model()
+    calls = {"check_protocol_bridge": 0, "route_between": 0}
+    for name in calls:
+        original = getattr(iotdraw.validate, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (iotdraw.validate, iotdraw.analysis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    evaluated = evaluate_scenarios(model, enumerate_deployments(model))
+    assert evaluated
+    triples = 0
+    for edge in dependency_edges(model):
+        consumers = len(eligible_hosts(model, model.component(edge.consumer)))
+        providers = (len(eligible_hosts(model, model.component(edge.provider)))
+                     if edge.provider_kind == "component" else 1)
+        triples += consumers * providers
+    assert calls["check_protocol_bridge"] <= triples
+    assert calls["route_between"] <= triples
 
 
 def test_rank_by_availability(padova_model):

@@ -202,6 +202,7 @@ CASES = [
     ("component-in-no-application", tiny_text() + WATCHER_TWO),
     ("components-in-no-application-sorted",
      tiny_text() + WATCHER_TWO + WATCHER_TWO.replace("Watcher2", "Watcher0")),
+    ("application-of-dangling-components", tiny(('components = ["Watcher"]', 'components = ["Ghost"]'))),
     # links
     ("duplicate-link-reversed", tiny_text() + 'link "hub" <-> "probe_1" {\n  latency_ms = 9\n}'),
     ("link-to-itself", tiny_text() + 'link "hub" <-> "hub" {}'),
@@ -452,9 +453,9 @@ EXPECTED = {
     'duplicate-contract':
         "error: [build] duplicate identifier: contract 'RequestProbe' (<golden>:76:10)",
     'duplicate-component':
-        "error: [build] duplicate identifier: component 'Watcher' (<golden>:76:11)\nerror: [build] component 'Watcher' belongs to both 'TinyApp' and 'Other' (<golden>:77:13)\nerror: [build] Other: application Other needs at least one component (<golden>:77:13)",
+        "error: [build] duplicate identifier: component 'Watcher' (<golden>:76:11)\nerror: [build] component 'Watcher' belongs to both 'TinyApp' and 'Other' (<golden>:77:13)",
     'duplicate-application':
-        "error: [build] duplicate identifier: application 'TinyApp' (<golden>:76:13)\nerror: [build] TinyApp: application TinyApp needs at least one component (<golden>:76:13)",
+        "error: [build] duplicate identifier: application 'TinyApp' (<golden>:76:13)\nerror: [build] application TinyApp needs at least one component (<golden>:76:13)",
     'dangling-entity':
         "error: [build] dangling reference: 'ghost' (entity of device probe_1) (<golden>:20:8)",
     'dangling-component':
@@ -472,11 +473,13 @@ EXPECTED = {
     'dangling-link-both-endpoints':
         "error: [build] dangling reference: platform 'here' (link endpoint) (<golden>:76:6)\nerror: [build] dangling reference: platform 'there' (link endpoint) (<golden>:76:6)",
     'component-in-two-applications':
-        "error: [build] component 'Watcher' belongs to both 'TinyApp' and 'Second' (<golden>:76:13)\nerror: [build] Second: application Second needs at least one component (<golden>:76:13)",
+        "error: [build] component 'Watcher' belongs to both 'TinyApp' and 'Second' (<golden>:76:13)",
     'component-in-no-application':
         "error: [build] component 'Watcher2' belongs to no application (<golden>:1:1)",
     'components-in-no-application-sorted':
         "error: [build] component 'Watcher0' belongs to no application (<golden>:1:1)\nerror: [build] component 'Watcher2' belongs to no application (<golden>:1:1)",
+    'application-of-dangling-components':
+        "error: [build] dangling reference: component 'Ghost' (in application TinyApp) (<golden>:72:13)\nerror: [build] component 'Watcher' belongs to no application (<golden>:1:1)",
     'duplicate-link-reversed':
         "error: [build] duplicate link between 'hub' and 'probe_1' (<golden>:76:6)",
     'link-to-itself':
@@ -512,37 +515,37 @@ EXPECTED = {
     'transmit-loss-exponent-zero':
         'error: [build] probe_1: path-loss exponent must be at least 1 (<golden>:20:8)',
     'platform-cpu-zero':
-        'error: [build] hub: hub: CPU frequency must be positive (<golden>:12:5)',
+        'error: [build] hub: CPU frequency must be positive (<golden>:12:5)',
     'platform-mtbf-zero':
-        'error: [build] hub: hub: MTBF must be positive (<golden>:12:5)',
+        'error: [build] hub: MTBF must be positive (<golden>:12:5)',
     'platform-mttr-negative':
-        'error: [build] hub: hub: MTTR must be non-negative (<golden>:12:5)',
+        'error: [build] hub: MTTR must be non-negative (<golden>:12:5)',
     'platform-unnamed':
-        'error: [build] : platform needs a name (<golden>:2:5)',
+        'error: [build] platform needs a name (<golden>:2:5)',
     'energy-rejection-comes-before-location':
         'error: [build] probe_1: battery capacity must be positive (<golden>:20:8)',
     'entity-unnamed':
-        'error: [build] : physical entity needs a name (<golden>:2:8)',
+        'error: [build] physical entity needs a name (<golden>:2:8)',
     'contract-no-provider-interface':
-        'error: [build] RequestProbe: contract RequestProbe needs a provider interface (<golden>:54:10)',
+        'error: [build] contract RequestProbe needs a provider interface (<golden>:54:10)',
     'contract-no-consumer-interface':
-        'error: [build] RequestProbe: contract RequestProbe needs a consumer interface (<golden>:54:10)',
+        'error: [build] contract RequestProbe needs a consumer interface (<golden>:54:10)',
     'contract-same-interfaces':
-        'error: [build] RequestProbe: contract RequestProbe: conjugate interfaces must differ (<golden>:54:10)',
+        'error: [build] contract RequestProbe: conjugate interfaces must differ (<golden>:54:10)',
     'contract-no-tasks':
-        'error: [build] RequestProbe: contract RequestProbe needs at least one task (<golden>:54:10)',
+        'error: [build] contract RequestProbe needs at least one task (<golden>:54:10)',
     'component-cpu-zero':
-        'error: [build] Watcher: Watcher: CPU demand must be positive (<golden>:63:11)\nerror: [build] TinyApp: application TinyApp needs at least one component (<golden>:72:13)',
+        'error: [build] Watcher: CPU demand must be positive (<golden>:63:11)',
     'component-unnamed':
-        'error: [build] : component needs a name (<golden>:76:11)',
+        'error: [build] component needs a name (<golden>:76:11)',
     'application-without-components':
-        "error: [build] TinyApp: application TinyApp needs at least one component (<golden>:72:13)\nerror: [build] component 'Watcher' belongs to no application (<golden>:1:1)",
+        "error: [build] application TinyApp needs at least one component (<golden>:72:13)\nerror: [build] component 'Watcher' belongs to no application (<golden>:1:1)",
     'system-tick-seconds-zero':
         'error: [build] tiny: tick duration must be positive (<golden>:2:8)',
     'system-negative-simulation-time':
         'error: [build] tiny: simulation time must be non-negative (<golden>:2:8)',
     'issues-in-build-order':
-        "error: [build] duplicate identifier: entity 'post_1' (<golden>:76:8)\nerror: [build] duplicate identifier: interface 'Probe' (<golden>:79:11)\nerror: [build] hub: hub: CPU frequency must be positive (<golden>:12:5)\nerror: [build] dangling reference: 'ghost' (entity of device probe_1) (<golden>:20:8)\nerror: [build] C: contract C needs a provider interface (<golden>:80:10)\nerror: [build] dangling reference: component 'Ghost' (in application TinyApp) (<golden>:72:13)\nerror: [build] component 'Watcher2' belongs to no application (<golden>:1:1)\nerror: [build] hub<->probe_1: link distance must be positive (<golden>:48:6)\nerror: [build] tiny: tick duration must be positive (<golden>:2:8)",
+        "error: [build] duplicate identifier: entity 'post_1' (<golden>:76:8)\nerror: [build] duplicate identifier: interface 'Probe' (<golden>:79:11)\nerror: [build] hub: CPU frequency must be positive (<golden>:12:5)\nerror: [build] dangling reference: 'ghost' (entity of device probe_1) (<golden>:20:8)\nerror: [build] contract C needs a provider interface (<golden>:80:10)\nerror: [build] dangling reference: component 'Ghost' (in application TinyApp) (<golden>:72:13)\nerror: [build] component 'Watcher2' belongs to no application (<golden>:1:1)\nerror: [build] hub<->probe_1: link distance must be positive (<golden>:48:6)\nerror: [build] tiny: tick duration must be positive (<golden>:2:8)",
 }
 
 
