@@ -647,3 +647,165 @@ def thousand_scenario_model():
     model = parse_model("\n".join(blocks), "<scale>")
     assert not isinstance(model, list), [d.render() for d in model]
     return model
+
+
+# --- reference engine ------------------------------------------------------
+# A plain tick-by-tick simulator written from docs/determinism.md and the
+# run rules of the engine's docstring.  It shares rng.py and the energy
+# formulas with the package and nothing of engine.py, so agreement between
+# the two is evidence about both.
+
+_REFERENCE_OPS = {
+    "<": lambda a, b: a < b, "<=": lambda a, b: a <= b, ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b, "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+}
+
+
+def _reference_uplink_distance(model, device):
+    """The distance of the device's lowest-latency link; ties go to the neighbor first by name."""
+    best = None
+    for link in model.networks:
+        if device not in (link.endpoint_a, link.endpoint_b):
+            continue
+        other = link.endpoint_b if link.endpoint_a == device else link.endpoint_a
+        if best is None or (link.latency_ms, other) < best[0]:
+            best = ((link.latency_ms, other), link.distance_m)
+    return None if best is None else best[1]
+
+
+def reference_run(model, max_age=0, halt_on=(), *, seed=None, distance_overrides=None):
+    """One run visiting every tick 0..simulation_time, as a SimpleNamespace.
+
+    It has ``events`` (a list of ``(tick, kind, subject, detail)``),
+    ``counts``, ``residual_mah``, ``lifetimes``, ``final_tick`` and
+    ``halted_by``, each as ``run_simulation`` reports it.
+    """
+    import functools
+    import itertools
+    from collections import Counter
+    from types import SimpleNamespace
+
+    from iotdraw.energy import joules_to_mah, sense_energy, transmit_energy
+    from iotdraw.model import ConstantSource, PlatformTier, TaskKind, UniformSource
+    from iotdraw.rng import SplitMix64, derive_seed
+
+    run_seed = model.sim_config.rng_seed if seed is None else seed
+    devices = {}
+    for platform in model.platforms:
+        if platform.tier is not PlatformTier.DEVICE:
+            continue
+        profile, source = platform.energy, platform.data_source
+        distance = _reference_uplink_distance(model, platform.name)
+        if distance is not None:
+            distance = (distance_overrides or {}).get(platform.name, distance)
+        sense_j = sense_energy(profile)
+        transmit_j = None if distance is None else transmit_energy(profile, distance)
+        if isinstance(source, ConstantSource):
+            draw = itertools.repeat(source.value).__next__
+        elif isinstance(source, UniformSource):
+            rng = SplitMix64(derive_seed(run_seed, "source", platform.name)
+                             if source.seed is None else source.seed)
+            draw = functools.partial(rng.uniform, source.lo, source.hi)
+        else:
+            draw = itertools.cycle(source.values).__next__
+        devices[platform.name] = SimpleNamespace(
+            name=platform.name, residual=profile.residual_energy_mah,
+            threshold=profile.depletion_threshold_mah, draw=draw,
+            costs=(joules_to_mah(sense_j, profile.supply_voltage_v),
+                   None if transmit_j is None
+                   else joules_to_mah(transmit_j, profile.supply_voltage_v)),
+            detail=f"sense_j={sense_j!r} transmit_j={transmit_j!r} distance_m={distance!r}",
+            value=None, at=None, halts=platform.name in halt_on)
+
+    def bind(task):
+        """(contract, provider name, provider's device or None) serving a task."""
+        (contract,) = [c for c in model.contracts if any(t.name == task for t in c.tasks)]
+        ports = [(p.name, port.name, p.name in devices) for p in model.platforms
+                 for port in p.services if port.interface == contract.provider_interface]
+        ports += [(c.name, c.provided_service.name, False) for c in model.all_components()
+                  if c.provided_service and c.provided_service.interface == contract.provider_interface]
+        name, _, is_device = min(ports)
+        return contract, name, devices[name] if is_device else None
+
+    events, counts, lifetimes = [], Counter(), {}
+    halted = []
+
+    def request(kind, consumer, task, now, condition=None, note=""):
+        contract, provider, device = bind(task)
+        counts[kind] += 1
+        steps = [t for t in contract.tasks if t.kind in (TaskKind.SENSE, TaskKind.ACTUATE)]
+        senses = any(t.kind is TaskKind.SENSE for t in steps)
+        fresh, failure = False, ""
+        if device is not None:
+            if senses and max_age and device.at is not None and now - device.at <= max_age:
+                fresh = True
+            elif device.residual <= device.threshold:
+                failure = " status=failed:provider-depleted"
+            elif steps and device.costs[1] is None:
+                failure = " status=failed:no-route"
+        rendered = "" if condition is None else f" condition={condition.render()}"
+        events.append((now, kind, consumer, f"task={task} provider={provider}{rendered}{note}{failure}"))
+        if device is None or failure:
+            return None
+        value = None
+        for step in steps:
+            if step.kind is TaskKind.ACTUATE:
+                counts["Actuation"] += 1
+                events.append((now, "Actuation", device.name, f"task={step.name} by={consumer}"))
+            elif fresh:
+                value = device.value
+                counts["CacheHit"] += 1
+                events.append((now, "CacheHit", device.name,
+                               f"value={value!r} age={now - device.at} consumer={consumer}"))
+            else:
+                value = device.draw()
+                counts["SenseSample"] += 1
+                events.append((now, "SenseSample", device.name,
+                               f"value={value!r} {device.detail} consumer={consumer}"))
+                was_depleted = device.residual <= device.threshold
+                for cost in device.costs:
+                    device.residual -= cost
+                    if not device.residual > 0.0:
+                        device.residual = 0.0
+                if device.residual <= device.threshold and not was_depleted:
+                    lifetimes[device.name] = now
+                    counts["DeviceDepleted"] += 1
+                    events.append((now, "DeviceDepleted", device.name,
+                                   f"residual_mah={device.residual!r}"))
+                    if device.halts and not halted:
+                        halted.append(device.name)
+                device.value, device.at = value, now
+                fresh = bool(max_age)  # a later sense task of the contract reads the new value
+        return value
+
+    plans = []
+    for app in model.applications:
+        watchers = [c for c in app.components if c.event_request is not None]
+        for component in app.components:
+            if component.periodic_request is None:
+                continue
+            fields = {f.name for f in bind(component.periodic_request.task)[0].message_type.fields}
+            plans.append((component, [w for w in watchers
+                                      if w.event_request.condition.field in fields]))
+    final_tick = model.sim_config.simulation_time
+    for now in range(model.sim_config.simulation_time + 1):
+        for component, watchers in plans:
+            if (now + 1) % component.periodic_request.interval_ticks:
+                continue
+            value = request("PeriodicRequest", component.name, component.periodic_request.task, now)
+            if value is not None:
+                for watcher in watchers:
+                    condition = watcher.event_request.condition
+                    if _REFERENCE_OPS[condition.op](value, condition.threshold):
+                        request("EventRequest", watcher.name, watcher.event_request.task, now,
+                                condition, f" value={value!r}")
+            if halted:
+                break
+        if halted:
+            final_tick = now
+            break
+    return SimpleNamespace(
+        events=events, counts=dict(sorted(counts.items())),
+        residual_mah={name: d.residual for name, d in devices.items()},
+        lifetimes={name: lifetimes.get(name) for name in devices}, final_tick=final_tick,
+        halted_by=halted[0] if halted else None)
