@@ -131,7 +131,11 @@ def evaluate_scenarios(model: IoTSystemModel,
         hosts = dict(s.assignment)
         total = 0.0
         for table, edge, consumer, provider, placed in terms:
-            pair = (hosts[consumer], hosts[provider] if placed else provider)
+            try:
+                pair = (hosts[consumer], hosts[provider] if placed else provider)
+            except KeyError as missing:
+                raise ModelError(f"scenario {s.id} does not place component "
+                                 f"{missing.args[0]}") from None
             total += (table.get(pair) or edge_fact(model, edge, *pair)).cost_ms
         used = frozenset(hosts.values())
         availability = availabilities.get(used)

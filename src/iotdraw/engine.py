@@ -27,17 +27,44 @@ and, when satisfied, the event task is requested in turn (an alarm
 actuation, typically).  The delivered scalar stands for every field of
 the message record during evaluation.
 
+Each periodic plan runs in one request kernel, picked by its shape when
+the plans are built.  ``fire(now, stop)`` runs every firing of the plan
+in ``[now, stop]``, event requests included, and returns the tick the
+plan is due next:
+
+- ``_sense_kernel``: a device with a link whose contract is one sense
+  task, with or without the freshness cache, and whose event requests
+  cannot sense.  The cell's fields and the SplitMix64 state live in
+  locals for the batch; the draw and ``drain_mah``'s one-cost-at-a-time
+  subtraction are inlined, and every row's fixed text is rendered once.
+- ``_fixed_kernel``: a request that cannot sense, because its provider
+  is not a device, its device has no link, or its contract only
+  actuates.  It drains nothing and delivers no reading, so every firing
+  of a batch has the same outcome.
+- ``_generic_kernel``: the shapes no other kernel covers (a sense among
+  several tasks, or an event request that can sense), through ``_serve``.
+
+The scheduler runs the first plan due, in declaration order, with
+``stop`` the tick before any other plan is next due, or ``now`` when
+another plan is due on the same tick.  A kernel ends its batch early
+after a firing in which a device depleted.  A run halted by a depletion
+ends after that firing and its event requests: later plans in the
+tick's declaration order do not fire.  Only the draw is inlined:
+``rng.py`` and ``docs/determinism.md`` remain its specification, as
+``energy.py`` is the drain's.
+
 Each event goes to the run's sink as one ``SimEvent`` row, ``(tick, kind,
 subject, detail)``, the moment it happens.  There are three sinks.  The
 default, ``COLLECT``, keeps every row on ``SimulationReport.events``.  Any
 callable that takes a row streams the log instead: ``csv_event_sink(handle)``
 writes each row to an open text file as it comes, so the log never sits in
 memory, and ``simulate --log`` runs on it.  ``None`` keeps only the event
-counts; such a run ends early once it settles: when the provider of every
-periodic request is either not a device, or a depleted device with no cached
-reading young enough to serve again.  Depleted batteries never recover, so
-every later firing is a request that delivers nothing; those are counted in
-closed form and the report equals that of the full run.
+counts; such a run takes a plan off the schedule once it is spent, when
+each of its firings can only count itself: its provider is not a device,
+its device has no link, or its device is depleted with no cached reading
+young enough to serve again.  Depleted batteries never recover, so a
+spent plan stays spent; its remaining firings up to the last tick run are
+counted in closed form and the report equals that of the full run.
 
 Declared execution modules run exactly once, before tick 0; an unknown
 module name aborts the run before any tick executes.
@@ -75,8 +102,9 @@ class EventKind(Enum):
 
 
 # Plain strings for the request loop: they hash far faster than enum members.
-_SENSED, _HIT, _ACTUATED, _DEPLETED = (kind.value for kind in (
-    EventKind.SENSE_SAMPLE, EventKind.CACHE_HIT, EventKind.ACTUATION, EventKind.DEVICE_DEPLETED))
+_SENSED, _HIT, _ACTUATED, _DEPLETED, _EVENT = (kind.value for kind in (
+    EventKind.SENSE_SAMPLE, EventKind.CACHE_HIT, EventKind.ACTUATION, EventKind.DEVICE_DEPLETED,
+    EventKind.EVENT_REQUEST))
 
 
 class SimEvent(NamedTuple):
@@ -87,6 +115,9 @@ class SimEvent(NamedTuple):
     subject: str
     detail: str = ""
 
+
+# A SimEvent from one (tick, kind, subject, detail) tuple, at half the cost of SimEvent(...).
+_row = functools.partial(tuple.__new__, SimEvent)
 
 EventSink = Callable[[SimEvent], object]
 COLLECT = object()  # the default sink: keep every event on ``SimulationReport.events``
@@ -115,17 +146,23 @@ class FreshnessPolicy:
 
 
 class SampleStream:
-    """Draw state for one device's data source; ``next()`` gives the next reading."""
+    """Draw state for one device's data source; ``next()`` gives the next reading.
 
-    __slots__ = ("source", "next")
+    A uniform source draws from ``rng``, its own SplitMix64 generator, whose
+    ``state`` the request kernels advance in place; ``rng`` is None for the
+    other sources.
+    """
+
+    __slots__ = ("source", "rng", "next")
 
     def __init__(self, source, fallback_seed: int):
         self.source = source
+        self.rng = None
         if isinstance(source, ConstantSource):
             self.next = itertools.repeat(source.value).__next__
         elif isinstance(source, UniformSource):
-            rng = SplitMix64(fallback_seed if source.seed is None else source.seed)
-            self.next = functools.partial(rng.uniform, source.lo, source.hi)
+            self.rng = SplitMix64(fallback_seed if source.seed is None else source.seed)
+            self.next = functools.partial(self.rng.uniform, source.lo, source.hi)
         else:
             self.next = itertools.cycle(source.values).__next__
 
@@ -144,7 +181,7 @@ class _DeviceCell:
     """One device's run-time state, with its per-request costs worked out once."""
 
     __slots__ = ("name", "residual_mah", "depleted", "threshold_mah", "sense_mah",
-                 "transmit_mah", "sense_detail", "sample", "cached_value", "cached_at", "halts")
+                 "transmit_mah", "sense_detail", "stream", "cached_value", "cached_at", "halts")
 
     def __init__(self, platform: Platform, distance_m: float | None, stream: SampleStream,
                  halts: bool):
@@ -161,7 +198,7 @@ class _DeviceCell:
                              if transmit is not None else None)
         self.sense_detail = (f"sense_j={sense!r} transmit_j={transmit!r} "
                              f"distance_m={distance_m!r}" if transmit is not None else "")
-        self.sample = stream.next
+        self.stream = stream
         self.cached_value = self.cached_at = None  # the last reading and its tick
         self.halts = halts
 
@@ -237,17 +274,20 @@ class _Request:
     detail: str
     cell: _DeviceCell | None  # None when the provider is not a device
     tasks: tuple[tuple[str, str], ...]  # (_SENSED, "") or (_ACTUATED, log detail)
-    has_sense: bool
     needs_link: bool  # a sense or actuate task must cross the device's link
+    senses: bool  # it can sense or read the cache: a sense task on a device with a link
+
+
+_Watcher = tuple[Callable[[float, float], bool], float, _Request]  # (test, threshold, event request)
 
 
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """A periodic request, with the (test, threshold, event request) its readings feed."""
+    """A periodic request and its kernel: ``fire(now, stop)`` returns the next due tick."""
 
     interval: int
     request: _Request
-    watchers: tuple[tuple[Callable[[float, float], bool], float, _Request], ...]
+    fire: Callable[[int, int], int]
 
 
 def _compile(state: SimulationState, kind: EventKind, consumer: Component, task: str,
@@ -267,13 +307,14 @@ def _compile(state: SimulationState, kind: EventKind, consumer: Component, task:
     detail = f"task={binding.task.name} provider={binding.provider.name}"
     if condition is not None:
         detail += f" condition={condition.render()}"
-    request = _Request(kind.value, consumer.name, detail, cell, tasks,
-                       has_sense=(_SENSED, "") in tasks, needs_link=bool(tasks))
+    request = _Request(kind.value, consumer.name, detail, cell, tasks, needs_link=bool(tasks),
+                       senses=((_SENSED, "") in tasks and cell is not None
+                               and cell.transmit_mah is not None))
     return request, binding.contract
 
 
-def _build_plans(state: SimulationState) -> list[_Plan]:
-    """Compile every periodic request, with the event requests its samples feed."""
+def _build_plans(state: SimulationState, log: EventSink | None) -> list[_Plan]:
+    """Compile every periodic request, with the event requests its samples feed, into a plan."""
     plans = []
     for app in state.model.applications:
         watchers = []
@@ -290,13 +331,255 @@ def _build_plans(state: SimulationState) -> list[_Plan]:
             request, contract = _compile(state, EventKind.PERIODIC_REQUEST, component,
                                          component.periodic_request.task)
             fields = contract.message_type.field_names()
-            plans.append(_Plan(
-                interval=component.periodic_request.interval_ticks,
-                request=request,
-                watchers=tuple((_OPS[c.op], c.threshold, w) for c, w in watchers
-                               if c.field in fields),
-            ))
+            watching = tuple((_OPS[c.op], c.threshold, w) for c, w in watchers if c.field in fields)
+            interval = component.periodic_request.interval_ticks
+            if not request.senses:
+                fire = _fixed_kernel(state, log, interval, request)
+            elif request.tasks == ((_SENSED, ""),) and not any(w.senses for _, _, w in watching):
+                fire = _sense_kernel(state, log, interval, request, watching)
+            else:
+                fire = _generic_kernel(state, log, interval, request, watching)
+            plans.append(_Plan(interval, request, fire))
     return plans
+
+
+def _add(counts: Counter, *tallies: tuple[str, int]) -> None:
+    """Add each nonzero tally, so a kind that never happened gets no entry."""
+    for kind, count in tallies:
+        if count:
+            counts[kind] += count
+
+
+def _fixed_outcome(request: _Request) -> tuple[str, tuple[str, ...]]:
+    """The status suffix and the actuations of one firing of a request that cannot sense.
+
+    Such a request drains nothing, so its outcome changes only when some
+    other request depletes its device.
+    """
+    cell = request.cell
+    if cell is None:
+        return "", ()
+    if cell.depleted:
+        return " status=failed:provider-depleted", ()
+    if request.needs_link and cell.transmit_mah is None:
+        return " status=failed:no-route", ()
+    return "", tuple(action for _, action in request.tasks)
+
+
+def _fixed_kernel(state: SimulationState, log: EventSink | None, interval: int,
+                  request: _Request) -> Callable[[int, int], int]:
+    """A plan that cannot sense: a provider that is not a device, a device with no
+    link, or actuation only.  Every firing of a batch has the same outcome and
+    delivers no reading."""
+    kind, consumer, counts = request.kind, request.consumer, state.counts
+
+    def fire(now: int, stop: int) -> int:
+        suffix, actions = _fixed_outcome(request)
+        fired = (stop - now) // interval + 1
+        _add(counts, (kind, fired), (_ACTUATED, fired * len(actions)))
+        if log is not None:
+            detail = request.detail + suffix
+            for tick in range(now, stop + 1, interval):
+                log(_row((tick, kind, consumer, detail)))
+                for action in actions:
+                    log(_row((tick, _ACTUATED, request.cell.name, action)))
+        return now + fired * interval
+
+    return fire
+
+
+def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
+                  request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
+    """A plan whose contract is one sense task on a device with a link, read from the
+    cache when ``max_age`` allows, with watchers that cannot sense.
+
+    The cell's fields and the generator state live in locals for a batch,
+    the draw and the drain are inlined, and the batch ends after the firing
+    that depletes the device.  Watchers have ``_fixed_outcome`` outcomes,
+    worked out again when the device depletes (it may be theirs).
+    """
+    cell = request.cell
+    rng, sample = cell.stream.rng, cell.stream.next
+    if rng is not None:
+        lo, span = cell.stream.source.lo, cell.stream.source.hi - cell.stream.source.lo
+    name, kind, consumer = cell.name, request.kind, request.consumer
+    sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
+    max_age = state.freshness.max_age_ticks
+    counts, lifetimes = state.counts, state.lifetimes
+    record = log is not None
+    # Each row's fixed text is rendered once.
+    served, failed = request.detail, request.detail + " status=failed:provider-depleted"
+    sensed_tail, hit_tail = f" {cell.sense_detail} consumer={consumer}", f" consumer={consumer}"
+    tests = tuple((test, limit, index) for index, (test, limit, _) in enumerate(watchers))
+    texts = [(w.consumer, w.detail, w.cell and w.cell.name) for _, _, w in watchers]
+
+    def fire(now: int, stop: int) -> int:
+        residual, depleted = cell.residual_mah, cell.depleted
+        cached_value, cached_at = cell.cached_value, cell.cached_at
+        seed = rng.state if rng is not None else 0
+        outcomes = [_fixed_outcome(w) for _, _, w in watchers]
+        start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
+        while now <= stop:
+            if max_age and cached_at is not None and now - cached_at <= max_age:
+                value = cached_value  # fresh, whatever the device's health
+                hits += 1
+                if record:
+                    log(_row((now, kind, consumer, served)))
+                    log(_row((now, _HIT, name, f"value={value!r} age={now - cached_at}{hit_tail}")))
+            elif depleted:
+                failures += 1
+                if record:
+                    log(_row((now, kind, consumer, failed)))
+                now += interval
+                if record:
+                    continue
+                break  # a counts-only run counts a spent plan's firings in closed form
+            else:
+                if rng is None:
+                    value = sample()
+                else:  # SplitMix64 and the uniform draw of docs/determinism.md
+                    seed = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                    z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+                    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+                    value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
+                if record:
+                    log(_row((now, kind, consumer, served)))
+                    log(_row((now, _SENSED, name, f"value={value!r}{sensed_tail}")))
+                # drain_mah, one cost at a time
+                residual = residual - sense_mah
+                residual = residual if residual > 0.0 else 0.0
+                residual = residual - transmit_mah
+                residual = residual if residual > 0.0 else 0.0
+                if max_age:
+                    cached_value, cached_at = value, now
+                if residual <= threshold:
+                    depleted = cell.depleted = True
+                    lifetimes[name] = now
+                    counts[_DEPLETED] += 1
+                    if record:
+                        log(_row((now, _DEPLETED, name, f"residual_mah={residual!r}")))
+                    if cell.halts and state.halted_by is None:
+                        state.halted_by = name
+                    outcomes = [_fixed_outcome(w) for _, _, w in watchers]
+                    stop = now
+            for test, limit, index in tests:
+                if test(value, limit):
+                    suffix, actions = outcomes[index]
+                    alerts += 1
+                    actuations += len(actions)
+                    if record:
+                        watcher, detail, device = texts[index]
+                        log(_row((now, _EVENT, watcher, f"{detail} value={value!r}{suffix}")))
+                        for action in actions:
+                            log(_row((now, _ACTUATED, device, action)))
+            now += interval
+        cell.residual_mah, cell.depleted = residual, depleted
+        cell.cached_value, cell.cached_at = cached_value, cached_at
+        if rng is not None:
+            rng.state = seed
+        fired = (now - start) // interval
+        _add(counts, (kind, fired), (_SENSED, fired - failures - hits), (_HIT, hits),
+             (_EVENT, alerts), (_ACTUATED, actuations))
+        return now
+
+    return fire
+
+
+def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int,
+                    request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
+    """A plan no other kernel covers: several tasks with a sense among them, or a
+    watcher that can sense.  Each request goes through ``_serve``; the batch ends
+    after a firing in which a device depleted."""
+    lifetimes = state.lifetimes
+
+    def fire(now: int, stop: int) -> int:
+        depletions = len(lifetimes)
+        while now <= stop and len(lifetimes) == depletions:
+            value = _serve(state, log, request, now)
+            if value is not None:
+                for test, threshold, watcher in watchers:
+                    if test(value, threshold):
+                        _serve(state, log, watcher, now, f" value={value!r}" if log is not None else "")
+            now += interval
+            if value is None and log is None:
+                break  # a counts-only run counts a spent plan's firings in closed form
+        return now
+
+    return fire
+
+
+def _serve(state: SimulationState, log: EventSink | None, request: _Request, now: int,
+           note: str = "") -> float | None:
+    """Run one request at tick ``now``; the reading it delivers, if any."""
+    counts = state.counts
+    counts[request.kind] += 1
+    cell = request.cell
+    failure = None
+    fresh = False
+    max_age = state.freshness.max_age_ticks
+    if cell is not None:
+        if (request.senses and max_age and cell.cached_at is not None
+                and now - cell.cached_at <= max_age):
+            fresh = True  # servable from cache regardless of the device's health
+        elif cell.depleted:
+            failure = "provider-depleted"
+        elif request.needs_link and cell.transmit_mah is None:
+            failure = "no-route"
+    if log is not None:
+        suffix = f" status=failed:{failure}" if failure else ""
+        log(_row((now, request.kind, request.consumer, request.detail + note + suffix)))
+    if cell is None or failure:
+        return None
+    value = None
+    for task, action in request.tasks:
+        if task == _ACTUATED:
+            counts[_ACTUATED] += 1
+            if log is not None:
+                log(_row((now, _ACTUATED, cell.name, action)))
+            continue
+        if fresh:
+            value = cell.cached_value
+            counts[_HIT] += 1
+            if log is not None:
+                log(_row((now, _HIT, cell.name, f"value={value!r} "
+                          f"age={now - cell.cached_at} consumer={request.consumer}")))
+            continue
+        value = cell.stream.next()
+        counts[_SENSED] += 1
+        if log is not None:
+            log(_row((now, _SENSED, cell.name,
+                      f"value={value!r} {cell.sense_detail} consumer={request.consumer}")))
+        was_depleted = cell.depleted
+        cell.residual_mah, cell.depleted = drain_mah(cell.residual_mah, cell.threshold_mah,
+                                                     cell.sense_mah, cell.transmit_mah)
+        if cell.depleted and not was_depleted:
+            state.lifetimes[cell.name] = now
+            counts[_DEPLETED] += 1
+            if log is not None:
+                log(_row((now, _DEPLETED, cell.name, f"residual_mah={cell.residual_mah!r}")))
+            if cell.halts and state.halted_by is None:
+                state.halted_by = cell.name
+        cell.cached_value, cell.cached_at = value, now
+        if max_age:
+            fresh = True  # age 0: a later sense task of this contract is served from it
+    return value
+
+
+def _spent(request: _Request, tick: int, max_age: int) -> bool:
+    """Whether each firing from ``tick`` on only counts itself: it can deliver no
+    reading, actuate nothing and drain nothing, now or later.
+
+    Depleted batteries never recover, so a cache that is stale at ``tick``
+    is never refreshed.
+    """
+    cell = request.cell
+    if cell is None:
+        return True
+    if (request.senses and max_age and cell.cached_at is not None
+            and tick - cell.cached_at <= max_age):
+        return False
+    return (cell.depleted or (request.needs_link and cell.transmit_mah is None)
+            or not request.tasks)
 
 
 def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = None,
@@ -316,10 +599,9 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     """
     state = initial_state(model, freshness=freshness, halt_on=halt_on,
                           seed=seed, distance_overrides=distance_overrides)
-    plans = _build_plans(state)
     events: list[SimEvent] = []
     log = events.append if sink is COLLECT else sink
-    record = log is not None
+    plans = _build_plans(state, log)
     counts = state.counts
 
     # Execution modules run once, before the loop; resolve all of them
@@ -334,99 +616,47 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
             output = hook(snapshot)
             state.module_outputs[name] = output
             counts[EventKind.MODULE_OUTPUT.value] += 1
-            if record:
+            if log is not None:
                 log(SimEvent(0, EventKind.MODULE_OUTPUT.value, name, output))
 
     max_age = state.freshness.max_age_ticks
-    lifetimes = state.lifetimes
-    settling = False  # a counts-only run checks for settling once a device depletes
-
-    def serve(request: _Request, now: int, note: str = "") -> float | None:
-        """Run one request at tick ``now``; the reading it delivers, if any."""
-        nonlocal settling
-        counts[request.kind] += 1
-        cell = request.cell
-        failure = None
-        fresh = False
-        if cell is not None:
-            if (request.has_sense and max_age and cell.cached_at is not None
-                    and now - cell.cached_at <= max_age):
-                fresh = True  # servable from cache regardless of the device's health
-            elif cell.depleted:
-                failure = "provider-depleted"
-            elif request.needs_link and cell.transmit_mah is None:
-                failure = "no-route"
-        if record:
-            suffix = f" status=failed:{failure}" if failure else ""
-            log(SimEvent(now, request.kind, request.consumer, request.detail + note + suffix))
-        if cell is None or failure:
-            return None
-        value = None
-        for task, action in request.tasks:
-            if task == _ACTUATED:
-                counts[_ACTUATED] += 1
-                if record:
-                    log(SimEvent(now, _ACTUATED, cell.name, action))
-                continue
-            if fresh:
-                value = cell.cached_value
-                counts[_HIT] += 1
-                if record:
-                    log(SimEvent(now, _HIT, cell.name, f"value={value!r} "
-                                 f"age={now - cell.cached_at} consumer={request.consumer}"))
-                continue
-            value = cell.sample()
-            counts[_SENSED] += 1
-            if record:
-                log(SimEvent(now, _SENSED, cell.name,
-                             f"value={value!r} {cell.sense_detail} consumer={request.consumer}"))
-            was_depleted = cell.depleted
-            cell.residual_mah, cell.depleted = drain_mah(cell.residual_mah, cell.threshold_mah,
-                                                         cell.sense_mah, cell.transmit_mah)
-            if cell.depleted and not was_depleted:
-                lifetimes[cell.name] = now
-                counts[_DEPLETED] += 1
-                if record:
-                    log(SimEvent(now, _DEPLETED, cell.name,
-                                 f"residual_mah={cell.residual_mah!r}"))
-                if cell.halts and state.halted_by is None:
-                    state.halted_by = cell.name
-                settling = not record
-            cell.cached_value, cell.cached_at = value, now
-            if max_age:
-                fresh = True  # age 0: a later sense task of this contract is served from it
-        return value
-
     horizon = model.sim_config.simulation_time
+    never = horizon + 1
     due = [plan.interval - 1 for plan in plans]
-    cells = [plan.request.cell for plan in plans if plan.request.cell is not None]
+    closed: dict[int, int] = {}  # plan index -> its first firing counted in closed form
+
+    def close_spent() -> None:
+        for index, plan in enumerate(plans):
+            if due[index] <= horizon and _spent(plan.request, due[index], max_age):
+                closed[index], due[index] = due[index], never
+
     tick = horizon
+    halting = None  # the index of the plan whose firing halted the run
+    if log is None:
+        close_spent()
     while plans:
         now = min(due)
         if now > horizon:
             break
-        for index, plan in enumerate(plans):
-            if due[index] != now:
-                continue
-            due[index] = now + plan.interval
-            value = serve(plan.request, now)
-            if value is not None:
-                for test, threshold, watcher in plan.watchers:
-                    if test(value, threshold):
-                        serve(watcher, now, f" value={value!r}" if record else "")
-            if state.halted_by is not None:
-                break
+        # The first plan due runs up to the tick before any other plan is
+        # due, or only now if another is due now too: it comes later in
+        # declaration order.
+        index = due.index(now)
+        due[index] = never
+        later = min(due)
+        due[index] = plans[index].fire(now, now if later == now else min(later - 1, horizon))
         if state.halted_by is not None:
-            tick = now
+            tick, halting = due[index] - plans[index].interval, index
             break
-        if settling and all(c.depleted and (c.cached_at is None or now - c.cached_at >= max_age)
-                            for c in cells):
-            # Settled: each remaining firing is a request that delivers nothing.
-            remaining = sum((horizon - d) // plan.interval + 1
-                            for d, plan in zip(due, plans) if d <= horizon)
-            if remaining:
-                counts[EventKind.PERIODIC_REQUEST.value] += remaining
-            break
+        if log is None and state.lifetimes:
+            close_spent()
+    for index, first in closed.items():
+        if first <= tick:
+            interval = plans[index].interval
+            fired = (tick - first) // interval + 1
+            if halting is not None and index > halting and (tick - first) % interval == 0:
+                fired -= 1  # due on the halting tick, after the plan that halted the run
+            _add(counts, (EventKind.PERIODIC_REQUEST.value, fired))
 
     return SimulationReport(
         model_name=model.name,
@@ -435,7 +665,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         final_tick=tick,
         halted_by=state.halted_by,
         residual_mah={name: cell.residual_mah for name, cell in state.devices.items()},
-        lifetimes={name: lifetimes.get(name) for name in state.devices},
+        lifetimes={name: state.lifetimes.get(name) for name in state.devices},
         counts=dict(sorted(counts.items())),
         module_outputs=dict(state.module_outputs),
         events=tuple(events),

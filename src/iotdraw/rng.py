@@ -35,16 +35,16 @@ def _fnv1a(text: str) -> int:
 
 
 class SplitMix64:
-    """Sequential 64-bit generator with a single integer of state."""
+    """Sequential 64-bit generator; ``state`` is its single integer of state."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN_GAMMA) & _MASK64
-        return _mix64(self._state)
+        self.state = (self.state + _GOLDEN_GAMMA) & _MASK64
+        return _mix64(self.state)
 
     def uniform(self, lo: float, hi: float) -> float:
         if hi < lo:

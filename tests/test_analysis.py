@@ -143,6 +143,12 @@ def test_hand_built_scenarios_score_every_pair_the_same_way():
     assert evaluate_scenarios(model, [not_allowed, unreachable, outside_pool]) == scored
 
 
+def test_a_scenario_that_leaves_out_a_component_is_a_model_error(padova_model):
+    partial = DeploymentScenario(1, (("Analytics", "Michigan"),))
+    with pytest.raises(ModelError, match="^scenario 1 does not place component FloodAPI$"):
+        evaluate_scenarios(padova_model, [partial])
+
+
 @pytest.mark.parametrize("make_model", [thousand_scenario_model,
                                         lambda: random_placement_model(19)],
                          ids=["criterion-09", "placement-seed-19"])

@@ -1,5 +1,6 @@
 """Discrete-event execution: timing, caching, draining, determinism."""
 
+import dataclasses
 from collections import defaultdict
 
 import pytest
@@ -295,6 +296,50 @@ def test_device_streams_are_decorrelated():
     a = SampleStream(UniformSource(0.0, 1.0), derive_seed(9, "source", "dev_a"))
     b = SampleStream(UniformSource(0.0, 1.0), derive_seed(9, "source", "dev_b"))
     assert [a.next() for _ in range(5)] != [b.next() for _ in range(5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), bounds=st.one_of(
+    st.just((0.0, 0.0)),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (x, x)),
+    st.tuples(st.floats(-1e6, 0.0), st.floats(-1e6, 0.0)).map(sorted),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(allow_nan=False, allow_infinity=False)).map(sorted)))
+def test_the_inlined_draw_is_rng_uniform_bit_for_bit(seed, bounds):
+    from iotdraw.engine import _build_plans, initial_state
+    lo, hi = bounds
+    model = tiny_model(sim_time=999, interval=1, capacity=1000)
+    probe = dataclasses.replace(model.platform("probe_1"), data_source=UniformSource(lo, hi, seed))
+    model = dataclasses.replace(model, platforms=tuple(
+        probe if p.name == "probe_1" else p for p in model.platforms))
+    (plan,) = _build_plans(initial_state(model), None)
+    assert plan.fire.__qualname__.startswith("_sense_kernel.")
+    drawn = [e.detail.split()[0] for e in events_of(run_simulation(model), EventKind.SENSE_SAMPLE)]
+    reference = SplitMix64(seed)
+    assert drawn == [f"value={reference.uniform(lo, hi)!r}" for _ in range(1000)]
+
+
+def test_a_linkless_polled_device_is_counted_in_closed_form(padova_model, monkeypatch):
+    from iotdraw import engine
+    model = dataclasses.replace(padova_model, networks=tuple(
+        link for link in padova_model.networks if "water_sensor_1" not in link.endpoints))
+    loud = run_simulation(model)
+    assert loud.counts == {"ModuleOutput": 1, "PeriodicRequest": 525_600}
+    assert all(e.detail.endswith("status=failed:no-route")
+               for e in events_of(loud, EventKind.PERIODIC_REQUEST))
+
+    def unfired_kernel(*args):
+        def fire(now, stop):
+            raise AssertionError(f"the plan fired over ticks {now}..{stop}")
+        return fire
+
+    # Counted in closed form: the plan is taken off the schedule at tick 0.
+    monkeypatch.setattr(engine, "_fixed_kernel", unfired_kernel)
+    quiet = run_simulation(model, sink=None)
+    assert quiet.to_text() == loud.to_text()
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by",
+                      "module_outputs"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
 
 
 # execution modules -----------------------------------------------------------
