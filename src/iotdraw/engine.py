@@ -37,12 +37,10 @@ plan is due next:
   cannot sense.  The cell's fields and the SplitMix64 state live in
   locals for the batch; the draw and ``drain_mah``'s one-cost-at-a-time
   subtraction are inlined, and every row's fixed text is rendered once.
-- ``_fixed_kernel``: a request that cannot sense, because its provider
-  is not a device, its device has no link, or its contract only
-  actuates.  It drains nothing and delivers no reading, so every firing
-  of a batch has the same outcome.
-- ``_generic_kernel``: the shapes no other kernel covers (a sense among
-  several tasks, or an event request that can sense), through ``_serve``.
+- ``_generic_kernel``: every other shape, through ``_serve``: a sense
+  among several tasks, an event request that can sense, and requests
+  that cannot sense because their provider is not a device, their
+  device has no link, or their contract only actuates.
 
 The scheduler runs the first plan due, in declaration order, with
 ``stop`` the tick before any other plan is next due, or ``now`` when
@@ -77,7 +75,6 @@ import functools
 import io
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Mapping, NamedTuple, TextIO
@@ -210,7 +207,9 @@ class SimulationState:
     model: IoTSystemModel
     freshness: FreshnessPolicy
     devices: dict[str, _DeviceCell] = field(default_factory=dict)
-    counts: Counter = field(default_factory=Counter)
+    # Every event kind from 0, so the request loops add without a membership test.
+    counts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys((kind.value for kind in EventKind), 0))
     lifetimes: dict[str, int] = field(default_factory=dict)
     module_outputs: dict[str, str] = field(default_factory=dict)
     halted_by: str | None = None
@@ -333,9 +332,8 @@ def _build_plans(state: SimulationState, log: EventSink | None) -> list[_Plan]:
             fields = contract.message_type.field_names()
             watching = tuple((_OPS[c.op], c.threshold, w) for c, w in watchers if c.field in fields)
             interval = component.periodic_request.interval_ticks
-            if not request.senses:
-                fire = _fixed_kernel(state, log, interval, request)
-            elif request.tasks == ((_SENSED, ""),) and not any(w.senses for _, _, w in watching):
+            if (request.senses and request.tasks == ((_SENSED, ""),)
+                    and not any(w.senses for _, _, w in watching)):
                 fire = _sense_kernel(state, log, interval, request, watching)
             else:
                 fire = _generic_kernel(state, log, interval, request, watching)
@@ -343,11 +341,25 @@ def _build_plans(state: SimulationState, log: EventSink | None) -> list[_Plan]:
     return plans
 
 
-def _add(counts: Counter, *tallies: tuple[str, int]) -> None:
-    """Add each nonzero tally, so a kind that never happened gets no entry."""
-    for kind, count in tallies:
-        if count:
-            counts[kind] += count
+def _fresh(request: _Request, now: int, max_age: int) -> bool:
+    """Whether the request is served from its device's cache at tick ``now``,
+    whatever the device's health."""
+    cell = request.cell
+    return (request.senses and max_age > 0 and cell.cached_at is not None
+            and now - cell.cached_at <= max_age)
+
+
+def _failure(request: _Request) -> str:
+    """The status suffix of a request not served from the cache: empty when the
+    provider can serve it."""
+    cell = request.cell
+    if cell is None:
+        return ""
+    if cell.depleted:
+        return " status=failed:provider-depleted"
+    if request.needs_link and cell.transmit_mah is None:
+        return " status=failed:no-route"
+    return ""
 
 
 def _fixed_outcome(request: _Request) -> tuple[str, tuple[str, ...]]:
@@ -356,36 +368,10 @@ def _fixed_outcome(request: _Request) -> tuple[str, tuple[str, ...]]:
     Such a request drains nothing, so its outcome changes only when some
     other request depletes its device.
     """
-    cell = request.cell
-    if cell is None:
-        return "", ()
-    if cell.depleted:
-        return " status=failed:provider-depleted", ()
-    if request.needs_link and cell.transmit_mah is None:
-        return " status=failed:no-route", ()
+    suffix = _failure(request)
+    if suffix or request.cell is None:
+        return suffix, ()
     return "", tuple(action for _, action in request.tasks)
-
-
-def _fixed_kernel(state: SimulationState, log: EventSink | None, interval: int,
-                  request: _Request) -> Callable[[int, int], int]:
-    """A plan that cannot sense: a provider that is not a device, a device with no
-    link, or actuation only.  Every firing of a batch has the same outcome and
-    delivers no reading."""
-    kind, consumer, counts = request.kind, request.consumer, state.counts
-
-    def fire(now: int, stop: int) -> int:
-        suffix, actions = _fixed_outcome(request)
-        fired = (stop - now) // interval + 1
-        _add(counts, (kind, fired), (_ACTUATED, fired * len(actions)))
-        if log is not None:
-            detail = request.detail + suffix
-            for tick in range(now, stop + 1, interval):
-                log(_row((tick, kind, consumer, detail)))
-                for action in actions:
-                    log(_row((tick, _ACTUATED, request.cell.name, action)))
-        return now + fired * interval
-
-    return fire
 
 
 def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
@@ -396,7 +382,7 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
     The cell's fields and the generator state live in locals for a batch,
     the draw and the drain are inlined, and the batch ends after the firing
     that depletes the device.  Watchers have ``_fixed_outcome`` outcomes,
-    worked out again when the device depletes (it may be theirs).
+    worked out again whenever a device has depleted since (it may be theirs).
     """
     cell = request.cell
     rng, sample = cell.stream.rng, cell.stream.next
@@ -412,12 +398,17 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
     sensed_tail, hit_tail = f" {cell.sense_detail} consumer={consumer}", f" consumer={consumer}"
     tests = tuple((test, limit, index) for index, (test, limit, _) in enumerate(watchers))
     texts = [(w.consumer, w.detail, w.cell and w.cell.name) for _, _, w in watchers]
+    # A device depletes during a run only as its lifetime is recorded, so the
+    # watchers' outcomes stand while the number of lifetimes does.
+    outcomes, depletions = [], -1
 
     def fire(now: int, stop: int) -> int:
+        nonlocal outcomes, depletions
         residual, depleted = cell.residual_mah, cell.depleted
         cached_value, cached_at = cell.cached_value, cell.cached_at
         seed = rng.state if rng is not None else 0
-        outcomes = [_fixed_outcome(w) for _, _, w in watchers]
+        if depletions != len(lifetimes):
+            outcomes, depletions = [_fixed_outcome(w) for _, _, w in watchers], len(lifetimes)
         start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
         while now <= stop:
             if max_age and cached_at is not None and now - cached_at <= max_age:
@@ -460,7 +451,7 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
                         log(_row((now, _DEPLETED, name, f"residual_mah={residual!r}")))
                     if cell.halts and state.halted_by is None:
                         state.halted_by = name
-                    outcomes = [_fixed_outcome(w) for _, _, w in watchers]
+                    outcomes, depletions = [_fixed_outcome(w) for _, _, w in watchers], len(lifetimes)
                     stop = now
             for test, limit, index in tests:
                 if test(value, limit):
@@ -478,8 +469,13 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
         if rng is not None:
             rng.state = seed
         fired = (now - start) // interval
-        _add(counts, (kind, fired), (_SENSED, fired - failures - hits), (_HIT, hits),
-             (_EVENT, alerts), (_ACTUATED, actuations))
+        counts[kind] += fired
+        counts[_SENSED] += fired - failures - hits
+        if hits:
+            counts[_HIT] += hits
+        if alerts:
+            counts[_EVENT] += alerts
+            counts[_ACTUATED] += actuations
         return now
 
     return fire
@@ -487,9 +483,8 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
 
 def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
-    """A plan no other kernel covers: several tasks with a sense among them, or a
-    watcher that can sense.  Each request goes through ``_serve``; the batch ends
-    after a firing in which a device depleted."""
+    """A plan the sense kernel does not cover.  Each request goes through ``_serve``;
+    the batch ends after a firing in which a device depleted."""
     lifetimes = state.lifetimes
 
     def fire(now: int, stop: int) -> int:
@@ -501,8 +496,8 @@ def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int
                     if test(value, threshold):
                         _serve(state, log, watcher, now, f" value={value!r}" if log is not None else "")
             now += interval
-            if value is None and log is None:
-                break  # a counts-only run counts a spent plan's firings in closed form
+            if value is None and request.senses and log is None:
+                break  # spent: a counts-only run counts its firings in closed form
         return now
 
     return fire
@@ -514,21 +509,12 @@ def _serve(state: SimulationState, log: EventSink | None, request: _Request, now
     counts = state.counts
     counts[request.kind] += 1
     cell = request.cell
-    failure = None
-    fresh = False
     max_age = state.freshness.max_age_ticks
-    if cell is not None:
-        if (request.senses and max_age and cell.cached_at is not None
-                and now - cell.cached_at <= max_age):
-            fresh = True  # servable from cache regardless of the device's health
-        elif cell.depleted:
-            failure = "provider-depleted"
-        elif request.needs_link and cell.transmit_mah is None:
-            failure = "no-route"
+    fresh = _fresh(request, now, max_age)
+    suffix = "" if fresh else _failure(request)
     if log is not None:
-        suffix = f" status=failed:{failure}" if failure else ""
         log(_row((now, request.kind, request.consumer, request.detail + note + suffix)))
-    if cell is None or failure:
+    if cell is None or suffix:
         return None
     value = None
     for task, action in request.tasks:
@@ -572,14 +558,11 @@ def _spent(request: _Request, tick: int, max_age: int) -> bool:
     Depleted batteries never recover, so a cache that is stale at ``tick``
     is never refreshed.
     """
-    cell = request.cell
-    if cell is None:
+    if request.cell is None:
         return True
-    if (request.senses and max_age and cell.cached_at is not None
-            and tick - cell.cached_at <= max_age):
+    if _fresh(request, tick, max_age):
         return False
-    return (cell.depleted or (request.needs_link and cell.transmit_mah is None)
-            or not request.tasks)
+    return bool(_failure(request)) or not request.tasks
 
 
 def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = None,
@@ -656,7 +639,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
             fired = (tick - first) // interval + 1
             if halting is not None and index > halting and (tick - first) % interval == 0:
                 fired -= 1  # due on the halting tick, after the plan that halted the run
-            _add(counts, (EventKind.PERIODIC_REQUEST.value, fired))
+            counts[EventKind.PERIODIC_REQUEST.value] += fired
 
     return SimulationReport(
         model_name=model.name,
@@ -666,7 +649,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         halted_by=state.halted_by,
         residual_mah={name: cell.residual_mah for name, cell in state.devices.items()},
         lifetimes={name: state.lifetimes.get(name) for name in state.devices},
-        counts=dict(sorted(counts.items())),
+        counts={kind: count for kind, count in sorted(counts.items()) if count},
         module_outputs=dict(state.module_outputs),
         events=tuple(events),
     )

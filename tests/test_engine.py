@@ -334,7 +334,7 @@ def test_a_linkless_polled_device_is_counted_in_closed_form(padova_model, monkey
         return fire
 
     # Counted in closed form: the plan is taken off the schedule at tick 0.
-    monkeypatch.setattr(engine, "_fixed_kernel", unfired_kernel)
+    monkeypatch.setattr(engine, "_generic_kernel", unfired_kernel)
     quiet = run_simulation(model, sink=None)
     assert quiet.to_text() == loud.to_text()
     for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by",

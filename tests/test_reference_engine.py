@@ -13,6 +13,7 @@ import dataclasses
 import io
 import statistics
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from iotdraw import COLLECT, FreshnessPolicy, csv_event_sink, lifetime_sweep, run_simulation
@@ -197,3 +198,52 @@ def test_lifetime_sweep_matches_reference_runs(data):
         assert row.stddev == (statistics.pstdev(lifetimes) if lifetimes else None)
         censored = rounds - len(lifetimes)
         assert row.note == (f"{censored} round(s) outlived the horizon" if censored else "")
+
+
+def _energy(capacity):
+    return DeviceEnergyProfile(
+        battery_capacity_mah=capacity, residual_energy_mah=capacity, supply_voltage_v=3.0,
+        sense_current_ma=25.0, sense_duration_ms=10.0, packet_kb=2.0, e_elec_nj_per_bit=50.0,
+        e_amp_pj_per_bit_m=100.0, loss_exponent_n=2, depletion_threshold_mah=5.0)
+
+
+@pytest.mark.parametrize("sensor_interval", [1, 3])
+def test_an_alarm_fails_once_another_plan_depletes_its_device(sensor_interval):
+    # d0 serves a sense contract and an actuate-only one.  Plan "poll" drains
+    # d0 while plan "watch" samples d1, whose readings raise an alarm on d0:
+    # the alarms after d0 depletes must fail, though "watch" never drains d0.
+    message = MessageType("M", (MessageField("x"),))
+    platforms = (
+        _platform("hub", PlatformTier.FOG),
+        _platform("d0", PlatformTier.DEVICE, energy=_energy(5.0 + 4.5 * PER),
+                  data_source=ConstantSource(1.0),
+                  services=(ServicePort("sense", "ISense", "CoAP"),
+                            ServicePort("alarm", "IAlarm", "CoAP"))),
+        _platform("d1", PlatformTier.DEVICE, energy=_energy(50.0), data_source=ConstantSource(2.0),
+                  services=(ServicePort("level", "ILevel", "CoAP"),)))
+    model = IoTSystemModel(
+        "alarm_on_a_drained_device", platforms=platforms,
+        networks=tuple(NetworkLink(d, "hub", protocol="CoAP", latency_ms=1.0, distance_m=10.0)
+                       for d in ("d0", "d1")),
+        applications=(
+            Application("a0", HERE, (Component(
+                "poll", periodic_request=PeriodicRequest("sense", sensor_interval)),)),
+            Application("a1", HERE, (Component(
+                "watch", periodic_request=PeriodicRequest("level", 1),
+                event_request=EventRequest("ring", ConditionExpr("x", ">", 0.0))),))),
+        contracts=(ServiceContract("CSense", "ISense", "ISenseClient",
+                                   (Task("sense", TaskKind.SENSE),), message),
+                   ServiceContract("CAlarm", "IAlarm", "IAlarmClient",
+                                   (Task("ring", TaskKind.ACTUATE),), message),
+                   ServiceContract("CLevel", "ILevel", "ILevelClient",
+                                   (Task("level", TaskKind.SENSE),), message)),
+        sim_config=SimConfig(simulation_time=30, rng_seed=1))
+    expected = reference_run(model)
+    assert expected.lifetimes["d0"] is not None
+    assert any(kind == "EventRequest" and detail.endswith("status=failed:provider-depleted")
+               for _, kind, _, detail in expected.events)
+    for sink in (COLLECT, None):
+        report = run_simulation(model, sink=sink)
+        for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
+            assert getattr(report, attribute) == getattr(expected, attribute), (attribute, sink)
+    assert [tuple(event) for event in run_simulation(model).events] == expected.events
