@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -49,29 +50,44 @@ def _load(path: str):
 def _replacing(path: str):
     """A text handle on a new file beside ``path`` that replaces ``path`` when the block succeeds.
 
-    The file is created before the block runs, so an unwritable ``path``
-    fails first.  If the block raises, the new file is removed and any
-    existing ``path`` is left as it was.
+    ``path`` is followed through symlinks, so the file that replaces it
+    is the link's target and the link stays a link.  The file is created
+    before the block runs, so an unwritable ``path`` fails first.  If the
+    block raises, the new file is removed and any existing ``path`` is
+    left as it was.  A target that exists and is not a regular file, such
+    as a FIFO or a device, cannot be replaced: it is written in place.
     """
+    temp = None
     try:
-        if os.path.isdir(path):
+        target = os.path.realpath(path)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG  # a new file, made like a replacement
+        if stat.S_ISDIR(mode):
             raise IsADirectoryError(f"{path!r} is a directory")
-        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-                                    dir=os.path.dirname(path) or ".")
+        if stat.S_ISREG(mode):
+            fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                                        dir=os.path.dirname(target))
+        else:
+            fd = os.open(target, os.O_WRONLY | os.O_TRUNC)
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc}") from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(temp, 0o666 & ~umask)  # the mode a plain open() would give
+            if temp is not None:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(temp, 0o666 & ~umask)  # the mode a plain open() would give
             yield handle
-        os.replace(temp, path)
+        if temp is not None:
+            os.replace(temp, target)
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc}") from None
     finally:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)  # already gone once it has replaced ``path``
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)  # already gone once it has replaced ``path``
 
 
 def _write(path: str, text: str) -> None:
@@ -135,7 +151,7 @@ def _cmd_simulate(args) -> int:
     if args.log is None:
         report = run_simulation(model, sink=None, **options)
     else:
-        # The log streams to disk row by row and appears only if the run succeeds.
+        # The log streams to disk batch by batch and appears only if the run succeeds.
         with _replacing(args.log) as handle:
             report = run_simulation(model, sink=csv_event_sink(handle), **options)
     print(report.to_text())

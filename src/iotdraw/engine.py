@@ -51,12 +51,16 @@ tick's declaration order do not fire.  Only the draw is inlined:
 ``rng.py`` and ``docs/determinism.md`` remain its specification, as
 ``energy.py`` is the drain's.
 
-Each event goes to the run's sink as one ``SimEvent`` row, ``(tick, kind,
-subject, detail)``, the moment it happens.  There are three sinks.  The
-default, ``COLLECT``, keeps every row on ``SimulationReport.events``.  Any
-callable that takes a row streams the log instead: ``csv_event_sink(handle)``
-writes each row to an open text file as it comes, so the log never sits in
-memory, and ``simulate --log`` runs on it.  ``None`` keeps only the event
+Each event is one ``SimEvent`` row, ``(tick, kind, subject, detail)``,
+which the kernels append to a list as it happens.  There are three sinks.
+The default, ``COLLECT``, keeps every row on ``SimulationReport.events``.
+Any callable that takes a list of rows streams the log instead: the run
+hands it the rows so far after the tick-0 module rows and after each
+batch, then clears the list, so a sink that keeps rows must copy them.
+When streaming, a batch runs at most ``_BATCH_FIRINGS`` firings of its
+plan, so the list stays small.  ``csv_event_sink(handle)`` writes each
+list to an open text file in one write, so the log never sits in memory,
+and ``simulate --log`` runs on it.  ``None`` keeps only the event
 counts; such a run takes a plan off the schedule once it is spent, when
 each of its firings can only count itself: its provider is not a device,
 its device has no link, or its device is depleted with no cached reading
@@ -77,7 +81,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Collection, Mapping, NamedTuple, TextIO
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TextIO
 
 from .energy import drain_mah, joules_to_mah, sense_energy, transmit_energy
 from .model import (
@@ -116,19 +120,34 @@ class SimEvent(NamedTuple):
 # A SimEvent from one (tick, kind, subject, detail) tuple, at half the cost of SimEvent(...).
 _row = functools.partial(tuple.__new__, SimEvent)
 
-EventSink = Callable[[SimEvent], object]
+EventSink = Callable[[Sequence[SimEvent]], object]
 COLLECT = object()  # the default sink: keep every event on ``SimulationReport.events``
+_BATCH_FIRINGS = 64  # the most firings of one plan whose rows a streaming sink gets at once
 
 
 def csv_event_sink(handle: TextIO) -> EventSink:
-    """Write the event log's header to ``handle``; return the sink that writes each row.
+    """Write the event log's header to ``handle``; return the sink that writes each list of rows.
 
     This is the one CSV rule for event logs: ``SimulationReport.events_csv``
-    and ``simulate --log`` both go through it.
+    and ``simulate --log`` both go through it.  A list is rendered as one
+    string and written at once.  That string is what ``csv.writer`` writes
+    exactly when no field holds a comma, a quote, ``\r`` or ``\n``; a list
+    with any such field goes through ``csv.writer`` instead.
     """
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(SimEvent._fields)
-    return writer.writerow
+    write = handle.write
+
+    def sink(rows: Sequence[SimEvent]) -> None:
+        text = "".join([f"{tick},{kind},{subject},{detail}\n"
+                        for tick, kind, subject, detail in rows])
+        if ('"' in text or "\r" in text or text.count(",") != 3 * len(rows)
+                or text.count("\n") != len(rows)):
+            writer.writerows(rows)
+        else:
+            write(text)
+
+    return sink
 
 
 @dataclass(frozen=True)
@@ -575,15 +594,16 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     reports and byte-identical event logs.  The run halts as soon as a
     device named in ``halt_on`` depletes.  ``registry`` supplies
     the execution-module hooks; the default registry carries the built-in
-    analyses.  ``sink`` receives each event as it happens: ``COLLECT``
-    keeps them on ``report.events``, a callable gets each ``SimEvent``
-    row (and ``report.events`` stays empty), and None keeps only the
-    event counts, which makes multi-hundred-thousand-tick runs cheap.
+    analyses.  ``sink`` receives the events: ``COLLECT`` keeps them on
+    ``report.events``, a callable gets them as lists of ``SimEvent`` rows
+    in log order (and ``report.events`` stays empty), and None keeps only
+    the event counts, which makes multi-hundred-thousand-tick runs cheap.
     """
     state = initial_state(model, freshness=freshness, halt_on=halt_on,
                           seed=seed, distance_overrides=distance_overrides)
     events: list[SimEvent] = []
-    log = events.append if sink is COLLECT else sink
+    log = None if sink is None else events.append
+    stream = None if sink is COLLECT else sink  # handed ``events``, which is then cleared
     plans = _build_plans(state, log)
     counts = state.counts
 
@@ -601,6 +621,9 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
             counts[EventKind.MODULE_OUTPUT.value] += 1
             if log is not None:
                 log(SimEvent(0, EventKind.MODULE_OUTPUT.value, name, output))
+        if stream is not None:
+            stream(events)
+            events.clear()
 
     max_age = state.freshness.max_age_ticks
     horizon = model.sim_config.simulation_time
@@ -627,7 +650,13 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         index = due.index(now)
         due[index] = never
         later = min(due)
-        due[index] = plans[index].fire(now, now if later == now else min(later - 1, horizon))
+        stop = now if later == now else min(later - 1, horizon)
+        if stream is not None:
+            stop = min(stop, now + (_BATCH_FIRINGS - 1) * plans[index].interval)
+        due[index] = plans[index].fire(now, stop)
+        if stream is not None:
+            stream(events)
+            events.clear()
         if state.halted_by is not None:
             tick, halting = due[index] - plans[index].interval, index
             break
@@ -674,9 +703,7 @@ class SimulationReport:
 
     def events_csv(self) -> str:
         buffer = io.StringIO()
-        write = csv_event_sink(buffer)
-        for event in self.events:
-            write(event)
+        csv_event_sink(buffer)(self.events)
         return buffer.getvalue()
 
     def to_text(self) -> str:

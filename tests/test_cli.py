@@ -1,8 +1,10 @@
 """Command-line behavior: commands, seeds, files, exit codes."""
 
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -159,6 +161,53 @@ def test_unwritable_log_exits_two_before_the_run(where, tmp_path, monkeypatch, c
     assert captured.out == ""
     assert f"cannot write {target}" in captured.err
     assert os.listdir(tmp_path) == []
+
+
+def test_a_symlinked_log_is_written_through_the_link(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    assert main(["simulate", FRESH, "--stop-on-depletion", "--log", str(plain)]) == 0
+    (tmp_path / "logs").mkdir()
+    target = tmp_path / "logs" / "events.csv"
+    target.write_text("old log\n", encoding="utf-8")
+    link = tmp_path / "events.csv"
+    link.symlink_to(target)
+    assert main(["simulate", FRESH, "--stop-on-depletion", "--log", str(link)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {link}\n")
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == plain.read_bytes()
+    assert os.listdir(tmp_path / "logs") == ["events.csv"]  # no temporary file left behind
+
+
+def test_a_symlinked_csv_is_written_through_the_link(tmp_path, capsys):
+    target = tmp_path / "scenarios.csv"
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)  # dangling until the table is written
+    assert main(["deployments", PADOVA, "--csv", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8").startswith("id,assignment,")
+
+
+def test_a_fifo_log_stays_a_fifo_and_delivers_the_whole_log(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    assert main(["simulate", FRESH, "--stop-on-depletion", "--log", str(plain)]) == 0
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert main(["simulate", FRESH, "--stop-on-depletion", "--log", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == [plain.read_bytes()]
+    assert sorted(os.listdir(tmp_path)) == ["events.fifo", "plain.csv"]
 
 
 def test_simulate_log_is_not_held_in_memory(tmp_path, capsys):

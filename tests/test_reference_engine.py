@@ -9,6 +9,7 @@ ticks and a halt set.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import statistics
@@ -16,7 +17,7 @@ import statistics
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from iotdraw import COLLECT, FreshnessPolicy, csv_event_sink, lifetime_sweep, run_simulation
+from iotdraw import COLLECT, FreshnessPolicy, lifetime_sweep, run_simulation
 from iotdraw.model import (
     CONDITION_OPS, Application, Component, ConditionExpr, ConstantSource, DeviceEnergyProfile,
     EventRequest, GeoLocation, IoTSystemModel, MessageField, MessageType, NetworkLink,
@@ -118,10 +119,11 @@ def runs(draw):
 
 
 def _csv(rows):
+    """The reference log as ``csv.writer`` writes it, apart from the engine's sink."""
     buffer = io.StringIO()
-    write = csv_event_sink(buffer)
-    for row in rows:
-        write(row)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("tick", "kind", "subject", "detail"))
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -131,7 +133,7 @@ def test_engine_matches_the_reference(case):
     model, max_age, halt_on, seed = case
     expected = reference_run(model, max_age, halt_on, seed=seed)
     streamed = []
-    for sink in (COLLECT, None, streamed.append):
+    for sink in (COLLECT, None, streamed.extend):
         report = run_simulation(model, FreshnessPolicy(max_age), halt_on, seed=seed, sink=sink)
         for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
             assert getattr(report, attribute) == getattr(expected, attribute), (attribute, sink)
