@@ -102,13 +102,18 @@ def platform_availability(platform) -> float:
 
 def scenario_availability(model: IoTSystemModel, scenario: DeploymentScenario) -> float:
     """Joint availability: product over the distinct platforms actually used."""
-    return _joint_availability(model, {platform for _, platform in scenario.assignment})
+    return _joint_availability(_availabilities(model),
+                               {platform for _, platform in scenario.assignment})
 
 
-def _joint_availability(model: IoTSystemModel, platforms) -> float:
+def _availabilities(model: IoTSystemModel) -> dict[str, float]:
+    return {platform.name: platform_availability(platform) for platform in model.platforms}
+
+
+def _joint_availability(availability: dict[str, float], platforms) -> float:
     result = 1.0
     for name in sorted(platforms):
-        result *= platform_availability(model.platform(name))
+        result *= availability[name]
     return result
 
 
@@ -126,6 +131,7 @@ def evaluate_scenarios(model: IoTSystemModel,
     terms = [(edge_table(model, edge), edge, edge.consumer, edge.provider,
               edge.provider_kind == "component") for edge in dependency_edges(model)]
     availabilities: dict[frozenset[str], float] = {}
+    availability_of = _availabilities(model)
     evaluated = []
     for s in scenarios:
         hosts = dict(s.assignment)
@@ -140,7 +146,7 @@ def evaluate_scenarios(model: IoTSystemModel,
         used = frozenset(hosts.values())
         availability = availabilities.get(used)
         if availability is None:
-            availability = availabilities[used] = _joint_availability(model, used)
+            availability = availabilities[used] = _joint_availability(availability_of, used)
         evaluated.append(DeploymentScenario(s.id, s.assignment, availability, total))
     return evaluated
 

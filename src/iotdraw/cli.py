@@ -56,14 +56,18 @@ def _replacing(path: str):
     block raises, the new file is removed and any existing ``path`` is
     left as it was.  A target that exists and is not a regular file, such
     as a FIFO or a device, cannot be replaced: it is written in place.
+    A file that is replaced keeps its permission bits; a new one gets
+    ``0o666`` less the umask, as ``open()`` would give it.
     """
     temp = None
     try:
         target = os.path.realpath(path)
         try:
             mode = os.stat(target).st_mode
-        except FileNotFoundError:
-            mode = stat.S_IFREG  # a new file, made like a replacement
+        except FileNotFoundError:  # a new file, made like a replacement with a plain open()'s mode
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | (0o666 & ~umask)
         if stat.S_ISDIR(mode):
             raise IsADirectoryError(f"{path!r} is a directory")
         if stat.S_ISREG(mode):
@@ -76,9 +80,7 @@ def _replacing(path: str):
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             if temp is not None:
-                umask = os.umask(0)
-                os.umask(umask)
-                os.chmod(temp, 0o666 & ~umask)  # the mode a plain open() would give
+                os.chmod(temp, stat.S_IMODE(mode))  # the replaced file keeps its permissions
             yield handle
         if temp is not None:
             os.replace(temp, target)

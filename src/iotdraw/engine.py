@@ -36,7 +36,7 @@ plan is due next:
   task, with or without the freshness cache, and whose event requests
   cannot sense.  The cell's fields and the SplitMix64 state live in
   locals for the batch; the draw and ``drain_mah``'s one-cost-at-a-time
-  subtraction are inlined, and every row's fixed text is rendered once.
+  subtraction are inlined, and every row's fixed text is quoted once.
 - ``_generic_kernel``: every other shape, through ``_serve``: a sense
   among several tasks, an event request that can sense, and requests
   that cannot sense because their provider is not a device, their
@@ -51,22 +51,29 @@ tick's declaration order do not fire.  Only the draw is inlined:
 ``rng.py`` and ``docs/determinism.md`` remain its specification, as
 ``energy.py`` is the drain's.
 
-Each event is one ``SimEvent`` row, ``(tick, kind, subject, detail)``,
-which the kernels append to a list as it happens.  There are three sinks.
-The default, ``COLLECT``, keeps every row on ``SimulationReport.events``.
-Any callable that takes a list of rows streams the log instead: the run
-hands it the rows so far after the tick-0 module rows and after each
-batch, then clears the list, so a sink that keeps rows must copy them.
-When streaming, a batch runs at most ``_BATCH_FIRINGS`` firings of its
-plan, so the list stays small.  ``csv_event_sink(handle)`` writes each
-list to an open text file in one write, so the log never sits in memory,
-and ``simulate --log`` runs on it.  ``None`` keeps only the event
-counts; such a run takes a plan off the schedule once it is spent, when
-each of its firings can only count itself: its provider is not a device,
-its device has no link, or its device is depleted with no cached reading
-young enough to serve again.  Depleted batteries never recover, so a
-spent plan stays spent; its remaining firings up to the last tick run are
-counted in closed form and the report equals that of the full run.
+The event log is CSV text, rendered once by the code that logs it: the
+kernels append records to a list as they happen, each item one or more
+whole records.  ``_field`` is the one quoting rule: a field holding a
+comma, a quote, ``\r`` or ``\n`` is quoted, its quotes doubled.  The
+sense kernel quotes each row's fixed text once, when the plan is built;
+what changes from firing to firing (ticks, ages, float reprs) never needs
+quoting.  There are three sinks.  The default, ``COLLECT``, keeps the text
+on the report: ``SimulationReport.events_csv()`` is the header plus that
+text, and ``SimulationReport.events`` parses it into ``SimEvent`` rows on
+first access.  Any callable that takes a list of CSV text streams the log
+instead: the run hands it the list so far after the tick-0 module rows
+and after each batch, then clears it, so a sink that keeps text must copy
+it.  When streaming, a batch runs at most ``_BATCH_FIRINGS`` firings of
+its plan, so the list stays small.  ``csv_event_sink(handle)`` writes the
+header and then each list to an open text file in one write, so the log
+never sits in memory, and ``simulate --log`` runs on it.  ``None`` keeps
+only the event counts; such a run takes a plan off the schedule once it
+is spent, when each of its firings can only count itself: its provider is
+not a device, its device has no link, or its device is depleted with no
+cached reading young enough to serve again.  Depleted batteries never
+recover, so a spent plan stays spent; its remaining firings up to the last
+tick run are counted in closed form and the report equals that of the
+full run.
 
 Declared execution modules run exactly once, before tick 0; an unknown
 module name aborts the run before any tick executes.
@@ -117,35 +124,52 @@ class SimEvent(NamedTuple):
     detail: str = ""
 
 
-# A SimEvent from one (tick, kind, subject, detail) tuple, at half the cost of SimEvent(...).
-_row = functools.partial(tuple.__new__, SimEvent)
+_HEADER = ",".join(SimEvent._fields) + "\n"
+EventSink = Callable[[Sequence[str]], object]  # takes a list of CSV text, each item whole records
+COLLECT = object()  # the default sink: keep the log's text on the report
+_BATCH_FIRINGS = 64  # the most firings of one plan whose records a streaming sink gets at once
 
-EventSink = Callable[[Sequence[SimEvent]], object]
-COLLECT = object()  # the default sink: keep every event on ``SimulationReport.events``
-_BATCH_FIRINGS = 64  # the most firings of one plan whose rows a streaming sink gets at once
+
+def _field(text: str) -> str:
+    """One CSV field: quoted, its quotes doubled, when it holds a comma, a quote, ``\n`` or ``\r``.
+
+    This is ``csv.writer``'s QUOTE_MINIMAL rule, except that a bare ``\r``
+    is quoted too, so ``csv.reader`` reads every record back whole.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _line(tick: int, kind: str, subject: str, detail: str) -> str:
+    """One event-log record as CSV text."""
+    return f"{tick},{_field(kind)},{_field(subject)},{_field(detail)}\n"
+
+
+def _template(*pieces: str) -> tuple[str, ...]:
+    """The fixed pieces of one field, quoted so that joining them around parts
+    that never need quoting (ticks, ages, float reprs) gives what ``_field``
+    gives for the whole field."""
+    whole = "".join(pieces)
+    if _field(whole) == whole:
+        return pieces
+    quoted = [piece.replace('"', '""') for piece in pieces]
+    quoted[0], quoted[-1] = '"' + quoted[0], quoted[-1] + '"'
+    return tuple(quoted)
 
 
 def csv_event_sink(handle: TextIO) -> EventSink:
-    """Write the event log's header to ``handle``; return the sink that writes each list of rows.
+    """Write the event log's header to ``handle``; return the sink that writes each list of CSV text.
 
-    This is the one CSV rule for event logs: ``SimulationReport.events_csv``
-    and ``simulate --log`` both go through it.  A list is rendered as one
-    string and written at once.  That string is what ``csv.writer`` writes
-    exactly when no field holds a comma, a quote, ``\r`` or ``\n``; a list
-    with any such field goes through ``csv.writer`` instead.
+    Every item of a list is one or more whole records, quoted by
+    ``_field`` when they were logged; a list is joined and written at once.
+    ``SimulationReport.events_csv`` is the same header plus the same text.
     """
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(SimEvent._fields)
     write = handle.write
+    write(_HEADER)
 
-    def sink(rows: Sequence[SimEvent]) -> None:
-        text = "".join([f"{tick},{kind},{subject},{detail}\n"
-                        for tick, kind, subject, detail in rows])
-        if ('"' in text or "\r" in text or text.count(",") != 3 * len(rows)
-                or text.count("\n") != len(rows)):
-            writer.writerows(rows)
-        else:
-            write(text)
+    def sink(texts: Sequence[str]) -> None:
+        write("".join(texts))
 
     return sink
 
@@ -402,21 +426,41 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
     the draw and the drain are inlined, and the batch ends after the firing
     that depletes the device.  Watchers have ``_fixed_outcome`` outcomes,
     worked out again whenever a device has depleted since (it may be theirs).
+    Each firing logs one string holding all of its records.
     """
     cell = request.cell
     rng, sample = cell.stream.rng, cell.stream.next
     if rng is not None:
         lo, span = cell.stream.source.lo, cell.stream.source.hi - cell.stream.source.lo
-    name, kind, consumer = cell.name, request.kind, request.consumer
+    name, kind = cell.name, request.kind
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
     counts, lifetimes = state.counts, state.lifetimes
     record = log is not None
-    # Each row's fixed text is rendered once.
-    served, failed = request.detail, request.detail + " status=failed:provider-depleted"
-    sensed_tail, hit_tail = f" {cell.sense_detail} consumer={consumer}", f" consumer={consumer}"
+    # Each record's fixed text, after its tick, is quoted once.
+    consumer, subject = _field(request.consumer), _field(name)
+    served = f",{kind},{consumer},{_field(request.detail)}\n"
+    failed = f",{kind},{consumer},{_field(request.detail + ' status=failed:provider-depleted')}\n"
+    head, tail = _template("value=", f" {cell.sense_detail} consumer={request.consumer}")
+    sensed, sensed_tail = f",{_SENSED},{subject},{head}", tail + "\n"
+    head, middle, tail = _template("value=", " age=", f" consumer={request.consumer}")
+    hit, hit_middle, hit_tail = f",{_HIT},{subject},{head}", middle, tail + "\n"
+    drained = f",{_DEPLETED},{subject},residual_mah="
     tests = tuple((test, limit, index) for index, (test, limit, _) in enumerate(watchers))
-    texts = [(w.consumer, w.detail, w.cell and w.cell.name) for _, _, w in watchers]
+
+    def watcher_outcomes() -> list[tuple[int, str, tuple[str, ...]]]:
+        """Per watcher: its actuations, its record's text up to the value, and the
+        pieces that a tick joins into the rest of its records."""
+        outcomes = []
+        for _, _, watcher in watchers:
+            suffix, actions = _fixed_outcome(watcher)
+            head, tail = _template(f"{watcher.detail} value=", suffix)
+            device = watcher.cell and _field(watcher.cell.name)
+            outcomes.append((len(actions), f",{_EVENT},{_field(watcher.consumer)},{head}",
+                             (tail + "\n", *(f",{_ACTUATED},{device},{_field(action)}\n"
+                                             for action in actions))))
+        return outcomes
+
     # A device depletes during a run only as its lifetime is recorded, so the
     # watchers' outcomes stand while the number of lifetimes does.
     outcomes, depletions = [], -1
@@ -427,19 +471,19 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
         cached_value, cached_at = cell.cached_value, cell.cached_at
         seed = rng.state if rng is not None else 0
         if depletions != len(lifetimes):
-            outcomes, depletions = [_fixed_outcome(w) for _, _, w in watchers], len(lifetimes)
+            outcomes, depletions = watcher_outcomes(), len(lifetimes)
         start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
         while now <= stop:
             if max_age and cached_at is not None and now - cached_at <= max_age:
                 value = cached_value  # fresh, whatever the device's health
                 hits += 1
                 if record:
-                    log(_row((now, kind, consumer, served)))
-                    log(_row((now, _HIT, name, f"value={value!r} age={now - cached_at}{hit_tail}")))
+                    shown, tick = repr(value), str(now)
+                    text = f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - cached_at}{hit_tail}"
             elif depleted:
                 failures += 1
                 if record:
-                    log(_row((now, kind, consumer, failed)))
+                    log(f"{now}{failed}")
                 now += interval
                 if record:
                     continue
@@ -453,8 +497,8 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
                     value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
                 if record:
-                    log(_row((now, kind, consumer, served)))
-                    log(_row((now, _SENSED, name, f"value={value!r}{sensed_tail}")))
+                    shown, tick = repr(value), str(now)
+                    text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
                 # drain_mah, one cost at a time
                 residual = residual - sense_mah
                 residual = residual if residual > 0.0 else 0.0
@@ -467,21 +511,20 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     lifetimes[name] = now
                     counts[_DEPLETED] += 1
                     if record:
-                        log(_row((now, _DEPLETED, name, f"residual_mah={residual!r}")))
+                        text += f"{tick}{drained}{residual!r}\n"
                     if cell.halts and state.halted_by is None:
                         state.halted_by = name
-                    outcomes, depletions = [_fixed_outcome(w) for _, _, w in watchers], len(lifetimes)
+                    outcomes, depletions = watcher_outcomes(), len(lifetimes)
                     stop = now
             for test, limit, index in tests:
                 if test(value, limit):
-                    suffix, actions = outcomes[index]
+                    count, event, pieces = outcomes[index]
                     alerts += 1
-                    actuations += len(actions)
+                    actuations += count
                     if record:
-                        watcher, detail, device = texts[index]
-                        log(_row((now, _EVENT, watcher, f"{detail} value={value!r}{suffix}")))
-                        for action in actions:
-                            log(_row((now, _ACTUATED, device, action)))
+                        text += f"{tick}{event}{shown}{tick.join(pieces)}"
+            if record:
+                log(text)
             now += interval
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
@@ -532,7 +575,7 @@ def _serve(state: SimulationState, log: EventSink | None, request: _Request, now
     fresh = _fresh(request, now, max_age)
     suffix = "" if fresh else _failure(request)
     if log is not None:
-        log(_row((now, request.kind, request.consumer, request.detail + note + suffix)))
+        log(_line(now, request.kind, request.consumer, request.detail + note + suffix))
     if cell is None or suffix:
         return None
     value = None
@@ -540,20 +583,20 @@ def _serve(state: SimulationState, log: EventSink | None, request: _Request, now
         if task == _ACTUATED:
             counts[_ACTUATED] += 1
             if log is not None:
-                log(_row((now, _ACTUATED, cell.name, action)))
+                log(_line(now, _ACTUATED, cell.name, action))
             continue
         if fresh:
             value = cell.cached_value
             counts[_HIT] += 1
             if log is not None:
-                log(_row((now, _HIT, cell.name, f"value={value!r} "
-                          f"age={now - cell.cached_at} consumer={request.consumer}")))
+                log(_line(now, _HIT, cell.name, f"value={value!r} "
+                          f"age={now - cell.cached_at} consumer={request.consumer}"))
             continue
         value = cell.stream.next()
         counts[_SENSED] += 1
         if log is not None:
-            log(_row((now, _SENSED, cell.name,
-                      f"value={value!r} {cell.sense_detail} consumer={request.consumer}")))
+            log(_line(now, _SENSED, cell.name,
+                      f"value={value!r} {cell.sense_detail} consumer={request.consumer}"))
         was_depleted = cell.depleted
         cell.residual_mah, cell.depleted = drain_mah(cell.residual_mah, cell.threshold_mah,
                                                      cell.sense_mah, cell.transmit_mah)
@@ -561,7 +604,7 @@ def _serve(state: SimulationState, log: EventSink | None, request: _Request, now
             state.lifetimes[cell.name] = now
             counts[_DEPLETED] += 1
             if log is not None:
-                log(_row((now, _DEPLETED, cell.name, f"residual_mah={cell.residual_mah!r}")))
+                log(_line(now, _DEPLETED, cell.name, f"residual_mah={cell.residual_mah!r}"))
             if cell.halts and state.halted_by is None:
                 state.halted_by = cell.name
         cell.cached_value, cell.cached_at = value, now
@@ -594,14 +637,16 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     reports and byte-identical event logs.  The run halts as soon as a
     device named in ``halt_on`` depletes.  ``registry`` supplies
     the execution-module hooks; the default registry carries the built-in
-    analyses.  ``sink`` receives the events: ``COLLECT`` keeps them on
-    ``report.events``, a callable gets them as lists of ``SimEvent`` rows
-    in log order (and ``report.events`` stays empty), and None keeps only
-    the event counts, which makes multi-hundred-thousand-tick runs cheap.
+    analyses.  ``sink`` receives the event log: ``COLLECT`` keeps its CSV
+    text on the report (``report.events_csv()``, parsed into
+    ``report.events`` on first access), a callable gets it as lists of CSV
+    text in log order, each item whole records (and ``report.events``
+    stays empty), and None keeps only the event counts, which makes
+    multi-hundred-thousand-tick runs cheap.
     """
     state = initial_state(model, freshness=freshness, halt_on=halt_on,
                           seed=seed, distance_overrides=distance_overrides)
-    events: list[SimEvent] = []
+    events: list[str] = []  # CSV text, each item whole records
     log = None if sink is None else events.append
     stream = None if sink is COLLECT else sink  # handed ``events``, which is then cleared
     plans = _build_plans(state, log)
@@ -620,7 +665,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
             state.module_outputs[name] = output
             counts[EventKind.MODULE_OUTPUT.value] += 1
             if log is not None:
-                log(SimEvent(0, EventKind.MODULE_OUTPUT.value, name, output))
+                log(_line(0, EventKind.MODULE_OUTPUT.value, name, output))
         if stream is not None:
             stream(events)
             events.clear()
@@ -680,7 +725,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         lifetimes={name: state.lifetimes.get(name) for name in state.devices},
         counts={kind: count for kind, count in sorted(counts.items()) if count},
         module_outputs=dict(state.module_outputs),
-        events=tuple(events),
+        log_text="".join(events),
     )
 
 
@@ -695,16 +740,20 @@ class SimulationReport:
     lifetimes: dict[str, int | None]
     counts: dict[str, int]
     module_outputs: dict[str, str]
-    events: tuple[SimEvent, ...]
+    log_text: str  # the collected event log's records as CSV text, without the header
 
     @property
     def halted_on_depletion(self) -> bool:
         return self.halted_by is not None
 
+    @functools.cached_property
+    def events(self) -> tuple[SimEvent, ...]:
+        """The collected event log's rows, parsed from its text on first access."""
+        return tuple(SimEvent(int(tick), kind, subject, detail) for tick, kind, subject, detail
+                     in csv.reader(io.StringIO(self.log_text, newline="")))
+
     def events_csv(self) -> str:
-        buffer = io.StringIO()
-        csv_event_sink(buffer)(self.events)
-        return buffer.getvalue()
+        return _HEADER + self.log_text
 
     def to_text(self) -> str:
         lines = []

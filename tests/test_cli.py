@@ -134,6 +134,22 @@ def test_simulate_log_replaces_the_file_only_when_the_run_succeeds(tmp_path, cap
     assert os.listdir(tmp_path) == ["events.csv"]  # no temporary file left behind
 
 
+def test_a_replaced_log_keeps_its_permissions(tmp_path, capsys):
+    log = tmp_path / "events.csv"
+    log.write_text("old log\n", encoding="utf-8")
+    log.chmod(0o600)
+    assert main(["simulate", FRESH, "--stop-on-depletion", "--log", str(log)]) == 0
+    assert stat.S_IMODE(log.stat().st_mode) == 0o600
+    assert log.read_text(encoding="utf-8").startswith("tick,kind,subject,detail\n")
+    fresh = tmp_path / "fresh.csv"
+    umask = os.umask(0o022)
+    try:
+        assert main(["simulate", FRESH, "--stop-on-depletion", "--log", str(fresh)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644  # a new file: 0o666 less the umask
+
+
 def test_failed_run_leaves_the_old_log_alone(tmp_path, capsys):
     model = tmp_path / "badmod.iot"
     model.write_text(tiny_text().replace("rng_seed = 0", """rng_seed = 0

@@ -1,12 +1,15 @@
-"""The event-log sink: what it writes, and how many rows a run hands it at once."""
+"""The event log's CSV text: how a record is quoted, what the sink writes, and how
+many records a run hands a streaming sink at once."""
 
 import csv
+import dataclasses
+import functools
 import io
 
 from hypothesis import given, settings, strategies as st
 
-from iotdraw import csv_event_sink, parse_model, run_simulation
-from iotdraw.engine import _BATCH_FIRINGS
+from iotdraw import FreshnessPolicy, csv_event_sink, parse_model, run_simulation
+from iotdraw.engine import _BATCH_FIRINGS, _line
 
 from conftest import MODELS_DIR
 
@@ -17,56 +20,95 @@ plain_fields = st.text(st.characters(exclude_characters=',"\r\n'), max_size=12)
 rows = st.tuples(st.integers(-10, 10**7), fields, fields, fields)
 plain_rows = st.tuples(st.integers(0, 10**7), plain_fields, plain_fields, plain_fields)
 batches = st.lists(st.lists(rows | plain_rows, max_size=8), max_size=6)
+HEADER = ("tick", "kind", "subject", "detail")
+
+
+def _record(row):
+    """One record as ``csv.writer`` writes it with a ``\\r\\n`` terminator, which
+    quotes every field holding ``\\r`` or ``\\n``, ended by ``\\n`` instead."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(row)
+    return buffer.getvalue()[:-2] + "\n"
 
 
 def _written_by_csv_writer(batches):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("tick", "kind", "subject", "detail"))
-    for batch in batches:
-        writer.writerows(batch)
-    return buffer.getvalue()
+    return "".join(_record(row) for row in [HEADER, *(row for batch in batches for row in batch)])
 
 
-def _written_by_sink(batches):
+def _written_by_sink(texts):
     buffer = io.StringIO()
     sink = csv_event_sink(buffer)
-    for batch in batches:
+    for batch in texts:
         sink(batch)
     return buffer.getvalue()
+
+
+@functools.cache
+def _empty_report():
+    text = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+    return run_simulation(parse_model(text.replace("simulation_time = 50000", "simulation_time = 0")))
+
+
+def _rendered(batches):
+    return [[_line(*row) for row in batch] for batch in batches]
 
 
 @settings(max_examples=150, deadline=None)
 @given(batches=batches)
 def test_the_sink_writes_what_csv_writer_writes(batches):
-    assert _written_by_sink(batches) == _written_by_csv_writer(batches)
+    assert _written_by_sink(_rendered(batches)) == _written_by_csv_writer(batches)
 
 
 @settings(max_examples=200, deadline=None)
 @given(batch=st.lists(rows | plain_rows, max_size=12))
 def test_one_batch_or_a_batch_per_row_write_the_same(batch):
     expected = _written_by_csv_writer([batch])
-    assert _written_by_sink([batch]) == expected
-    assert _written_by_sink([[row] for row in batch]) == expected
+    (lines,) = _rendered([batch])
+    assert _written_by_sink([lines]) == expected
+    assert _written_by_sink([["".join(lines)]]) == expected
+    assert _written_by_sink([[line] for line in lines]) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=st.lists(rows | plain_rows, max_size=12))
+def test_the_rendered_text_reads_back_as_the_rows(batch):
+    text = "".join(_line(*row) for row in batch)
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
+    assert parsed == [[str(tick), kind, subject, detail] for tick, kind, subject, detail in batch]
+    assert dataclasses.replace(_empty_report(), log_text=text).events == tuple(batch)
 
 
 def test_a_batch_with_one_row_that_needs_quoting_is_quoted_like_csv_writer():
     batch = [(0, "ModuleOutput", "DeploymentScenarios", "line one\nline two, with a comma"),
              (1, "PeriodicRequest", "Monitor", "task=read provider=probe"),
-             (1, "SenseSample", "probe", 'value="quoted"')]
-    assert _written_by_sink([batch]) == _written_by_csv_writer([batch])
-    assert _written_by_sink([batch[1:]]) == _written_by_csv_writer([batch[1:]])
+             (1, "SenseSample", "probe", 'value="quoted"'),
+             (2, "SenseSample", "pro\rbe", "value=1.0")]
+    assert _written_by_sink(_rendered([batch])) == _written_by_csv_writer([batch])
+    assert _written_by_sink(_rendered([batch[1:]])) == _written_by_csv_writer([batch[1:]])
+
+
+def test_names_with_a_comma_or_a_carriage_return_read_back_whole():
+    text = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+    model = parse_model(text.replace('"level_sensor_1"', '"level\rsensor_1"')
+                        .replace('"Monitor"', '"Monitor, main"'))
+    for max_age in (0, 1):
+        report = run_simulation(model, FreshnessPolicy(max_age))
+        records = list(csv.reader(io.StringIO(report.events_csv(), newline="")))
+        assert records == [list(HEADER)] + [[str(event.tick), *event[1:]] for event in report.events]
+        assert len(report.events) == sum(report.counts.values())
+        assert {event.subject for event in report.events} == {"level\rsensor_1", "Monitor, main"}
 
 
 def test_a_streaming_sink_gets_at_most_the_cap_of_firings_at_once():
     text = (MODELS_DIR / "padova_fw.iot").read_text(encoding="utf-8")
     model = parse_model(text.replace("simulation_time = 1051200", "simulation_time = 20000"))
     handed = []
-    report = run_simulation(model, sink=lambda rows: handed.append(list(rows)))
-    assert [row for batch in handed for row in batch] == list(run_simulation(model).events)
-    assert handed[0] == [row for row in handed[0] if row.kind == "ModuleOutput"]
-    requests = [sum(row.kind == "PeriodicRequest" for row in batch) for batch in handed[1:]]
+    report = run_simulation(model, sink=lambda texts: handed.append("".join(texts)))
+    assert "".join(handed) == run_simulation(model).log_text
+    records = [list(csv.reader(io.StringIO(batch, newline=""))) for batch in handed]
+    assert records[0] == [record for record in records[0] if record[1] == "ModuleOutput"]
+    requests = [sum(record[1] == "PeriodicRequest" for record in batch) for batch in records[1:]]
     assert max(requests) == _BATCH_FIRINGS  # the cap is reached, and never passed
     assert sum(requests) == report.counts["PeriodicRequest"] == 10000
     # A firing logs its request, a sample, and at most an alarm and its actuation.
-    assert max(len(batch) for batch in handed) <= 4 * _BATCH_FIRINGS
+    assert max(len(batch) for batch in records) <= 4 * _BATCH_FIRINGS

@@ -37,6 +37,8 @@ _SOURCE = st.one_of(
               _READING, _READING, st.none() | st.integers(0, 2**64 - 1)),
     st.builds(lambda values: TraceSource(tuple(values)), st.lists(_READING, min_size=1, max_size=4)),
 )
+# One name in three holds a comma, so its log fields are quoted.
+_NAME_TAIL = st.sampled_from(["", "", ", q"])
 _TASK_KINDS = st.sampled_from([TaskKind.SENSE, TaskKind.SENSE, TaskKind.ACTUATE, TaskKind.COMPUTE])
 
 
@@ -53,7 +55,7 @@ def simulated_models(draw) -> IoTSystemModel:
     links = []
     interfaces = ["IHub", "ISrv"]
     for index in range(draw(st.integers(1, 3))):
-        name = f"d{index}"
+        name = f"d{index}" + draw(_NAME_TAIL)
         capacity = 5.0 + draw(st.floats(0.0, 12.0)) * PER + 1e-9
         residual = draw(st.sampled_from([capacity, capacity, 5.0 + draw(st.floats(0.0, 4.0)) * PER]))
         platforms.append(_platform(
@@ -89,7 +91,7 @@ def simulated_models(draw) -> IoTSystemModel:
     components = [Component("Srv", provided_service=ServicePort("srv_port", "ISrv", "HTTP"))]
     for index in range(draw(st.integers(1, 4))):
         components.append(Component(
-            f"c{index}",
+            f"c{index}" + draw(_NAME_TAIL),
             periodic_request=draw(st.sampled_from([None, 1, 1, 1]).flatmap(
                 lambda some: st.just(None) if some is None
                 else st.builds(PeriodicRequest, task, st.integers(1, 6)))),
@@ -119,12 +121,14 @@ def runs(draw):
 
 
 def _csv(rows):
-    """The reference log as ``csv.writer`` writes it, apart from the engine's sink."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("tick", "kind", "subject", "detail"))
-    writer.writerows(rows)
-    return buffer.getvalue()
+    """The reference log as ``csv.writer`` writes it, apart from the engine: each record
+    with a ``\\r\\n`` terminator, so a field holding ``\\r`` is quoted too, ended by ``\\n``."""
+    records = []
+    for row in [("tick", "kind", "subject", "detail"), *rows]:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        records.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(records)
 
 
 @settings(max_examples=400, deadline=None)
@@ -132,15 +136,16 @@ def _csv(rows):
 def test_engine_matches_the_reference(case):
     model, max_age, halt_on, seed = case
     expected = reference_run(model, max_age, halt_on, seed=seed)
+    expected_csv = _csv(expected.events)
     streamed = []
     for sink in (COLLECT, None, streamed.extend):
         report = run_simulation(model, FreshnessPolicy(max_age), halt_on, seed=seed, sink=sink)
         for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
             assert getattr(report, attribute) == getattr(expected, attribute), (attribute, sink)
         if sink is COLLECT:
-            assert report.events_csv() == _csv(expected.events)
+            assert report.events_csv() == expected_csv
             assert [tuple(event) for event in report.events] == expected.events
-    assert [tuple(event) for event in streamed] == expected.events
+    assert "tick,kind,subject,detail\n" + "".join(streamed) == expected_csv
 
 
 def _with_interval(model, component, interval):
