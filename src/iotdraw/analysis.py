@@ -102,18 +102,20 @@ def platform_availability(platform) -> float:
 
 def scenario_availability(model: IoTSystemModel, scenario: DeploymentScenario) -> float:
     """Joint availability: product over the distinct platforms actually used."""
-    return _joint_availability(_availabilities(model),
-                               {platform for _, platform in scenario.assignment})
+    return _joint_availability(model, {platform for _, platform in scenario.assignment}, {})
 
 
-def _availabilities(model: IoTSystemModel) -> dict[str, float]:
-    return {platform.name: platform_availability(platform) for platform in model.platforms}
-
-
-def _joint_availability(availability: dict[str, float], platforms) -> float:
+def _joint_availability(model: IoTSystemModel, platforms, known: dict[str, float]) -> float:
+    """The product over ``platforms`` in name order; ``known`` keeps each one's availability."""
     result = 1.0
     for name in sorted(platforms):
-        result *= availability[name]
+        availability = known.get(name)
+        if availability is None:
+            platform = model.platform(name)
+            if platform is None:
+                raise ModelError(f"unknown platform: {name!r}")
+            availability = known[name] = platform_availability(platform)
+        result *= availability
     return result
 
 
@@ -131,7 +133,7 @@ def evaluate_scenarios(model: IoTSystemModel,
     terms = [(edge_table(model, edge), edge, edge.consumer, edge.provider,
               edge.provider_kind == "component") for edge in dependency_edges(model)]
     availabilities: dict[frozenset[str], float] = {}
-    availability_of = _availabilities(model)
+    known: dict[str, float] = {}
     evaluated = []
     for s in scenarios:
         hosts = dict(s.assignment)
@@ -146,7 +148,7 @@ def evaluate_scenarios(model: IoTSystemModel,
         used = frozenset(hosts.values())
         availability = availabilities.get(used)
         if availability is None:
-            availability = availabilities[used] = _joint_availability(availability_of, used)
+            availability = availabilities[used] = _joint_availability(model, used, known)
         evaluated.append(DeploymentScenario(s.id, s.assignment, availability, total))
     return evaluated
 

@@ -81,11 +81,10 @@ module name aborts the run before any tick executes.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import operator
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TextIO
@@ -144,6 +143,33 @@ def _field(text: str) -> str:
 def _line(tick: int, kind: str, subject: str, detail: str) -> str:
     """One event-log record as CSV text."""
     return f"{tick},{_field(kind)},{_field(subject)},{_field(detail)}\n"
+
+
+# A record as ``_line`` writes it: each field bare, or quoted with its quotes doubled.
+_FIELD = r'("[^"]*(?:""[^"]*)*"|[^,"\r\n]*)'
+_RECORD = re.compile(rf"(-?\d+),{_FIELD},{_FIELD},{_FIELD}\n")
+
+
+def _unquoted(text: str) -> str:
+    return text[1:-1].replace('""', '"') if text[:1] == '"' else text
+
+
+def _rows(text: str) -> tuple[SimEvent, ...]:
+    """The records that ``_line`` wrote into ``text``, read back as rows.
+
+    ``csv.reader`` reads the same rows, but it refuses a field longer than
+    ``csv.field_size_limit()``, and a module row holds its hook's whole output.
+    """
+    rows = []
+    at = 0
+    while at < len(text):
+        record = _RECORD.match(text, at)
+        if record is None:
+            raise ValueError(f"no event-log record at offset {at}")
+        tick, kind, subject, detail = record.groups()
+        rows.append(SimEvent(int(tick), _unquoted(kind), _unquoted(subject), _unquoted(detail)))
+        at = record.end()
+    return tuple(rows)
 
 
 def _template(*pieces: str) -> tuple[str, ...]:
@@ -749,8 +775,7 @@ class SimulationReport:
     @functools.cached_property
     def events(self) -> tuple[SimEvent, ...]:
         """The collected event log's rows, parsed from its text on first access."""
-        return tuple(SimEvent(int(tick), kind, subject, detail) for tick, kind, subject, detail
-                     in csv.reader(io.StringIO(self.log_text, newline="")))
+        return _rows(self.log_text)
 
     def events_csv(self) -> str:
         return _HEADER + self.log_text

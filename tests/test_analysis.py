@@ -149,6 +149,15 @@ def test_a_scenario_that_leaves_out_a_component_is_a_model_error(padova_model):
         evaluate_scenarios(padova_model, [partial])
 
 
+def test_a_scenario_on_an_unknown_platform_is_a_model_error(padova_model):
+    nowhere = DeploymentScenario(1, (("Analytics", "Nowhere"), ("FloodAPI", "Nowhere"),
+                                     ("FloodMonitor", "Nowhere")))
+    with pytest.raises(ModelError, match="^unknown platform: 'Nowhere'$"):
+        scenario_availability(padova_model, nowhere)
+    with pytest.raises(ModelError, match="^unknown platform: 'Nowhere'$"):
+        evaluate_scenarios(padova_model, [nowhere])
+
+
 @pytest.mark.parametrize("make_model", [thousand_scenario_model,
                                         lambda: random_placement_model(19)],
                          ids=["criterion-09", "placement-seed-19"])

@@ -8,10 +8,13 @@ import io
 
 from hypothesis import given, settings, strategies as st
 
-from iotdraw import FreshnessPolicy, csv_event_sink, parse_model, run_simulation
+from iotdraw import (
+    FreshnessPolicy, csv_event_sink, default_registry, parse_model, register_module,
+    run_simulation,
+)
 from iotdraw.engine import _BATCH_FIRINGS, _line
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, tiny_text
 
 # Fields built from pieces that need quoting, pieces that do not, and nothing.
 fields = st.lists(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a", "x=1", " "]),
@@ -97,6 +100,24 @@ def test_names_with_a_comma_or_a_carriage_return_read_back_whole():
         assert records == [list(HEADER)] + [[str(event.tick), *event[1:]] for event in report.events]
         assert len(report.events) == sum(report.counts.values())
         assert {event.subject for event in report.events} == {"level\rsensor_1", "Monitor, main"}
+
+
+def test_a_module_output_longer_than_the_csv_field_limit_reads_back():
+    output = 'scenario, "quoted"\n' * 12000  # 240,000 characters, past csv's default limit
+    text = tiny_text(sim_time=10, interval=2).replace("rng_seed = 0", """rng_seed = 0
+  execution_module {
+    module = "Long"
+  }""")
+    registry = register_module(default_registry(), "Long", lambda snapshot: output)
+    report = run_simulation(parse_model(text, "<long>"), registry=registry)
+    assert report.events[0] == (0, "ModuleOutput", "Long", output)
+    limit = csv.field_size_limit(len(output) + 2)
+    try:
+        records = list(csv.reader(io.StringIO(report.events_csv(), newline="")))
+    finally:
+        csv.field_size_limit(limit)
+    assert records == [list(HEADER)] + [[str(event.tick), *event[1:]] for event in report.events]
+    assert len(report.events) == sum(report.counts.values())
 
 
 def test_a_streaming_sink_gets_at_most_the_cap_of_firings_at_once():

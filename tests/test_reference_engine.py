@@ -37,8 +37,8 @@ _SOURCE = st.one_of(
               _READING, _READING, st.none() | st.integers(0, 2**64 - 1)),
     st.builds(lambda values: TraceSource(tuple(values)), st.lists(_READING, min_size=1, max_size=4)),
 )
-# One name in three holds a comma, so its log fields are quoted.
-_NAME_TAIL = st.sampled_from(["", "", ", q"])
+# Half the names hold a comma, a quote or a carriage return, so their log fields are quoted.
+_NAME_TAIL = st.sampled_from(["", "", "", ", q", '"q', "\rq"])
 _TASK_KINDS = st.sampled_from([TaskKind.SENSE, TaskKind.SENSE, TaskKind.ACTUATE, TaskKind.COMPUTE])
 
 
