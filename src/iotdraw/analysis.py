@@ -8,20 +8,24 @@ of its endpoints are placed, in the edge's table of host pairs
 (``validate.edge_table``): the provider must be reachable and the ports
 able to interact, crossing a protocol boundary only where a fog can
 translate.  Scoring sums the same tables' costs into a worst-case
-response time and multiplies platform availabilities, and lifetime
-sweeps measure how a device's battery horizon moves as a request
-interval or freshness window changes.
+response time and multiplies platform availabilities.  The search
+scores and renders as it places: each depth extends its parent's sum,
+product and text, so a scenario costs one step past the prefix it
+shares with its siblings.  Lifetime sweeps measure how a device's
+battery horizon moves as a request interval or freshness window changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .energy import lifetime_closed_form
 from .engine import FreshnessPolicy, gateway_uplink, run_simulation
-from .model import Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier
+from .model import (
+    Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier, csv_field,
+)
 from .rng import SplitMix64, derive_seed
 from .validate import dependency_edges, edge_fact, edge_table, eligible_hosts, task_binding
 
@@ -31,23 +35,46 @@ class DeploymentScenario:
     """One complete component-to-platform assignment.
 
     ``assignment`` holds (component, platform) pairs sorted by component
-    name; ids start at 1 and follow enumeration order.
+    name; ids start at 1 and follow enumeration order.  ``rendered`` is the
+    assignment as ``scenario_text`` and ``scenarios_to_csv`` write it, or
+    None to render it from ``assignment`` when asked; the search fills it
+    in from the prefixes its scenarios share.  Equality ignores it, and a
+    copy given a new ``assignment`` by ``dataclasses.replace`` must also
+    be given ``rendered=None``.
     """
 
     id: int
     assignment: tuple[tuple[str, str], ...]
     availability: float | None = None
     response_time_ms: float | None = None
+    rendered: tuple[str, str] | None = field(default=None, compare=False, repr=False)
 
     def assignment_map(self) -> dict[str, str]:
         return dict(self.assignment)
 
+    def assignment_texts(self) -> tuple[str, str]:
+        """The assignment as ``C>p, C>p`` for text and as ``C=p;C=p`` for CSV."""
+        if self.rendered is not None:
+            return self.rendered
+        pieces = [_rendered_pair(c, p, i == 0) for i, (c, p) in enumerate(self.assignment)]
+        return "".join(shown for shown, _ in pieces), "".join(written for _, written in pieces)
 
-def enumerate_deployments(model: IoTSystemModel) -> list[DeploymentScenario]:
+
+def _rendered_pair(component: str, platform: str, first: bool) -> tuple[str, str]:
+    """One pair of ``assignment_texts``, after its separator unless it comes first."""
+    if first:
+        return f"{component}>{platform}", f"{component}={platform}"
+    return f", {component}>{platform}", f";{component}={platform}"
+
+
+def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[DeploymentScenario]:
     """All deployment scenarios that satisfy software and connectivity needs.
 
     Components and platforms are considered in name order, so the
-    numbering is stable for a given model.
+    numbering is stable for a given model.  With ``scored`` each scenario
+    also carries its availability and response time, worked out as the
+    search goes: they equal what ``evaluate_scenarios`` gives the same
+    assignment, bit for bit.
     """
     components = sorted(model.all_components(), key=lambda c: c.name)
     if not components:
@@ -59,39 +86,81 @@ def enumerate_deployments(model: IoTSystemModel) -> list[DeploymentScenario]:
             return []
         pools.append(pool)
 
-    # An edge between two components is checked at the depth of whichever
-    # is placed later; one to a platform narrows its consumer's pool.
+    # hosts[d] is the platform of the component placed at depth d; each
+    # platform provider has a fixed slot after those.  An edge between two
+    # components is checked at the depth of whichever is placed later; one
+    # to a platform narrows its consumer's pool.  An edge's cost is added
+    # at the first depth where it and every edge before it are placed, so
+    # the running sum adds the terms in edge order, as evaluate_scenarios
+    # does.  Each edge keeps the costs of its allowed host pairs only.
     depth_of = {c.name: depth for depth, c in enumerate(components)}
-    checks: list[list[tuple[int, int, set[tuple[str, str]]]]] = [[] for _ in components]
+    hosts = [""] * len(components)
+    checks: list[list[tuple[int, int, dict]]] = [[] for _ in components]
+    terms: list[list[tuple[int, int, dict]]] = [[] for _ in components]
+    costed_by = 0
     for edge in dependency_edges(model):
-        table = edge_table(model, edge)
         consumer = depth_of[edge.consumer]
+        costs = {pair: fact.cost_ms for pair, fact in edge_table(model, edge).items()
+                 if fact.allowed}
         if edge.provider_kind == "platform":
-            pools[consumer] = [host for host in pools[consumer]
-                               if table[host, edge.provider].allowed]
+            pools[consumer] = [host for host in pools[consumer] if (host, edge.provider) in costs]
+            provider, placed = len(hosts), consumer
+            hosts.append(edge.provider)
         else:
             provider = depth_of[edge.provider]
-            allowed = {pair for pair, fact in table.items() if fact.allowed}
-            checks[max(consumer, provider)].append((consumer, provider, allowed))
+            placed = max(consumer, provider)
+            checks[placed].append((consumer, provider, costs))
+        costed_by = max(costed_by, placed)
+        terms[costed_by].append((consumer, provider, costs))
 
-    # Scenarios share their (component, platform) pairs.
-    choices = [[(c.name, host) for host in pool] for c, pool in zip(components, pools)]
-    chosen = [("", "")] * len(components)
+    # Availability multiplies the distinct hosts in name order.  While each
+    # newly used host sorts after those already used, the search keeps the
+    # running product; once one does not, the leaf multiplies afresh.
+    known: dict[str, float] = {}
+    choices = [[(host, (c.name, host), *_rendered_pair(c.name, host, depth == 0),
+                 _availability_by_name(model, host, known)) for host in pool]
+               for depth, (c, pool) in enumerate(zip(components, pools))]
+    leaf = len(components) - 1
+    chosen: list[tuple[str, str]] = [("", "")] * len(components)
+    # Before depth d: the response-time sum, the availability product (None
+    # once out of order), its last host (names are never empty) and the texts.
+    states: list[tuple] = [(0.0, 1.0, "", "", "")] * len(components)
     scenarios = []
     stack = [iter(choices[0])]
     while stack:
         depth = len(stack) - 1
-        for pair in stack[-1]:
-            chosen[depth] = pair
-            if all((chosen[c][1], chosen[p][1]) in allowed for c, p, allowed in checks[depth]):
+        for choice in stack[-1]:
+            hosts[depth] = choice[0]
+            for consumer, provider, allowed in checks[depth]:
+                if (hosts[consumer], hosts[provider]) not in allowed:
+                    break
+            else:
                 break
         else:
             stack.pop()
             continue
-        if len(stack) == len(choices):
-            scenarios.append(DeploymentScenario(len(scenarios) + 1, tuple(chosen)))
-        else:
+        host, chosen[depth], shown_pair, written_pair, availability = choice
+        total, product, last, shown, written = states[depth]
+        for consumer, provider, costs in terms[depth]:
+            total += costs[hosts[consumer], hosts[provider]]
+        if product is not None and host != last:
+            if host > last:
+                product *= availability
+                last = host
+            elif host not in hosts[:depth]:
+                product = None
+        shown += shown_pair
+        written += written_pair
+        if depth < leaf:
+            states[depth + 1] = (total, product, last, shown, written)
             stack.append(iter(choices[depth + 1]))
+            continue
+        if not scored:
+            product = total = None
+        elif product is None:
+            product = _joint_availability(model, set(hosts[:depth + 1]), known)
+        scenarios.append(DeploymentScenario(len(scenarios) + 1, tuple(chosen), product, total,
+                                            (shown, written)))
     return scenarios
 
 
@@ -106,17 +175,22 @@ def scenario_availability(model: IoTSystemModel, scenario: DeploymentScenario) -
 
 
 def _joint_availability(model: IoTSystemModel, platforms, known: dict[str, float]) -> float:
-    """The product over ``platforms`` in name order; ``known`` keeps each one's availability."""
+    """The product over ``platforms`` in name order, starting from 1.0."""
     result = 1.0
     for name in sorted(platforms):
-        availability = known.get(name)
-        if availability is None:
-            platform = model.platform(name)
-            if platform is None:
-                raise ModelError(f"unknown platform: {name!r}")
-            availability = known[name] = platform_availability(platform)
-        result *= availability
+        result *= _availability_by_name(model, name, known)
     return result
+
+
+def _availability_by_name(model: IoTSystemModel, name: str, known: dict[str, float]) -> float:
+    """One platform's availability by name; ``known`` keeps each one worked out."""
+    availability = known.get(name)
+    if availability is None:
+        platform = model.platform(name)
+        if platform is None:
+            raise ModelError(f"unknown platform: {name!r}")
+        availability = known[name] = platform_availability(platform)
+    return availability
 
 
 def evaluate_scenarios(model: IoTSystemModel,
@@ -126,30 +200,27 @@ def evaluate_scenarios(model: IoTSystemModel,
 
     Response time sums, over the dependency edges in order, the latency of
     the route to the provider plus the provider's processing time; it is
-    infinite when some provider is unreachable.
+    infinite when some provider is unreachable.  Without ``scenarios`` the
+    search scores every feasible one as it finds it.
     """
     if scenarios is None:
-        scenarios = enumerate_deployments(model)
-    terms = [(edge_table(model, edge), edge, edge.consumer, edge.provider,
-              edge.provider_kind == "component") for edge in dependency_edges(model)]
-    availabilities: dict[frozenset[str], float] = {}
+        return enumerate_deployments(model, scored=True)
+    edges = dependency_edges(model)
     known: dict[str, float] = {}
     evaluated = []
     for s in scenarios:
         hosts = dict(s.assignment)
         total = 0.0
-        for table, edge, consumer, provider, placed in terms:
+        for edge in edges:
             try:
-                pair = (hosts[consumer], hosts[provider] if placed else provider)
+                pair = (hosts[edge.consumer],
+                        hosts[edge.provider] if edge.provider_kind == "component" else edge.provider)
             except KeyError as missing:
                 raise ModelError(f"scenario {s.id} does not place component "
                                  f"{missing.args[0]}") from None
-            total += (table.get(pair) or edge_fact(model, edge, *pair)).cost_ms
-        used = frozenset(hosts.values())
-        availability = availabilities.get(used)
-        if availability is None:
-            availability = availabilities[used] = _joint_availability(model, used, known)
-        evaluated.append(DeploymentScenario(s.id, s.assignment, availability, total))
+            total += edge_fact(model, edge, *pair).cost_ms
+        availability = _joint_availability(model, set(hosts.values()), known)
+        evaluated.append(DeploymentScenario(s.id, s.assignment, availability, total, s.rendered))
     return evaluated
 
 
@@ -171,24 +242,22 @@ def rank_scenarios(scenarios: list[DeploymentScenario],
 
 
 def scenario_text(scenario: DeploymentScenario) -> str:
-    pairs = ", ".join(f"{component}>{platform}"
-                      for component, platform in scenario.assignment)
     extras = []
     if scenario.availability is not None:
         extras.append(f"availability={scenario.availability!r}")
     if scenario.response_time_ms is not None:
         extras.append(f"response_time_ms={scenario.response_time_ms!r}")
     suffix = f"  [{' '.join(extras)}]" if extras else ""
-    return f"Scenario {scenario.id}: {pairs}{suffix}"
+    return f"Scenario {scenario.id}: {scenario.assignment_texts()[0]}{suffix}"
 
 
 def scenarios_to_csv(scenarios: list[DeploymentScenario]) -> str:
+    """The scenarios as CSV; the assignment field is quoted by ``csv_field``."""
     lines = ["id,assignment,availability,response_time_ms"]
     for s in scenarios:
-        assignment = ";".join(f"{c}={p}" for c, p in s.assignment)
         availability = "" if s.availability is None else repr(s.availability)
         response = "" if s.response_time_ms is None else repr(s.response_time_ms)
-        lines.append(f"{s.id},{assignment},{availability},{response}")
+        lines.append(f"{s.id},{csv_field(s.assignment_texts()[1])},{availability},{response}")
     return "\n".join(lines) + "\n"
 
 

@@ -165,15 +165,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_deployments(args) -> int:
     """Both ``deployments`` and ``rank``, which always ranks."""
     model = _load(args.model)
-    scenarios = enumerate_deployments(model)
-    summary = f"{len(scenarios)} deployment scenario(s)"
     if args.rank:
-        scenarios = rank_scenarios(evaluate_scenarios(model, scenarios), args.rank)
-        if args.command == "rank":
-            summary += f", best first by {args.rank}"
-    for scenario in scenarios:
-        print(scenario_text(scenario))
-    print(summary)
+        scenarios = rank_scenarios(evaluate_scenarios(model), args.rank)
+    else:
+        scenarios = enumerate_deployments(model)
+    summary = f"{len(scenarios)} deployment scenario(s)"
+    if args.command == "rank":
+        summary += f", best first by {args.rank}"
+    print(*map(scenario_text, scenarios), summary, sep="\n")
     if args.csv:
         _write(args.csv, scenarios_to_csv(scenarios))
     return 0

@@ -53,7 +53,7 @@ tick's declaration order do not fire.  Only the draw is inlined:
 
 The event log is CSV text, rendered once by the code that logs it: the
 kernels append records to a list as they happen, each item one or more
-whole records.  ``_field`` is the one quoting rule: a field holding a
+whole records.  ``csv_field`` is the one quoting rule: a field holding a
 comma, a quote, ``\r`` or ``\n`` is quoted, its quotes doubled.  The
 sense kernel quotes each row's fixed text once, when the plan is built;
 what changes from firing to firing (ticks, ages, float reprs) never needs
@@ -92,7 +92,7 @@ from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TextIO
 from .energy import drain_mah, joules_to_mah, sense_energy, transmit_energy
 from .model import (
     Component, ConditionExpr, ConstantSource, IoTSystemModel, ModelError, Platform,
-    PlatformTier, ServiceContract, TaskKind, UniformSource,
+    PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
 )
 from .rng import SplitMix64, derive_seed
 from .validate import task_binding
@@ -129,20 +129,9 @@ COLLECT = object()  # the default sink: keep the log's text on the report
 _BATCH_FIRINGS = 64  # the most firings of one plan whose records a streaming sink gets at once
 
 
-def _field(text: str) -> str:
-    """One CSV field: quoted, its quotes doubled, when it holds a comma, a quote, ``\n`` or ``\r``.
-
-    This is ``csv.writer``'s QUOTE_MINIMAL rule, except that a bare ``\r``
-    is quoted too, so ``csv.reader`` reads every record back whole.
-    """
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _line(tick: int, kind: str, subject: str, detail: str) -> str:
     """One event-log record as CSV text."""
-    return f"{tick},{_field(kind)},{_field(subject)},{_field(detail)}\n"
+    return f"{tick},{csv_field(kind)},{csv_field(subject)},{csv_field(detail)}\n"
 
 
 # A record as ``_line`` writes it: each field bare, or quoted with its quotes doubled.
@@ -174,10 +163,10 @@ def _rows(text: str) -> tuple[SimEvent, ...]:
 
 def _template(*pieces: str) -> tuple[str, ...]:
     """The fixed pieces of one field, quoted so that joining them around parts
-    that never need quoting (ticks, ages, float reprs) gives what ``_field``
+    that never need quoting (ticks, ages, float reprs) gives what ``csv_field``
     gives for the whole field."""
     whole = "".join(pieces)
-    if _field(whole) == whole:
+    if csv_field(whole) == whole:
         return pieces
     quoted = [piece.replace('"', '""') for piece in pieces]
     quoted[0], quoted[-1] = '"' + quoted[0], quoted[-1] + '"'
@@ -188,7 +177,7 @@ def csv_event_sink(handle: TextIO) -> EventSink:
     """Write the event log's header to ``handle``; return the sink that writes each list of CSV text.
 
     Every item of a list is one or more whole records, quoted by
-    ``_field`` when they were logged; a list is joined and written at once.
+    ``csv_field`` when they were logged; a list is joined and written at once.
     ``SimulationReport.events_csv`` is the same header plus the same text.
     """
     write = handle.write
@@ -464,9 +453,9 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
     counts, lifetimes = state.counts, state.lifetimes
     record = log is not None
     # Each record's fixed text, after its tick, is quoted once.
-    consumer, subject = _field(request.consumer), _field(name)
-    served = f",{kind},{consumer},{_field(request.detail)}\n"
-    failed = f",{kind},{consumer},{_field(request.detail + ' status=failed:provider-depleted')}\n"
+    consumer, subject = csv_field(request.consumer), csv_field(name)
+    served = f",{kind},{consumer},{csv_field(request.detail)}\n"
+    failed = f",{kind},{consumer},{csv_field(request.detail + ' status=failed:provider-depleted')}\n"
     head, tail = _template("value=", f" {cell.sense_detail} consumer={request.consumer}")
     sensed, sensed_tail = f",{_SENSED},{subject},{head}", tail + "\n"
     head, middle, tail = _template("value=", " age=", f" consumer={request.consumer}")
@@ -481,9 +470,9 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
         for _, _, watcher in watchers:
             suffix, actions = _fixed_outcome(watcher)
             head, tail = _template(f"{watcher.detail} value=", suffix)
-            device = watcher.cell and _field(watcher.cell.name)
-            outcomes.append((len(actions), f",{_EVENT},{_field(watcher.consumer)},{head}",
-                             (tail + "\n", *(f",{_ACTUATED},{device},{_field(action)}\n"
+            device = watcher.cell and csv_field(watcher.cell.name)
+            outcomes.append((len(actions), f",{_EVENT},{csv_field(watcher.consumer)},{head}",
+                             (tail + "\n", *(f",{_ACTUATED},{device},{csv_field(action)}\n"
                                              for action in actions))))
         return outcomes
 

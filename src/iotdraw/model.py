@@ -59,6 +59,18 @@ def format_number(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
 
 
+def csv_field(text: str) -> str:
+    """One CSV field: quoted, its quotes doubled, when it holds a comma, a quote, ``\n`` or ``\r``.
+
+    This is ``csv.writer``'s QUOTE_MINIMAL rule, except that a bare ``\r``
+    is quoted too, so ``csv.reader`` reads every record back whole.  It is
+    the one quoting rule of every CSV table the package writes.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # --------------------------------------------------------------------------
 # Geography and physical context
 

@@ -16,8 +16,6 @@ path between them and can translate.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +23,7 @@ from typing import NamedTuple
 from .diagnostics import ERROR, WARNING, Diagnostic, SourceSpan
 from .model import (
     Component, IoTSystemModel, ModelError, Platform, PlatformTier, Route, ServiceContract,
-    ServicePort, Task, single_source_routes,
+    ServicePort, Task, csv_field, single_source_routes,
 )
 
 
@@ -266,14 +264,13 @@ class ValidationReport:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["severity", "code", "message", "file", "line"])
+        """The findings as CSV, fields quoted by ``csv_field``, each record ending ``\r\n``."""
+        lines = ["severity,code,message,file,line\r\n"]
         for d in self.diagnostics:
-            writer.writerow([d.severity, d.code, d.message,
-                             d.span.file if d.span else "",
-                             d.span.line if d.span else ""])
-        return buffer.getvalue()
+            fields = (d.severity, d.code, d.message, d.span.file if d.span else "",
+                      str(d.span.line) if d.span else "")
+            lines.append(",".join(map(csv_field, fields)) + "\r\n")
+        return "".join(lines)
 
 
 def validate_model(model: IoTSystemModel, path: str | None = None) -> ValidationReport:

@@ -11,6 +11,7 @@ from iotdraw import (
     per_request_drain_mah, platform_availability, predicted_lifetime, rank_scenarios,
     scenario_availability, scenario_text, scenarios_to_csv,
 )
+from iotdraw.validate import dependency_edges, edge_fact
 
 from conftest import (
     random_placement_model, reference_availability, reference_response_time,
@@ -246,6 +247,112 @@ def test_scenario_text_and_csv(padova_model):
     # metrics stay empty before evaluation
     bare_csv = scenarios_to_csv(enumerate_deployments(padova_model)[:1])
     assert bare_csv.splitlines()[1].endswith(",,")
+
+
+# The search scores and renders as it goes ----------------------------------
+
+
+def _oracle_scores(model, assignment):
+    """Availability multiplied in platform-name order, response time summed in edge order."""
+    availability = 1.0
+    for name in sorted(set(assignment.values())):
+        availability *= platform_availability(model.platform(name))
+    total = 0.0
+    for edge in dependency_edges(model):
+        provider = assignment[edge.provider] if edge.provider_kind == "component" else edge.provider
+        total += edge_fact(model, edge, assignment[edge.consumer], provider).cost_ms
+    return availability, total
+
+
+def _plain_text(scenario):
+    pairs = ", ".join(f"{c}>{p}" for c, p in scenario.assignment)
+    if scenario.availability is None:
+        return f"Scenario {scenario.id}: {pairs}"
+    return (f"Scenario {scenario.id}: {pairs}  [availability={scenario.availability!r} "
+            f"response_time_ms={scenario.response_time_ms!r}]")
+
+
+def _plain_row(scenario):
+    assignment = ";".join(f"{c}={p}" for c, p in scenario.assignment)
+    if scenario.availability is None:
+        return f"{scenario.id},{assignment},,"
+    return f"{scenario.id},{assignment},{scenario.availability!r},{scenario.response_time_ms!r}"
+
+
+def _fallbacks(model, scenarios):
+    """Which of the search's leaf fallbacks the model needs: (late edge, hosts out of order)."""
+    order = {c.name: depth for depth, c in enumerate(sorted(model.all_components(),
+                                                             key=lambda c: c.name))}
+    placed_by, late = -1, False
+    for edge in dependency_edges(model):
+        consumer = order[edge.consumer]
+        provider = order[edge.provider] if edge.provider_kind == "component" else -1
+        late = late or provider > consumer or max(consumer, provider) < placed_by
+        placed_by = max(placed_by, consumer, provider)
+    first_use = [list(dict.fromkeys(p for _, p in s.assignment)) for s in scenarios]
+    return late, any(hosts != sorted(hosts) for hosts in first_use)
+
+
+def assert_search_scores_and_renders_bit_for_bit(model):
+    """The search's scores equal scoring one assignment at a time and the oracle, with ``==``."""
+    searched = evaluate_scenarios(model)
+    listed = enumerate_deployments(model)
+    assert [(s.id, s.assignment) for s in searched] == [(s.id, s.assignment) for s in listed]
+    for s in searched:
+        alone = evaluate_scenarios(model, [DeploymentScenario(s.id, s.assignment)])[0]
+        assert (s.availability, s.response_time_ms) == (alone.availability, alone.response_time_ms)
+        assert (s.availability, s.response_time_ms) == _oracle_scores(model, s.assignment_map())
+    for scenarios in (searched, listed):
+        assert [scenario_text(s) for s in scenarios] == [_plain_text(s) for s in scenarios]
+        assert scenarios_to_csv(scenarios).split("\n")[1:] == [_plain_row(s) for s in scenarios] + [""]
+    return _fallbacks(model, searched)
+
+
+def test_the_search_scores_bit_for_bit_on_random_models():
+    seen = set()
+    for seed in range(40):
+        late, out_of_order = assert_search_scores_and_renders_bit_for_bit(
+            random_placement_model(seed))
+        seen |= {"late edge"} if late else set()
+        seen |= {"hosts out of order"} if out_of_order else set()
+    assert seen == {"late edge", "hosts out of order"}  # both leaf fallbacks ran
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=40, max_value=2**32))
+def test_the_search_scores_bit_for_bit_beyond_fixed_seeds(seed):
+    assert_search_scores_and_renders_bit_for_bit(random_placement_model(seed))
+
+
+# Components sort a, b, c, d, but the application lists them c, d, a, b, so
+# the edges from c and d come first and a's edge to b, placed later than a,
+# is added after them.  a only fits on "z", so the first of b, c and d placed
+# on "m" uses a host that sorts before one already used.  With these costs,
+# adding the terms in placement order instead changes one scenario's sum.
+FALLBACK_TEXT = """
+system "fallbacks" {}
+cloud "m" { cpu_ghz = 2.9 provides_software = ["y"] mtbf_hours = 1013 mttr_hours = 7.1 }
+cloud "z" { cpu_ghz = 3.7 provides_software = ["x", "y"] mtbf_hours = 1511 mttr_hours = 4.3
+  service "hub" { interface = "Hub" protocol = "HTTP" } }
+link "m" <-> "z" { protocol = "IP" latency_ms = 1.3 }
+contract "UseSvc" { provider_interface = "Svc" consumer_interface = "SvcClient"
+  task "Call" = compute }
+contract "UseHub" { provider_interface = "Hub" consumer_interface = "HubClient"
+  task "Poll" = compute }
+component "a" { requires_software = ["x"] requires = ["Svc", "Hub"] }
+component "b" { cpu_demand_cycles = 7777 requires_software = ["y"]
+  service "P" { interface = "Svc" protocol = "HTTP" } }
+component "c" { requires_software = ["y"] requires = ["Hub"] }
+component "d" { requires_software = ["y"] requires = ["Svc"] }
+application "app" { components = ["c", "d", "a", "b"] }
+"""
+
+
+def test_the_search_scores_bit_for_bit_through_both_leaf_fallbacks():
+    model = parse_model(FALLBACK_TEXT, "<fallbacks>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    assert len(enumerate_deployments(model)) == 8
+    assert assert_search_scores_and_renders_bit_for_bit(model) == (True, True)
 
 
 # lifetime -------------------------------------------------------------------

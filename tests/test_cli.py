@@ -1,17 +1,30 @@
 """Command-line behavior: commands, seeds, files, exit codes."""
 
+import contextlib
+import csv
+import io
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iotdraw
+from iotdraw import (
+    SystemSnapshot, default_registry, enumerate_deployments, evaluate_scenarios,
+    rank_scenarios, validate_model,
+)
 from iotdraw.cli import main
+from iotdraw.model import (
+    Application, Component, GeoLocation, IoTSystemModel, MessageType, NetworkLink, Platform,
+    PlatformTier, ServiceContract, ServicePort, Task, TaskKind,
+)
 
 from conftest import MODELS_DIR, tiny_text
 
@@ -349,3 +362,73 @@ def test_sweep_values_must_be_integers(capsys):
         main(["lifetime", FRESH, "--device", "level_sensor_1",
               "--sweep-interval", "1,x"])
     assert exit_info.value.code == 2
+
+
+# Names holding what CSV must quote, and the assignment field's own separators.
+_AWKWARD_NAME = st.text(alphabet=',"\r\n;=> xy', min_size=1, max_size=4)
+
+
+def _awkward_model(hub, fog, spare, consumer, provider):
+    """Four deployments of two components over three named platforms.
+
+    ``consumer`` needs the Svc that ``provider`` offers; ``provider`` needs
+    the Hub port on ``hub``, one link from ``fog``.  ``spare`` has no link
+    and a port whose interface no contract declares, a validation error.
+    """
+    here = GeoLocation(0.0, 0.0)
+
+    def platform(name, tier, *services):
+        return Platform(name, tier, here, cpu_frequency_ghz=2.0, provided_software=frozenset("s"),
+                        mtbf_hours=1000.0, mttr_hours=3.0, services=services)
+
+    return IoTSystemModel(
+        "awkward",
+        platforms=(platform(hub, PlatformTier.CLOUD, ServicePort("hub_port", "Hub", "HTTP")),
+                   platform(fog, PlatformTier.FOG),
+                   platform(spare, PlatformTier.CLOUD, ServicePort(spare, "Loose", "HTTP"))),
+        networks=(NetworkLink(*sorted((hub, fog)), "IP", 1.5, 10.0),),
+        applications=(Application("app", here, (
+            Component(consumer, required_software=frozenset("s"), required_interfaces=("Svc",)),
+            Component(provider, 500.0, frozenset("s"), ("Hub",),
+                      ServicePort("svc_port", "Svc", "HTTP")))),),
+        contracts=tuple(ServiceContract(f"Use{i}", i, f"{i}Client",
+                                        (Task(f"Call{i}", TaskKind.COMPUTE),), MessageType(i))
+                        for i in ("Hub", "Svc")))
+
+
+def _records(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def _scenario_records(scenarios):
+    return [["id", "assignment", "availability", "response_time_ms"]] + [
+        [str(s.id), ";".join(f"{c}={p}" for c, p in s.assignment),
+         "" if s.availability is None else repr(s.availability),
+         "" if s.response_time_ms is None else repr(s.response_time_ms)] for s in scenarios]
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(_AWKWARD_NAME, min_size=5, max_size=5, unique=True), path=_AWKWARD_NAME)
+def test_every_csv_the_cli_writes_reads_back_field_for_field(names, path):
+    model = _awkward_model(*names)
+    listed = enumerate_deployments(model)
+    assert len(listed) == 4
+    ranked = rank_scenarios(evaluate_scenarios(model), "availability")
+    report = validate_model(model, path=path)
+    assert not report.ok
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(iotdraw.cli, "_load", lambda _: model)  # no model file can hold " or \n
+        table = os.path.join(scratch, "table.csv")
+
+        def written(argv, status):
+            assert main([*argv, "--csv", table]) == status
+            with open(table, encoding="utf-8", newline="") as handle:
+                return _records(handle.read())
+
+        assert written(["deployments", path], 0) == _scenario_records(listed)
+        assert written(["rank", path, "--by", "availability"], 0) == _scenario_records(ranked)
+        assert written(["validate", path], 1) == [["severity", "code", "message", "file", "line"]] + [
+            [d.severity, d.code, d.message, path, "1"] for d in report.diagnostics]
+    hook = default_registry().resolve("DeploymentScenarios")
+    assert _records(hook(SystemSnapshot(model, 0, {}))) == _scenario_records(listed)
