@@ -27,16 +27,25 @@ and, when satisfied, the event task is requested in turn (an alarm
 actuation, typically).  The delivered scalar stands for every field of
 the message record during evaluation.
 
-Each periodic plan runs in one request kernel, picked by its shape when
-the plans are built.  ``fire(now, stop)`` runs every firing of the plan
-in ``[now, stop]``, event requests included, and returns the tick the
-plan is due next:
+Each periodic plan runs in one request kernel, picked by its shape, and
+by whether the run logs, when the plans are built.  ``fire(now, stop)``
+runs every firing of the plan in ``[now, stop]``, event requests
+included, and returns the tick the plan is due next:
 
-- ``_sense_kernel``: a device with a link whose contract is one sense
-  task, with or without the freshness cache, and whose event requests
-  cannot sense.  The cell's fields and the SplitMix64 state live in
-  locals for the batch; the draw and ``drain_mah``'s one-cost-at-a-time
-  subtraction are inlined, and every row's fixed text is quoted once.
+- ``_sense_kernel``: in a run that logs, a device with a link whose
+  contract is one sense task, with or without the freshness cache, and
+  whose event requests cannot sense.  The cell's fields and the
+  SplitMix64 state live in locals for the batch; the draw and
+  ``drain_mah``'s one-cost-at-a-time subtraction are inlined, and every
+  row's fixed text is quoted once.
+- ``_count_kernel``: the same shape in a run that keeps only counts.
+  Depletion, freshness and the stream's position never depend on a
+  reading, so it works out only what a condition tests.  A cached
+  reading stays fresh up to a known tick, so the hits up to it count in
+  one step.  A uniform source with no condition to test draws nothing:
+  its generator moves by one output per sense at the end of the batch.
+  Otherwise a condition on a uniform reading is a range of 64-bit
+  outputs (``_cut``), tested on the output before it becomes a float.
 - ``_generic_kernel``: every other shape, through ``_serve``: a sense
   among several tasks, an event request that can sense, and requests
   that cannot sense because their provider is not a device, their
@@ -83,6 +92,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -94,7 +104,7 @@ from .model import (
     Component, ConditionExpr, ConstantSource, IoTSystemModel, ModelError, Platform,
     PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _mix64, derive_seed
 from .validate import task_binding
 
 
@@ -335,7 +345,7 @@ class _Request:
     senses: bool  # it can sense or read the cache: a sense task on a device with a link
 
 
-_Watcher = tuple[Callable[[float, float], bool], float, _Request]  # (test, threshold, event request)
+_Watcher = tuple[str, float, _Request]  # (operator, threshold, event request)
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,11 +398,12 @@ def _build_plans(state: SimulationState, log: EventSink | None) -> list[_Plan]:
             request, contract = _compile(state, EventKind.PERIODIC_REQUEST, component,
                                          component.periodic_request.task)
             fields = contract.message_type.field_names()
-            watching = tuple((_OPS[c.op], c.threshold, w) for c, w in watchers if c.field in fields)
+            watching = tuple((c.op, c.threshold, w) for c, w in watchers if c.field in fields)
             interval = component.periodic_request.interval_ticks
             if (request.senses and request.tasks == ((_SENSED, ""),)
                     and not any(w.senses for _, _, w in watching)):
-                fire = _sense_kernel(state, log, interval, request, watching)
+                fire = (_sense_kernel(state, log, interval, request, watching) if log is not None
+                        else _count_kernel(state, interval, request, watching))
             else:
                 fire = _generic_kernel(state, log, interval, request, watching)
             plans.append(_Plan(interval, request, fire))
@@ -432,7 +443,7 @@ def _fixed_outcome(request: _Request) -> tuple[str, tuple[str, ...]]:
     return "", tuple(action for _, action in request.tasks)
 
 
-def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
+def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval: int,
                   request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
     """A plan whose contract is one sense task on a device with a link, read from the
     cache when ``max_age`` allows, with watchers that cannot sense.
@@ -451,7 +462,6 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
     counts, lifetimes = state.counts, state.lifetimes
-    record = log is not None
     # Each record's fixed text, after its tick, is quoted once.
     consumer, subject = csv_field(request.consumer), csv_field(name)
     served = f",{kind},{consumer},{csv_field(request.detail)}\n"
@@ -461,7 +471,7 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
     head, middle, tail = _template("value=", " age=", f" consumer={request.consumer}")
     hit, hit_middle, hit_tail = f",{_HIT},{subject},{head}", middle, tail + "\n"
     drained = f",{_DEPLETED},{subject},residual_mah="
-    tests = tuple((test, limit, index) for index, (test, limit, _) in enumerate(watchers))
+    tests = tuple((_OPS[op], limit, index) for index, (op, limit, _) in enumerate(watchers))
 
     def watcher_outcomes() -> list[tuple[int, str, tuple[str, ...]]]:
         """Per watcher: its actuations, its record's text up to the value, and the
@@ -492,17 +502,13 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
             if max_age and cached_at is not None and now - cached_at <= max_age:
                 value = cached_value  # fresh, whatever the device's health
                 hits += 1
-                if record:
-                    shown, tick = repr(value), str(now)
-                    text = f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - cached_at}{hit_tail}"
+                shown, tick = repr(value), str(now)
+                text = f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - cached_at}{hit_tail}"
             elif depleted:
                 failures += 1
-                if record:
-                    log(f"{now}{failed}")
+                log(f"{now}{failed}")
                 now += interval
-                if record:
-                    continue
-                break  # a counts-only run counts a spent plan's firings in closed form
+                continue
             else:
                 if rng is None:
                     value = sample()
@@ -511,9 +517,8 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
                     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
                     value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
-                if record:
-                    shown, tick = repr(value), str(now)
-                    text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
+                shown, tick = repr(value), str(now)
+                text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
                 # drain_mah, one cost at a time
                 residual = residual - sense_mah
                 residual = residual if residual > 0.0 else 0.0
@@ -525,8 +530,7 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     depleted = cell.depleted = True
                     lifetimes[name] = now
                     counts[_DEPLETED] += 1
-                    if record:
-                        text += f"{tick}{drained}{residual!r}\n"
+                    text += f"{tick}{drained}{residual!r}\n"
                     if cell.halts and state.halted_by is None:
                         state.halted_by = name
                     outcomes, depletions = watcher_outcomes(), len(lifetimes)
@@ -536,10 +540,8 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     count, event, pieces = outcomes[index]
                     alerts += 1
                     actuations += count
-                    if record:
-                        text += f"{tick}{event}{shown}{tick.join(pieces)}"
-            if record:
-                log(text)
+                    text += f"{tick}{event}{shown}{tick.join(pieces)}"
+            log(text)
             now += interval
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
@@ -558,18 +560,178 @@ def _sense_kernel(state: SimulationState, log: EventSink | None, interval: int,
     return fire
 
 
+@functools.lru_cache(maxsize=1024)  # a sweep asks again for each run; keys are few per model
+def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool] | None:
+    """Where ``op(lo + (hi - lo) * (z / (2**64 - 1)), limit)`` holds over the 64-bit
+    outputs ``z``: on ``first <= z < end`` when ``inside``, off it otherwise.
+
+    Each rounding step is monotone, so the reading never decreases as ``z``
+    grows, and a condition holds on one range of ``z`` (off one for ``!=``).
+    Its edges are the first ``z`` whose reading is ``>= limit`` and the first
+    whose reading is ``> limit``.  None when ``lo`` or ``hi - lo`` is not
+    finite, so that a reading can be NaN, or when ``limit`` is NaN: the
+    caller then tests the reading.
+    """
+    span = hi - lo
+    if not (math.isfinite(lo) and math.isfinite(span)) or limit != limit:
+        return None
+
+    def first(test: Callable[[float, float], bool]) -> int:
+        low, high = 0, 1 << 64  # 2**64: no output passes
+        while low < high:
+            middle = (low + high) // 2
+            if test(lo + span * (middle / 0xFFFFFFFFFFFFFFFF), limit):
+                high = middle
+            else:
+                low = middle + 1
+        return low
+
+    at, above, end = first(operator.ge), first(operator.gt), 1 << 64
+    return {"<": (0, at, True), "<=": (0, above, True), ">": (above, end, True),
+            ">=": (at, end, True), "=": (at, above, True), "!=": (at, above, False)}[op]
+
+
+def _count_kernel(state: SimulationState, interval: int, request: _Request,
+                  watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
+    """The sense kernel's plan in a run that keeps only counts.
+
+    Depletion, freshness and the stream's position never depend on a
+    reading, so only what a watcher tests is worked out.  The fresh firings
+    up to the cache's last fresh tick count in one step, each adding the
+    alerts of the cached reading.  A uniform source with no watcher draws
+    nothing: the batch advances its generator once per sense at its end and
+    works out the cached reading from the last output.  With watchers, a
+    sense draws the 64-bit output and tests it against each condition's
+    range of outputs (``_cut``); readings of the other sources, and of a
+    uniform source whose ``_cut`` declines, are tested as floats.
+    """
+    cell = request.cell
+    rng, sample = cell.stream.rng, cell.stream.next
+    cuts = None
+    if rng is not None:
+        lo, hi = cell.stream.source.lo, cell.stream.source.hi
+        span = hi - lo
+        cuts = [_cut(lo, hi, op, limit) for op, limit, _ in watchers]
+        cuts = None if None in cuts else cuts
+    draws = rng is not None and bool(watchers)  # a uniform source draws only for a watcher
+    name, kind = cell.name, request.kind
+    sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
+    max_age = state.freshness.max_age_ticks
+    counts, lifetimes = state.counts, state.lifetimes
+
+    def watcher_tests() -> tuple[tuple, tuple | None]:
+        """Per watcher, its float test and its test of the output, each with its
+        ``_fixed_outcome`` actuation count."""
+        actions = [len(_fixed_outcome(watcher)[1]) for _, _, watcher in watchers]
+        by_value = tuple((_OPS[op], limit, n) for (op, limit, _), n in zip(watchers, actions))
+        return by_value, cuts and tuple((*cut, n) for cut, n in zip(cuts, actions))
+
+    by_value, by_output, depletions = (), None, -1
+
+    def tested(value: float) -> tuple[int, int]:
+        """The alerts and actuations that one reading sets off."""
+        matched = acting = 0
+        for test, limit, n in by_value:
+            if test(value, limit):
+                matched += 1
+                acting += n
+        return matched, acting
+
+    def fire(now: int, stop: int) -> int:
+        nonlocal by_value, by_output, depletions
+        residual, depleted = cell.residual_mah, cell.depleted
+        cached_value, cached_at = cell.cached_value, cell.cached_at
+        seed = rng.state if rng is not None else 0
+        if depletions != len(lifetimes):
+            (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
+        # what each test of the cached reading sets off
+        matched, acting = tested(cached_value) if max_age and cached_at is not None else (0, 0)
+        start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
+        while now <= stop:
+            if max_age and cached_at is not None and now - cached_at <= max_age:
+                # fresh, whatever the device's health, up to the cache's last fresh tick
+                last = cached_at + max_age
+                fresh = ((last if last < stop else stop) - now) // interval + 1
+                hits += fresh
+                alerts += fresh * matched
+                actuations += fresh * acting
+                now += fresh * interval
+                continue
+            if depleted:
+                failures += 1
+                now += interval
+                break  # spent: run_simulation counts its firings in closed form
+            if draws:  # SplitMix64 and the output of docs/determinism.md
+                seed = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+                z ^= z >> 31
+                if by_output is None:
+                    value = lo + span * (z / 0xFFFFFFFFFFFFFFFF)
+            elif rng is None:
+                value = sample()
+            # drain_mah, one cost at a time
+            residual = residual - sense_mah
+            residual = residual if residual > 0.0 else 0.0
+            residual = residual - transmit_mah
+            residual = residual if residual > 0.0 else 0.0
+            if max_age:
+                cached_at = now
+            if residual <= threshold:
+                depleted = cell.depleted = True
+                lifetimes[name] = now
+                counts[_DEPLETED] += 1
+                if cell.halts and state.halted_by is None:
+                    state.halted_by = name
+                (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
+                stop = now
+            if watchers:
+                if by_output is None:
+                    matched, acting = tested(value)
+                else:
+                    matched = acting = 0
+                    for first, end, inside, n in by_output:
+                        if (first <= z < end) is inside:
+                            matched += 1
+                            acting += n
+                alerts += matched
+                actuations += acting
+            now += interval
+        fired = (now - start) // interval
+        senses = fired - failures - hits
+        if rng is not None:
+            if not draws:
+                seed = (seed + senses * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            rng.state = seed
+        if max_age and senses:
+            cached_value = value if rng is None else lo + span * (_mix64(seed) / 0xFFFFFFFFFFFFFFFF)
+        cell.residual_mah, cell.depleted = residual, depleted
+        cell.cached_value, cell.cached_at = cached_value, cached_at
+        counts[kind] += fired
+        counts[_SENSED] += senses
+        if hits:
+            counts[_HIT] += hits
+        if alerts:
+            counts[_EVENT] += alerts
+            counts[_ACTUATED] += actuations
+        return now
+
+    return fire
+
+
 def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
     """A plan the sense kernel does not cover.  Each request goes through ``_serve``;
     the batch ends after a firing in which a device depleted."""
     lifetimes = state.lifetimes
+    tests = tuple((_OPS[op], threshold, watcher) for op, threshold, watcher in watchers)
 
     def fire(now: int, stop: int) -> int:
         depletions = len(lifetimes)
         while now <= stop and len(lifetimes) == depletions:
             value = _serve(state, log, request, now)
             if value is not None:
-                for test, threshold, watcher in watchers:
+                for test, threshold, watcher in tests:
                     if test(value, threshold):
                         _serve(state, log, watcher, now, f" value={value!r}" if log is not None else "")
             now += interval

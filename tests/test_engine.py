@@ -1,6 +1,7 @@
 """Discrete-event execution: timing, caching, draining, determinism."""
 
 import dataclasses
+import math
 from collections import defaultdict
 
 import pytest
@@ -11,11 +12,11 @@ from iotdraw import (
     parse_model, per_request_drain_mah, run_simulation,
 )
 from iotdraw.energy import drain_mah, joules_to_mah
-from iotdraw.engine import _OPS, EventKind
+from iotdraw.engine import _OPS, EventKind, _cut
 from iotdraw.model import CONDITION_OPS, ConstantSource, TraceSource, UniformSource
 from iotdraw.rng import SplitMix64, derive_seed
 
-from conftest import MODELS_DIR, SECOND_SENSOR, alarmed_model, tiny_model, tiny_text
+from conftest import MODELS_DIR, SECOND_SENSOR, alarmed_model, reference_run, tiny_model, tiny_text
 
 PER = 1.5000012e-4  # mAh of one sense + transmit on the fixture devices
 
@@ -312,11 +313,79 @@ def test_the_inlined_draw_is_rng_uniform_bit_for_bit(seed, bounds):
     probe = dataclasses.replace(model.platform("probe_1"), data_source=UniformSource(lo, hi, seed))
     model = dataclasses.replace(model, platforms=tuple(
         probe if p.name == "probe_1" else p for p in model.platforms))
-    (plan,) = _build_plans(initial_state(model), None)
+    (plan,) = _build_plans(initial_state(model), [].append)
     assert plan.fire.__qualname__.startswith("_sense_kernel.")
     drawn = [e.detail.split()[0] for e in events_of(run_simulation(model), EventKind.SENSE_SAMPLE)]
     reference = SplitMix64(seed)
     assert drawn == [f"value={reference.uniform(lo, hi)!r}" for _ in range(1000)]
+
+
+@pytest.mark.parametrize("max_age", [0, 1, 3])
+def test_a_counts_only_run_without_watchers_moves_the_stream_once_per_sense(max_age):
+    from iotdraw.engine import _build_plans, initial_state
+    model = tiny_model(sim_time=999, interval=1, capacity=1000, data="uniform(-5, 30) seed 11")
+    state = initial_state(model, freshness=FreshnessPolicy(max_age))
+    (plan,) = _build_plans(state, None)
+    assert plan.fire.__qualname__.startswith("_count_kernel.")
+    cell = state.devices["probe_1"]
+    reference, drawn, now = SplitMix64(11), [], 0
+    # One batch, then several: some start on a fresh cache, and 10..10 draws nothing at max age 3.
+    for stop in (0, 9, 10, 57, 999):
+        now = plan.fire(now, stop)
+        while len(drawn) < state.counts["SenseSample"]:
+            drawn.append(reference.uniform(-5.0, 30.0))
+        assert cell.stream.rng.state == reference.state, stop
+        assert cell.cached_value == (drawn[-1] if max_age else None), stop
+    assert now == 1000
+    assert len(drawn) == len(range(0, 1000, max_age + 1))
+
+
+_OUTPUTS = 2**64 - 1  # the largest SplitMix64 output, the uniform draw's divisor
+
+
+def _read(lo, hi, z):
+    return lo + (hi - lo) * (z / _OUTPUTS)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_OUTPUT = st.integers(0, _OUTPUTS)
+
+
+@st.composite
+def cut_cases(draw):
+    lo, hi = draw(st.one_of(
+        _FINITE.map(lambda x: (x, x)),
+        st.tuples(st.floats(-1e6, 0.0), st.floats(-1e6, 0.0)).map(sorted),
+        st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)).map(sorted),
+        st.tuples(_FINITE, _FINITE).map(sorted).filter(lambda b: math.isfinite(b[1] - b[0]))))
+    limit = draw(st.one_of(st.sampled_from([lo, hi]), _OUTPUT.map(lambda z: _read(lo, hi, z)),
+                           st.floats(allow_nan=False)))
+    return lo, hi, limit, draw(st.lists(_OUTPUT, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cut_cases())
+def test_a_condition_holds_on_one_range_of_outputs(case):
+    lo, hi, limit, outputs = case
+    for op in CONDITION_OPS:
+        first, end, inside = _cut(lo, hi, op, limit)
+        edges = [e + d for e in (first, end) for d in (-1, 0, 1) if 0 <= e + d <= _OUTPUTS]
+        for z in {0, 1, _OUTPUTS - 1, _OUTPUTS, *edges, *outputs}:
+            assert ((first <= z < end) is inside) == _OPS[op](_read(lo, hi, z), limit), (op, z)
+
+
+@pytest.mark.parametrize("op", CONDITION_OPS)
+def test_a_non_finite_span_is_tested_as_floats(op):
+    # From this seed SplitMix64's first output is 0, and -1e308 + inf * 0.0 is nan.
+    seed = -0x9E3779B97F4A7C15 % 2**64
+    assert SplitMix64(seed).next_u64() == 0
+    assert _cut(-1e308, 1e308, op, 0.0) is None
+    assert _cut(0.0, 1.0, op, math.nan) is None
+    model = alarmed_model(sim_time=7, data=f"uniform(-1e308, 1e308) seed {seed}",
+                          condition=f"level {op} 0")
+    for max_age in (0, 2):
+        quiet = run_simulation(model, FreshnessPolicy(max_age), sink=None)
+        assert quiet.counts == reference_run(model, max_age).counts
 
 
 def test_a_linkless_polled_device_is_counted_in_closed_form(padova_model, monkeypatch):

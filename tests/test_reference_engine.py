@@ -3,8 +3,10 @@
 Random models mix several periodic plans with different intervals, all
 three data sources, devices with no link, one link or two, providers that
 are not devices, contracts with any mix of tasks, and event requests on
-either kind of provider.  Each run draws a freshness window of 0 to 5
-ticks and a halt set.
+either kind of provider.  Some uniform sources have ``lo == hi``, and some
+thresholds equal a uniform source's bound, so a condition can hold with
+equality.  Each run draws a freshness window of 0 to 5 ticks and a halt
+set.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ from conftest import reference_run
 PER = 1.5e-4  # about one sense and transmit on the devices below, in mAh
 HERE = GeoLocation(1.0, 2.0)
 _READING = st.floats(-50.0, 50.0, allow_nan=False)
+_SEED = st.none() | st.integers(0, 2**64 - 1)
 _SOURCE = st.one_of(
     st.builds(ConstantSource, _READING),
     st.builds(lambda a, b, seed: UniformSource(min(a, b), max(a, b), seed),
-              _READING, _READING, st.none() | st.integers(0, 2**64 - 1)),
+              _READING, _READING, _SEED),
+    # Every reading is lo, so a threshold at lo tells "=" from "!=" and ">" from ">=".
+    st.builds(lambda a, seed: UniformSource(a, a, seed), _READING, _SEED),
     st.builds(lambda values: TraceSource(tuple(values)), st.lists(_READING, min_size=1, max_size=4)),
 )
 # Half the names hold a comma, a quote or a carriage return, so their log fields are quoted.
@@ -52,7 +57,7 @@ def simulated_models(draw) -> IoTSystemModel:
     """A small model that runs: every task names one contract, every interface one provider."""
     platforms = [_platform("hub", PlatformTier.FOG, services=(ServicePort("hub_port", "IHub", "CoAP"),)),
                  _platform("hub2", PlatformTier.FOG)]
-    links = []
+    links, edges = [], []  # edges: the bounds of the uniform sources
     interfaces = ["IHub", "ISrv"]
     for index in range(draw(st.integers(1, 3))):
         name = f"d{index}" + draw(_NAME_TAIL)
@@ -66,6 +71,8 @@ def simulated_models(draw) -> IoTSystemModel:
                 sense_duration_ms=10.0, packet_kb=2.0, e_elec_nj_per_bit=50.0,
                 e_amp_pj_per_bit_m=100.0, loss_exponent_n=2, depletion_threshold_mah=5.0),
             data_source=draw(_SOURCE)))
+        if isinstance(platforms[-1].data_source, UniformSource):
+            edges += [platforms[-1].data_source.lo, platforms[-1].data_source.hi]
         interfaces.append(f"I{name}")
         for hub in draw(st.lists(st.sampled_from(["hub", "hub2"]), unique=True, max_size=2)):
             links.append(NetworkLink(*sorted((name, hub)), protocol="CoAP",
@@ -83,8 +90,8 @@ def simulated_models(draw) -> IoTSystemModel:
             tuple(Task(n, k) for n, k in zip(names, kinds)),
             MessageType(f"{interface}Message", tuple(MessageField(f) for f in fields))))
 
-    condition = st.builds(ConditionExpr, st.sampled_from(["x", "y"]),
-                          st.sampled_from(CONDITION_OPS), _READING)
+    condition = st.builds(ConditionExpr, st.sampled_from(["x", "y"]), st.sampled_from(CONDITION_OPS),
+                          st.sampled_from(edges) | _READING if edges else _READING)
     # Devices serve two requests in three.
     task = st.sampled_from(interfaces + interfaces[2:] * 2).flatmap(
         lambda interface: st.sampled_from(tasks[interface]))
@@ -146,6 +153,57 @@ def test_engine_matches_the_reference(case):
             assert report.events_csv() == expected_csv
             assert [tuple(event) for event in report.events] == expected.events
     assert "tick,kind,subject,detail\n" + "".join(streamed) == expected_csv
+
+
+@st.composite
+def watched_models(draw) -> IoTSystemModel:
+    """One uniform probe polled by one to four plans, each one sense task, in two
+    applications: the first has one or two plans and at least one watcher, which
+    rings a bell; the second has up to two plans and no watcher, so they draw nothing.  A third of the probes
+    read a single value; a quarter of the thresholds are the probe's bounds, and half
+    lie between them."""
+    lo, hi = sorted(draw(st.tuples(_READING, _READING)))
+    hi = draw(st.sampled_from([lo, hi, hi]))
+    message = MessageType("M", (MessageField("x"),))
+    platforms = (
+        _platform("hub", PlatformTier.FOG),
+        _platform("probe", PlatformTier.DEVICE, services=(ServicePort("p", "IProbe", "CoAP"),),
+                  energy=_energy(5.0 + draw(st.floats(4.0, 30.0)) * PER + 1e-9),
+                  data_source=UniformSource(lo, hi, draw(_SEED))),
+        _platform("bell", PlatformTier.DEVICE, services=(ServicePort("b", "IBell", "CoAP"),),
+                  energy=_energy(50.0), data_source=ConstantSource(0.0)))
+    between = st.integers(1, 99).map(lambda percent: lo + (hi - lo) * percent / 100)
+    condition = st.builds(ConditionExpr, st.just("x"), st.sampled_from(CONDITION_OPS),
+                          st.one_of(st.sampled_from([lo, hi]), _READING, between, between))
+    event = st.builds(EventRequest, st.just("ring"), condition)
+    poll = st.integers(1, 6).map(lambda interval: PeriodicRequest("read", interval))
+    watched = [Component(f"w{index}", periodic_request=draw(poll),
+                         event_request=draw(event if index == 0 else st.none() | event))
+               for index in range(draw(st.integers(1, 2)))]
+    plain = [Component(f"p{index}", periodic_request=draw(poll))
+             for index in range(draw(st.integers(0, 2)))]
+    return IoTSystemModel(
+        "watched", platforms=platforms,
+        networks=tuple(NetworkLink(d, "hub", protocol="CoAP", latency_ms=1.0, distance_m=10.0)
+                       for d in ("bell", "probe")),
+        applications=tuple(Application(name, HERE, tuple(members))
+                           for name, members in (("a0", watched), ("a1", plain)) if members),
+        contracts=(ServiceContract("CProbe", "IProbe", "IProbeClient",
+                                   (Task("read", TaskKind.SENSE),), message),
+                   ServiceContract("CBell", "IBell", "IBellClient",
+                                   (Task("ring", TaskKind.ACTUATE),), message)),
+        sim_config=SimConfig(simulation_time=draw(st.integers(20, 80)), rng_seed=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=watched_models(), max_age=st.integers(0, 5), halt=st.booleans(), seed=_SEED)
+def test_counts_only_watchers_match_the_reference(model, max_age, halt, seed):
+    # Plans of one probe share its stream and its cache, whether or not a watcher reads them.
+    halt_on = {"probe"} if halt else set()
+    expected = reference_run(model, max_age, halt_on, seed=seed)
+    report = run_simulation(model, FreshnessPolicy(max_age), halt_on, seed=seed, sink=None)
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
+        assert getattr(report, attribute) == getattr(expected, attribute), attribute
 
 
 def _with_interval(model, component, interval):
