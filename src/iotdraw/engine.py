@@ -443,6 +443,28 @@ def _fixed_outcome(request: _Request) -> tuple[str, tuple[str, ...]]:
     return "", tuple(action for _, action in request.tasks)
 
 
+def _deplete(state: SimulationState, cell: _DeviceCell, now: int) -> None:
+    """Record that ``cell``'s device depleted at tick ``now``: its lifetime, the
+    count, and the halt it causes when it is the first halting device to deplete."""
+    cell.depleted = True
+    state.lifetimes[cell.name] = now
+    state.counts[_DEPLETED] += 1
+    if cell.halts and state.halted_by is None:
+        state.halted_by = cell.name
+
+
+def _count_batch(counts: dict[str, int], kind: str, fired: int, senses: int, hits: int,
+                 alerts: int, actuations: int) -> None:
+    """Add one batch of a sense plan to the run's counts."""
+    counts[kind] += fired
+    counts[_SENSED] += senses
+    if hits:
+        counts[_HIT] += hits
+    if alerts:
+        counts[_EVENT] += alerts
+        counts[_ACTUATED] += actuations
+
+
 def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval: int,
                   request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
     """A plan whose contract is one sense task on a device with a link, read from the
@@ -519,7 +541,7 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval
                     value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
                 shown, tick = repr(value), str(now)
                 text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
-                # drain_mah, one cost at a time
+                # drain_mah, one cost at a time; _count_kernel repeats it
                 residual = residual - sense_mah
                 residual = residual if residual > 0.0 else 0.0
                 residual = residual - transmit_mah
@@ -527,12 +549,9 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval
                 if max_age:
                     cached_value, cached_at = value, now
                 if residual <= threshold:
-                    depleted = cell.depleted = True
-                    lifetimes[name] = now
-                    counts[_DEPLETED] += 1
+                    depleted = True
+                    _deplete(state, cell, now)
                     text += f"{tick}{drained}{residual!r}\n"
-                    if cell.halts and state.halted_by is None:
-                        state.halted_by = name
                     outcomes, depletions = watcher_outcomes(), len(lifetimes)
                     stop = now
             for test, limit, index in tests:
@@ -548,19 +567,12 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval
         if rng is not None:
             rng.state = seed
         fired = (now - start) // interval
-        counts[kind] += fired
-        counts[_SENSED] += fired - failures - hits
-        if hits:
-            counts[_HIT] += hits
-        if alerts:
-            counts[_EVENT] += alerts
-            counts[_ACTUATED] += actuations
+        _count_batch(counts, kind, fired, fired - failures - hits, hits, alerts, actuations)
         return now
 
     return fire
 
 
-@functools.lru_cache(maxsize=1024)  # a sweep asks again for each run; keys are few per model
 def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool] | None:
     """Where ``op(lo + (hi - lo) * (z / (2**64 - 1)), limit)`` holds over the 64-bit
     outputs ``z``: on ``first <= z < end`` when ``inside``, off it otherwise.
@@ -614,7 +626,7 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
         cuts = [_cut(lo, hi, op, limit) for op, limit, _ in watchers]
         cuts = None if None in cuts else cuts
     draws = rng is not None and bool(watchers)  # a uniform source draws only for a watcher
-    name, kind = cell.name, request.kind
+    kind = request.kind
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
     counts, lifetimes = state.counts, state.lifetimes
@@ -670,7 +682,7 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
                     value = lo + span * (z / 0xFFFFFFFFFFFFFFFF)
             elif rng is None:
                 value = sample()
-            # drain_mah, one cost at a time
+            # drain_mah, one cost at a time, as _sense_kernel does: the two change together
             residual = residual - sense_mah
             residual = residual if residual > 0.0 else 0.0
             residual = residual - transmit_mah
@@ -678,11 +690,8 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
             if max_age:
                 cached_at = now
             if residual <= threshold:
-                depleted = cell.depleted = True
-                lifetimes[name] = now
-                counts[_DEPLETED] += 1
-                if cell.halts and state.halted_by is None:
-                    state.halted_by = name
+                depleted = True
+                _deplete(state, cell, now)
                 (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
                 stop = now
             if watchers:
@@ -707,13 +716,7 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
             cached_value = value if rng is None else lo + span * (_mix64(seed) / 0xFFFFFFFFFFFFFFFF)
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
-        counts[kind] += fired
-        counts[_SENSED] += senses
-        if hits:
-            counts[_HIT] += hits
-        if alerts:
-            counts[_EVENT] += alerts
-            counts[_ACTUATED] += actuations
+        _count_batch(counts, kind, fired, senses, hits, alerts, actuations)
         return now
 
     return fire
@@ -778,12 +781,9 @@ def _serve(state: SimulationState, log: EventSink | None, request: _Request, now
         cell.residual_mah, cell.depleted = drain_mah(cell.residual_mah, cell.threshold_mah,
                                                      cell.sense_mah, cell.transmit_mah)
         if cell.depleted and not was_depleted:
-            state.lifetimes[cell.name] = now
-            counts[_DEPLETED] += 1
+            _deplete(state, cell, now)
             if log is not None:
                 log(_line(now, _DEPLETED, cell.name, f"residual_mah={cell.residual_mah!r}"))
-            if cell.halts and state.halted_by is None:
-                state.halted_by = cell.name
         cell.cached_value, cell.cached_at = value, now
         if max_age:
             fresh = True  # age 0: a later sense task of this contract is served from it
