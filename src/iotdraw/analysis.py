@@ -4,13 +4,14 @@ Deployment enumeration is a depth-first search that places components
 in name order, each on its software-eligible hosts in name order, so
 scenarios come out, and are numbered from 1, in the lexicographic order
 of their assignments.  Each dependency edge is checked as soon as both
-of its endpoints are placed, in the edge's table of host pairs
+of its endpoints are placed, in the edge's table of allowed host pairs
 (``validate.edge_table``): the provider must be reachable and the ports
 able to interact, crossing a protocol boundary only where a fog can
-translate.  Scoring sums the same tables' costs into a worst-case
-response time and multiplies platform availabilities.  The search
-scores and renders as it places: each depth extends its parent's sum,
-product and text, so a scenario costs one step past the prefix it
+translate.  The search is also the only scorer: it sums the same
+tables' costs into a worst-case response time and multiplies platform
+availabilities, and ``evaluate_scenarios`` is the search with scores.
+It scores and renders as it places: each depth extends its parent's
+sum, product and text, so a scenario costs one step past the prefix it
 shares with its siblings.  Lifetime sweeps measure how a device's
 battery horizon moves as a request interval or freshness window changes.
 """
@@ -27,7 +28,7 @@ from .model import (
     Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier, csv_field,
 )
 from .rng import SplitMix64, derive_seed
-from .validate import dependency_edges, edge_fact, edge_table, eligible_hosts, task_binding
+from .validate import dependency_edges, edge_table, eligible_hosts, task_binding
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,9 @@ class DeploymentScenario:
     """One complete component-to-platform assignment.
 
     ``assignment`` holds (component, platform) pairs sorted by component
-    name; ids start at 1 and follow enumeration order.  ``rendered`` is the
+    name; ids start at 1 and follow enumeration order.  ``availability``
+    and ``response_time_ms`` are None unless the search scored the
+    scenario (``evaluate_scenarios``).  ``rendered`` is the
     assignment as ``scenario_text`` and ``scenarios_to_csv`` write it, or
     None to render it from ``assignment`` when asked; the search fills it
     in from the prefixes its scenarios share.  Equality ignores it, and a
@@ -73,8 +76,8 @@ def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[D
     Components and platforms are considered in name order, so the
     numbering is stable for a given model.  With ``scored`` each scenario
     also carries its availability and response time, worked out as the
-    search goes: they equal what ``evaluate_scenarios`` gives the same
-    assignment, bit for bit.
+    search goes: the availability multiplies the distinct hosts in name
+    order, and the response time sums the edges' costs in edge order.
     """
     components = sorted(model.all_components(), key=lambda c: c.name)
     if not components:
@@ -91,8 +94,8 @@ def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[D
     # components is checked at the depth of whichever is placed later; one
     # to a platform narrows its consumer's pool.  An edge's cost is added
     # at the first depth where it and every edge before it are placed, so
-    # the running sum adds the terms in edge order, as evaluate_scenarios
-    # does.  Each edge keeps the costs of its allowed host pairs only.
+    # the running sum adds the terms in edge order.  An edge's table holds
+    # its allowed host pairs only.
     depth_of = {c.name: depth for depth, c in enumerate(components)}
     hosts = [""] * len(components)
     checks: list[list[tuple[int, int, dict]]] = [[] for _ in components]
@@ -100,8 +103,7 @@ def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[D
     costed_by = 0
     for edge in dependency_edges(model):
         consumer = depth_of[edge.consumer]
-        costs = {pair: fact.cost_ms for pair, fact in edge_table(model, edge).items()
-                 if fact.allowed}
+        costs = edge_table(model, edge)
         if edge.provider_kind == "platform":
             pools[consumer] = [host for host in pools[consumer] if (host, edge.provider) in costs]
             provider, placed = len(hosts), consumer
@@ -193,35 +195,13 @@ def _availability_by_name(model: IoTSystemModel, name: str, known: dict[str, flo
     return availability
 
 
-def evaluate_scenarios(model: IoTSystemModel,
-                       scenarios: list[DeploymentScenario] | None = None
-                       ) -> list[DeploymentScenario]:
-    """Fill in availability and response time for each scenario.
+def evaluate_scenarios(model: IoTSystemModel) -> list[DeploymentScenario]:
+    """Every feasible scenario, with its availability and response time.
 
     Response time sums, over the dependency edges in order, the latency of
-    the route to the provider plus the provider's processing time; it is
-    infinite when some provider is unreachable.  Without ``scenarios`` the
-    search scores every feasible one as it finds it.
+    the route to the provider plus the provider's processing time.
     """
-    if scenarios is None:
-        return enumerate_deployments(model, scored=True)
-    edges = dependency_edges(model)
-    known: dict[str, float] = {}
-    evaluated = []
-    for s in scenarios:
-        hosts = dict(s.assignment)
-        total = 0.0
-        for edge in edges:
-            try:
-                pair = (hosts[edge.consumer],
-                        hosts[edge.provider] if edge.provider_kind == "component" else edge.provider)
-            except KeyError as missing:
-                raise ModelError(f"scenario {s.id} does not place component "
-                                 f"{missing.args[0]}") from None
-            total += edge_fact(model, edge, *pair).cost_ms
-        availability = _joint_availability(model, set(hosts.values()), known)
-        evaluated.append(DeploymentScenario(s.id, s.assignment, availability, total, s.rendered))
-    return evaluated
+    return enumerate_deployments(model, scored=True)
 
 
 RANK_METRICS = ("availability", "response-time")

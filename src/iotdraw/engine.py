@@ -45,7 +45,8 @@ included, and returns the tick the plan is due next:
   one step.  A uniform source with no condition to test draws nothing:
   its generator moves by one output per sense at the end of the batch.
   Otherwise a condition on a uniform reading is a range of 64-bit
-  outputs (``_cut``), tested on the output before it becomes a float.
+  outputs (``_cut``), tested on the output, which never becomes a float:
+  the model keeps a uniform range's width and every threshold finite.
 - ``_generic_kernel``: every other shape, through ``_serve``: a sense
   among several tasks, an event request that can sense, and requests
   that cannot sense because their provider is not a device, their
@@ -92,7 +93,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -573,20 +573,17 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval
     return fire
 
 
-def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool] | None:
+def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool]:
     """Where ``op(lo + (hi - lo) * (z / (2**64 - 1)), limit)`` holds over the 64-bit
     outputs ``z``: on ``first <= z < end`` when ``inside``, off it otherwise.
 
     Each rounding step is monotone, so the reading never decreases as ``z``
     grows, and a condition holds on one range of ``z`` (off one for ``!=``).
     Its edges are the first ``z`` whose reading is ``>= limit`` and the first
-    whose reading is ``> limit``.  None when ``lo`` or ``hi - lo`` is not
-    finite, so that a reading can be NaN, or when ``limit`` is NaN: the
-    caller then tests the reading.
+    whose reading is ``> limit``.  The model keeps ``hi - lo`` and every
+    condition's ``limit`` finite, so no reading or limit is NaN.
     """
     span = hi - lo
-    if not (math.isfinite(lo) and math.isfinite(span)) or limit != limit:
-        return None
 
     def first(test: Callable[[float, float], bool]) -> int:
         low, high = 0, 1 << 64  # 2**64: no output passes
@@ -614,8 +611,8 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
     nothing: the batch advances its generator once per sense at its end and
     works out the cached reading from the last output.  With watchers, a
     sense draws the 64-bit output and tests it against each condition's
-    range of outputs (``_cut``); readings of the other sources, and of a
-    uniform source whose ``_cut`` declines, are tested as floats.
+    range of outputs (``_cut``); readings of the other sources are tested
+    as floats.
     """
     cell = request.cell
     rng, sample = cell.stream.rng, cell.stream.next
@@ -624,7 +621,6 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
         lo, hi = cell.stream.source.lo, cell.stream.source.hi
         span = hi - lo
         cuts = [_cut(lo, hi, op, limit) for op, limit, _ in watchers]
-        cuts = None if None in cuts else cuts
     draws = rng is not None and bool(watchers)  # a uniform source draws only for a watcher
     kind = request.kind
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
@@ -678,8 +674,6 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
                 z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
                 z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
                 z ^= z >> 31
-                if by_output is None:
-                    value = lo + span * (z / 0xFFFFFFFFFFFFFFFF)
             elif rng is None:
                 value = sample()
             # drain_mah, one cost at a time, as _sense_kernel does: the two change together

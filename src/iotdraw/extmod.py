@@ -1,14 +1,14 @@
 """Pluggable analysis modules invoked once per simulation run.
 
 A module is a named hook taking a read-only snapshot of the system and
-returning its findings as text (the built-ins return CSV).  Hooks see a
-deep copy of the model plus the current battery levels, so nothing a
-hook does can disturb the run that invoked it.
+returning its findings as text (the built-ins return CSV).  Hooks see the
+run's model, which is immutable, and their own copy of the battery
+levels, so nothing a hook does can disturb the run that invoked it.  The
+model's derived facts (routes, edge tables) are shared with the run.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,7 +57,7 @@ def register_module(registry: ModuleRegistry, name: str, hook: Hook) -> ModuleRe
 def take_snapshot(state) -> SystemSnapshot:
     """Freeze the interesting parts of a simulation for hooks, which run before tick 0."""
     return SystemSnapshot(
-        model=copy.deepcopy(state.model),
+        model=state.model,
         tick=0,
         residual_energy_mah={name: cell.residual_mah for name, cell in state.devices.items()},
     )

@@ -16,6 +16,7 @@ invariants; the parser checks uniqueness and references.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -145,7 +146,7 @@ class ConstantSource:
 
 @dataclass(frozen=True)
 class UniformSource:
-    """Uniform draws over the closed interval [lo, hi].
+    """Uniform draws over the closed interval [lo, hi], whose width must be finite.
 
     ``seed`` pins this source to its own stream; when None the stream is
     derived from the model seed and the owning device's name.
@@ -157,6 +158,8 @@ class UniformSource:
 
     def __post_init__(self):
         _require(self.lo <= self.hi, f"uniform bounds out of order: [{self.lo}, {self.hi}]")
+        _require(math.isfinite(self.hi - self.lo),
+                 f"uniform range [{self.lo}, {self.hi}] is too wide: hi - lo must be finite")
 
 
 @dataclass(frozen=True)
@@ -338,6 +341,8 @@ class ConditionExpr:
     def __post_init__(self):
         _require(self.op in CONDITION_OPS, f"unknown condition operator: {self.op}")
         _require(bool(self.field), "condition needs a field name")
+        _require(math.isfinite(self.threshold),
+                 f"condition threshold must be finite, got {self.threshold}")
 
     def render(self) -> str:
         return f"{self.field} {self.op} {format_number(self.threshold)}"

@@ -475,10 +475,7 @@ def condition_from_text(text: str) -> ConditionExpr:
     if match is None:
         raise ModelError(f"cannot parse condition {text!r}; expected 'field op number'")
     op = _OP_ALIASES.get(match["op"], match["op"])
-    threshold = float(match["value"])
-    if not math.isfinite(threshold):
-        raise ModelError(f"condition {text!r} has a threshold too large to represent")
-    return ConditionExpr(match["field"], op, threshold)
+    return ConditionExpr(match["field"], op, float(match["value"]))
 
 
 # --------------------------------------------------------------------------

@@ -16,9 +16,7 @@ path between them and can translate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .diagnostics import ERROR, WARNING, Diagnostic, SourceSpan
 from .model import (
@@ -179,37 +177,19 @@ def route_between(model: IoTSystemModel, source: str, target: str) -> Route | No
     return route
 
 
-class EdgeFact(NamedTuple):
-    """What one dependency edge gives with its consumer and provider on two platforms."""
+def edge_table(model: IoTSystemModel, edge: DependencyEdge) -> dict[tuple[str, str], float]:
+    """The cost of each allowed (consumer host, provider host) pair of eligible hosts.
 
-    allowed: bool  # reachable, and the two ports can interact over the route
-    cost_ms: float  # route latency plus the provider's processing time; inf when unreachable
-
-
-def edge_fact(model: IoTSystemModel, edge: DependencyEdge, consumer_host: str,
-              provider_host: str) -> EdgeFact:
-    """The edge's verdict and cost with its consumer and provider on these platforms.
-
-    The verdict needs the provider's platform reachable from the
-    consumer's and the two ports able to interact over the route.  A pair
-    outside the edge's table is worked out the same way and cached too.
-    """
-    fact = edge_table(model, edge).get((consumer_host, provider_host))
-    if fact is None:
-        fact = model.derived(_edge_fact, edge, consumer_host, provider_host)
-    return fact
-
-
-def edge_table(model: IoTSystemModel, edge: DependencyEdge) -> dict[tuple[str, str], EdgeFact]:
-    """``edge_fact`` for every (consumer host, provider host) pair of eligible hosts.
-
-    A platform provider has its own platform as its only host.  Computed
-    once per edge and model object.
+    A pair is allowed when the provider's platform is reachable from the
+    consumer's and the two ports can interact over the route; its cost is
+    the route's latency plus the provider's processing time.  A platform
+    provider has its own platform as its only host.  Computed once per
+    edge and model object.
     """
     return model.derived(_edge_table, edge)
 
 
-def _edge_table(model: IoTSystemModel, edge: DependencyEdge) -> dict[tuple[str, str], EdgeFact]:
+def _edge_table(model: IoTSystemModel, edge: DependencyEdge) -> dict[tuple[str, str], float]:
     # The pools are read from the cache rather than through eligible_hosts:
     # perfbench counts a deployment space from the eligible_hosts calls that
     # enumerate_deployments makes itself.
@@ -218,18 +198,17 @@ def _edge_table(model: IoTSystemModel, edge: DependencyEdge) -> dict[tuple[str, 
                                               model.component(name).required_software)]
 
     providers = pool(edge.provider) if edge.provider_kind == "component" else [edge.provider]
-    return {(consumer_host, provider_host): _edge_fact(model, edge, consumer_host, provider_host)
-            for consumer_host in pool(edge.consumer) for provider_host in providers}
-
-
-def _edge_fact(model: IoTSystemModel, edge: DependencyEdge, consumer_host: str,
-               provider_host: str) -> EdgeFact:
-    route = route_between(model, consumer_host, provider_host)
-    if route is None:
-        return EdgeFact(False, math.inf)
-    allowed = (consumer_host == provider_host or edge.consumer_port is None
-               or check_protocol_bridge(model, edge.consumer_port, edge.provider_port, route.path))
-    return EdgeFact(allowed, route.latency_ms + _processing_time_ms(model, edge, provider_host))
+    table = {}
+    for consumer_host in pool(edge.consumer):
+        for provider_host in providers:
+            route = route_between(model, consumer_host, provider_host)
+            if route is not None and (
+                    consumer_host == provider_host or edge.consumer_port is None
+                    or check_protocol_bridge(model, edge.consumer_port, edge.provider_port,
+                                             route.path)):
+                table[consumer_host, provider_host] = (
+                    route.latency_ms + _processing_time_ms(model, edge, provider_host))
+    return table
 
 
 def _processing_time_ms(model: IoTSystemModel, edge: DependencyEdge, provider_host: str) -> float:
@@ -388,8 +367,7 @@ def validate_model(model: IoTSystemModel, path: str | None = None) -> Validation
                     f"no platform provides the software component {component.name!r} requires")
 
     for edge in dependency_edges(model):
-        if eligible_hosts(model, model.component(edge.consumer)) and not any(
-                fact.allowed for fact in edge_table(model, edge).values()):
+        if eligible_hosts(model, model.component(edge.consumer)) and not edge_table(model, edge):
             error("protocol-unroutable",
                   f"component {edge.consumer!r} cannot reach provider {edge.provider!r} of interface "
                   f"{edge.interface!r} from any eligible host under the protocol rules")

@@ -504,6 +504,32 @@ def reference_unroutable(model):
     return unroutable
 
 
+def reference_edge_costs(model):
+    """Ground truth for ``validate.edge_table``, keyed by (consumer, interface).
+
+    Each edge maps every pair of eligible hosts (the provider's own
+    platform when it is one) that are equal, or connected by a shortest
+    path the two ports can use, to the path's latency plus the provider's
+    processing time.
+    """
+    latency, path = _reference_paths(model)
+
+    def hosts(component):
+        return [p.name for p in model.platforms
+                if set(component.required_software) <= set(p.provided_software)]
+
+    tables = {}
+    for consumer, consumer_port, kind, provider, provider_port in _reference_edges(model):
+        provider_hosts = [provider] if kind == "platform" else hosts(model.component(provider))
+        tables[consumer, provider_port.interface] = {
+            (host, target): latency(host, target) + reference_processing_ms(
+                model, kind, provider, target)
+            for host in hosts(model.component(consumer)) for target in provider_hosts
+            if host == target or (path(host, target) is not None and _reference_protocol_ok(
+                model, consumer_port, provider_port, path(host, target)))}
+    return tables
+
+
 def reference_availability(model, assignment):
     result = 1.0
     for name in sorted(set(assignment.values())):
@@ -513,8 +539,6 @@ def reference_availability(model, assignment):
 
 
 def reference_response_time(model, assignment):
-    from iotdraw.model import PlatformTier
-
     latency, _ = _reference_paths(model)
     total = 0.0
     for consumer, _, kind, provider, _ in _reference_edges(model):
@@ -523,15 +547,20 @@ def reference_response_time(model, assignment):
         hop = 0.0 if host == target else latency(host, target)
         if hop == float("inf"):
             return float("inf")
-        if kind == "component":
-            cycles = model.component(provider).mean_cpu_demand_cycles
-            processing = cycles / (model.platform(target).cpu_frequency_ghz * 1e9) * 1000.0
-        elif model.platform(provider).tier is PlatformTier.DEVICE:
-            processing = model.platform(provider).energy.sense_duration_ms
-        else:
-            processing = 0.0
-        total += hop + processing
+        total += hop + reference_processing_ms(model, kind, provider, target)
     return total
+
+
+def reference_processing_ms(model, kind, provider, target):
+    """Time the provider spends answering on platform ``target``."""
+    from iotdraw.model import PlatformTier
+
+    if kind == "component":
+        cycles = model.component(provider).mean_cpu_demand_cycles
+        return cycles / (model.platform(target).cpu_frequency_ghz * 1e9) * 1000.0
+    if model.platform(provider).tier is PlatformTier.DEVICE:
+        return model.platform(provider).energy.sense_duration_ms
+    return 0.0
 
 
 def random_placement_model(seed: int):

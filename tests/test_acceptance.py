@@ -128,15 +128,16 @@ def test_criterion_03_response_time(capfd, padova_model):
         model = response_fixture()
         scenarios = enumerate_deployments(model)
         assert len(scenarios) == 1
-        measured = evaluate_scenarios(model, scenarios)[0].response_time_ms
+        measured = evaluate_scenarios(model)[0].response_time_ms
         # 50 ms hop + 3500 cycles / 3 GHz = 50.0011667 ms
         assert measured == pytest.approx(50.0011667, abs=1e-6)
         assert measured == pytest.approx(50.0 + 3500.0 / 3.0e9 * 1000.0,
                                          rel=1e-12)
         # device-provider flavor: four hops of 162 ms plus a 10 ms sense each
-        all_cloud = enumerate_deployments(padova_model)[0]
-        assert evaluate_scenarios(padova_model, [all_cloud])[0].response_time_ms \
-            == pytest.approx(688.0, abs=1e-9)
+        all_cloud = evaluate_scenarios(padova_model)[0]
+        assert all_cloud.assignment_map() == dict.fromkeys(
+            ("Analytics", "FloodAPI", "FloodMonitor"), "Michigan")
+        assert all_cloud.response_time_ms == pytest.approx(688.0, abs=1e-9)
 
 
 def test_criterion_04_enumeration_matches_brute_force(capfd, padova_model):

@@ -11,11 +11,11 @@ from iotdraw import (
     per_request_drain_mah, platform_availability, predicted_lifetime, rank_scenarios,
     scenario_availability, scenario_text, scenarios_to_csv,
 )
-from iotdraw.validate import dependency_edges, edge_fact
+from iotdraw.validate import dependency_edges, edge_table, eligible_hosts
 
 from conftest import (
-    random_placement_model, reference_availability, reference_response_time,
-    reference_scenarios, thousand_scenario_model, tiny_text,
+    random_placement_model, reference_availability, reference_edge_costs,
+    reference_response_time, reference_scenarios, thousand_scenario_model, tiny_text,
 )
 
 
@@ -129,25 +129,34 @@ def test_hand_built_scenarios_score_every_pair_the_same_way():
     assert [s.assignment for s in enumerate_deployments(model)] == [
         (("Client", "a"), ("Provider", "a")), (("Client", "b"), ("Provider", "b")),
         (("Client", "far"), ("Provider", "far"))]
-    not_allowed = DeploymentScenario(1, (("Client", "a"), ("Provider", "b")))
-    unreachable = DeploymentScenario(2, (("Client", "far"), ("Provider", "a")))
-    outside_pool = DeploymentScenario(3, (("Client", "c"), ("Provider", "a")))
-    scored = evaluate_scenarios(model, [not_allowed, unreachable, outside_pool])
-    assert [s.id for s in scored] == [1, 2, 3]
-    # A routable pair scores its latency plus processing, allowed or not.
-    assert scored[0].response_time_ms == 5.5 + 3000 / (4 * 1e9) * 1000.0
-    assert math.isinf(scored[1].response_time_ms)
-    assert scored[2].response_time_ms == 7.25 + 3000 / (2 * 1e9) * 1000.0
-    a, b, c, far = (platform_availability(model.platform(n)) for n in ("a", "b", "c", "far"))
-    assert [s.availability for s in scored] == [1.0 * a * b, 1.0 * a * far, 1.0 * a * c]
-    # Scoring the same scenarios again gives the same figures.
-    assert evaluate_scenarios(model, [not_allowed, unreachable, outside_pool]) == scored
+    # The edge's table holds the allowed pairs only: not a>b, routable but with
+    # no fog to bridge the protocols, not far>a, unreachable, and nothing on c,
+    # which lacks the software.
+    (edge,) = dependency_edges(model)
+    table = edge_table(model, edge)
+    assert ("a", "b") not in table and ("far", "a") not in table
+    assert not any("c" in pair for pair in table)
+    assert table == {(host, host): 3000 / (ghz * 1e9) * 1000.0
+                     for host, ghz in (("a", 2), ("b", 4), ("far", 1))}
 
 
-def test_a_scenario_that_leaves_out_a_component_is_a_model_error(padova_model):
-    partial = DeploymentScenario(1, (("Analytics", "Michigan"),))
-    with pytest.raises(ModelError, match="^scenario 1 does not place component FloodAPI$"):
-        evaluate_scenarios(padova_model, [partial])
+def test_each_edge_table_maps_exactly_the_allowed_pairs_to_their_cost():
+    left_out = 0
+    for seed in range(40):
+        model = random_placement_model(seed)
+        truth = reference_edge_costs(model)
+        edges = dependency_edges(model)
+        assert {(edge.consumer, edge.interface) for edge in edges} == truth.keys(), seed
+        for edge in edges:
+            table, expected = edge_table(model, edge), truth[edge.consumer, edge.interface]
+            assert table.keys() == expected.keys(), (seed, edge.consumer, edge.interface)
+            for pair, cost in expected.items():
+                assert table[pair] == pytest.approx(cost, rel=1e-12), (seed, edge.consumer, pair)
+            pairs = len(eligible_hosts(model, model.component(edge.consumer)))
+            if edge.provider_kind == "component":
+                pairs *= len(eligible_hosts(model, model.component(edge.provider)))
+            left_out += len(table) < pairs
+    assert left_out  # some eligible pairs are not allowed, and their edges leave them out
 
 
 def test_a_scenario_on_an_unknown_platform_is_a_model_error(padova_model):
@@ -155,8 +164,6 @@ def test_a_scenario_on_an_unknown_platform_is_a_model_error(padova_model):
                                      ("FloodMonitor", "Nowhere")))
     with pytest.raises(ModelError, match="^unknown platform: 'Nowhere'$"):
         scenario_availability(padova_model, nowhere)
-    with pytest.raises(ModelError, match="^unknown platform: 'Nowhere'$"):
-        evaluate_scenarios(padova_model, [nowhere])
 
 
 @pytest.mark.parametrize("make_model", [thousand_scenario_model,
@@ -185,7 +192,7 @@ def test_deployment_work_is_bounded_by_eligible_host_pairs(monkeypatch, make_mod
         for module in (iotdraw.validate, iotdraw.analysis):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    evaluated = evaluate_scenarios(model, enumerate_deployments(model))
+    evaluated = evaluate_scenarios(model)
     assert evaluated
     triples = 0
     for edge in dependency_edges(model):
@@ -260,7 +267,7 @@ def _oracle_scores(model, assignment):
     total = 0.0
     for edge in dependency_edges(model):
         provider = assignment[edge.provider] if edge.provider_kind == "component" else edge.provider
-        total += edge_fact(model, edge, assignment[edge.consumer], provider).cost_ms
+        total += edge_table(model, edge)[assignment[edge.consumer], provider]
     return availability, total
 
 
@@ -294,13 +301,11 @@ def _fallbacks(model, scenarios):
 
 
 def assert_search_scores_and_renders_bit_for_bit(model):
-    """The search's scores equal scoring one assignment at a time and the oracle, with ``==``."""
+    """The search's scores equal the oracle's, with ``==``."""
     searched = evaluate_scenarios(model)
     listed = enumerate_deployments(model)
     assert [(s.id, s.assignment) for s in searched] == [(s.id, s.assignment) for s in listed]
     for s in searched:
-        alone = evaluate_scenarios(model, [DeploymentScenario(s.id, s.assignment)])[0]
-        assert (s.availability, s.response_time_ms) == (alone.availability, alone.response_time_ms)
         assert (s.availability, s.response_time_ms) == _oracle_scores(model, s.assignment_map())
     for scenarios in (searched, listed):
         assert [scenario_text(s) for s in scenarios] == [_plain_text(s) for s in scenarios]

@@ -56,6 +56,15 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert "unknown-task" in out
 
 
+def test_validate_refuses_a_uniform_range_too_wide_for_a_float(tmp_path, capsys):
+    wide = tmp_path / "wide.iot"
+    text = Path(FRESH).read_text(encoding="utf-8")
+    wide.write_text(text.replace("uniform(0, 30) seed 42", "uniform(-1e308, 1e308) seed 42"),
+                    encoding="utf-8")
+    assert main(["validate", str(wide)]) == 1
+    assert "uniform range [-1e+308, 1e+308] is too wide" in capsys.readouterr().err
+
+
 def test_validate_csv_output(tmp_path, capsys):
     bad = tmp_path / "bad.iot"
     bad.write_text(tiny_text().replace('periodic "ReadProbe"', 'periodic "Bogus"'),

@@ -13,10 +13,12 @@ from iotdraw import (
 )
 from iotdraw.energy import drain_mah, joules_to_mah
 from iotdraw.engine import _OPS, EventKind, _cut
-from iotdraw.model import CONDITION_OPS, ConstantSource, TraceSource, UniformSource
+from iotdraw.model import CONDITION_OPS, ConditionExpr, ConstantSource, TraceSource, UniformSource
 from iotdraw.rng import SplitMix64, derive_seed
 
-from conftest import MODELS_DIR, SECOND_SENSOR, alarmed_model, reference_run, tiny_model, tiny_text
+from conftest import (
+    ALARMED_TEMPLATE, MODELS_DIR, SECOND_SENSOR, alarmed_model, tiny_model, tiny_text,
+)
 
 PER = 1.5000012e-4  # mAh of one sense + transmit on the fixture devices
 
@@ -305,7 +307,8 @@ def test_device_streams_are_decorrelated():
     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (x, x)),
     st.tuples(st.floats(-1e6, 0.0), st.floats(-1e6, 0.0)).map(sorted),
     st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-              st.floats(allow_nan=False, allow_infinity=False)).map(sorted)))
+              st.floats(allow_nan=False, allow_infinity=False)).map(sorted)
+    .filter(lambda b: math.isfinite(b[1] - b[0]))))
 def test_the_inlined_draw_is_rng_uniform_bit_for_bit(seed, bounds):
     from iotdraw.engine import _build_plans, initial_state
     lo, hi = bounds
@@ -375,17 +378,19 @@ def test_a_condition_holds_on_one_range_of_outputs(case):
 
 
 @pytest.mark.parametrize("op", CONDITION_OPS)
-def test_a_non_finite_span_is_tested_as_floats(op):
-    # From this seed SplitMix64's first output is 0, and -1e308 + inf * 0.0 is nan.
-    seed = -0x9E3779B97F4A7C15 % 2**64
-    assert SplitMix64(seed).next_u64() == 0
-    assert _cut(-1e308, 1e308, op, 0.0) is None
-    assert _cut(0.0, 1.0, op, math.nan) is None
-    model = alarmed_model(sim_time=7, data=f"uniform(-1e308, 1e308) seed {seed}",
-                          condition=f"level {op} 0")
-    for max_age in (0, 2):
-        quiet = run_simulation(model, FreshnessPolicy(max_age), sink=None)
-        assert quiet.counts == reference_run(model, max_age).counts
+def test_a_non_finite_span_or_threshold_is_refused(op):
+    # Either would let a reading or a limit be inf or NaN, outside [lo, hi].
+    text = ALARMED_TEMPLATE.format(sim_time=7, interval=1, capacity=100, rng_seed=0,
+                                   data="uniform(-1e308, 1e308) seed 42", condition=f"level {op} 0")
+    (diagnostic,) = parse_model(text, "<alarmed>")
+    assert diagnostic.code == "syntax"
+    assert diagnostic.message == ("uniform range [-1e+308, 1e+308] is too wide: "
+                                  "hi - lo must be finite")
+    with pytest.raises(ModelError, match="is too wide"):
+        UniformSource(-1e308, 1e308, 42)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match="^condition threshold must be finite, got "):
+            ConditionExpr("level", op, threshold)
 
 
 def test_a_linkless_polled_device_is_counted_in_closed_form(padova_model, monkeypatch):

@@ -56,7 +56,7 @@ def test_snapshot_is_isolated_from_the_run():
     model = tiny_model(sim_time=3)
     state = initial_state(model)
     snapshot = take_snapshot(state)
-    assert snapshot.model is not state.model
+    assert snapshot.model is state.model
     assert snapshot.model == state.model
     snapshot.residual_energy_mah["probe_1"] = -1.0
     assert state.devices["probe_1"].residual_mah == 100.0

@@ -437,7 +437,7 @@ EXPECTED = {
     'infinite-location':
         "error: [syntax] number '1e999' is too large to represent (<golden>:9:15)",
     'infinite-condition':
-        "error: [syntax] condition 'level > 1e999' has a threshold too large to represent (<golden>:113:20)",
+        "error: [syntax] condition threshold must be finite, got inf (<golden>:113:20)",
     'condition-missing-number':
         "error: [syntax] cannot parse condition 'level >'; expected 'field op number' (<golden>:113:20)",
     'condition-reversed':

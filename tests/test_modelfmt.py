@@ -1,5 +1,6 @@
 """Model text parsing, diagnostics, and canonical serialization."""
 
+import math
 import re
 from itertools import combinations
 from pathlib import Path
@@ -130,8 +131,8 @@ def test_numbers_too_large_for_a_float_are_rejected(number):
     event = ALARMED_TEMPLATE.format(sim_time=10, interval=1, capacity=100, rng_seed=0,
                                     data="trace [30, 5]", condition=f"level > {number}")
     diags = diagnostics(event)
-    assert diags[0].code == "syntax" and "too large" in diags[0].message
-    with pytest.raises(ModelError, match="too large"):
+    assert diags[0].code == "syntax" and "threshold must be finite" in diags[0].message
+    with pytest.raises(ModelError, match="threshold must be finite"):
         condition_from_text(f"level > {number}")
 
 
@@ -265,8 +266,9 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _POINT = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
 _SOURCE = st.one_of(
     st.builds(ConstantSource, _NUMBER),
-    st.builds(lambda a, b, seed: UniformSource(min(a, b), max(a, b), seed),
-              _NUMBER, _NUMBER, st.none() | st.integers(0, 2**64)),
+    st.builds(lambda bounds, seed: UniformSource(*bounds, seed),
+              st.tuples(_NUMBER, _NUMBER).map(sorted).filter(lambda b: math.isfinite(b[1] - b[0])),
+              st.none() | st.integers(0, 2**64)),
     st.builds(lambda values: TraceSource(tuple(values)), st.lists(_NUMBER, min_size=1, max_size=4)),
 )
 
