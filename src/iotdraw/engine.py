@@ -42,11 +42,16 @@ included, and returns the tick the plan is due next:
   Depletion, freshness and the stream's position never depend on a
   reading, so it works out only what a condition tests.  A cached
   reading stays fresh up to a known tick, so the hits up to it count in
-  one step.  A uniform source with no condition to test draws nothing:
-  its generator moves by one output per sense at the end of the batch.
-  Otherwise a condition on a uniform reading is a range of 64-bit
-  outputs (``_cut``), tested on the output, which never becomes a float:
-  the model keeps a uniform range's width and every threshold finite.
+  one step.  The senses that follow take two passes.  The first drains
+  the battery one sense at a time, with no reading, and finds how many
+  senses the batch makes: up to ``stop``, or through the one that
+  depletes the device.  The second counts what their readings set off.
+  A condition on a uniform reading is a range of 64-bit outputs
+  (``_cut``): the model keeps every bound and threshold a finite float.
+  ``_matches`` counts the outputs on each range ``_LANES`` at a time,
+  packed one to a 128-bit lane of one int, or one at a time below
+  ``_PACK_FROM``, and the generator moves one output per sense in one
+  step.  The readings of the other sources are tested as floats.
 - ``_generic_kernel``: every other shape, through ``_serve``: a sense
   among several tasks, an event request that can sense, and requests
   that cannot sense because their provider is not a device, their
@@ -57,9 +62,9 @@ The scheduler runs the first plan due, in declaration order, with
 another plan is due on the same tick.  A kernel ends its batch early
 after a firing in which a device depleted.  A run halted by a depletion
 ends after that firing and its event requests: later plans in the
-tick's declaration order do not fire.  Only the draw is inlined:
-``rng.py`` and ``docs/determinism.md`` remain its specification, as
-``energy.py`` is the drain's.
+tick's declaration order do not fire.  Only the draw is inlined, and
+packed in ``_matches``: ``rng.py`` and ``docs/determinism.md`` remain its
+specification, as ``energy.py`` is the drain's.
 
 The event log is CSV text, rendered once by the code that logs it: the
 kernels append records to a list as they happen, each item one or more
@@ -104,7 +109,7 @@ from .model import (
     Component, ConditionExpr, ConstantSource, IoTSystemModel, ModelError, Platform,
     PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
 )
-from .rng import SplitMix64, _mix64, derive_seed
+from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, _mix64, derive_seed
 from .validate import task_binding
 
 
@@ -600,6 +605,66 @@ def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool]:
             ">=": (at, end, True), "=": (at, above, True), "!=": (at, above, False)}[op]
 
 
+# The packed count: ``_LANES`` SplitMix64 outputs mixed at once, each in a 128-bit
+# lane of one int, where a 64-bit state times a 64-bit constant fits without a carry.
+_LANES = 1024
+_PACK_FROM = 4  # fewer outputs are mixed one at a time: packing them costs more
+
+
+@functools.cache
+def _lane_tables() -> tuple[int, int, int, int]:
+    """In every lane: 1, the low 64 bits, bit 64, and the lane's number from 1
+    times the generator's increment, mod 2**64.  Built on first use, then kept."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+    steps = b"".join((i * _GOLDEN_GAMMA & _MASK64).to_bytes(16, "little")
+                     for i in range(1, _LANES + 1))
+    return ones, ones * _MASK64, ones << 64, int.from_bytes(steps, "little")
+
+
+def _matches(seed: int, n: int, cuts: Sequence[tuple[int, int, bool]]) -> list[int]:
+    """Per ``_cut`` range ``(first, end, inside)``, how many of the ``n`` outputs
+    that follow generator state ``seed`` lie on it when ``inside``, off it otherwise.
+
+    Packed, lane ``i`` of a chunk holds the state ``seed + i * increment``,
+    and whole-int xor-shifts, multiplies and masks mix every lane at once.
+    """
+    found = [0] * len(cuts)
+    if n < _PACK_FROM:
+        for _ in range(n):
+            seed = (seed + _GOLDEN_GAMMA) & _MASK64
+            z = _mix64(seed)
+            for index, (first, end, inside) in enumerate(cuts):
+                if (first <= z < end) is inside:
+                    found[index] += 1
+        return found
+    ones, low, top, steps = _lane_tables()
+    full, rest = divmod(n, _LANES)
+    for lanes, chunks in ((_LANES, full), (rest, 1)):
+        if not lanes or not chunks:
+            continue
+        if lanes < _LANES:  # the last chunk: only its lanes
+            keep = (1 << 128 * lanes) - 1
+            ones, steps = ones & keep, steps & keep
+        # An output z is at least ``bound`` when bit 64 of ``z + 2**64 - bound`` is
+        # set.  Every output is at least 0; none is at least 2**64, whose offset is 0.
+        offsets = [(index, first, inside, ((1 << 64) - first) * ones, ((1 << 64) - end) * ones)
+                   for index, (first, end, inside) in enumerate(cuts)]
+        for _ in range(chunks):
+            z = (seed * ones + steps) & low
+            z = (z ^ (z >> 30)) & low
+            z = z * 0xBF58476D1CE4E5B9 & low
+            z = (z ^ (z >> 27)) & low
+            z = z * 0x94D049BB133111EB & low
+            z ^= z >> 31  # what this shifts in from the next lane lies above bit 96
+            for index, first, inside, from_first, from_end in offsets:
+                held = ((z + from_first) & top).bit_count() if first else lanes
+                if from_end:
+                    held -= ((z + from_end) & top).bit_count()
+                found[index] += held if inside else lanes - held
+            seed = (seed + lanes * _GOLDEN_GAMMA) & _MASK64
+    return found
+
+
 def _count_kernel(state: SimulationState, interval: int, request: _Request,
                   watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
     """The sense kernel's plan in a run that keeps only counts.
@@ -607,34 +672,39 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
     Depletion, freshness and the stream's position never depend on a
     reading, so only what a watcher tests is worked out.  The fresh firings
     up to the cache's last fresh tick count in one step, each adding the
-    alerts of the cached reading.  A uniform source with no watcher draws
-    nothing: the batch advances its generator once per sense at its end and
-    works out the cached reading from the last output.  With watchers, a
-    sense draws the 64-bit output and tests it against each condition's
-    range of outputs (``_cut``); readings of the other sources are tested
-    as floats.
+    alerts of the cached reading.  The senses that follow take two passes.
+    The first drains, one sense at a time, up to ``stop`` or through the
+    sense that depletes the device; each sense is followed by the
+    ``max_age // interval`` cache hits its reading serves.  The second
+    counts what the readings before the last set off: ``_matches`` counts
+    a uniform source's outputs on each condition's range of outputs
+    (``_cut``), and the generator then moves once per sense; the other
+    sources' readings are tested as floats.  The last reading is tested on
+    its own, after the depletion it may cause, with the hits it serves
+    before ``stop``, and becomes the cached reading.
     """
     cell = request.cell
     rng, sample = cell.stream.rng, cell.stream.next
-    cuts = None
+    cuts = []
     if rng is not None:
         lo, hi = cell.stream.source.lo, cell.stream.source.hi
         span = hi - lo
         cuts = [_cut(lo, hi, op, limit) for op, limit, _ in watchers]
-    draws = rng is not None and bool(watchers)  # a uniform source draws only for a watcher
     kind = request.kind
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
+    repeats = max_age // interval  # the cache hits that follow each sense
+    step = (repeats + 1) * interval  # the ticks from one sense to the next
     counts, lifetimes = state.counts, state.lifetimes
 
-    def watcher_tests() -> tuple[tuple, tuple | None]:
-        """Per watcher, its float test and its test of the output, each with its
-        ``_fixed_outcome`` actuation count."""
+    def watcher_tests() -> tuple[tuple, tuple]:
+        """Per watcher, its float test and its range of uniform outputs, each with
+        its ``_fixed_outcome`` actuation count."""
         actions = [len(_fixed_outcome(watcher)[1]) for _, _, watcher in watchers]
-        by_value = tuple((_OPS[op], limit, n) for (op, limit, _), n in zip(watchers, actions))
-        return by_value, cuts and tuple((*cut, n) for cut, n in zip(cuts, actions))
+        return (tuple((_OPS[op], limit, n) for (op, limit, _), n in zip(watchers, actions)),
+                tuple((*cut, n) for cut, n in zip(cuts, actions)))
 
-    by_value, by_output, depletions = (), None, -1
+    by_value, by_output, depletions = (), (), -1
 
     def tested(value: float) -> tuple[int, int]:
         """The alerts and actuations that one reading sets off."""
@@ -649,68 +719,82 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
         nonlocal by_value, by_output, depletions
         residual, depleted = cell.residual_mah, cell.depleted
         cached_value, cached_at = cell.cached_value, cell.cached_at
-        seed = rng.state if rng is not None else 0
         if depletions != len(lifetimes):
             (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
-        # what each test of the cached reading sets off
-        matched, acting = tested(cached_value) if max_age and cached_at is not None else (0, 0)
-        start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
-        while now <= stop:
-            if max_age and cached_at is not None and now - cached_at <= max_age:
-                # fresh, whatever the device's health, up to the cache's last fresh tick
-                last = cached_at + max_age
-                fresh = ((last if last < stop else stop) - now) // interval + 1
-                hits += fresh
-                alerts += fresh * matched
-                actuations += fresh * acting
-                now += fresh * interval
-                continue
-            if depleted:
-                failures += 1
-                now += interval
-                break  # spent: run_simulation counts its firings in closed form
-            if draws:  # SplitMix64 and the output of docs/determinism.md
-                seed = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-                z ^= z >> 31
-            elif rng is None:
-                value = sample()
-            # drain_mah, one cost at a time, as _sense_kernel does: the two change together
-            residual = residual - sense_mah
-            residual = residual if residual > 0.0 else 0.0
-            residual = residual - transmit_mah
-            residual = residual if residual > 0.0 else 0.0
-            if max_age:
-                cached_at = now
+        start, failures, senses, alerts, actuations = now, 0, 0, 0, 0
+        if max_age and cached_at is not None and now - cached_at <= max_age:
+            # fresh, whatever the device's health, up to the cache's last fresh tick
+            last = cached_at + max_age
+            fresh = ((last if last < stop else stop) - now) // interval + 1
+            matched, acting = tested(cached_value)
+            alerts, actuations = fresh * matched, fresh * acting
+            now += fresh * interval
+        if depleted and now <= stop:
+            failures = 1
+            now += interval  # spent: run_simulation counts its firings in closed form
+        elif now <= stop:
+            # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
+            begin, last = now, stop - step  # a sense after ``last`` would not fit
+            while True:
+                # drain_mah, one cost at a time, as _sense_kernel does: the two change together
+                residual = residual - sense_mah
+                residual = residual if residual > 0.0 else 0.0
+                residual = residual - transmit_mah
+                residual = residual if residual > 0.0 else 0.0
+                if residual <= threshold or now > last:
+                    break
+                now += step
+            # Pass 2: what each reading sets off, once and once more per hit it serves.
+            earlier = (now - begin) // step  # the senses before the last
+            if earlier:
+                matched = acting = 0
+                if rng is None:
+                    for _ in range(earlier):
+                        value = sample()
+                        for test, limit, n in by_value:
+                            if test(value, limit):
+                                matched += 1
+                                acting += n
+                else:
+                    found = _matches(rng.state, earlier, cuts)
+                    matched = sum(found)
+                    acting = sum(count * n for count, (*_, n) in zip(found, by_output))
+                    rng.state = (rng.state + earlier * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                alerts += matched * (repeats + 1)
+                actuations += acting * (repeats + 1)
+            weight = 1  # the last reading, and the hits it serves before ``stop``
             if residual <= threshold:
                 depleted = True
                 _deplete(state, cell, now)
                 (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
-                stop = now
-            if watchers:
-                if by_output is None:
-                    matched, acting = tested(value)
-                else:
-                    matched = acting = 0
-                    for first, end, inside, n in by_output:
-                        if (first <= z < end) is inside:
-                            matched += 1
-                            acting += n
-                alerts += matched
-                actuations += acting
-            now += interval
-        fired = (now - start) // interval
-        senses = fired - failures - hits
-        if rng is not None:
-            if not draws:
-                seed = (seed + senses * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            rng.state = seed
-        if max_age and senses:
-            cached_value = value if rng is None else lo + span * (_mix64(seed) / 0xFFFFFFFFFFFFFFFF)
+            elif repeats:
+                weight += min((stop - now) // interval, repeats)
+            # the last reading, tested after the depletion it may cause
+            if rng is None:
+                value = sample()
+                for test, limit, n in by_value:
+                    if test(value, limit):
+                        alerts += weight
+                        actuations += n * weight
+            else:  # SplitMix64 and the output of docs/determinism.md
+                rng.state = seed = (rng.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+                z ^= z >> 31
+                for first, end, inside, n in by_output:
+                    if (first <= z < end) is inside:
+                        alerts += weight
+                        actuations += n * weight
+                if max_age:  # the uniform draw of docs/determinism.md
+                    value = lo + span * (z / 0xFFFFFFFFFFFFFFFF)
+            if max_age:
+                cached_value, cached_at = value, now
+            senses = earlier + 1
+            now += weight * interval
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
-        _count_batch(counts, kind, fired, senses, hits, alerts, actuations)
+        fired = (now - start) // interval
+        _count_batch(counts, kind, fired, senses, fired - failures - senses, alerts, actuations)
         return now
 
     return fire
@@ -845,6 +929,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     horizon = model.sim_config.simulation_time
     never = horizon + 1
     due = [plan.interval - 1 for plan in plans]
+    fires = [plan.fire for plan in plans]
     closed: dict[int, int] = {}  # plan index -> its first firing counted in closed form
 
     def close_spent() -> None:
@@ -866,10 +951,10 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         index = due.index(now)
         due[index] = never
         later = min(due)
-        stop = now if later == now else min(later - 1, horizon)
+        stop = now if later == now else later - 1 if later <= horizon else horizon
         if stream is not None:
             stop = min(stop, now + (_BATCH_FIRINGS - 1) * plans[index].interval)
-        due[index] = plans[index].fire(now, stop)
+        due[index] = fires[index](now, stop)
         if stream is not None:
             stream(events)
             events.clear()

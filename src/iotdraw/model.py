@@ -55,6 +55,21 @@ def _require(condition: bool, message: str, subject: str = "") -> None:
         raise ModelError([BuildIssue(message, subject)])
 
 
+def _finite(number: float) -> bool:
+    """Whether ``number`` is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _shown(number: float) -> str:
+    """``number`` as a message gives it; an int beyond float range by its size,
+    since its digits may be too many to print."""
+    return str(number) if _finite(number) or isinstance(number, float) else (
+        f"an integer of {number.bit_length()} bits")
+
+
 def format_number(value: float) -> str:
     """Integral values print bare (``20``), all others as their ``repr``."""
     return str(int(value)) if value == int(value) else repr(value)
@@ -157,9 +172,11 @@ class UniformSource:
     seed: int | None = None
 
     def __post_init__(self):
-        _require(self.lo <= self.hi, f"uniform bounds out of order: [{self.lo}, {self.hi}]")
-        _require(math.isfinite(self.hi - self.lo),
-                 f"uniform range [{self.lo}, {self.hi}] is too wide: hi - lo must be finite")
+        bounds = f"[{_shown(self.lo)}, {_shown(self.hi)}]"
+        _require(self.lo <= self.hi, f"uniform bounds out of order: {bounds}")
+        _require(_finite(self.hi - self.lo),
+                 f"uniform range {bounds} is too wide: hi - lo must be finite")
+        _require(_finite(self.lo) and _finite(self.hi), f"uniform bounds must be finite: {bounds}")
 
 
 @dataclass(frozen=True)
@@ -341,8 +358,8 @@ class ConditionExpr:
     def __post_init__(self):
         _require(self.op in CONDITION_OPS, f"unknown condition operator: {self.op}")
         _require(bool(self.field), "condition needs a field name")
-        _require(math.isfinite(self.threshold),
-                 f"condition threshold must be finite, got {self.threshold}")
+        _require(_finite(self.threshold),
+                 f"condition threshold must be finite, got {_shown(self.threshold)}")
 
     def render(self) -> str:
         return f"{self.field} {self.op} {format_number(self.threshold)}"

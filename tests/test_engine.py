@@ -12,9 +12,9 @@ from iotdraw import (
     parse_model, per_request_drain_mah, run_simulation,
 )
 from iotdraw.energy import drain_mah, joules_to_mah
-from iotdraw.engine import _OPS, EventKind, _cut
+from iotdraw.engine import _LANES, _OPS, EventKind, _cut, _matches
 from iotdraw.model import CONDITION_OPS, ConditionExpr, ConstantSource, TraceSource, UniformSource
-from iotdraw.rng import SplitMix64, derive_seed
+from iotdraw.rng import SplitMix64, _mix64, derive_seed
 
 from conftest import (
     ALARMED_TEMPLATE, MODELS_DIR, SECOND_SENSOR, alarmed_model, tiny_model, tiny_text,
@@ -377,6 +377,44 @@ def test_a_condition_holds_on_one_range_of_outputs(case):
             assert ((first <= z < end) is inside) == _OPS[op](_read(lo, hi, z), limit), (op, z)
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment
+
+
+@st.composite
+def output_ranges(draw):
+    """The ranges of outputs of all six conditions on one uniform source, and ranges
+    that are empty, start at 0, end at 2**64, or hold off the range (``!=``)."""
+    lo, hi = sorted(draw(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))))
+    limit = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(-60.0, 60.0)))
+    # Bounds with every bit in play, as well as the simple ones hypothesis favours.
+    bound = st.one_of(st.integers(0, 2**64), st.integers(0, 2**64 - 1).map(_mix64))
+    first, end = sorted((draw(bound), draw(bound)))
+    return [*(_cut(lo, hi, op, limit) for op in CONDITION_OPS),
+            (first, first, True), (0, end, True), (first, 2**64, True), (first, end, False)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(1, _GAMMA).map(lambda d: 2**64 - d)),
+       n=st.sampled_from([0, 1, _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 7]),
+       cuts=output_ranges(), data=st.data())
+def test_the_packed_count_matches_a_scalar_loop(seed, n, cuts, data):
+    outputs = [_mix64((seed + i * _GAMMA) % 2**64) for i in range(1, n + 1)]
+    if outputs:  # ranges that hold one output exactly, or start just past it
+        for z in data.draw(st.lists(st.sampled_from(outputs), max_size=3)):
+            cuts = [*cuts, (z, z + 1, True), (z + 1, 2**64, True)]
+    expected = [sum((first <= z < end) is inside for z in outputs) for first, end, inside in cuts]
+    assert _matches(seed, n, cuts) == expected
+
+
+def test_an_int_beyond_float_range_is_a_model_error():
+    # The model keeps every bound and threshold a finite float, so _cut never overflows.
+    with pytest.raises(ModelError, match="^condition threshold must be finite, got an integer"):
+        ConditionExpr("x", ">", 10**400)
+    for lo, hi in ((0, 10**400), (10**400, 10**400), (-10**5000, 0)):
+        with pytest.raises(ModelError, match="^uniform "):
+            UniformSource(lo, hi)
+
+
 @pytest.mark.parametrize("op", CONDITION_OPS)
 def test_a_non_finite_span_or_threshold_is_refused(op):
     # Either would let a reading or a limit be inf or NaN, outside [lo, hi].
@@ -391,6 +429,39 @@ def test_a_non_finite_span_or_threshold_is_refused(op):
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(ModelError, match="^condition threshold must be finite, got "):
             ConditionExpr("level", op, threshold)
+
+
+@pytest.mark.parametrize("halt", [False, True])
+@pytest.mark.parametrize("interval", [1, 2, 3])
+@pytest.mark.parametrize("max_age", [0, 1, 3])
+def test_a_long_watched_run_keeps_the_same_report_without_a_log(max_age, interval, halt):
+    # Thousands of senses in one batch, so a counts-only run counts whole chunks of
+    # packed outputs; the probe depletes mid-run when it senses every interval-1 tick.
+    model = alarmed_model(sim_time=36_000, interval=interval, capacity=5 + 7000 * PER,
+                          data="uniform(0, 40)")
+    halt_on = {"probe_1"} if halt else ()
+    loud = run_simulation(model, FreshnessPolicy(max_age), halt_on)
+    quiet = run_simulation(model, FreshnessPolicy(max_age), halt_on, sink=None)
+    assert loud.counts["SenseSample"] >= 5000
+    assert loud.counts["EventRequest"] > 0
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
+
+
+@pytest.mark.parametrize("max_age", [0, 2])
+def test_alarms_on_the_device_that_a_sense_depletes_fail_without_a_log_too(max_age):
+    # The watcher actuates the probe it reads, so from the sense that depletes
+    # the probe on, its alarms fail and actuate nothing.
+    text = ALARMED_TEMPLATE.format(sim_time=400, interval=1, capacity=5 + 100.5 * PER, rng_seed=0,
+                                   data="uniform(0, 40)", condition="level > 20")
+    model = parse_model(text.replace('provider_interface = "Bell"', 'provider_interface = "Probe"'),
+                        "<self-alarmed>")
+    loud = run_simulation(model, FreshnessPolicy(max_age))
+    quiet = run_simulation(model, FreshnessPolicy(max_age), sink=None)
+    assert loud.lifetimes["probe_1"] is not None
+    assert loud.counts["Actuation"] < loud.counts["EventRequest"]
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
 
 
 def test_a_linkless_polled_device_is_counted_in_closed_form(padova_model, monkeypatch):
