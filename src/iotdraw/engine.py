@@ -49,9 +49,10 @@ included, and returns the tick the plan is due next:
   A condition on a uniform reading is a range of 64-bit outputs
   (``_cut``): the model keeps every bound and threshold a finite float.
   ``_matches`` counts the outputs on each range ``_LANES`` at a time,
-  packed one to a 128-bit lane of one int, or one at a time below
-  ``_PACK_FROM``, and the generator moves one output per sense in one
-  step.  The readings of the other sources are tested as floats.
+  packed one to a 128-bit lane of one int, and the generator moves one
+  output per sense in one step.  A uniform source that no condition
+  watches draws only the reading the cache keeps.  The readings of the
+  other sources are tested as floats.
 - ``_generic_kernel``: every other shape, through ``_serve``: a sense
   among several tasks, an event request that can sense, and requests
   that cannot sense because their provider is not a device, their
@@ -608,7 +609,6 @@ def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool]:
 # The packed count: ``_LANES`` SplitMix64 outputs mixed at once, each in a 128-bit
 # lane of one int, where a 64-bit state times a 64-bit constant fits without a carry.
 _LANES = 1024
-_PACK_FROM = 4  # fewer outputs are mixed one at a time: packing them costs more
 
 
 @functools.cache
@@ -629,14 +629,6 @@ def _matches(seed: int, n: int, cuts: Sequence[tuple[int, int, bool]]) -> list[i
     and whole-int xor-shifts, multiplies and masks mix every lane at once.
     """
     found = [0] * len(cuts)
-    if n < _PACK_FROM:
-        for _ in range(n):
-            seed = (seed + _GOLDEN_GAMMA) & _MASK64
-            z = _mix64(seed)
-            for index, (first, end, inside) in enumerate(cuts):
-                if (first <= z < end) is inside:
-                    found[index] += 1
-        return found
     ones, low, top, steps = _lane_tables()
     full, rest = divmod(n, _LANES)
     for lanes, chunks in ((_LANES, full), (rest, 1)):
@@ -750,16 +742,14 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
                 matched = acting = 0
                 if rng is None:
                     for _ in range(earlier):
-                        value = sample()
-                        for test, limit, n in by_value:
-                            if test(value, limit):
-                                matched += 1
-                                acting += n
+                        one, act = tested(sample())
+                        matched, acting = matched + one, acting + act
                 else:
-                    found = _matches(rng.state, earlier, cuts)
-                    matched = sum(found)
-                    acting = sum(count * n for count, (*_, n) in zip(found, by_output))
-                    rng.state = (rng.state + earlier * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                    if cuts:
+                        found = _matches(rng.state, earlier, cuts)
+                        matched = sum(found)
+                        acting = sum(count * n for count, (*_, n) in zip(found, by_output))
+                    rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
                 alerts += matched * (repeats + 1)
                 actuations += acting * (repeats + 1)
             weight = 1  # the last reading, and the hits it serves before ``stop``
@@ -772,21 +762,20 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
             # the last reading, tested after the depletion it may cause
             if rng is None:
                 value = sample()
-                for test, limit, n in by_value:
-                    if test(value, limit):
-                        alerts += weight
-                        actuations += n * weight
-            else:  # SplitMix64 and the output of docs/determinism.md
-                rng.state = seed = (rng.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-                z ^= z >> 31
+                matched, acting = tested(value)
+                alerts += matched * weight
+                actuations += acting * weight
+            elif by_output or max_age:  # rng.uniform's draw, tested on its raw output
+                rng.state = seed = (rng.state + _GOLDEN_GAMMA) & _MASK64
+                z = _mix64(seed)
                 for first, end, inside, n in by_output:
                     if (first <= z < end) is inside:
                         alerts += weight
                         actuations += n * weight
-                if max_age:  # the uniform draw of docs/determinism.md
-                    value = lo + span * (z / 0xFFFFFFFFFFFFFFFF)
+                if max_age:
+                    value = lo + span * (z / _MASK64)
+            else:  # no condition tests it and no cache keeps it
+                rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
             if max_age:
                 cached_value, cached_at = value, now
             senses = earlier + 1

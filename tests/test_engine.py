@@ -324,12 +324,17 @@ def test_the_inlined_draw_is_rng_uniform_bit_for_bit(seed, bounds):
 
 
 @pytest.mark.parametrize("max_age", [0, 1, 3])
-def test_a_counts_only_run_without_watchers_moves_the_stream_once_per_sense(max_age):
+def test_a_counts_only_run_without_watchers_moves_the_stream_once_per_sense(max_age, monkeypatch):
+    from iotdraw import engine
     from iotdraw.engine import _build_plans, initial_state
     model = tiny_model(sim_time=999, interval=1, capacity=1000, data="uniform(-5, 30) seed 11")
     state = initial_state(model, freshness=FreshnessPolicy(max_age))
     (plan,) = _build_plans(state, None)
     assert plan.fire.__qualname__.startswith("_count_kernel.")
+    # No condition reads an output, so only the reading a cache keeps is drawn.
+    monkeypatch.setattr(engine, "_matches", None)
+    if not max_age:
+        monkeypatch.setattr(engine, "_mix64", None)
     cell = state.devices["probe_1"]
     reference, drawn, now = SplitMix64(11), [], 0
     # One batch, then several: some start on a fresh cache, and 10..10 draws nothing at max age 3.
