@@ -28,35 +28,12 @@ actuation, typically).  The delivered scalar stands for every field of
 the message record during evaluation.
 
 Each periodic plan runs in one request kernel, picked by its shape, and
-by whether the run logs, when the plans are built.  ``fire(now, stop)``
-runs every firing of the plan in ``[now, stop]``, event requests
-included, and returns the tick the plan is due next:
-
-- ``_sense_kernel``: in a run that logs, a device with a link whose
-  contract is one sense task, with or without the freshness cache, and
-  whose event requests cannot sense.  The cell's fields and the
-  SplitMix64 state live in locals for the batch; the draw and
-  ``drain_mah``'s one-cost-at-a-time subtraction are inlined, and every
-  row's fixed text is quoted once.
-- ``_count_kernel``: the same shape in a run that keeps only counts.
-  Depletion, freshness and the stream's position never depend on a
-  reading, so it works out only what a condition tests.  A cached
-  reading stays fresh up to a known tick, so the hits up to it count in
-  one step.  The senses that follow take two passes.  The first drains
-  the battery one sense at a time, with no reading, and finds how many
-  senses the batch makes: up to ``stop``, or through the one that
-  depletes the device.  The second counts what their readings set off.
-  A condition on a uniform reading is a range of 64-bit outputs
-  (``_cut``): the model keeps every bound and threshold a finite float.
-  ``_matches`` counts the outputs on each range ``_LANES`` at a time,
-  packed one to a 128-bit lane of one int, and the generator moves one
-  output per sense in one step.  A uniform source that no condition
-  watches draws only the reading the cache keeps.  The readings of the
-  other sources are tested as floats.
-- ``_generic_kernel``: every other shape, through ``_serve``: a sense
-  among several tasks, an event request that can sense, and requests
-  that cannot sense because their provider is not a device, their
-  device has no link, or their contract only actuates.
+by whether the run logs, when the plans are built: ``_sense_kernel``,
+``_count_kernel`` or ``_generic_kernel``, whose docstrings say which
+plans each runs.  ``fire(now, stop)`` runs every firing of the plan in
+``[now, stop]``, event requests included, and returns the tick the plan
+is due next, or ``~tick`` to hand the plan over when it is spent (see
+below) and ``tick`` is its first firing not yet counted.
 
 The scheduler runs the first plan due, in declaration order, with
 ``stop`` the tick before any other plan is next due, or ``now`` when
@@ -82,14 +59,17 @@ and after each batch, then clears it, so a sink that keeps text must copy
 it.  When streaming, a batch runs at most ``_BATCH_FIRINGS`` firings of
 its plan, so the list stays small.  ``csv_event_sink(handle)`` writes the
 header and then each list to an open text file in one write, so the log
-never sits in memory, and ``simulate --log`` runs on it.  ``None`` keeps
-only the event counts; such a run takes a plan off the schedule once it
-is spent, when each of its firings can only count itself: its provider is
-not a device, its device has no link, or its device is depleted with no
-cached reading young enough to serve again.  Depleted batteries never
-recover, so a spent plan stays spent; its remaining firings up to the last
-tick run are counted in closed form and the report equals that of the
-full run.
+never sits in memory, and ``simulate --log`` runs on it.
+
+``None`` keeps only the event counts, and such a run takes a plan off the
+schedule once it is spent: once each of its firings can only count
+itself (``_spent``).  Its provider is not a device, its device has no
+link, or its device is depleted and the cache no longer serves it.
+Depleted batteries never recover and only a sense refreshes a cache, so
+a spent plan stays spent.  A plan spent before tick 0 never runs; any
+other is handed over by its kernel at the first firing that finds it
+spent.  Its firings from then up to the last tick run are counted in
+closed form, and the report equals that of the full run.
 
 Declared execution modules run exactly once, before tick 0; an unknown
 module name aborts the run before any tick executes.
@@ -346,8 +326,7 @@ class _Request:
     consumer: str
     detail: str
     cell: _DeviceCell | None  # None when the provider is not a device
-    tasks: tuple[tuple[str, str], ...]  # (_SENSED, "") or (_ACTUATED, log detail)
-    needs_link: bool  # a sense or actuate task must cross the device's link
+    tasks: tuple[tuple[str, str], ...]  # (_SENSED, "") or (_ACTUATED, log detail), over the link
     senses: bool  # it can sense or read the cache: a sense task on a device with a link
 
 
@@ -380,7 +359,7 @@ def _compile(state: SimulationState, kind: EventKind, consumer: Component, task:
     detail = f"task={binding.task.name} provider={binding.provider.name}"
     if condition is not None:
         detail += f" condition={condition.render()}"
-    request = _Request(kind.value, consumer.name, detail, cell, tasks, needs_link=bool(tasks),
+    request = _Request(kind.value, consumer.name, detail, cell, tasks,
                        senses=((_SENSED, "") in tasks and cell is not None
                                and cell.transmit_mah is not None))
     return request, binding.contract
@@ -416,14 +395,6 @@ def _build_plans(state: SimulationState, log: EventSink | None) -> list[_Plan]:
     return plans
 
 
-def _fresh(request: _Request, now: int, max_age: int) -> bool:
-    """Whether the request is served from its device's cache at tick ``now``,
-    whatever the device's health."""
-    cell = request.cell
-    return (request.senses and max_age > 0 and cell.cached_at is not None
-            and now - cell.cached_at <= max_age)
-
-
 def _failure(request: _Request) -> str:
     """The status suffix of a request not served from the cache: empty when the
     provider can serve it."""
@@ -432,7 +403,7 @@ def _failure(request: _Request) -> str:
         return ""
     if cell.depleted:
         return " status=failed:provider-depleted"
-    if request.needs_link and cell.transmit_mah is None:
+    if request.tasks and cell.transmit_mah is None:
         return " status=failed:no-route"
     return ""
 
@@ -671,9 +642,12 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
     counts what the readings before the last set off: ``_matches`` counts
     a uniform source's outputs on each condition's range of outputs
     (``_cut``), and the generator then moves once per sense; the other
-    sources' readings are tested as floats.  The last reading is tested on
-    its own, after the depletion it may cause, with the hits it serves
-    before ``stop``, and becomes the cached reading.
+    sources' readings are tested as floats, and a uniform source that no
+    condition watches draws only the reading the cache keeps.  The last
+    reading is tested on its own, after the depletion it may cause, with
+    the hits it serves before ``stop``, and becomes the cached reading.  A
+    batch that starts on a depleted device with a stale cache hands the
+    plan over.
     """
     cell = request.cell
     rng, sample = cell.stream.rng, cell.stream.next
@@ -713,7 +687,7 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
         cached_value, cached_at = cell.cached_value, cell.cached_at
         if depletions != len(lifetimes):
             (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
-        start, failures, senses, alerts, actuations = now, 0, 0, 0, 0
+        start, senses, alerts, actuations = now, 0, 0, 0
         if max_age and cached_at is not None and now - cached_at <= max_age:
             # fresh, whatever the device's health, up to the cache's last fresh tick
             last = cached_at + max_age
@@ -721,10 +695,8 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
             matched, acting = tested(cached_value)
             alerts, actuations = fresh * matched, fresh * acting
             now += fresh * interval
-        if depleted and now <= stop:
-            failures = 1
-            now += interval  # spent: run_simulation counts its firings in closed form
-        elif now <= stop:
+        spent = depleted and now <= stop  # and past the cache's last fresh tick
+        if now <= stop and not depleted:
             # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
             begin, last = now, stop - step  # a sense after ``last`` would not fit
             while True:
@@ -783,16 +755,22 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
         fired = (now - start) // interval
-        _count_batch(counts, kind, fired, senses, fired - failures - senses, alerts, actuations)
-        return now
+        _count_batch(counts, kind, fired, senses, fired - senses, alerts, actuations)
+        return ~now if spent else now
 
     return fire
 
 
 def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int,
                     request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
-    """A plan the sense kernel does not cover.  Each request goes through ``_serve``;
-    the batch ends after a firing in which a device depleted."""
+    """A plan the sense kernels do not cover: a sense among several tasks, an event
+    request that can sense, or a request that cannot sense because its provider is
+    not a device, its device has no link or its contract only actuates.
+
+    Each request goes through ``_serve``; the batch ends after a firing in which a
+    device depleted.  In a run that keeps only counts, a firing that delivers
+    nothing hands the plan over if it is spent.
+    """
     lifetimes = state.lifetimes
     tests = tuple((_OPS[op], threshold, watcher) for op, threshold, watcher in watchers)
 
@@ -804,9 +782,9 @@ def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int
                 for test, threshold, watcher in tests:
                     if test(value, threshold):
                         _serve(state, log, watcher, now, f" value={value!r}" if log is not None else "")
+            elif log is None and _spent(request):
+                return ~(now + interval)
             now += interval
-            if value is None and request.senses and log is None:
-                break  # spent: a counts-only run counts its firings in closed form
         return now
 
     return fire
@@ -819,7 +797,9 @@ def _serve(state: SimulationState, log: EventSink | None, request: _Request, now
     counts[request.kind] += 1
     cell = request.cell
     max_age = state.freshness.max_age_ticks
-    fresh = _fresh(request, now, max_age)
+    # served from the cache, whatever the device's health
+    fresh = (request.senses and max_age > 0 and cell.cached_at is not None
+             and now - cell.cached_at <= max_age)
     suffix = "" if fresh else _failure(request)
     if log is not None:
         log(_line(now, request.kind, request.consumer, request.detail + note + suffix))
@@ -857,18 +837,14 @@ def _serve(state: SimulationState, log: EventSink | None, request: _Request, now
     return value
 
 
-def _spent(request: _Request, tick: int, max_age: int) -> bool:
-    """Whether each firing from ``tick`` on only counts itself: it can deliver no
-    reading, actuate nothing and drain nothing, now or later.
+def _spent(request: _Request) -> bool:
+    """Whether each firing of ``request`` that the cache does not serve only counts
+    itself: it can deliver no reading, actuate nothing and drain nothing, now or later.
 
-    Depleted batteries never recover, so a cache that is stale at ``tick``
-    is never refreshed.
+    Depleted batteries never recover and only a sense refreshes a cache, so a
+    request that fails with a stale cache fails for good.
     """
-    if request.cell is None:
-        return True
-    if _fresh(request, tick, max_age):
-        return False
-    return bool(_failure(request)) or not request.tasks
+    return request.cell is None or not request.tasks or bool(_failure(request))
 
 
 def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = None,
@@ -914,22 +890,17 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
             stream(events)
             events.clear()
 
-    max_age = state.freshness.max_age_ticks
     horizon = model.sim_config.simulation_time
     never = horizon + 1
     due = [plan.interval - 1 for plan in plans]
     fires = [plan.fire for plan in plans]
     closed: dict[int, int] = {}  # plan index -> its first firing counted in closed form
-
-    def close_spent() -> None:
+    if log is None:
         for index, plan in enumerate(plans):
-            if due[index] <= horizon and _spent(plan.request, due[index], max_age):
+            if _spent(plan.request):
                 closed[index], due[index] = due[index], never
-
     tick = horizon
     halting = None  # the index of the plan whose firing halted the run
-    if log is None:
-        close_spent()
     while plans:
         now = min(due)
         if now > horizon:
@@ -944,21 +915,19 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         if stream is not None:
             stop = min(stop, now + (_BATCH_FIRINGS - 1) * plans[index].interval)
         due[index] = fires[index](now, stop)
+        if due[index] < 0:  # handed over: spent from tick ~due[index] on
+            closed[index], due[index] = ~due[index], never
         if stream is not None:
             stream(events)
             events.clear()
         if state.halted_by is not None:
             tick, halting = due[index] - plans[index].interval, index
             break
-        if log is None and state.lifetimes:
-            close_spent()
     for index, first in closed.items():
-        if first <= tick:
-            interval = plans[index].interval
-            fired = (tick - first) // interval + 1
-            if halting is not None and index > halting and (tick - first) % interval == 0:
-                fired -= 1  # due on the halting tick, after the plan that halted the run
-            counts[EventKind.PERIODIC_REQUEST.value] += fired
+        # A plan after the one that halted the run does not fire on the halting tick.
+        last = tick - (halting is not None and index > halting)
+        if first <= last:
+            counts[EventKind.PERIODIC_REQUEST.value] += (last - first) // plans[index].interval + 1
 
     return SimulationReport(
         model_name=model.name,

@@ -10,6 +10,7 @@ model's derived facts (routes, edge tables) are shared with the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .analysis import enumerate_deployments, evaluate_scenarios, rank_scenarios, scenarios_to_csv
@@ -67,20 +68,15 @@ def _deployment_scenarios(snapshot: SystemSnapshot) -> str:
     return scenarios_to_csv(enumerate_deployments(snapshot.model))
 
 
-def _availability_analysis(snapshot: SystemSnapshot) -> str:
-    scenarios = evaluate_scenarios(snapshot.model)
-    return scenarios_to_csv(rank_scenarios(scenarios, "availability"))
-
-
-def _response_time_analysis(snapshot: SystemSnapshot) -> str:
-    scenarios = evaluate_scenarios(snapshot.model)
-    return scenarios_to_csv(rank_scenarios(scenarios, "response-time"))
+def _ranked_scenarios(metric: str, snapshot: SystemSnapshot) -> str:
+    """The scored scenarios as CSV, best first by ``metric`` (bound per hook)."""
+    return scenarios_to_csv(rank_scenarios(evaluate_scenarios(snapshot.model), metric))
 
 
 def default_registry() -> ModuleRegistry:
     """A fresh registry holding the built-in analyses."""
     registry = ModuleRegistry()
     register_module(registry, "DeploymentScenarios", _deployment_scenarios)
-    register_module(registry, "AvailabilityAnalysis", _availability_analysis)
-    register_module(registry, "ResponseTimeAnalysis", _response_time_analysis)
+    register_module(registry, "AvailabilityAnalysis", partial(_ranked_scenarios, "availability"))
+    register_module(registry, "ResponseTimeAnalysis", partial(_ranked_scenarios, "response-time"))
     return registry

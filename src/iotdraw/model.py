@@ -70,6 +70,15 @@ def _shown(number: float) -> str:
         f"an integer of {number.bit_length()} bits")
 
 
+def _require_finite(obj, *names: str, subject: str = "") -> None:
+    """Reject ``obj`` unless each of its fields ``names`` is ``_finite``; ``subject``
+    is the name of the object, which the message then starts with."""
+    for name in names:
+        number = getattr(obj, name)
+        _require(_finite(number), f"{subject + ': ' if subject else ''}{type(obj).__name__}."
+                 f"{name} must be finite, got {_shown(number)}", subject)
+
+
 def format_number(value: float) -> str:
     """Integral values print bare (``20``), all others as their ``repr``."""
     return str(int(value)) if value == int(value) else repr(value)
@@ -97,6 +106,7 @@ class GeoLocation:
     longitude: float
 
     def __post_init__(self):
+        _require_finite(self, "latitude", "longitude")
         _require(-90.0 <= self.latitude <= 90.0, f"latitude out of range: {self.latitude}")
         _require(-180.0 <= self.longitude <= 180.0, f"longitude out of range: {self.longitude}")
 
@@ -140,6 +150,9 @@ class DeviceEnergyProfile:
     depletion_threshold_mah: float = 5.0
 
     def __post_init__(self):
+        _require_finite(self, "battery_capacity_mah", "residual_energy_mah", "supply_voltage_v",
+                        "sense_current_ma", "sense_duration_ms", "packet_kb", "e_elec_nj_per_bit",
+                        "e_amp_pj_per_bit_m", "loss_exponent_n", "depletion_threshold_mah")
         _require(self.battery_capacity_mah > 0, "battery capacity must be positive")
         _require(0 <= self.residual_energy_mah <= self.battery_capacity_mah,
                  "residual charge must lie within the battery capacity")
@@ -157,6 +170,9 @@ class DeviceEnergyProfile:
 @dataclass(frozen=True)
 class ConstantSource:
     value: float
+
+    def __post_init__(self):
+        _require_finite(self, "value")
 
 
 @dataclass(frozen=True)
@@ -187,6 +203,8 @@ class TraceSource:
 
     def __post_init__(self):
         _require(len(self.values) > 0, "trace source needs at least one value")
+        for value in self.values:
+            _require(_finite(value), f"trace values must be finite, got {_shown(value)}")
 
 
 DataSource = ConstantSource | UniformSource | TraceSource
@@ -240,6 +258,7 @@ class Platform:
 
     def __post_init__(self):
         _require(bool(self.name), "platform needs a name")
+        _require_finite(self, "cpu_frequency_ghz", "mtbf_hours", "mttr_hours", subject=self.name)
         _require(self.cpu_frequency_ghz > 0, f"{self.name}: CPU frequency must be positive", self.name)
         _require(self.mtbf_hours > 0, f"{self.name}: MTBF must be positive", self.name)
         _require(self.mttr_hours >= 0, f"{self.name}: MTTR must be non-negative", self.name)
@@ -264,6 +283,7 @@ class NetworkLink:
 
     def __post_init__(self):
         _require(self.endpoint_a != self.endpoint_b, f"link endpoints must differ: {self.endpoint_a}")
+        _require_finite(self, "latency_ms", "distance_m")
         _require(self.latency_ms >= 0, "link latency must be non-negative")
         _require(self.distance_m > 0, "link distance must be positive")
 
@@ -373,6 +393,7 @@ class PeriodicRequest:
     interval_ticks: int
 
     def __post_init__(self):
+        _require_finite(self, "interval_ticks")
         _require(self.interval_ticks >= 1, "request interval must be at least 1 tick")
 
 
@@ -396,6 +417,7 @@ class Component:
 
     def __post_init__(self):
         _require(bool(self.name), "component needs a name")
+        _require_finite(self, "mean_cpu_demand_cycles", subject=self.name)
         _require(self.mean_cpu_demand_cycles > 0, f"{self.name}: CPU demand must be positive", self.name)
 
 
@@ -436,6 +458,7 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, "simulation_time", "tick_seconds")
         _require(self.simulation_time >= 0, "simulation time must be non-negative")
         _require(self.tick_seconds > 0, "tick duration must be positive")
 

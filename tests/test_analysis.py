@@ -1,5 +1,6 @@
 """Deployment enumeration, scenario metrics, ranking, lifetime sweeps."""
 
+import dataclasses
 import math
 
 import pytest
@@ -254,6 +255,20 @@ def test_scenario_text_and_csv(padova_model):
     # metrics stay empty before evaluation
     bare_csv = scenarios_to_csv(enumerate_deployments(padova_model)[:1])
     assert bare_csv.splitlines()[1].endswith(",,")
+
+
+def test_a_scenario_without_rendered_texts_renders_its_assignment(padova_model):
+    # The search fills ``rendered`` in; a scenario built by hand, or copied with
+    # ``rendered=None``, renders its assignment when asked, to the same text.
+    searched = evaluate_scenarios(padova_model)
+    for scenario in (searched[0], searched[13], searched[-1]):
+        assert scenario.rendered is not None
+        by_hand = DeploymentScenario(scenario.id, scenario.assignment, scenario.availability,
+                                     scenario.response_time_ms)
+        for copy in (by_hand, dataclasses.replace(scenario, rendered=None)):
+            assert copy.rendered is None
+            assert scenario_text(copy) == scenario_text(scenario)
+            assert scenarios_to_csv([copy]) == scenarios_to_csv([scenario])
 
 
 # The search scores and renders as it goes ----------------------------------

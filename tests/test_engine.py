@@ -492,6 +492,75 @@ def test_a_linkless_polled_device_is_counted_in_closed_form(padova_model, monkey
         assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
 
 
+def _counting_spent(monkeypatch) -> list:
+    """Wrap ``engine._spent`` so that each call appends its arguments to the returned list."""
+    from iotdraw import engine
+    calls, spent = [], engine._spent
+    monkeypatch.setattr(engine, "_spent", lambda *args: calls.append(args) or spent(*args))
+    return calls
+
+
+@pytest.mark.parametrize("max_age", [0, 2])
+def test_the_kernel_that_finds_its_plan_spent_hands_it_over(max_age, monkeypatch):
+    # Three interval-1 sensors, each on its own device; the second depletes on its 100th sense.
+    first = ((MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+             .replace("simulation_time = 50000", "simulation_time = 2000")
+             .replace("capacity_mah = 5.06", "capacity_mah = 100"))
+    second = SECOND_SENSOR.replace("capacity_mah = 5.03", f"capacity_mah = {5 + 99.5 * PER!r}")
+    third = (SECOND_SENSOR.replace('2"', '3"').replace("2Client", "3Client").replace("_2", "_3")
+             .replace("capacity_mah = 5.03", "capacity_mah = 100"))
+    model = parse_model(first + second + third, "<three_sensors>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    calls = _counting_spent(monkeypatch)
+    quiet = run_simulation(model, FreshnessPolicy(max_age), sink=None)
+    assert quiet.lifetimes == {"level_sensor_1": None, "level_sensor_2": 99 * (max_age + 1),
+                               "level_sensor_3": None}
+    # Once per plan before tick 0: the sense kernels hand a spent plan over without asking.
+    assert len(calls) <= 3
+    loud = run_simulation(model, FreshnessPolicy(max_age))
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
+
+
+RINGER = """
+component "Ringer" {
+  cpu_demand_cycles = 500
+  requires_software = ["jboss"]
+  requires = ["Probe"]
+  periodic "RingBell" {
+    interval_ticks = 3
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("halt", [False, True])
+@pytest.mark.parametrize("components", ['["Watcher", "Ringer"]', '["Ringer", "Watcher"]'])
+@pytest.mark.parametrize("max_age", [0, 2])
+def test_an_actuating_plan_on_a_device_that_another_plan_depletes(max_age, components, halt,
+                                                                   monkeypatch):
+    # Ringer's contract only actuates the probe that Watcher's senses deplete, so from
+    # then on each of its firings fails and only counts itself.
+    text = ALARMED_TEMPLATE.format(sim_time=600, interval=1, capacity=5 + 100.5 * PER, rng_seed=0,
+                                   data="uniform(0, 40)", condition="level > 20")
+    text = (text.replace('provider_interface = "Bell"', 'provider_interface = "Probe"')
+            .replace('components = ["Watcher"]', f"components = {components}") + RINGER)
+    model = parse_model(text, "<ringer>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    halt_on = {"probe_1"} if halt else ()
+    calls = _counting_spent(monkeypatch)
+    quiet = run_simulation(model, FreshnessPolicy(max_age), halt_on, sink=None)
+    lifetime = quiet.lifetimes["probe_1"]
+    assert lifetime == 100 * (max_age + 1)
+    # Once per plan, and once per firing of Ringer's up to the first that finds it spent.
+    assert len(calls) <= 2 + lifetime // 3 + 2
+    loud = run_simulation(model, FreshnessPolicy(max_age), halt_on)
+    assert any(e.subject == "Ringer" and e.detail.endswith("provider-depleted")
+               for e in loud.events) is not halt
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
+
+
 # execution modules -----------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
 """Domain model construction, cross-reference checks, and routing."""
 
+import dataclasses
+import math
+
 import pytest
 
 from iotdraw.model import (
-    ConditionExpr, ConstantSource, GeoLocation, ModelError, Platform, PlatformTier, Route,
-    TraceSource, single_source_routes,
+    Component, ConditionExpr, ConstantSource, GeoLocation, ModelError, NetworkLink,
+    PeriodicRequest, Platform, PlatformTier, Route, SimConfig, TraceSource, single_source_routes,
 )
 from iotdraw.modelfmt import parse_model
 from iotdraw.validate import route_between
@@ -132,6 +135,33 @@ def test_non_device_platform_rejects_device_fields():
             Platform(name="x", tier=PlatformTier.CLOUD, location=GeoLocation(0, 0),
                      cpu_frequency_ghz=1.0, provided_software=frozenset(),
                      mtbf_hours=10.0, mttr_hours=1.0, **field)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: dataclasses.replace(m.platform("Michigan"), mtbf_hours=math.inf),
+     "Michigan: Platform.mtbf_hours must be finite, got inf"),
+    (lambda m: dataclasses.replace(m.platform("water_sensor_1").energy, packet_kb=math.nan),
+     "DeviceEnergyProfile.packet_kb must be finite, got nan"),
+    (lambda m: dataclasses.replace(m.sim_config, simulation_time=math.inf),
+     "SimConfig.simulation_time must be finite, got inf"),
+    (lambda m: SimConfig(tick_seconds=math.inf), "SimConfig.tick_seconds must be finite, got inf"),
+    (lambda m: ConstantSource(math.nan), "ConstantSource.value must be finite, got nan"),
+    (lambda m: TraceSource((1.0, math.inf)), "trace values must be finite, got inf"),
+    (lambda m: NetworkLink("a", "b", "CoAP", latency_ms=math.inf, distance_m=1.0),
+     "NetworkLink.latency_ms must be finite, got inf"),
+    (lambda m: Component("c", mean_cpu_demand_cycles=math.inf),
+     "c: Component.mean_cpu_demand_cycles must be finite, got inf"),
+    (lambda m: PeriodicRequest("Read", -math.inf),
+     "PeriodicRequest.interval_ticks must be finite, got -inf"),
+    (lambda m: GeoLocation(math.nan, 0.0), "GeoLocation.latitude must be finite, got nan"),
+], ids=["mtbf", "packet", "sim-time", "tick", "constant", "trace", "latency", "cpu-demand",
+        "interval", "latitude"])
+def test_a_non_finite_number_built_in_code_is_a_model_error(padova_model, build, message):
+    # The parser refuses such numbers; a model built in code must too, or an
+    # analysis reads nan (an inf MTBF made most padova availabilities nan).
+    with pytest.raises(ModelError) as refused:
+        build(padova_model)
+    assert str(refused.value) == message
 
 
 # routing ------------------------------------------------------------------

@@ -54,6 +54,19 @@ def test_undeclared_interface_on_port():
     assert "undeclared-interface" in codes_of(text)
 
 
+def test_undeclared_interface_on_a_component_port():
+    text = tiny_text().replace('component "Watcher" {', """component "Watcher" {
+  service "WatchPort" {
+    interface = "Mystery"
+    protocol = "CoAP"
+  }""")
+    report = validate_model(model_of(text))
+    assert [(d.code, d.message) for d in report.diagnostics] == [(
+        "undeclared-interface",
+        "service 'WatchPort' on component 'Watcher' uses interface 'Mystery', "
+        "which no contract declares")]
+
+
 def test_conjugate_mismatch():
     text = tiny_text().replace('requires = ["Probe"]', 'requires = ["ProbeClient"]')
     assert "conjugate-mismatch" in codes_of(text)
