@@ -89,6 +89,21 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_a_model_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.iot"
+    bad.write_bytes(b'system "a\xff" {}')
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {bad}:" in err and "Traceback" not in err
+
+
+def test_an_integer_too_long_to_read_exits_one(tmp_path, capsys):
+    model = tmp_path / "long.iot"
+    model.write_text(tiny_text(rng_seed="7" * 5000), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    assert "[syntax] rng_seed has too many digits" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["rank", PADOVA])  # --by is required

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotdraw import load_model, modelfmt, parse_model, serialize_model
+from iotdraw.diagnostics import Diagnostic
 from iotdraw.model import (
     CONDITION_OPS, FIELD_KINDS, Application, Component, ConditionExpr, ConstantSource,
     DeviceEnergyProfile, EventRequest, ExecutionModuleDecl, GeoLocation, IoTSystemModel,
@@ -18,7 +19,7 @@ from iotdraw.model import (
 )
 from iotdraw.modelfmt import condition_from_text
 
-from conftest import ALARMED_TEMPLATE, tiny_text
+from conftest import ALARMED_TEMPLATE, MODELS_DIR, tiny_text
 
 
 def parsed(text):
@@ -370,3 +371,87 @@ def test_round_trip_over_generated_models(model):
     text = serialize_model(model)
     assert parsed(text) == model
     assert serialize_model(parsed(text)) == text
+
+
+# the front end under perturbed and edited text ----------------------------
+
+# A tokenizer of the test's own: strings, comments, the arrow, punctuation,
+# and any other run of non-space characters.  Text inserted at the start of
+# one of these tokens never splits a token, a string or a comment.
+_TOKENS = re.compile(r'"[^"\n]*"|#[^\n]*|<->|[{}=()\[\],]|[^\s{}=()\[\],"#]+')
+_FRONT_END_TEXTS = {"padova": (MODELS_DIR / "padova_fw.iot").read_text("utf-8"), "tiny": tiny_text()}
+# Text that changes nothing at a token boundary: spaces, tabs, comments, line ends.
+_FILLERS = (" ", "\t", " \t  ", "\n", "\r\n", " # a comment\n", "\t# holds \"@\" and {\n")
+# One stray piece of text, and where in it the parser must stop.
+_STRAYS = (("@", 0), (" zz_unknown = 1 ", 1))
+# Digit strings beyond Python's default int-string limit of 4,300 digits.
+_LONG_NUMBERS = ("7" * 5000, "-" + "1" * 4301, "9" * 4400 + ".5", "0." + "3" * 5000, "1e" + "9" * 5000)
+
+
+def _plain_position(text, at):
+    """Line and column of offset ``at``: only a line feed ends a line, and a tab is one column."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_FRONT_END_TEXTS)), crlf=st.booleans(),
+       stray=st.sampled_from(_STRAYS))
+def test_syntax_diagnostics_count_positions_by_the_plain_rule(data, name, crlf, stray):
+    text = _FRONT_END_TEXTS[name]
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    starts = [m.start() for m in _TOKENS.finditer(text) if m.group()[0] != "#"] + [len(text)]
+    fill = data.draw(st.dictionaries(st.integers(0, len(starts) - 1), st.sampled_from(_FILLERS),
+                                     max_size=12))
+    where = data.draw(st.integers(0, len(starts) - 1))
+    filled, perturbed, last = "", "", 0
+    for index, start in enumerate(starts):
+        piece = text[last:start] + fill.get(index, "")
+        filled += piece
+        perturbed += piece
+        if index == where:
+            at = len(perturbed) + stray[1]
+            perturbed += stray[0]
+        last = start
+    filled += text[last:]
+    perturbed += text[last:]
+
+    assert parse_model(filled, "<test>") == parse_model(_FRONT_END_TEXTS[name], "<test>")
+    diags = parse_model(perturbed, "<test>")
+    assert isinstance(diags, list) and len(diags) == 1 and diags[0].code == "syntax", diags
+    assert (diags[0].span.line, diags[0].span.column) == _plain_position(perturbed, at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_FRONT_END_TEXTS)))
+def test_parse_model_returns_a_model_or_diagnostics_under_token_edits(data, name):
+    tokens = [m.group() for m in _TOKENS.finditer(_FRONT_END_TEXTS[name])]
+    if data.draw(st.booleans()):  # a number token made too long to read
+        numbers = [i for i, token in enumerate(tokens) if token[-1].isdigit() and token[0] != '"']
+        tokens[data.draw(st.sampled_from(numbers))] = data.draw(st.sampled_from(_LONG_NUMBERS))
+    pool = st.sampled_from(sorted(set(tokens)) + ["@", "-", "<", '"', "{", "}"]) | st.sampled_from(
+        _LONG_NUMBERS)
+    edits = st.tuples(st.sampled_from(("insert", "delete", "replace")), st.integers(0, len(tokens)), pool)
+    for op, index, new in data.draw(st.lists(edits, max_size=4)):
+        index = min(index, len(tokens) - 1)
+        if op == "insert":
+            tokens.insert(index, new)
+        elif op == "delete":
+            del tokens[index]
+        else:
+            tokens[index] = new
+    result = parse_model("\n".join(tokens), "<test>")
+    assert isinstance(result, IoTSystemModel) or (
+        isinstance(result, list) and result and all(isinstance(d, Diagnostic) for d in result))
+
+
+@pytest.mark.parametrize("text, digits", [
+    (tiny_text(rng_seed="7" * 5000), "7" * 5000),
+    (tiny_text(interval="-" + "1" * 4301), "-" + "1" * 4301),
+    (tiny_text(data="uniform(0, 1) seed " + "3" * 5000), "3" * 5000),
+], ids=["rng_seed", "interval_ticks", "uniform-seed"])
+def test_an_integer_too_long_to_read_is_a_syntax_diagnostic(text, digits):
+    diags = diagnostics(text)
+    assert len(diags) == 1 and diags[0].code == "syntax"
+    assert "too many digits" in diags[0].message
+    assert (diags[0].span.line, diags[0].span.column) == _plain_position(text, text.index(digits))
