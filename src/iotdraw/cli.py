@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when the model itself is at fault (parse
 errors, failed validation, impossible analysis requests), 2 for usage
-mistakes and unreadable or unwritable files.
+mistakes and unreadable (or not UTF-8) or unwritable files.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class _IoFailure(Exception):
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _IoFailure(f"cannot read {path}: {exc}") from None
     result = parse_model(text, path)
     if isinstance(result, list):

@@ -6,6 +6,10 @@ attribute order inside a block is free.  The full grammar lives in
 docs/model-language.md.  Unknown keys are hard errors so that typos
 surface at parse time instead of silently skewing an analysis.
 
+The text is lexed in one pass; each token carries its offset into the
+text, and ``_Parser.span`` works out a line and column from an offset
+only where a diagnostic or a declaration's span needs one.
+
 Each block's ``key = value`` attributes are listed once, with their
 defaults, in the row tables below; the parser and the serializer both
 work from them.  The parser reads each block into the keyword arguments
@@ -22,8 +26,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from .diagnostics import ERROR, Diagnostic, SourceSpan
 from .model import (
@@ -34,18 +40,22 @@ from .model import (
     TraceSource, UniformSource, format_number,
 )
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+|\#[^\n]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct><->|[{}=()\[\],])
-""", re.VERBOSE)
+_NUMBER = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# One alternative per token kind, tried in this order; "other" matches any
+# character that starts no token, which ``_Parser.fail`` reports.
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("ws", r"[ \t\r\n]+|#[^\n]*"),
+    ("string", r'"[^"\n]*"'),
+    ("number", _NUMBER),
+    ("ident", _IDENT),
+    ("punct", r"<->|[{}=()\[\],]"),
+    ("other", r"."),
+)))
 
 _CONDITION_RE = re.compile(
-    r"^\s*(?P<field>[A-Za-z_][A-Za-z0-9_]*)\s*"
-    r"(?P<op><=|>=|!=|==|≤|≥|≠|<|>|=)\s*"
-    r"(?P<value>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*$")
+    rf"^\s*(?P<field>{_IDENT})\s*(?P<op><=|>=|!=|==|≤|≥|≠|<|>|=)\s*(?P<value>{_NUMBER})\s*$")
 
 _OP_ALIASES = {"==": "=", "≤": "<=", "≥": ">=", "≠": "!="}
 
@@ -135,14 +145,10 @@ def _defaults(rows) -> dict:
     return {attr: default for _, attr, _, default in rows}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    offset: int  # where the token starts in the model text
 
 
 class _ParseAbort(Exception):
@@ -151,36 +157,23 @@ class _ParseAbort(Exception):
         super().__init__(diagnostic.message)
 
 
-def _lex(text: str, path: str) -> list[_Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise _ParseAbort(Diagnostic(ERROR, f"unexpected character {text[pos]!r}",
-                                         SourceSpan(path, line, col), code="syntax"))
-        kind = match.lastgroup
-        raw = match.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, raw, line, col))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, col))
+def _lex(text: str) -> list[_Token]:
+    """The tokens of ``text``, whitespace and comments dropped, then an "eof" token."""
+    tokens = [_Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)
+              if m.lastgroup != "ws"]
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     """Single-pass recursive descent over the token list."""
 
-    def __init__(self, tokens: list[_Token], path: str):
-        self.tokens = tokens
+    def __init__(self, text: str, path: str):
+        self.text = text
+        self.tokens = _lex(text)
         self.pos = 0
         self.path = path
+        self.newlines = None  # the line feeds' offsets, found when the first span is needed
 
     # -- token plumbing
 
@@ -194,10 +187,21 @@ class _Parser:
         return token
 
     def span(self, token: _Token) -> SourceSpan:
-        return SourceSpan(self.path, token.line, token.column)
+        """Where ``token`` starts: the one place that counts lines and columns."""
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.newlines, token.offset)  # the line feeds before the token
+        start = self.newlines[line - 1] if line else -1
+        return SourceSpan(self.path, line + 1, token.offset - start)
 
     def fail(self, message: str, token: _Token | None = None):
+        # A character that starts no token is reported first, wherever it is, as
+        # lexing comes before parsing.  A parse that succeeds has met no such token.
         token = token or self.peek()
+        for other in self.tokens:
+            if other.kind == "other":
+                message, token = f"unexpected character {other.text!r}", other
+                break
         raise _ParseAbort(Diagnostic(ERROR, message, self.span(token), code="syntax"))
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
@@ -238,7 +242,10 @@ class _Parser:
         token = self.expect("number", what=what)
         if any(ch in token.text for ch in ".eE"):
             self.fail(f"{what} must be an integer, found {token.text!r}", token)
-        return int(token.text)
+        try:
+            return int(token.text)
+        except ValueError:  # beyond the int-string limit (sys.get_int_max_str_digits)
+            self.fail(f"{what} has too many digits to read ({len(token.text)} characters)", token)
 
     def read_pair(self) -> tuple[float, float]:
         self.expect("punct", "(")
@@ -642,8 +649,7 @@ def parse_model(text: str, path: str = "<model>") -> IoTSystemModel | list[Diagn
     and reported together.
     """
     try:
-        tokens = _lex(text, path)
-        blocks = _Parser(tokens, path).parse()
+        blocks = _Parser(text, path).parse()
     except _ParseAbort as abort:
         return [abort.diagnostic]
     try:
