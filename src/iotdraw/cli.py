@@ -13,7 +13,6 @@ import os
 import stat
 import sys
 import tempfile
-from pathlib import Path
 
 from .analysis import (
     RANK_METRICS, enumerate_deployments, evaluate_scenarios, lifetime_sweep,
@@ -21,7 +20,7 @@ from .analysis import (
 )
 from .engine import FreshnessPolicy, csv_event_sink, gateway_uplink, run_simulation
 from .model import ModelError, PlatformTier
-from .modelfmt import parse_model
+from .modelfmt import parse_model, read_model_text
 from .validate import validate_model
 
 SEED_ENV_VAR = "IOTDRAW_SEED"
@@ -37,7 +36,7 @@ class _IoFailure(Exception):
 
 def _load(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_model_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _IoFailure(f"cannot read {path}: {exc}") from None
     result = parse_model(text, path)

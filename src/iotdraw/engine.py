@@ -85,7 +85,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TextIO
 
-from .energy import drain_mah, joules_to_mah, sense_energy, transmit_energy
+from .energy import (drain_mah, drain_senses_mah, joules_to_mah, sense_energy,
+                     transmit_energy)
 from .model import (
     Component, ConditionExpr, ConstantSource, IoTSystemModel, ModelError, Platform,
     PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
@@ -518,7 +519,7 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval
                     value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
                 shown, tick = repr(value), str(now)
                 text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
-                # drain_mah, one cost at a time; _count_kernel repeats it
+                # drain_mah, one cost at a time
                 residual = residual - sense_mah
                 residual = residual if residual > 0.0 else 0.0
                 residual = residual - transmit_mah
@@ -636,14 +637,15 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
     reading, so only what a watcher tests is worked out.  The fresh firings
     up to the cache's last fresh tick count in one step, each adding the
     alerts of the cached reading.  The senses that follow take two passes.
-    The first drains, one sense at a time, up to ``stop`` or through the
-    sense that depletes the device; each sense is followed by the
-    ``max_age // interval`` cache hits its reading serves.  The second
-    counts what the readings before the last set off: ``_matches`` counts
-    a uniform source's outputs on each condition's range of outputs
-    (``_cut``), and the generator then moves once per sense; the other
-    sources' readings are tested as floats, and a uniform source that no
-    condition watches draws only the reading the cache keeps.  The last
+    The first drains up to ``stop`` or through the sense that depletes the
+    device, one binade of the residual at a time (``drain_senses_mah``),
+    bit for bit as ``_sense_kernel``'s drain of one cost at a time; each
+    sense is followed by the ``max_age // interval`` cache hits its reading
+    serves.  The second counts what the readings before the last set off:
+    ``_matches`` counts a uniform source's outputs on each condition's range
+    of outputs (``_cut``), and the generator then moves once per sense; the
+    other sources' readings are tested as floats, and a uniform source that
+    no condition watches draws only the reading the cache keeps.  The last
     reading is tested on its own, after the depletion it may cause, with
     the hits it serves before ``stop``, and becomes the cached reading.  A
     batch that starts on a depleted device with a stale cache hands the
@@ -698,18 +700,11 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
         spent = depleted and now <= stop  # and past the cache's last fresh tick
         if now <= stop and not depleted:
             # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
-            begin, last = now, stop - step  # a sense after ``last`` would not fit
-            while True:
-                # drain_mah, one cost at a time, as _sense_kernel does: the two change together
-                residual = residual - sense_mah
-                residual = residual if residual > 0.0 else 0.0
-                residual = residual - transmit_mah
-                residual = residual if residual > 0.0 else 0.0
-                if residual <= threshold or now > last:
-                    break
-                now += step
+            senses, residual = drain_senses_mah(residual, threshold, sense_mah, transmit_mah,
+                                                (stop - now) // step + 1)
+            earlier = senses - 1  # the senses before the last
+            now += earlier * step
             # Pass 2: what each reading sets off, once and once more per hit it serves.
-            earlier = (now - begin) // step  # the senses before the last
             if earlier:
                 matched = acting = 0
                 if rng is None:
@@ -750,7 +745,6 @@ def _count_kernel(state: SimulationState, interval: int, request: _Request,
                 rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
             if max_age:
                 cached_value, cached_at = value, now
-            senses = earlier + 1
             now += weight * interval
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at

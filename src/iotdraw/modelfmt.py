@@ -660,9 +660,15 @@ def parse_model(text: str, path: str = "<model>") -> IoTSystemModel | list[Diagn
                 for issue in exc.issues]
 
 
+def read_model_text(path: str) -> str:
+    """The text of the model file at ``path``: UTF-8, after a byte-order mark if it
+    starts with one."""
+    with open(path, encoding="utf-8-sig") as handle:
+        return handle.read()
+
+
 def load_model(path: str) -> IoTSystemModel | list[Diagnostic]:
-    with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read(), path=str(path))
+    return parse_model(read_model_text(path), path=str(path))
 
 
 # --------------------------------------------------------------------------

@@ -97,6 +97,19 @@ def test_a_model_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert f"cannot read {bad}:" in err and "Traceback" not in err
 
 
+def test_a_model_file_with_a_byte_order_mark_reads_as_one_without(tmp_path, capsys):
+    model = tmp_path / "tiny.iot"
+    text = tiny_text(sim_time=30, interval=1, data="uniform(0, 30)")
+    for command in ("validate", "simulate"):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):  # the second writes the mark first
+            model.write_text(text, encoding=encoding)
+            assert main([command, str(model)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert model.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[1] == outputs[0], command
+
+
 def test_an_integer_too_long_to_read_exits_one(tmp_path, capsys):
     model = tmp_path / "long.iot"
     model.write_text(tiny_text(rng_seed="7" * 5000), encoding="utf-8")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from iotdraw import (
     COLLECT, FreshnessPolicy, ModelError, SampleStream, lifetime_closed_form,
-    parse_model, per_request_drain_mah, run_simulation,
+    parse_model, per_request_drain_mah, run_simulation, sense_energy,
 )
 from iotdraw.energy import drain_mah, joules_to_mah
 from iotdraw.engine import _LANES, _OPS, EventKind, _cut, _matches
@@ -560,6 +560,33 @@ def test_an_actuating_plan_on_a_device_that_another_plan_depletes(max_age, compo
     for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
         assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
 
+
+
+@pytest.mark.parametrize("interval", [1, 2])
+@pytest.mark.parametrize("max_age", [0, 3])
+def test_a_sense_cost_on_a_tie_drains_alike_without_a_log(max_age, interval):
+    # At 2.5 V, 49 mA for 62 ms, a sense costs an odd number of half grid steps of
+    # [1, 2), so each sense in that binade rounds half to even, and which way
+    # depends on the residual.  The battery then drains through four more binades.
+    sense_every = (max_age // interval + 1) * interval  # ticks
+    text = (tiny_text(sim_time=1200 * sense_every, interval=interval, capacity=1.9,
+                      data="uniform(0, 30)")
+            .replace("supply_voltage_v = 3", "supply_voltage_v = 2.5")
+            .replace("depletion_threshold_mah = 5", "depletion_threshold_mah = 0.1")
+            .replace("current_ma = 25", "current_ma = 49")
+            .replace("duration_ms = 10", "duration_ms = 62"))
+    model = parse_model(text, "<tie>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    profile = model.platform("probe_1").energy
+    half_steps = math.ldexp(joules_to_mah(sense_energy(profile), 2.5), 53)
+    assert half_steps == int(half_steps) and int(half_steps) % 2 == 1
+    loud = run_simulation(model, FreshnessPolicy(max_age), sink=COLLECT)
+    quiet = run_simulation(model, FreshnessPolicy(max_age), sink=None)
+    assert loud.lifetimes["probe_1"] is not None and loud.residual_mah["probe_1"] < 0.125
+    assert ({name: residual.hex() for name, residual in quiet.residual_mah.items()}
+            == {name: residual.hex() for name, residual in loud.residual_mah.items()})
+    assert quiet.lifetimes == loud.lifetimes
+    assert quiet.counts == loud.counts
 
 # execution modules -----------------------------------------------------------
 
