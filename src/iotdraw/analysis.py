@@ -40,17 +40,17 @@ class DeploymentScenario:
     and ``response_time_ms`` are None unless the search scored the
     scenario (``evaluate_scenarios``).  ``rendered`` is the
     assignment as ``scenario_text`` and ``scenarios_to_csv`` write it, or
-    None to render it from ``assignment`` when asked; the search fills it
-    in from the prefixes its scenarios share.  Equality ignores it, and a
-    copy given a new ``assignment`` by ``dataclasses.replace`` must also
-    be given ``rendered=None``.
+    None to render it from ``assignment`` when asked; the search sets it
+    on each scenario it builds, from the prefixes its scenarios share.
+    Equality ignores it, and neither the constructor nor
+    ``dataclasses.replace`` takes or copies it.
     """
 
     id: int
     assignment: tuple[tuple[str, str], ...]
     availability: float | None = None
     response_time_ms: float | None = None
-    rendered: tuple[str, str] | None = field(default=None, compare=False, repr=False)
+    rendered: tuple[str, str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def assignment_map(self) -> dict[str, str]:
         return dict(self.assignment)
@@ -118,9 +118,8 @@ def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[D
     # Availability multiplies the distinct hosts in name order.  While each
     # newly used host sorts after those already used, the search keeps the
     # running product; once one does not, the leaf multiplies afresh.
-    known: dict[str, float] = {}
     choices = [[(host, (c.name, host), *_rendered_pair(c.name, host, depth == 0),
-                 _availability_by_name(model, host, known)) for host in pool]
+                 platform_availability(model.platform(host))) for host in pool]
                for depth, (c, pool) in enumerate(zip(components, pools))]
     leaf = len(components) - 1
     chosen: list[tuple[str, str]] = [("", "")] * len(components)
@@ -160,9 +159,10 @@ def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[D
         if not scored:
             product = total = None
         elif product is None:
-            product = _joint_availability(model, set(hosts[:depth + 1]), known)
-        scenarios.append(DeploymentScenario(len(scenarios) + 1, tuple(chosen), product, total,
-                                            (shown, written)))
+            product = _joint_availability(model, set(hosts[:depth + 1]))
+        scenario = DeploymentScenario(len(scenarios) + 1, tuple(chosen), product, total)
+        object.__setattr__(scenario, "rendered", (shown, written))
+        scenarios.append(scenario)
     return scenarios
 
 
@@ -173,26 +173,18 @@ def platform_availability(platform) -> float:
 
 def scenario_availability(model: IoTSystemModel, scenario: DeploymentScenario) -> float:
     """Joint availability: product over the distinct platforms actually used."""
-    return _joint_availability(model, {platform for _, platform in scenario.assignment}, {})
+    return _joint_availability(model, {platform for _, platform in scenario.assignment})
 
 
-def _joint_availability(model: IoTSystemModel, platforms, known: dict[str, float]) -> float:
+def _joint_availability(model: IoTSystemModel, platforms) -> float:
     """The product over ``platforms`` in name order, starting from 1.0."""
     result = 1.0
     for name in sorted(platforms):
-        result *= _availability_by_name(model, name, known)
-    return result
-
-
-def _availability_by_name(model: IoTSystemModel, name: str, known: dict[str, float]) -> float:
-    """One platform's availability by name; ``known`` keeps each one worked out."""
-    availability = known.get(name)
-    if availability is None:
         platform = model.platform(name)
         if platform is None:
             raise ModelError(f"unknown platform: {name!r}")
-        availability = known[name] = platform_availability(platform)
-    return availability
+        result *= platform_availability(platform)
+    return result
 
 
 def evaluate_scenarios(model: IoTSystemModel) -> list[DeploymentScenario]:
@@ -349,17 +341,14 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
 
     lifetimes: dict[int, list[int]] = {value: [] for value in values}
     censored: dict[int, int] = {value: 0 for value in values}
+    # One model per value, shared by its rounds, so each keeps its derived facts (routes).
+    runs = {value: (_with_interval(model, component.name, value), FreshnessPolicy(0))
+            if intervals is not None else (model, FreshnessPolicy(value)) for value in values}
     lo, hi = SWEEP_DISTANCE_RANGE_M
     for round_index in range(rounds):
         distance = SplitMix64(derive_seed(seed, "distance", round_index)).uniform(lo, hi)
         run_seed = derive_seed(seed, "run", round_index)
-        for value in values:
-            if intervals is not None:
-                variant = _with_interval(model, component.name, value)
-                freshness = FreshnessPolicy(0)
-            else:
-                variant = model
-                freshness = FreshnessPolicy(value)
+        for value, (variant, freshness) in runs.items():
             report = run_simulation(variant, freshness=freshness, halt_on={device_name},
                                     seed=run_seed, sink=None,
                                     distance_overrides={device_name: distance})

@@ -27,13 +27,14 @@ and, when satisfied, the event task is requested in turn (an alarm
 actuation, typically).  The delivered scalar stands for every field of
 the message record during evaluation.
 
-Each periodic plan runs in one request kernel, picked by its shape, and
-by whether the run logs, when the plans are built: ``_sense_kernel``,
-``_count_kernel`` or ``_generic_kernel``, whose docstrings say which
-plans each runs.  ``fire(now, stop)`` runs every firing of the plan in
-``[now, stop]``, event requests included, and returns the tick the plan
-is due next, or ``~tick`` to hand the plan over when it is spent (see
-below) and ``tick`` is its first firing not yet counted.
+Each periodic plan runs in one request kernel, picked by its shape alone
+when the plans are built: ``_sense_kernel`` or ``_generic_kernel``, whose
+docstrings say which plans each runs.  Each kernel serves both run
+modes, a logged run and one that keeps only counts, from one set-up of
+the plan.  The runner it returns, ``fire(now, stop)``, runs every firing
+of the plan in ``[now, stop]``, event requests included, and returns the
+tick the plan is due next, or ``~tick`` to hand the plan over when it is
+spent (see below) and ``tick`` is its first firing not yet counted.
 
 The scheduler runs the first plan due, in declaration order, with
 ``stop`` the tick before any other plan is next due, or ``now`` when
@@ -366,7 +367,7 @@ def _compile(state: SimulationState, kind: EventKind, consumer: Component, task:
     return request, binding.contract
 
 
-def _build_plans(state: SimulationState, log: EventSink | None) -> list[_Plan]:
+def _build_plans(state: SimulationState, log: Callable[[str], object] | None) -> list[_Plan]:
     """Compile every periodic request, with the event requests its samples feed, into a plan."""
     plans = []
     for app in state.model.applications:
@@ -386,13 +387,9 @@ def _build_plans(state: SimulationState, log: EventSink | None) -> list[_Plan]:
             fields = contract.message_type.field_names()
             watching = tuple((c.op, c.threshold, w) for c, w in watchers if c.field in fields)
             interval = component.periodic_request.interval_ticks
-            if (request.senses and request.tasks == ((_SENSED, ""),)
-                    and not any(w.senses for _, _, w in watching)):
-                fire = (_sense_kernel(state, log, interval, request, watching) if log is not None
-                        else _count_kernel(state, interval, request, watching))
-            else:
-                fire = _generic_kernel(state, log, interval, request, watching)
-            plans.append(_Plan(interval, request, fire))
+            kernel = (_sense_kernel if request.senses and request.tasks == ((_SENSED, ""),)
+                      and not any(w.senses for _, _, w in watching) else _generic_kernel)
+            plans.append(_Plan(interval, request, kernel(state, log, interval, request, watching)))
     return plans
 
 
@@ -407,18 +404,6 @@ def _failure(request: _Request) -> str:
     if request.tasks and cell.transmit_mah is None:
         return " status=failed:no-route"
     return ""
-
-
-def _fixed_outcome(request: _Request) -> tuple[str, tuple[str, ...]]:
-    """The status suffix and the actuations of one firing of a request that cannot sense.
-
-    Such a request drains nothing, so its outcome changes only when some
-    other request depletes its device.
-    """
-    suffix = _failure(request)
-    if suffix or request.cell is None:
-        return suffix, ()
-    return "", tuple(action for _, action in request.tasks)
 
 
 def _deplete(state: SimulationState, cell: _DeviceCell, now: int) -> None:
@@ -443,42 +428,60 @@ def _count_batch(counts: dict[str, int], kind: str, fired: int, senses: int, hit
         counts[_ACTUATED] += actuations
 
 
-def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval: int,
+def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None, interval: int,
                   request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
     """A plan whose contract is one sense task on a device with a link, read from the
     cache when ``max_age`` allows, with watchers that cannot sense.
 
-    The cell's fields and the generator state live in locals for a batch,
-    the draw and the drain are inlined, and the batch ends after the firing
-    that depletes the device.  Watchers have ``_fixed_outcome`` outcomes,
-    worked out again whenever a device has depleted since (it may be theirs).
-    Each firing logs one string holding all of its records.
+    The runner is ``logged`` when the run logs and ``counted`` when it keeps
+    only counts.  Both keep the cell's fields and the generator state in
+    locals for a batch, and end the batch after the firing that depletes the
+    device.  A watcher drains nothing, so its outcome changes only when some
+    device depletes (it may be its own): both runners read the outcomes of
+    ``watcher_outcomes``, worked out again whenever a device has depleted since.
+
+    ``logged`` inlines the draw and the drain of one cost at a time, and logs
+    one string per firing holding all of its records, their fixed text quoted
+    when the plan is built.
+
+    ``counted`` relies on depletion, freshness and the stream's position never
+    depending on a reading, so only what a watcher tests is worked out.  The
+    fresh firings up to the cache's last fresh tick count in one step, each
+    adding the alerts of the cached reading.  The senses that follow take two
+    passes.  The first drains up to ``stop`` or through the sense that
+    depletes the device, one binade of the residual at a time
+    (``drain_senses_mah``), bit for bit as ``logged``'s drain; each sense is
+    followed by the ``max_age // interval`` cache hits its reading serves.
+    The second counts what the readings before the last set off: ``_matches``
+    counts a uniform source's outputs on each condition's range of outputs
+    (``_cut``), and the generator then moves once per sense; the other
+    sources' readings are tested as floats, and a uniform source that no
+    condition watches draws only the reading the cache keeps.  The last
+    reading is tested on its own, after the depletion it may cause, with the
+    hits it serves before ``stop``, and becomes the cached reading.  A batch
+    that starts on a depleted device with a stale cache hands the plan over.
     """
     cell = request.cell
     rng, sample = cell.stream.rng, cell.stream.next
     if rng is not None:
-        lo, span = cell.stream.source.lo, cell.stream.source.hi - cell.stream.source.lo
-    name, kind = cell.name, request.kind
+        lo, hi = cell.stream.source.lo, cell.stream.source.hi
+        span = hi - lo
+    kind = request.kind
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
     counts, lifetimes = state.counts, state.lifetimes
-    # Each record's fixed text, after its tick, is quoted once.
-    consumer, subject = csv_field(request.consumer), csv_field(name)
-    served = f",{kind},{consumer},{csv_field(request.detail)}\n"
-    failed = f",{kind},{consumer},{csv_field(request.detail + ' status=failed:provider-depleted')}\n"
-    head, tail = _template("value=", f" {cell.sense_detail} consumer={request.consumer}")
-    sensed, sensed_tail = f",{_SENSED},{subject},{head}", tail + "\n"
-    head, middle, tail = _template("value=", " age=", f" consumer={request.consumer}")
-    hit, hit_middle, hit_tail = f",{_HIT},{subject},{head}", middle, tail + "\n"
-    drained = f",{_DEPLETED},{subject},residual_mah="
     tests = tuple((_OPS[op], limit, index) for index, (op, limit, _) in enumerate(watchers))
 
-    def watcher_outcomes() -> list[tuple[int, str, tuple[str, ...]]]:
-        """Per watcher: its actuations, its record's text up to the value, and the
-        pieces that a tick joins into the rest of its records."""
+    def watcher_outcomes() -> list[tuple]:
+        """Per watcher: its actuation count and, with a log, its record's text up to
+        the value and the pieces that a tick joins into the rest of its records."""
         outcomes = []
         for _, _, watcher in watchers:
-            suffix, actions = _fixed_outcome(watcher)
+            suffix = _failure(watcher)
+            actions = () if suffix or watcher.cell is None else [a for _, a in watcher.tasks]
+            if log is None:
+                outcomes.append((len(actions),))
+                continue
             head, tail = _template(f"{watcher.detail} value=", suffix)
             device = watcher.cell and csv_field(watcher.cell.name)
             outcomes.append((len(actions), f",{_EVENT},{csv_field(watcher.consumer)},{head}",
@@ -490,65 +493,161 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object], interval
     # watchers' outcomes stand while the number of lifetimes does.
     outcomes, depletions = [], -1
 
-    def fire(now: int, stop: int) -> int:
+    def refresh() -> None:
         nonlocal outcomes, depletions
-        residual, depleted = cell.residual_mah, cell.depleted
-        cached_value, cached_at = cell.cached_value, cell.cached_at
-        seed = rng.state if rng is not None else 0
         if depletions != len(lifetimes):
             outcomes, depletions = watcher_outcomes(), len(lifetimes)
-        start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
-        while now <= stop:
-            if max_age and cached_at is not None and now - cached_at <= max_age:
-                value = cached_value  # fresh, whatever the device's health
-                hits += 1
-                shown, tick = repr(value), str(now)
-                text = f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - cached_at}{hit_tail}"
-            elif depleted:
-                failures += 1
-                log(f"{now}{failed}")
+
+    if log is not None:
+        # Each record's fixed text, after its tick, is quoted once.
+        consumer, subject = csv_field(request.consumer), csv_field(cell.name)
+        served = f",{kind},{consumer},{csv_field(request.detail)}\n"
+        failed = f",{kind},{consumer},{csv_field(request.detail + ' status=failed:provider-depleted')}\n"
+        head, tail = _template("value=", f" {cell.sense_detail} consumer={request.consumer}")
+        sensed, sensed_tail = f",{_SENSED},{subject},{head}", tail + "\n"
+        head, middle, tail = _template("value=", " age=", f" consumer={request.consumer}")
+        hit, hit_middle, hit_tail = f",{_HIT},{subject},{head}", middle, tail + "\n"
+        drained = f",{_DEPLETED},{subject},residual_mah="
+
+        def logged(now: int, stop: int) -> int:
+            residual, depleted = cell.residual_mah, cell.depleted
+            cached_value, cached_at = cell.cached_value, cell.cached_at
+            seed = rng.state if rng is not None else 0
+            refresh()
+            start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
+            while now <= stop:
+                if max_age and cached_at is not None and now - cached_at <= max_age:
+                    value = cached_value  # fresh, whatever the device's health
+                    hits += 1
+                    shown, tick = repr(value), str(now)
+                    text = f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - cached_at}{hit_tail}"
+                elif depleted:
+                    failures += 1
+                    log(f"{now}{failed}")
+                    now += interval
+                    continue
+                else:
+                    if rng is None:
+                        value = sample()
+                    else:  # SplitMix64 and the uniform draw of docs/determinism.md
+                        seed = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                        z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+                        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+                        value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
+                    shown, tick = repr(value), str(now)
+                    text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
+                    # drain_mah, one cost at a time
+                    residual = residual - sense_mah
+                    residual = residual if residual > 0.0 else 0.0
+                    residual = residual - transmit_mah
+                    residual = residual if residual > 0.0 else 0.0
+                    if max_age:
+                        cached_value, cached_at = value, now
+                    if residual <= threshold:
+                        depleted = True
+                        _deplete(state, cell, now)
+                        text += f"{tick}{drained}{residual!r}\n"
+                        refresh()
+                        stop = now
+                for test, limit, index in tests:
+                    if test(value, limit):
+                        count, event, pieces = outcomes[index]
+                        alerts += 1
+                        actuations += count
+                        text += f"{tick}{event}{shown}{tick.join(pieces)}"
+                log(text)
                 now += interval
-                continue
-            else:
+            cell.residual_mah, cell.depleted = residual, depleted
+            cell.cached_value, cell.cached_at = cached_value, cached_at
+            if rng is not None:
+                rng.state = seed
+            fired = (now - start) // interval
+            _count_batch(counts, kind, fired, fired - failures - hits, hits, alerts, actuations)
+            return now
+
+        return logged
+
+    cuts = [_cut(lo, hi, op, limit) for op, limit, _ in watchers] if rng is not None else []
+    repeats = max_age // interval  # the cache hits that follow each sense
+    step = (repeats + 1) * interval  # the ticks from one sense to the next
+
+    def tested(value: float) -> tuple[int, int]:
+        """The alerts and actuations that one reading sets off."""
+        matched = acting = 0
+        for test, limit, index in tests:
+            if test(value, limit):
+                matched += 1
+                acting += outcomes[index][0]
+        return matched, acting
+
+    def counted(now: int, stop: int) -> int:
+        residual, depleted = cell.residual_mah, cell.depleted
+        cached_value, cached_at = cell.cached_value, cell.cached_at
+        refresh()
+        start, senses, alerts, actuations = now, 0, 0, 0
+        if max_age and cached_at is not None and now - cached_at <= max_age:
+            # fresh, whatever the device's health, up to the cache's last fresh tick
+            last = cached_at + max_age
+            fresh = ((last if last < stop else stop) - now) // interval + 1
+            matched, acting = tested(cached_value)
+            alerts, actuations = fresh * matched, fresh * acting
+            now += fresh * interval
+        spent = depleted and now <= stop  # and past the cache's last fresh tick
+        if now <= stop and not depleted:
+            # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
+            senses, residual = drain_senses_mah(residual, threshold, sense_mah, transmit_mah,
+                                                (stop - now) // step + 1)
+            earlier = senses - 1  # the senses before the last
+            now += earlier * step
+            # Pass 2: what each reading sets off, once and once more per hit it serves.
+            if earlier:
+                matched = acting = 0
                 if rng is None:
-                    value = sample()
-                else:  # SplitMix64 and the uniform draw of docs/determinism.md
-                    seed = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                    z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-                    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-                    value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
-                shown, tick = repr(value), str(now)
-                text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
-                # drain_mah, one cost at a time
-                residual = residual - sense_mah
-                residual = residual if residual > 0.0 else 0.0
-                residual = residual - transmit_mah
-                residual = residual if residual > 0.0 else 0.0
+                    for _ in range(earlier):
+                        one, act = tested(sample())
+                        matched, acting = matched + one, acting + act
+                else:
+                    if cuts:
+                        found = _matches(rng.state, earlier, cuts)
+                        matched = sum(found)
+                        acting = sum(count * n for count, (n,) in zip(found, outcomes))
+                    rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
+                alerts += matched * (repeats + 1)
+                actuations += acting * (repeats + 1)
+            weight = 1  # the last reading, and the hits it serves before ``stop``
+            if residual <= threshold:
+                depleted = True
+                _deplete(state, cell, now)
+                refresh()
+            elif repeats:
+                weight += min((stop - now) // interval, repeats)
+            # the last reading, tested after the depletion it may cause
+            if rng is None:
+                value = sample()
+                matched, acting = tested(value)
+                alerts += matched * weight
+                actuations += acting * weight
+            elif cuts or max_age:  # rng.uniform's draw, tested on its raw output
+                rng.state = seed = (rng.state + _GOLDEN_GAMMA) & _MASK64
+                z = _mix64(seed)
+                for (first, end, inside), (n,) in zip(cuts, outcomes):
+                    if (first <= z < end) is inside:
+                        alerts += weight
+                        actuations += n * weight
                 if max_age:
-                    cached_value, cached_at = value, now
-                if residual <= threshold:
-                    depleted = True
-                    _deplete(state, cell, now)
-                    text += f"{tick}{drained}{residual!r}\n"
-                    outcomes, depletions = watcher_outcomes(), len(lifetimes)
-                    stop = now
-            for test, limit, index in tests:
-                if test(value, limit):
-                    count, event, pieces = outcomes[index]
-                    alerts += 1
-                    actuations += count
-                    text += f"{tick}{event}{shown}{tick.join(pieces)}"
-            log(text)
-            now += interval
+                    value = lo + span * (z / _MASK64)
+            else:  # no condition tests it and no cache keeps it
+                rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
+            if max_age:
+                cached_value, cached_at = value, now
+            now += weight * interval
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
-        if rng is not None:
-            rng.state = seed
         fired = (now - start) // interval
-        _count_batch(counts, kind, fired, fired - failures - hits, hits, alerts, actuations)
-        return now
+        _count_batch(counts, kind, fired, senses, fired - senses, alerts, actuations)
+        return ~now if spent else now
 
-    return fire
+    return counted
 
 
 def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool]:
@@ -629,135 +728,9 @@ def _matches(seed: int, n: int, cuts: Sequence[tuple[int, int, bool]]) -> list[i
     return found
 
 
-def _count_kernel(state: SimulationState, interval: int, request: _Request,
-                  watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
-    """The sense kernel's plan in a run that keeps only counts.
-
-    Depletion, freshness and the stream's position never depend on a
-    reading, so only what a watcher tests is worked out.  The fresh firings
-    up to the cache's last fresh tick count in one step, each adding the
-    alerts of the cached reading.  The senses that follow take two passes.
-    The first drains up to ``stop`` or through the sense that depletes the
-    device, one binade of the residual at a time (``drain_senses_mah``),
-    bit for bit as ``_sense_kernel``'s drain of one cost at a time; each
-    sense is followed by the ``max_age // interval`` cache hits its reading
-    serves.  The second counts what the readings before the last set off:
-    ``_matches`` counts a uniform source's outputs on each condition's range
-    of outputs (``_cut``), and the generator then moves once per sense; the
-    other sources' readings are tested as floats, and a uniform source that
-    no condition watches draws only the reading the cache keeps.  The last
-    reading is tested on its own, after the depletion it may cause, with
-    the hits it serves before ``stop``, and becomes the cached reading.  A
-    batch that starts on a depleted device with a stale cache hands the
-    plan over.
-    """
-    cell = request.cell
-    rng, sample = cell.stream.rng, cell.stream.next
-    cuts = []
-    if rng is not None:
-        lo, hi = cell.stream.source.lo, cell.stream.source.hi
-        span = hi - lo
-        cuts = [_cut(lo, hi, op, limit) for op, limit, _ in watchers]
-    kind = request.kind
-    sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
-    max_age = state.freshness.max_age_ticks
-    repeats = max_age // interval  # the cache hits that follow each sense
-    step = (repeats + 1) * interval  # the ticks from one sense to the next
-    counts, lifetimes = state.counts, state.lifetimes
-
-    def watcher_tests() -> tuple[tuple, tuple]:
-        """Per watcher, its float test and its range of uniform outputs, each with
-        its ``_fixed_outcome`` actuation count."""
-        actions = [len(_fixed_outcome(watcher)[1]) for _, _, watcher in watchers]
-        return (tuple((_OPS[op], limit, n) for (op, limit, _), n in zip(watchers, actions)),
-                tuple((*cut, n) for cut, n in zip(cuts, actions)))
-
-    by_value, by_output, depletions = (), (), -1
-
-    def tested(value: float) -> tuple[int, int]:
-        """The alerts and actuations that one reading sets off."""
-        matched = acting = 0
-        for test, limit, n in by_value:
-            if test(value, limit):
-                matched += 1
-                acting += n
-        return matched, acting
-
-    def fire(now: int, stop: int) -> int:
-        nonlocal by_value, by_output, depletions
-        residual, depleted = cell.residual_mah, cell.depleted
-        cached_value, cached_at = cell.cached_value, cell.cached_at
-        if depletions != len(lifetimes):
-            (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
-        start, senses, alerts, actuations = now, 0, 0, 0
-        if max_age and cached_at is not None and now - cached_at <= max_age:
-            # fresh, whatever the device's health, up to the cache's last fresh tick
-            last = cached_at + max_age
-            fresh = ((last if last < stop else stop) - now) // interval + 1
-            matched, acting = tested(cached_value)
-            alerts, actuations = fresh * matched, fresh * acting
-            now += fresh * interval
-        spent = depleted and now <= stop  # and past the cache's last fresh tick
-        if now <= stop and not depleted:
-            # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
-            senses, residual = drain_senses_mah(residual, threshold, sense_mah, transmit_mah,
-                                                (stop - now) // step + 1)
-            earlier = senses - 1  # the senses before the last
-            now += earlier * step
-            # Pass 2: what each reading sets off, once and once more per hit it serves.
-            if earlier:
-                matched = acting = 0
-                if rng is None:
-                    for _ in range(earlier):
-                        one, act = tested(sample())
-                        matched, acting = matched + one, acting + act
-                else:
-                    if cuts:
-                        found = _matches(rng.state, earlier, cuts)
-                        matched = sum(found)
-                        acting = sum(count * n for count, (*_, n) in zip(found, by_output))
-                    rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
-                alerts += matched * (repeats + 1)
-                actuations += acting * (repeats + 1)
-            weight = 1  # the last reading, and the hits it serves before ``stop``
-            if residual <= threshold:
-                depleted = True
-                _deplete(state, cell, now)
-                (by_value, by_output), depletions = watcher_tests(), len(lifetimes)
-            elif repeats:
-                weight += min((stop - now) // interval, repeats)
-            # the last reading, tested after the depletion it may cause
-            if rng is None:
-                value = sample()
-                matched, acting = tested(value)
-                alerts += matched * weight
-                actuations += acting * weight
-            elif by_output or max_age:  # rng.uniform's draw, tested on its raw output
-                rng.state = seed = (rng.state + _GOLDEN_GAMMA) & _MASK64
-                z = _mix64(seed)
-                for first, end, inside, n in by_output:
-                    if (first <= z < end) is inside:
-                        alerts += weight
-                        actuations += n * weight
-                if max_age:
-                    value = lo + span * (z / _MASK64)
-            else:  # no condition tests it and no cache keeps it
-                rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
-            if max_age:
-                cached_value, cached_at = value, now
-            now += weight * interval
-        cell.residual_mah, cell.depleted = residual, depleted
-        cell.cached_value, cell.cached_at = cached_value, cached_at
-        fired = (now - start) // interval
-        _count_batch(counts, kind, fired, senses, fired - senses, alerts, actuations)
-        return ~now if spent else now
-
-    return fire
-
-
-def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int,
+def _generic_kernel(state: SimulationState, log: Callable[[str], object] | None, interval: int,
                     request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
-    """A plan the sense kernels do not cover: a sense among several tasks, an event
+    """A plan the sense kernel does not cover: a sense among several tasks, an event
     request that can sense, or a request that cannot sense because its provider is
     not a device, its device has no link or its contract only actuates.
 
@@ -784,8 +757,8 @@ def _generic_kernel(state: SimulationState, log: EventSink | None, interval: int
     return fire
 
 
-def _serve(state: SimulationState, log: EventSink | None, request: _Request, now: int,
-           note: str = "") -> float | None:
+def _serve(state: SimulationState, log: Callable[[str], object] | None, request: _Request,
+           now: int, note: str = "") -> float | None:
     """Run one request at tick ``now``; the reading it delivers, if any."""
     counts = state.counts
     counts[request.kind] += 1

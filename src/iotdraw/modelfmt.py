@@ -725,6 +725,10 @@ def _port_lines(port: ServicePort) -> list[str]:
 def _platform_lines(platform: Platform) -> list[str]:
     rows, inner = _PLATFORM_ROWS, []
     if platform.tier is PlatformTier.DEVICE:
+        # No key holds a residual, and ``build_system`` starts every battery full.
+        if platform.energy.residual_energy_mah != platform.energy.battery_capacity_mah:
+            raise ModelError(f"cannot serialize device {platform.name!r}: the model language "
+                             "has no key for a partly charged battery")
         rows = _DEVICE_ROWS
         inner = [_block(block, platform.energy, block_rows) for block, block_rows in _ENERGY_BLOCKS]
         inner.append([f"data = {_fmt_source(platform.data_source)}"])
@@ -753,7 +757,11 @@ def _component_lines(component: Component) -> list[str]:
 
 
 def serialize_model(model: IoTSystemModel) -> str:
-    """Render a model in the canonical text form (see module docstring)."""
+    """Render a model in the canonical text form (see module docstring).
+
+    Raises :class:`ModelError` for a device whose battery is partly charged:
+    the text has no key for its residual, so it would read back full.
+    """
     config = model.sim_config
     modules = [_block("execution_module", module, _EXECUTION_MODULE_ROWS)
                for module in config.execution_modules]

@@ -129,6 +129,32 @@ def no_link_file(tmp_path) -> str:
     return str(path)
 
 
+DUPLICATE_CONTRACT = """
+contract "Dup" {
+  provider_interface = "LevelSensor"
+  consumer_interface = "LevelSensorClient"
+  task "MonitorLevel" = sense
+}
+"""
+# How binding the task 'MonitorLevel' fails in each ``unbound_task_text`` case.
+UNBOUND_TASK_ERRORS = {
+    "ambiguous": "task 'MonitorLevel' is ambiguous across contracts: Dup, RequestLevelSensor",
+    "no-provider": "no provider realizes interface 'Orphan' (needed by task 'MonitorLevel')",
+}
+
+
+def unbound_task_text(case: str) -> str:
+    """freshness_demo.iot with its task 'MonitorLevel' left without one binding:
+    exposed by a second contract ("ambiguous"), or its contract's provider
+    interface provided by nothing ("no-provider")."""
+    text = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+    if case == "ambiguous":
+        return text + DUPLICATE_CONTRACT
+    declared = 'interface "LevelSensorClient" {}'
+    return (text.replace(declared, declared + '\ninterface "Orphan" {}')
+            .replace('provider_interface = "LevelSensor"', 'provider_interface = "Orphan"'))
+
+
 TINY_TEMPLATE = """
 system "tiny" {{
   simulation_time = {sim_time}

@@ -258,17 +258,21 @@ def test_scenario_text_and_csv(padova_model):
 
 
 def test_a_scenario_without_rendered_texts_renders_its_assignment(padova_model):
-    # The search fills ``rendered`` in; a scenario built by hand, or copied with
-    # ``rendered=None``, renders its assignment when asked, to the same text.
+    # The search sets ``rendered``; a scenario built by hand, or copied by
+    # ``dataclasses.replace``, renders its assignment when asked, to the same text.
     searched = evaluate_scenarios(padova_model)
     for scenario in (searched[0], searched[13], searched[-1]):
         assert scenario.rendered is not None
         by_hand = DeploymentScenario(scenario.id, scenario.assignment, scenario.availability,
                                      scenario.response_time_ms)
-        for copy in (by_hand, dataclasses.replace(scenario, rendered=None)):
+        for copy in (by_hand, dataclasses.replace(scenario)):
             assert copy.rendered is None
             assert scenario_text(copy) == scenario_text(scenario)
             assert scenarios_to_csv([copy]) == scenarios_to_csv([scenario])
+        # A copy with another assignment renders that one, not its parent's.
+        moved = dataclasses.replace(scenario, assignment=(("A", "x"),))
+        assert moved.assignment_texts() == ("A>x", "A=x") and moved != scenario
+        assert scenarios_to_csv([moved]).splitlines()[1].startswith(f"{scenario.id},A=x,")
 
 
 # The search scores and renders as it goes ----------------------------------
@@ -471,6 +475,20 @@ def test_sweep_does_not_mutate_the_model(freshness_model):
     before = freshness_model.component("Monitor").periodic_request.interval_ticks
     lifetime_sweep(freshness_model, "level_sensor_1", intervals=[2], rounds=1, seed=0)
     assert freshness_model.component("Monitor").periodic_request.interval_ticks == before
+
+
+def test_an_interval_sweep_runs_all_rounds_of_a_value_on_one_model(freshness_model, monkeypatch):
+    # Each value's model is built once, so its derived facts (routes) are worked out once.
+    from iotdraw import analysis
+    real, models = analysis.run_simulation, []
+
+    def run(model, **options):
+        models.append(model)
+        return real(model, **options)
+
+    monkeypatch.setattr(analysis, "run_simulation", run)
+    lifetime_sweep(freshness_model, "level_sensor_1", intervals=[1, 2], rounds=3, seed=5)
+    assert len(models) == 6 and len({id(model) for model in models}) == 2
 
 
 def test_sweep_argument_validation(freshness_model):

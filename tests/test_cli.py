@@ -26,7 +26,7 @@ from iotdraw.model import (
     PlatformTier, ServiceContract, ServicePort, Task, TaskKind,
 )
 
-from conftest import MODELS_DIR, tiny_text
+from conftest import MODELS_DIR, UNBOUND_TASK_ERRORS, tiny_text, unbound_task_text
 
 PADOVA = str(MODELS_DIR / "padova_fw.iot")
 FRESH = str(MODELS_DIR / "freshness_demo.iot")
@@ -165,6 +165,15 @@ def test_simulate_prints_summary(capsys):
     out = capsys.readouterr().out
     assert "(halted when level_sensor_1 depleted)" in out
     assert "depleted at tick 798" in out
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUND_TASK_ERRORS))
+def test_simulate_on_a_task_without_one_binding_exits_one(case, tmp_path, capsys):
+    path = tmp_path / "unbound.iot"
+    path.write_text(unbound_task_text(case), encoding="utf-8")
+    assert main(["simulate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"iotdraw: {UNBOUND_TASK_ERRORS[case]}\n")
 
 
 def test_simulate_writes_event_log(tmp_path, capsys):

@@ -317,7 +317,7 @@ def test_the_inlined_draw_is_rng_uniform_bit_for_bit(seed, bounds):
     model = dataclasses.replace(model, platforms=tuple(
         probe if p.name == "probe_1" else p for p in model.platforms))
     (plan,) = _build_plans(initial_state(model), [].append)
-    assert plan.fire.__qualname__.startswith("_sense_kernel.")
+    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.logged"
     drawn = [e.detail.split()[0] for e in events_of(run_simulation(model), EventKind.SENSE_SAMPLE)]
     reference = SplitMix64(seed)
     assert drawn == [f"value={reference.uniform(lo, hi)!r}" for _ in range(1000)]
@@ -330,7 +330,7 @@ def test_a_counts_only_run_without_watchers_moves_the_stream_once_per_sense(max_
     model = tiny_model(sim_time=999, interval=1, capacity=1000, data="uniform(-5, 30) seed 11")
     state = initial_state(model, freshness=FreshnessPolicy(max_age))
     (plan,) = _build_plans(state, None)
-    assert plan.fire.__qualname__.startswith("_count_kernel.")
+    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.counted"
     # No condition reads an output, so only the reading a cache keeps is drawn.
     monkeypatch.setattr(engine, "_matches", None)
     if not max_age:
@@ -560,6 +560,66 @@ def test_an_actuating_plan_on_a_device_that_another_plan_depletes(max_age, compo
     for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
         assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
 
+
+
+# A second application whose plan senses bell_1 through a port of its own.
+BELL_LEVEL_PORT = """  service "BellLevelPort" {
+    interface = "BellLevel"
+    protocol = "CoAP"
+  }
+  service "BellPort" {"""
+DRAINER = """
+contract "RequestBellLevel" {{
+  provider_interface = "BellLevel"
+  consumer_interface = "BellLevelClient"
+  task "ReadBell" = sense
+  message "BellLevelData" {{
+    field "charge" = number
+  }}
+}}
+
+component "Drainer" {{
+  cpu_demand_cycles = 500
+  requires_software = ["jboss"]
+  requires = ["BellLevel"]
+  periodic "ReadBell" {{
+    interval_ticks = 2
+  }}
+}}
+
+application "{name}" {{
+  region = (1.0, 2.0)
+  components = ["Drainer"]
+}}
+"""
+
+
+@pytest.mark.parametrize("drain_app", ["DrainApp", "AaDrainApp"])  # declared after or before
+@pytest.mark.parametrize("max_age", [0, 1, 3])
+def test_a_watcher_on_a_device_that_another_sense_plan_depletes(max_age, drain_app):
+    # Watcher's alarms ring bell_1, which Drainer's senses deplete: from then on
+    # they fail and actuate nothing, in a logged run and a counts-only one alike.
+    from iotdraw.engine import _build_plans, initial_state
+    text = ALARMED_TEMPLATE.format(sim_time=1500, interval=1, capacity=2000, rng_seed=0,
+                                   data="uniform(0, 40)", condition="level > 20")
+    text = (text.replace("capacity_mah = 1000", f"capacity_mah = {5 + 150.5 * PER!r}")
+            .replace('  service "BellPort" {', BELL_LEVEL_PORT) + DRAINER.format(name=drain_app))
+    model = parse_model(text, "<drained-bell>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    for log in ([].append, None):
+        assert {plan.fire.__qualname__.split(".")[0]
+                for plan in _build_plans(initial_state(model), log)} == {"_sense_kernel"}
+    loud = run_simulation(model, FreshnessPolicy(max_age))
+    quiet = run_simulation(model, FreshnessPolicy(max_age), sink=None)
+    bell = loud.lifetimes["bell_1"]
+    assert bell is not None and loud.lifetimes["probe_1"] is None
+    alarms = events_of(loud, EventKind.EVENT_REQUEST)
+    assert any(e.tick < bell for e in events_of(loud, EventKind.ACTUATION))
+    assert any(e.tick > bell and e.detail.endswith("status=failed:provider-depleted")
+               for e in alarms)
+    assert 0 < loud.counts["Actuation"] < len(alarms)
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
 
 
 @pytest.mark.parametrize("interval", [1, 2])

@@ -1,5 +1,6 @@
 """Model text parsing, diagnostics, and canonical serialization."""
 
+import dataclasses
 import math
 import re
 from itertools import combinations
@@ -223,6 +224,17 @@ def test_round_trip_preserves_the_model(models_dir):
     for name in ("padova_fw.iot", "freshness_demo.iot"):
         model = load_model(models_dir / name)
         assert parsed(serialize_model(model)) == model
+
+
+def test_a_partly_charged_battery_is_refused_not_written_full(freshness_model):
+    # No key holds a residual: written out, the battery would read back full at 5.06 mAh.
+    sensor = freshness_model.platform("level_sensor_1")
+    drained = dataclasses.replace(sensor, energy=dataclasses.replace(sensor.energy,
+                                                                    residual_energy_mah=5.03))
+    model = dataclasses.replace(freshness_model, platforms=tuple(
+        drained if p.name == sensor.name else p for p in freshness_model.platforms))
+    with pytest.raises(ModelError, match="cannot serialize device 'level_sensor_1'"):
+        serialize_model(model)
 
 
 def test_canonical_form_prints_integral_floats_bare(freshness_model):

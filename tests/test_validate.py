@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iotdraw import parse_model, validate_model
+from iotdraw import parse_model, run_simulation, validate_model
 from iotdraw.model import ModelError
 from iotdraw.validate import (
     check_protocol_bridge, dependency_edges, eligible_hosts, interface_providers,
@@ -13,8 +13,8 @@ from iotdraw.validate import (
 )
 
 from conftest import (
-    ALARMED_TEMPLATE, alarmed_model, random_placement_model, reference_unroutable,
-    tiny_text,
+    ALARMED_TEMPLATE, UNBOUND_TASK_ERRORS, alarmed_model, random_placement_model,
+    reference_unroutable, tiny_text, unbound_task_text,
 )
 
 
@@ -210,6 +210,16 @@ def test_task_binding_on_fixture(padova_model):
 def test_task_binding_unknown_task(padova_model):
     with pytest.raises(ModelError):
         task_binding(padova_model, "Nonsense")
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUND_TASK_ERRORS))
+def test_task_binding_refuses_a_task_without_one_binding(case):
+    model = model_of(unbound_task_text(case))
+    message = f"^{re.escape(UNBOUND_TASK_ERRORS[case])}$"
+    with pytest.raises(ModelError, match=message):
+        task_binding(model, "MonitorLevel")
+    with pytest.raises(ModelError, match=message):
+        run_simulation(model)
 
 
 def test_binding_prefers_lexicographically_first_provider():
