@@ -24,6 +24,7 @@ from .modelfmt import parse_model, read_model_text
 from .validate import validate_model
 
 SEED_ENV_VAR = "IOTDRAW_SEED"
+SWEEP_ROUNDS = 30  # a sweep's rounds per value when --rounds is not given
 
 
 class _DomainFailure(Exception):
@@ -178,14 +179,18 @@ def _cmd_deployments(args) -> int:
 
 
 def _cmd_lifetime(args) -> int:
+    sweeping = args.sweep_interval is not None or args.sweep_max_age is not None
+    for option, value in (("--rounds", args.rounds), ("--csv", args.csv)):
+        if value is not None and not sweeping:
+            args.usage_error(f"{option} needs --sweep-interval or --sweep-max-age")
     model = _load(args.model)
     seed = _resolve_seed(args)
-    if args.sweep_interval or args.sweep_max_age:
+    if sweeping:
         table = lifetime_sweep(
             model, args.device,
             intervals=args.sweep_interval,
             max_ages=args.sweep_max_age,
-            rounds=args.rounds,
+            rounds=SWEEP_ROUNDS if args.rounds is None else args.rounds,
             seed=seed if seed is not None else model.sim_config.rng_seed,
         )
         print(table.to_text())
@@ -253,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare request intervals (ticks)")
     sweep.add_argument("--sweep-max-age", type=_int_list(0), metavar="A,B,C",
                        help="compare freshness windows (ticks)")
-    p.add_argument("--rounds", type=_int_at_least(1), default=30, help="sweep rounds per value")
+    p.add_argument("--rounds", type=_int_at_least(1),
+                   help=f"sweep rounds per value (default {SWEEP_ROUNDS})")
     p.add_argument("--seed", type=int, help=f"sweep seed (also {SEED_ENV_VAR})")
     p.add_argument("--csv", metavar="FILE", help="write the sweep table as CSV")
-    p.set_defaults(handler=_cmd_lifetime)
+    p.set_defaults(handler=_cmd_lifetime, usage_error=p.error)
 
     return parser
 
@@ -277,4 +283,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away: send the rest of the output nowhere, as the
+        # Python docs advise for SIGPIPE, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -1,16 +1,23 @@
 """Discrete-event execution of a system model.
 
-A run covers ticks 0 through ``simulation_time`` inclusive.  Before
-tick 0, every periodic request and every event request is compiled once
-into a request program: its event kind, consumer and log detail, the
-contract's sense and actuate tasks as plain tuples, and the provider's
-device cell, or None when the provider is not a device.  A device cell
-holds the battery's residual charge and depleted flag, the mAh one
-sensing and one transmission cost, the sample stream and the cached
-reading.  Each periodic program keeps the tick it fires next: a
-component with interval k fires at ticks k-1, 2k-1, 3k-1, ..., programs
-due on the same tick fire in declaration order, and ticks on which
-nothing fires are never visited.
+A run covers ticks 0 through ``simulation_time`` inclusive.  A model is
+compiled once per model object, on its first run, into a program that
+its later runs reuse: ``_compile``, kept through ``model.derived`` as
+routes are.  Per device the program holds its battery at tick 0, the mAh
+one sensing and one transmission over its uplink cost, and its data
+source.  Per periodic request it holds a plan: the interval, the request
+programs of the request and of the event requests its samples feed (event
+kind, consumer and log detail, the contract's sense and actuate tasks as
+plain tuples, and the provider device, or None when the provider is not a
+device), and the kernel the plan's shape picks.  The program holds no run
+state, so runs alive at once can share it.  Before tick 0 a run builds
+only what it changes: fresh counts and a cell per device (the residual
+charge and depleted flag, the sample stream, the cached reading, and the
+transmit cost of a device whose distance it overrides), and binds each
+plan's kernel to those cells.  Each plan keeps the tick it fires next: a
+component with interval k fires at ticks k-1, 2k-1, 3k-1, ..., plans due
+on the same tick fire in declaration order, and ticks on which nothing
+fires are never visited.
 
 Requests served by a device follow the data-freshness rule: if a cached
 reading is at most ``max_age_ticks`` old the consumer gets the cached
@@ -28,7 +35,7 @@ actuation, typically).  The delivered scalar stands for every field of
 the message record during evaluation.
 
 Each periodic plan runs in one request kernel, picked by its shape alone
-when the plans are built: ``_sense_kernel`` or ``_generic_kernel``, whose
+when the model is compiled: ``_sense_kernel`` or ``_generic_kernel``, whose
 docstrings say which plans each runs.  Each kernel serves both run
 modes, a logged run and one that keeps only counts, from one set-up of
 the plan.  The runner it returns, ``fire(now, stop)``, runs every firing
@@ -49,7 +56,7 @@ The event log is CSV text, rendered once by the code that logs it: the
 kernels append records to a list as they happen, each item one or more
 whole records.  ``csv_field`` is the one quoting rule: a field holding a
 comma, a quote, ``\r`` or ``\n`` is quoted, its quotes doubled.  The
-sense kernel quotes each row's fixed text once, when the plan is built;
+sense kernel quotes each row's fixed text once, when a run binds the plan;
 what changes from firing to firing (ticks, ages, float reprs) never needs
 quoting.  There are three sinks.  The default, ``COLLECT``, keeps the text
 on the report: ``SimulationReport.events_csv()`` is the header plus that
@@ -89,10 +96,10 @@ from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TextIO
 from .energy import (drain_mah, drain_senses_mah, joules_to_mah, sense_energy,
                      transmit_energy)
 from .model import (
-    Component, ConditionExpr, ConstantSource, IoTSystemModel, ModelError, Platform,
-    PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
+    Component, ConditionExpr, ConstantSource, DataSource, DeviceEnergyProfile, IoTSystemModel,
+    ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
 )
-from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, _mix64, derive_seed
+from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, _fnv1a, _mix64, derive_seed
 from .validate import task_binding
 
 
@@ -107,6 +114,7 @@ class EventKind(Enum):
 
 
 # Plain strings for the request loop: they hash far faster than enum members.
+_KINDS = tuple(sorted(kind.value for kind in EventKind))  # the order a report lists them in
 _SENSED, _HIT, _ACTUATED, _DEPLETED, _EVENT = (kind.value for kind in (
     EventKind.SENSE_SAMPLE, EventKind.CACHE_HIT, EventKind.ACTUATION, EventKind.DEVICE_DEPLETED,
     EventKind.EVENT_REQUEST))
@@ -230,27 +238,61 @@ _OPS = {
 }
 
 
+class _Device(NamedTuple):
+    """One device as compiled: what each run starts its cell from."""
+
+    name: str
+    energy: DeviceEnergyProfile
+    residual_mah: float  # at tick 0, drained to the threshold if it starts at or below it
+    depleted: bool
+    sense_j: float
+    sense_mah: float
+    # Over its uplink; None when the device has no link: it can neither report
+    # nor be told anything, and a distance override gives it none.
+    transmit_mah: float | None
+    sense_detail: str
+    source: DataSource
+    # The seed path of its stream, "source" and its name hashed, when its source is
+    # uniform without a seed of its own; None when the stream needs no run seed.
+    tokens: tuple[int, int] | None
+
+
+def _uplink(energy: DeviceEnergyProfile, sense_j: float, distance_m: float) -> tuple[float, str]:
+    """The mAh one transmission over ``distance_m`` costs, and the sense records' energy detail."""
+    transmit = transmit_energy(energy, distance_m)
+    return (joules_to_mah(transmit, energy.supply_voltage_v),
+            f"sense_j={sense_j!r} transmit_j={transmit!r} distance_m={distance_m!r}")
+
+
+def _device(model: IoTSystemModel, platform: Platform) -> _Device:
+    """The device as compiled, costs at its uplink's distance."""
+    energy, source = platform.energy, platform.data_source
+    sense = sense_energy(energy)
+    gateway = gateway_uplink(model, platform)
+    transmit_mah, detail = _uplink(energy, sense, gateway[1]) if gateway else (None, "")
+    unseeded = isinstance(source, UniformSource) and source.seed is None
+    return _Device(platform.name, energy,
+                   *drain_mah(energy.residual_energy_mah, energy.depletion_threshold_mah),
+                   sense, joules_to_mah(sense, energy.supply_voltage_v), transmit_mah, detail,
+                   source, (_fnv1a("source"), _fnv1a(platform.name)) if unseeded else None)
+
+
 class _DeviceCell:
-    """One device's run-time state, with its per-request costs worked out once."""
+    """One device's run-time state, started from its compiled ``_Device``."""
 
     __slots__ = ("name", "residual_mah", "depleted", "threshold_mah", "sense_mah",
                  "transmit_mah", "sense_detail", "stream", "cached_value", "cached_at", "halts")
 
-    def __init__(self, platform: Platform, distance_m: float | None, stream: SampleStream,
-                 halts: bool):
-        profile = platform.energy
-        sense = sense_energy(profile)
-        transmit = transmit_energy(profile, distance_m) if distance_m is not None else None
-        self.name = platform.name
-        self.threshold_mah = profile.depletion_threshold_mah
-        self.residual_mah, self.depleted = drain_mah(profile.residual_energy_mah,
-                                                     self.threshold_mah)
-        self.sense_mah = joules_to_mah(sense, profile.supply_voltage_v)
-        # None when the device has no link: it can neither report nor be told anything.
-        self.transmit_mah = (joules_to_mah(transmit, profile.supply_voltage_v)
-                             if transmit is not None else None)
-        self.sense_detail = (f"sense_j={sense!r} transmit_j={transmit!r} "
-                             f"distance_m={distance_m!r}" if transmit is not None else "")
+    def __init__(self, device: _Device, stream: SampleStream, halts: bool,
+                 distance_m: float | None = None):
+        self.name, self.sense_mah = device.name, device.sense_mah
+        self.threshold_mah = device.energy.depletion_threshold_mah
+        self.residual_mah, self.depleted = device.residual_mah, device.depleted
+        if distance_m is None or device.transmit_mah is None:
+            self.transmit_mah, self.sense_detail = device.transmit_mah, device.sense_detail
+        else:
+            self.transmit_mah, self.sense_detail = _uplink(device.energy, device.sense_j,
+                                                           distance_m)
         self.stream = stream
         self.cached_value = self.cached_at = None  # the last reading and its tick
         self.halts = halts
@@ -264,8 +306,7 @@ class SimulationState:
     freshness: FreshnessPolicy
     devices: dict[str, _DeviceCell] = field(default_factory=dict)
     # Every event kind from 0, so the request loops add without a membership test.
-    counts: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys((kind.value for kind in EventKind), 0))
+    counts: dict[str, int] = field(default_factory=functools.partial(dict.fromkeys, _KINDS, 0))
     lifetimes: dict[str, int] = field(default_factory=dict)
     module_outputs: dict[str, str] = field(default_factory=dict)
     halted_by: str | None = None
@@ -298,22 +339,19 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     maps device names to a transmission distance in meters replacing the
     gateway link's distance (used by lifetime sweeps).  A device with no
     link keeps none: it has no gateway to transmit to.  The run halts
-    when a device named in ``halt_on`` depletes.
+    when a device named in ``halt_on`` depletes.  The model's program is
+    compiled on its first run and kept; each run builds only fresh cells
+    from it.
     """
     run_seed = model.sim_config.rng_seed if seed is None else seed
     overrides = distance_overrides or {}
     halt_on = frozenset(halt_on)
     state = SimulationState(model=model, freshness=freshness or FreshnessPolicy(0))
-    for platform in model.platforms:
-        if platform.tier is not PlatformTier.DEVICE:
-            continue
-        gateway = gateway_uplink(model, platform)
-        state.devices[platform.name] = _DeviceCell(
-            platform,
-            overrides.get(platform.name, gateway[1]) if gateway else None,
-            SampleStream(platform.data_source, derive_seed(run_seed, "source", platform.name)),
-            platform.name in halt_on,
-        )
+    for device in model.derived(_compile).devices:
+        # Only an unseeded uniform source reads its fallback seed.
+        fallback = 0 if device.tokens is None else derive_seed(run_seed, *device.tokens)
+        state.devices[device.name] = _DeviceCell(device, SampleStream(device.source, fallback),
+                                                 device.name in halt_on, overrides.get(device.name))
     unknown = halt_on - state.devices.keys()
     if unknown:
         raise ModelError(f"cannot halt on {', '.join(sorted(unknown))}: not a device")
@@ -322,37 +360,91 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
 
 @dataclass(frozen=True, slots=True)
 class _Request:
-    """One request compiled before tick 0: what it logs and what it asks of its provider."""
+    """One request as compiled: what it logs and what it asks of its provider."""
 
     kind: str
     consumer: str
     detail: str
-    cell: _DeviceCell | None  # None when the provider is not a device
+    device: str | None  # the provider when it is a device, else None
     tasks: tuple[tuple[str, str], ...]  # (_SENSED, "") or (_ACTUATED, log detail), over the link
     senses: bool  # it can sense or read the cache: a sense task on a device with a link
 
 
-_Watcher = tuple[str, float, _Request]  # (operator, threshold, event request)
+# (test, threshold, event request): the request fires when test(reading, threshold) holds.
+_Watcher = tuple[Callable[[float, float], bool], float, _Request]
 
 
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """A periodic request and its kernel: ``fire(now, stop)`` returns the next due tick."""
+    """A periodic request as compiled, with the event requests its samples feed."""
 
     interval: int
     request: _Request
+    watchers: tuple[_Watcher, ...]
+    sensed: bool  # it runs in ``_sense_kernel``, else in ``_generic_kernel``
+    cuts: tuple[tuple[int, int, bool], ...]  # per watcher, its ``_cut`` on a uniform source
+
+
+class _Program(NamedTuple):
+    """A model compiled for running.  It holds no run state, so any number of
+    runs, even runs alive at once, share it."""
+
+    devices: tuple[_Device, ...]
+    plans: tuple[_Plan, ...]
+
+
+class _Runner(NamedTuple):
+    """A plan bound to one run: the runner of its kernel, over the run's cells."""
+
+    plan: _Plan
     fire: Callable[[int, int], int]
 
 
-def _compile(state: SimulationState, kind: EventKind, consumer: Component, task: str,
+def _compile(model: IoTSystemModel) -> _Program:
+    """The model's program; runs read it through ``model.derived``, so it is
+    compiled once per model object."""
+    devices = {}  # of two devices sharing a name the last declared wins, as in a run's cells
+    for platform in model.platforms:
+        if platform.tier is PlatformTier.DEVICE:
+            devices[platform.name] = _device(model, platform)
+    plans = []
+    for app in model.applications:
+        watchers = []
+        for component in app.components:
+            if component.event_request is None:
+                continue
+            condition = component.event_request.condition
+            request, _ = _request(model, devices, EventKind.EVENT_REQUEST, component,
+                                  component.event_request.task, condition)
+            watchers.append((condition, request))
+        for component in app.components:
+            if component.periodic_request is None:
+                continue
+            request, contract = _request(model, devices, EventKind.PERIODIC_REQUEST, component,
+                                         component.periodic_request.task)
+            fields = contract.message_type.field_names()
+            watching = [(c, w) for c, w in watchers if c.field in fields]
+            sensed = (request.senses and request.tasks == ((_SENSED, ""),)
+                      and not any(w.senses for _, w in watching))
+            source = devices[request.device].source if sensed else None
+            cuts = (tuple(_cut(source.lo, source.hi, c.op, c.threshold) for c, _ in watching)
+                    if isinstance(source, UniformSource) else ())
+            plans.append(_Plan(component.periodic_request.interval_ticks, request,
+                               tuple((_OPS[c.op], c.threshold, w) for c, w in watching),
+                               sensed, cuts))
+    return _Program(tuple(devices.values()), tuple(plans))
+
+
+def _request(model: IoTSystemModel, devices: Mapping[str, _Device], kind: EventKind,
+             consumer: Component, task: str,
              condition: ConditionExpr | None = None) -> tuple[_Request, ServiceContract]:
-    """The request program for one task, and the contract it runs."""
-    binding = task_binding(state.model, task)
-    cell = None
+    """The compiled request for one task, and the contract it runs."""
+    binding = task_binding(model, task)
+    device = None
     if binding.provider.kind == "platform":
-        provider = state.model.platform(binding.provider.name)
+        provider = model.platform(binding.provider.name)
         if provider.tier is PlatformTier.DEVICE:
-            cell = state.devices[provider.name]
+            device = provider.name
     # Transmit, receive and compute tasks are bookkept by the request itself.
     tasks = tuple((_SENSED, "") if t.kind is TaskKind.SENSE
                   else (_ACTUATED, f"task={t.name} by={consumer.name}")
@@ -361,42 +453,21 @@ def _compile(state: SimulationState, kind: EventKind, consumer: Component, task:
     detail = f"task={binding.task.name} provider={binding.provider.name}"
     if condition is not None:
         detail += f" condition={condition.render()}"
-    request = _Request(kind.value, consumer.name, detail, cell, tasks,
-                       senses=((_SENSED, "") in tasks and cell is not None
-                               and cell.transmit_mah is not None))
+    request = _Request(kind.value, consumer.name, detail, device, tasks,
+                       senses=((_SENSED, "") in tasks and device is not None
+                               and devices[device].transmit_mah is not None))
     return request, binding.contract
 
 
-def _build_plans(state: SimulationState, log: Callable[[str], object] | None) -> list[_Plan]:
-    """Compile every periodic request, with the event requests its samples feed, into a plan."""
-    plans = []
-    for app in state.model.applications:
-        watchers = []
-        for component in app.components:
-            if component.event_request is None:
-                continue
-            condition = component.event_request.condition
-            request, _ = _compile(state, EventKind.EVENT_REQUEST, component,
-                                  component.event_request.task, condition)
-            watchers.append((condition, request))
-        for component in app.components:
-            if component.periodic_request is None:
-                continue
-            request, contract = _compile(state, EventKind.PERIODIC_REQUEST, component,
-                                         component.periodic_request.task)
-            fields = contract.message_type.field_names()
-            watching = tuple((c.op, c.threshold, w) for c, w in watchers if c.field in fields)
-            interval = component.periodic_request.interval_ticks
-            kernel = (_sense_kernel if request.senses and request.tasks == ((_SENSED, ""),)
-                      and not any(w.senses for _, _, w in watching) else _generic_kernel)
-            plans.append(_Plan(interval, request, kernel(state, log, interval, request, watching)))
-    return plans
+def _build_plans(state: SimulationState, log: Callable[[str], object] | None) -> list[_Runner]:
+    """Bind each plan of the model's program to this run's cells."""
+    return [_Runner(plan, (_sense_kernel if plan.sensed else _generic_kernel)(state, log, plan))
+            for plan in state.model.derived(_compile).plans]
 
 
-def _failure(request: _Request) -> str:
-    """The status suffix of a request not served from the cache: empty when the
-    provider can serve it."""
-    cell = request.cell
+def _failure(request: _Request, cell: _DeviceCell | None) -> str:
+    """The status suffix of a request to ``cell`` not served from the cache: empty
+    when the provider can serve it."""
     if cell is None:
         return ""
     if cell.depleted:
@@ -428,8 +499,8 @@ def _count_batch(counts: dict[str, int], kind: str, fired: int, senses: int, hit
         counts[_ACTUATED] += actuations
 
 
-def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None, interval: int,
-                  request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
+def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
+                  plan: _Plan) -> Callable[[int, int], int]:
     """A plan whose contract is one sense task on a device with a link, read from the
     cache when ``max_age`` allows, with watchers that cannot sense.
 
@@ -461,7 +532,9 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None, i
     hits it serves before ``stop``, and becomes the cached reading.  A batch
     that starts on a depleted device with a stale cache hands the plan over.
     """
-    cell = request.cell
+    interval, request, watchers = plan.interval, plan.request, plan.watchers
+    cell = state.devices[request.device]
+    watched = [state.devices.get(watcher.device) for _, _, watcher in watchers]
     rng, sample = cell.stream.rng, cell.stream.next
     if rng is not None:
         lo, hi = cell.stream.source.lo, cell.stream.source.hi
@@ -470,20 +543,20 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None, i
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
     counts, lifetimes = state.counts, state.lifetimes
-    tests = tuple((_OPS[op], limit, index) for index, (op, limit, _) in enumerate(watchers))
+    tests = tuple((test, limit, index) for index, (test, limit, _) in enumerate(watchers))
 
     def watcher_outcomes() -> list[tuple]:
         """Per watcher: its actuation count and, with a log, its record's text up to
         the value and the pieces that a tick joins into the rest of its records."""
         outcomes = []
-        for _, _, watcher in watchers:
-            suffix = _failure(watcher)
-            actions = () if suffix or watcher.cell is None else [a for _, a in watcher.tasks]
+        for (_, _, watcher), target in zip(watchers, watched):
+            suffix = _failure(watcher, target)
+            actions = () if suffix or target is None else [a for _, a in watcher.tasks]
             if log is None:
                 outcomes.append((len(actions),))
                 continue
             head, tail = _template(f"{watcher.detail} value=", suffix)
-            device = watcher.cell and csv_field(watcher.cell.name)
+            device = target and csv_field(target.name)
             outcomes.append((len(actions), f",{_EVENT},{csv_field(watcher.consumer)},{head}",
                              (tail + "\n", *(f",{_ACTUATED},{device},{csv_field(action)}\n"
                                              for action in actions))))
@@ -567,7 +640,7 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None, i
 
         return logged
 
-    cuts = [_cut(lo, hi, op, limit) for op, limit, _ in watchers] if rng is not None else []
+    cuts = plan.cuts
     repeats = max_age // interval  # the cache hits that follow each sense
     step = (repeats + 1) * interval  # the ticks from one sense to the next
 
@@ -728,8 +801,8 @@ def _matches(seed: int, n: int, cuts: Sequence[tuple[int, int, bool]]) -> list[i
     return found
 
 
-def _generic_kernel(state: SimulationState, log: Callable[[str], object] | None, interval: int,
-                    request: _Request, watchers: tuple[_Watcher, ...]) -> Callable[[int, int], int]:
+def _generic_kernel(state: SimulationState, log: Callable[[str], object] | None,
+                    plan: _Plan) -> Callable[[int, int], int]:
     """A plan the sense kernel does not cover: a sense among several tasks, an event
     request that can sense, or a request that cannot sense because its provider is
     not a device, its device has no link or its contract only actuates.
@@ -738,18 +811,21 @@ def _generic_kernel(state: SimulationState, log: Callable[[str], object] | None,
     device depleted.  In a run that keeps only counts, a firing that delivers
     nothing hands the plan over if it is spent.
     """
-    lifetimes = state.lifetimes
-    tests = tuple((_OPS[op], threshold, watcher) for op, threshold, watcher in watchers)
+    interval, request, devices = plan.interval, plan.request, state.devices
+    lifetimes, cell = state.lifetimes, devices.get(request.device)
+    tests = tuple((test, threshold, watcher, devices.get(watcher.device))
+                  for test, threshold, watcher in plan.watchers)
 
     def fire(now: int, stop: int) -> int:
         depletions = len(lifetimes)
         while now <= stop and len(lifetimes) == depletions:
-            value = _serve(state, log, request, now)
+            value = _serve(state, log, request, cell, now)
             if value is not None:
-                for test, threshold, watcher in tests:
+                for test, threshold, watcher, target in tests:
                     if test(value, threshold):
-                        _serve(state, log, watcher, now, f" value={value!r}" if log is not None else "")
-            elif log is None and _spent(request):
+                        _serve(state, log, watcher, target, now,
+                               f" value={value!r}" if log is not None else "")
+            elif log is None and _spent(request, cell):
                 return ~(now + interval)
             now += interval
         return now
@@ -758,16 +834,15 @@ def _generic_kernel(state: SimulationState, log: Callable[[str], object] | None,
 
 
 def _serve(state: SimulationState, log: Callable[[str], object] | None, request: _Request,
-           now: int, note: str = "") -> float | None:
-    """Run one request at tick ``now``; the reading it delivers, if any."""
+           cell: _DeviceCell | None, now: int, note: str = "") -> float | None:
+    """Run one request to ``cell`` at tick ``now``; the reading it delivers, if any."""
     counts = state.counts
     counts[request.kind] += 1
-    cell = request.cell
     max_age = state.freshness.max_age_ticks
     # served from the cache, whatever the device's health
     fresh = (request.senses and max_age > 0 and cell.cached_at is not None
              and now - cell.cached_at <= max_age)
-    suffix = "" if fresh else _failure(request)
+    suffix = "" if fresh else _failure(request, cell)
     if log is not None:
         log(_line(now, request.kind, request.consumer, request.detail + note + suffix))
     if cell is None or suffix:
@@ -804,14 +879,15 @@ def _serve(state: SimulationState, log: Callable[[str], object] | None, request:
     return value
 
 
-def _spent(request: _Request) -> bool:
-    """Whether each firing of ``request`` that the cache does not serve only counts
-    itself: it can deliver no reading, actuate nothing and drain nothing, now or later.
+def _spent(request: _Request, cell: _DeviceCell | None) -> bool:
+    """Whether each firing of ``request`` to ``cell`` that the cache does not serve
+    only counts itself: it can deliver no reading, actuate nothing and drain
+    nothing, now or later.
 
     Depleted batteries never recover and only a sense refreshes a cache, so a
     request that fails with a stale cache fails for good.
     """
-    return request.cell is None or not request.tasks or bool(_failure(request))
+    return cell is None or not request.tasks or bool(_failure(request, cell))
 
 
 def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = None,
@@ -820,7 +896,10 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
                    sink: EventSink | None = COLLECT) -> "SimulationReport":
     """Execute the model for ticks 0..simulation_time and report what happened.
 
-    Identical inputs (model, seed, freshness policy) produce identical
+    The model's program is compiled on its first run and kept with the
+    model object, so repeated runs of one model, such as a sweep's rounds,
+    compile it once; each run builds only its own state from it (its
+    cells, sample streams and counts).  Identical inputs (model, seed, freshness policy) produce identical
     reports and byte-identical event logs.  The run halts as soon as a
     device named in ``halt_on`` depletes.  ``registry`` supplies
     the execution-module hooks; the default registry carries the built-in
@@ -859,12 +938,13 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
 
     horizon = model.sim_config.simulation_time
     never = horizon + 1
-    due = [plan.interval - 1 for plan in plans]
-    fires = [plan.fire for plan in plans]
+    intervals = [plan.interval for plan, _ in plans]
+    due = [interval - 1 for interval in intervals]
+    fires = [fire for _, fire in plans]
     closed: dict[int, int] = {}  # plan index -> its first firing counted in closed form
     if log is None:
-        for index, plan in enumerate(plans):
-            if _spent(plan.request):
+        for index, (plan, _) in enumerate(plans):
+            if _spent(plan.request, state.devices.get(plan.request.device)):
                 closed[index], due[index] = due[index], never
     tick = horizon
     halting = None  # the index of the plan whose firing halted the run
@@ -880,7 +960,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         later = min(due)
         stop = now if later == now else later - 1 if later <= horizon else horizon
         if stream is not None:
-            stop = min(stop, now + (_BATCH_FIRINGS - 1) * plans[index].interval)
+            stop = min(stop, now + (_BATCH_FIRINGS - 1) * intervals[index])
         due[index] = fires[index](now, stop)
         if due[index] < 0:  # handed over: spent from tick ~due[index] on
             closed[index], due[index] = ~due[index], never
@@ -888,13 +968,13 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
             stream(events)
             events.clear()
         if state.halted_by is not None:
-            tick, halting = due[index] - plans[index].interval, index
+            tick, halting = due[index] - intervals[index], index
             break
     for index, first in closed.items():
         # A plan after the one that halted the run does not fire on the halting tick.
         last = tick - (halting is not None and index > halting)
         if first <= last:
-            counts[EventKind.PERIODIC_REQUEST.value] += (last - first) // plans[index].interval + 1
+            counts[EventKind.PERIODIC_REQUEST.value] += (last - first) // intervals[index] + 1
 
     return SimulationReport(
         model_name=model.name,
@@ -904,7 +984,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         halted_by=state.halted_by,
         residual_mah={name: cell.residual_mah for name, cell in state.devices.items()},
         lifetimes={name: state.lifetimes.get(name) for name in state.devices},
-        counts={kind: count for kind, count in sorted(counts.items()) if count},
+        counts={kind: count for kind, count in counts.items() if count},  # in _KINDS order
         module_outputs=dict(state.module_outputs),
         log_text="".join(events),
     )

@@ -4,7 +4,8 @@ A module is a named hook taking a read-only snapshot of the system and
 returning its findings as text (the built-ins return CSV).  Hooks see the
 run's model, which is immutable, and their own copy of the battery
 levels, so nothing a hook does can disturb the run that invoked it.  The
-model's derived facts (routes, edge tables) are shared with the run.
+model's derived facts (routes, edge tables, its compiled run program) are
+shared with the run, and a hook may run its snapshot's model itself.
 """
 
 from __future__ import annotations

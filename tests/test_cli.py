@@ -396,6 +396,36 @@ def test_lifetime_sweep_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("extra, option", [
+    (["--csv", "{table}"], "--csv"),
+    (["--rounds", "5"], "--rounds"),
+    (["--rounds", "30"], "--rounds"),  # the sweep's default, given
+])
+def test_sweep_options_without_a_sweep_exit_two(extra, option, tmp_path, capsys):
+    table = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lifetime", FRESH, "--device", "level_sensor_1",
+              *(arg.format(table=table) for arg in extra)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{option} needs --sweep-interval or --sweep-max-age" in captured.err
+    assert captured.out == ""
+    assert not table.exists()
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path):
+    env = dict(os.environ)
+    source_root = str(Path(iotdraw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    # The reader closes the pipe before the command writes to it.
+    process = subprocess.Popen([sys.executable, "-m", "iotdraw", "simulate", FRESH],
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert process.returncode == 1
+    assert err.decode() == ""
+
+
 def test_lifetime_sweeps_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["lifetime", FRESH, "--device", "level_sensor_1",
