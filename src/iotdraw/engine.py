@@ -48,9 +48,10 @@ The scheduler runs the first plan due, in declaration order, with
 another plan is due on the same tick.  A kernel ends its batch early
 after a firing in which a device depleted.  A run halted by a depletion
 ends after that firing and its event requests: later plans in the
-tick's declaration order do not fire.  Only the draw is inlined, and
-packed in ``_matches``: ``rng.py`` and ``docs/determinism.md`` remain its
-specification, as ``energy.py`` is the drain's.
+tick's declaration order do not fire.  The kernels draw packed:
+``_packed`` mixes many outputs of a generator at once, which ``_matches``
+counts and ``_outputs`` unpacks.  ``rng.py`` and ``docs/determinism.md``
+remain the draw's specification, as ``energy.py`` is the drain's.
 
 The event log is CSV text, rendered once by the code that logs it: the
 kernels append records to a list as they happen, each item one or more
@@ -89,9 +90,11 @@ import functools
 import itertools
 import operator
 import re
+import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .energy import (drain_mah, drain_senses_mah, joules_to_mah, sense_energy,
                      transmit_energy)
@@ -132,7 +135,9 @@ class SimEvent(NamedTuple):
 _HEADER = ",".join(SimEvent._fields) + "\n"
 EventSink = Callable[[Sequence[str]], object]  # takes a list of CSV text, each item whole records
 COLLECT = object()  # the default sink: keep the log's text on the report
-_BATCH_FIRINGS = 64  # the most firings of one plan whose records a streaming sink gets at once
+# The most firings of one plan whose records a streaming sink gets at once: a batch's
+# set-up, its packed draw and the sink's write are paid once per this many firings.
+_BATCH_FIRINGS = 256
 
 
 def _line(tick: int, kind: str, subject: str, detail: str) -> str:
@@ -504,35 +509,40 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
     """A plan whose contract is one sense task on a device with a link, read from the
     cache when ``max_age`` allows, with watchers that cannot sense.
 
-    The runner is ``logged`` when the run logs and ``counted`` when it keeps
-    only counts.  Both keep the cell's fields and the generator state in
-    locals for a batch, and end the batch after the firing that depletes the
-    device.  A watcher drains nothing, so its outcome changes only when some
-    device depletes (it may be its own): both runners read the outcomes of
-    ``watcher_outcomes``, worked out again whenever a device has depleted since.
+    One runner serves a logged run and one that keeps only counts.  It keeps
+    the cell's fields in locals for a batch, and ends the batch after the
+    firing that depletes the device.  A watcher drains nothing, so its
+    outcome changes only when some device depletes (it may be its own): the
+    runner reads the outcomes of ``watcher_outcomes``, worked out again
+    whenever a device has depleted since.
 
-    ``logged`` inlines the draw and the drain of one cost at a time, and logs
-    one string per firing holding all of its records, their fixed text quoted
-    when the plan is built.
+    A batch relies on depletion, freshness and the stream's position never
+    depending on a reading.  The firings up to the cache's last fresh tick
+    come first, each a hit on the cached reading.  A device depleted past
+    them fails every firing: a logged run logs the failures, and a run that
+    keeps only counts hands the plan over.  Otherwise the senses that follow
+    take two passes.  The first drains up to ``stop`` or through the sense
+    that depletes the device, one binade of the residual at a time
+    (``drain_senses_mah``); each sense is followed by the ``max_age //
+    interval`` cache hits its reading serves, the last only by those before
+    ``stop`` and by none when it depletes the device.
 
-    ``counted`` relies on depletion, freshness and the stream's position never
-    depending on a reading, so only what a watcher tests is worked out.  The
-    fresh firings up to the cache's last fresh tick count in one step, each
-    adding the alerts of the cached reading.  The senses that follow take two
-    passes.  The first drains up to ``stop`` or through the sense that
-    depletes the device, one binade of the residual at a time
-    (``drain_senses_mah``), bit for bit as ``logged``'s drain; each sense is
-    followed by the ``max_age // interval`` cache hits its reading serves.
-    The second counts what the readings before the last set off: ``_matches``
-    counts a uniform source's outputs on each condition's range of outputs
-    (``_cut``), and the generator then moves once per sense; the other
-    sources' readings are tested as floats, and a uniform source that no
-    condition watches draws only the reading the cache keeps.  The last
+    In a logged run the second pass draws every reading at once, a uniform
+    source's through ``_outputs``.  Then each sense logs one string holding
+    its records, the depletion record when it is the last and depletes the
+    device, and its watchers' records, followed by the hits it serves; their
+    fixed text is quoted when the run binds the plan.
+
+    In a run that keeps only counts the second pass works out only what a
+    watcher tests.  What the readings before the last set off is counted:
+    ``_matches`` counts a uniform source's outputs on each condition's range
+    of outputs (``_cut``), and the generator then moves once per sense; the
+    other sources' readings are tested as floats, and a uniform source that
+    no condition watches draws only the reading the cache keeps.  The last
     reading is tested on its own, after the depletion it may cause, with the
-    hits it serves before ``stop``, and becomes the cached reading.  A batch
-    that starts on a depleted device with a stale cache hands the plan over.
+    hits it serves before ``stop``, and becomes the cached reading.
     """
-    interval, request, watchers = plan.interval, plan.request, plan.watchers
+    interval, request, watchers, cuts = plan.interval, plan.request, plan.watchers, plan.cuts
     cell = state.devices[request.device]
     watched = [state.devices.get(watcher.device) for _, _, watcher in watchers]
     rng, sample = cell.stream.rng, cell.stream.next
@@ -571,6 +581,8 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
         if depletions != len(lifetimes):
             outcomes, depletions = watcher_outcomes(), len(lifetimes)
 
+    repeats = max_age // interval  # the cache hits that follow each sense
+    step = (repeats + 1) * interval  # the ticks from one sense to the next
     if log is not None:
         # Each record's fixed text, after its tick, is quoted once.
         consumer, subject = csv_field(request.consumer), csv_field(cell.name)
@@ -582,145 +594,118 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
         hit, hit_middle, hit_tail = f",{_HIT},{subject},{head}", middle, tail + "\n"
         drained = f",{_DEPLETED},{subject},residual_mah="
 
-        def logged(now: int, stop: int) -> int:
-            residual, depleted = cell.residual_mah, cell.depleted
-            cached_value, cached_at = cell.cached_value, cell.cached_at
-            seed = rng.state if rng is not None else 0
-            refresh()
-            start, failures, hits, alerts, actuations = now, 0, 0, 0, 0
-            while now <= stop:
-                if max_age and cached_at is not None and now - cached_at <= max_age:
-                    value = cached_value  # fresh, whatever the device's health
-                    hits += 1
-                    shown, tick = repr(value), str(now)
-                    text = f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - cached_at}{hit_tail}"
-                elif depleted:
-                    failures += 1
-                    log(f"{now}{failed}")
-                    now += interval
-                    continue
-                else:
-                    if rng is None:
-                        value = sample()
-                    else:  # SplitMix64 and the uniform draw of docs/determinism.md
-                        seed = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                        z = (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-                        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-                        value = lo + span * ((z ^ (z >> 31)) / 0xFFFFFFFFFFFFFFFF)
-                    shown, tick = repr(value), str(now)
-                    text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
-                    # drain_mah, one cost at a time
-                    residual = residual - sense_mah
-                    residual = residual if residual > 0.0 else 0.0
-                    residual = residual - transmit_mah
-                    residual = residual if residual > 0.0 else 0.0
-                    if max_age:
-                        cached_value, cached_at = value, now
-                    if residual <= threshold:
-                        depleted = True
-                        _deplete(state, cell, now)
-                        text += f"{tick}{drained}{residual!r}\n"
-                        refresh()
-                        stop = now
-                for test, limit, index in tests:
-                    if test(value, limit):
-                        count, event, pieces = outcomes[index]
-                        alerts += 1
-                        actuations += count
-                        text += f"{tick}{event}{shown}{tick.join(pieces)}"
-                log(text)
-                now += interval
-            cell.residual_mah, cell.depleted = residual, depleted
-            cell.cached_value, cell.cached_at = cached_value, cached_at
-            if rng is not None:
-                rng.state = seed
-            fired = (now - start) // interval
-            _count_batch(counts, kind, fired, fired - failures - hits, hits, alerts, actuations)
-            return now
+    def tested(value: float, fired: int = 1, at: int = 0, now: int = 0) -> tuple[int, int]:
+        """The alerts and actuations that a reading sets off in ``fired`` firings.  A
+        logged run logs those firings: cache hits, from tick ``now`` on, on the
+        reading of tick ``at``."""
+        found = [outcomes[index] for test, limit, index in tests if test(value, limit)]
+        if log is not None and fired:
+            shown = repr(value)
+            for now in range(now, now + fired * interval, interval):
+                tick = str(now)
+                log(f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - at}{hit_tail}"
+                    + "".join([f"{tick}{event}{shown}{tick.join(pieces)}"
+                               for _, event, pieces in found]))
+        return fired * len(found), fired * sum(outcome[0] for outcome in found)
 
-        return logged
-
-    cuts = plan.cuts
-    repeats = max_age // interval  # the cache hits that follow each sense
-    step = (repeats + 1) * interval  # the ticks from one sense to the next
-
-    def tested(value: float) -> tuple[int, int]:
-        """The alerts and actuations that one reading sets off."""
-        matched = acting = 0
-        for test, limit, index in tests:
-            if test(value, limit):
-                matched += 1
-                acting += outcomes[index][0]
-        return matched, acting
-
-    def counted(now: int, stop: int) -> int:
+    def fire(now: int, stop: int) -> int:
         residual, depleted = cell.residual_mah, cell.depleted
         cached_value, cached_at = cell.cached_value, cell.cached_at
         refresh()
-        start, senses, alerts, actuations = now, 0, 0, 0
+        start, senses, failures, alerts, actuations = now, 0, 0, 0, 0
         if max_age and cached_at is not None and now - cached_at <= max_age:
             # fresh, whatever the device's health, up to the cache's last fresh tick
             last = cached_at + max_age
             fresh = ((last if last < stop else stop) - now) // interval + 1
-            matched, acting = tested(cached_value)
-            alerts, actuations = fresh * matched, fresh * acting
+            alerts, actuations = tested(cached_value, fresh, cached_at, now)
             now += fresh * interval
         spent = depleted and now <= stop  # and past the cache's last fresh tick
-        if now <= stop and not depleted:
+        if spent and log is not None:  # each firing fails
+            failures = (stop - now) // interval + 1
+            log("".join([f"{tick}{failed}" for tick in range(now, stop + 1, interval)]))
+            now += failures * interval
+        elif now <= stop and not depleted:
             # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
             senses, residual = drain_senses_mah(residual, threshold, sense_mah, transmit_mah,
                                                 (stop - now) // step + 1)
-            earlier = senses - 1  # the senses before the last
-            now += earlier * step
-            # Pass 2: what each reading sets off, once and once more per hit it serves.
-            if earlier:
-                matched = acting = 0
+            last = now + (senses - 1) * step  # the tick of the last sense
+            depletes = residual <= threshold
+            # the firings the last reading serves: its own, and its hits before ``stop``
+            weight = 1 if depletes else min((stop - last) // interval, repeats) + 1
+            if log is not None:
+                # Pass 2: every reading at once, then each sense's records and its hits.
                 if rng is None:
-                    for _ in range(earlier):
-                        one, act = tested(sample())
-                        matched, acting = matched + one, acting + act
+                    values = [sample() for _ in range(senses)]
                 else:
-                    if cuts:
-                        found = _matches(rng.state, earlier, cuts)
-                        matched = sum(found)
-                        acting = sum(count * n for count, (n,) in zip(found, outcomes))
-                    rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
-                alerts += matched * (repeats + 1)
-                actuations += acting * (repeats + 1)
-            weight = 1  # the last reading, and the hits it serves before ``stop``
-            if residual <= threshold:
-                depleted = True
-                _deplete(state, cell, now)
-                refresh()
-            elif repeats:
-                weight += min((stop - now) // interval, repeats)
-            # the last reading, tested after the depletion it may cause
-            if rng is None:
-                value = sample()
-                matched, acting = tested(value)
-                alerts += matched * weight
-                actuations += acting * weight
-            elif cuts or max_age:  # rng.uniform's draw, tested on its raw output
-                rng.state = seed = (rng.state + _GOLDEN_GAMMA) & _MASK64
-                z = _mix64(seed)
-                for (first, end, inside), (n,) in zip(cuts, outcomes):
-                    if (first <= z < end) is inside:
-                        alerts += weight
-                        actuations += n * weight
-                if max_age:
-                    value = lo + span * (z / _MASK64)
-            else:  # no condition tests it and no cache keeps it
-                rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
+                    values = [lo + span * (z / _MASK64) for z in _outputs(rng.state, senses)]
+                    rng.state = (rng.state + senses * _GOLDEN_GAMMA) & _MASK64
+                for now, value in zip(range(now, last + 1, step), values):
+                    shown, tick = repr(value), str(now)
+                    text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
+                    if now == last and depletes:
+                        depleted = True
+                        _deplete(state, cell, now)
+                        text += f"{tick}{drained}{residual!r}\n"
+                        refresh()
+                    for test, limit, index in tests:
+                        if test(value, limit):
+                            count, event, pieces = outcomes[index]
+                            alerts += 1
+                            actuations += count
+                            text += f"{tick}{event}{shown}{tick.join(pieces)}"
+                    log(text)
+                    if repeats:
+                        more = tested(value, repeats if now < last else weight - 1, now,
+                                      now + interval)
+                        alerts, actuations = alerts + more[0], actuations + more[1]
+            else:
+                # Pass 2: what each reading before the last sets off, once and once more
+                # per hit it serves.
+                earlier = senses - 1
+                if earlier:
+                    matched = acting = 0
+                    if rng is None:
+                        for _ in range(earlier):
+                            one, act = tested(sample())
+                            matched, acting = matched + one, acting + act
+                    else:
+                        if cuts:
+                            found = _matches(rng.state, earlier, cuts)
+                            matched = sum(found)
+                            acting = sum(count * n for count, (n,) in zip(found, outcomes))
+                        rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
+                    alerts += matched * (repeats + 1)
+                    actuations += acting * (repeats + 1)
+                if depletes:
+                    depleted = True
+                    _deplete(state, cell, last)
+                    refresh()
+                # the last reading, tested after the depletion it may cause
+                if rng is None:
+                    value = sample()
+                    matched, acting = tested(value, weight)
+                    alerts, actuations = alerts + matched, actuations + acting
+                elif cuts or max_age:  # rng.uniform's draw, tested on its raw output
+                    rng.state = seed = (rng.state + _GOLDEN_GAMMA) & _MASK64
+                    z = _mix64(seed)
+                    for (first, end, inside), (n,) in zip(cuts, outcomes):
+                        if (first <= z < end) is inside:
+                            alerts += weight
+                            actuations += n * weight
+                    if max_age:
+                        value = lo + span * (z / _MASK64)
+                else:  # no condition tests it and no cache keeps it
+                    rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
             if max_age:
-                cached_value, cached_at = value, now
-            now += weight * interval
+                cached_value, cached_at = value, last
+            now = last + weight * interval
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
         fired = (now - start) // interval
-        _count_batch(counts, kind, fired, senses, fired - senses, alerts, actuations)
-        return ~now if spent else now
+        _count_batch(counts, kind, fired, senses, fired - senses - failures, alerts, actuations)
+        return ~now if spent and log is None else now
 
-    return counted
+    return fire
 
 
 def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool]:
@@ -750,7 +735,7 @@ def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool]:
             ">=": (at, end, True), "=": (at, above, True), "!=": (at, above, False)}[op]
 
 
-# The packed count: ``_LANES`` SplitMix64 outputs mixed at once, each in a 128-bit
+# The packed draw: ``_LANES`` SplitMix64 outputs mixed at once, each in a 128-bit
 # lane of one int, where a 64-bit state times a 64-bit constant fits without a carry.
 _LANES = 1024
 
@@ -765,39 +750,58 @@ def _lane_tables() -> tuple[int, int, int, int]:
     return ones, ones * _MASK64, ones << 64, int.from_bytes(steps, "little")
 
 
-def _matches(seed: int, n: int, cuts: Sequence[tuple[int, int, bool]]) -> list[int]:
-    """Per ``_cut`` range ``(first, end, inside)``, how many of the ``n`` outputs
-    that follow generator state ``seed`` lie on it when ``inside``, off it otherwise.
+def _packed(seed: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """The ``n`` outputs that follow generator state ``seed``, mixed ``_LANES`` at
+    a time: per chunk, its number of lanes, 1 in each of them, and its outputs.
 
-    Packed, lane ``i`` of a chunk holds the state ``seed + i * increment``,
-    and whole-int xor-shifts, multiplies and masks mix every lane at once.
+    Lane ``i`` of a chunk starts as the state ``seed + i * increment``, and
+    whole-int xor-shifts, multiplies and masks mix every lane at once.  An
+    output is the low 64 bits of its lane; bits 64 to 96 are clear, and what
+    the last shift brings down from the next lane lies above them.
     """
-    found = [0] * len(cuts)
-    ones, low, top, steps = _lane_tables()
+    ones, low, _, steps = _lane_tables()
     full, rest = divmod(n, _LANES)
-    for lanes, chunks in ((_LANES, full), (rest, 1)):
-        if not lanes or not chunks:
-            continue
+    for lanes, chunks in ((_LANES, full), (rest, min(rest, 1))):
         if lanes < _LANES:  # the last chunk: only its lanes
             keep = (1 << 128 * lanes) - 1
             ones, steps = ones & keep, steps & keep
-        # An output z is at least ``bound`` when bit 64 of ``z + 2**64 - bound`` is
-        # set.  Every output is at least 0; none is at least 2**64, whose offset is 0.
-        offsets = [(index, first, inside, ((1 << 64) - first) * ones, ((1 << 64) - end) * ones)
-                   for index, (first, end, inside) in enumerate(cuts)]
         for _ in range(chunks):
             z = (seed * ones + steps) & low
             z = (z ^ (z >> 30)) & low
             z = z * 0xBF58476D1CE4E5B9 & low
             z = (z ^ (z >> 27)) & low
             z = z * 0x94D049BB133111EB & low
-            z ^= z >> 31  # what this shifts in from the next lane lies above bit 96
-            for index, first, inside, from_first, from_end in offsets:
-                held = ((z + from_first) & top).bit_count() if first else lanes
-                if from_end:
-                    held -= ((z + from_end) & top).bit_count()
-                found[index] += held if inside else lanes - held
+            yield lanes, ones, z ^ (z >> 31)
             seed = (seed + lanes * _GOLDEN_GAMMA) & _MASK64
+
+
+def _outputs(seed: int, n: int) -> array:
+    """The ``n`` outputs that follow generator state ``seed``, in order, unpacked
+    from ``_packed`` alike on hosts of either byte order."""
+    words = array("Q")
+    for lanes, _, z in _packed(seed, n):
+        words.frombytes(z.to_bytes(16 * lanes, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
+
+
+def _matches(seed: int, n: int, cuts: Sequence[tuple[int, int, bool]]) -> list[int]:
+    """Per ``_cut`` range ``(first, end, inside)``, how many of the ``n`` outputs
+    that follow generator state ``seed`` lie on it when ``inside``, off it otherwise."""
+    found, top, width = [0] * len(cuts), _lane_tables()[2], 0
+    for lanes, ones, z in _packed(seed, n):
+        if lanes != width:
+            # An output z is at least ``bound`` when bit 64 of ``z + 2**64 - bound`` is
+            # set.  Every output is at least 0; none is at least 2**64, whose offset is 0.
+            width, offsets = lanes, [(index, first, inside, ((1 << 64) - first) * ones,
+                                      ((1 << 64) - end) * ones)
+                                     for index, (first, end, inside) in enumerate(cuts)]
+        for index, first, inside, from_first, from_end in offsets:
+            held = ((z + from_first) & top).bit_count() if first else lanes
+            if from_end:
+                held -= ((z + from_end) & top).bit_count()
+            found[index] += held if inside else lanes - held
     return found
 
 

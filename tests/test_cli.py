@@ -160,6 +160,34 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout.rstrip().endswith("ok")
 
 
+def test_main_calls_in_one_process_answer_as_separate_processes(capsys, monkeypatch):
+    # main reuses one parser; a usage error on it must not change a later call.
+    monkeypatch.delenv("IOTDRAW_SEED", raising=False)
+    commands = [["validate", PADOVA], ["simulate"], ["simulate", FRESH, "--max-age", "x"],
+                ["simulate", FRESH, "--max-age", "1", "--stop-on-depletion"],
+                ["lifetime", FRESH, "--device", "level_sensor_1", "--rounds", "2"],
+                ["bogus"], ["lifetime", FRESH], ["validate", PADOVA],
+                ["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-max-age", "0,2",
+                 "--rounds", "2", "--seed", "3"]]
+    env = dict(os.environ)
+    source_root = str(Path(iotdraw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    in_process = []
+    for command in commands:
+        try:
+            code = main(command)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        in_process.append((code, *capsys.readouterr()))
+    separate = []
+    for command in commands:
+        result = subprocess.run([sys.executable, "-m", "iotdraw", *command], capture_output=True,
+                                text=True, env=env, timeout=60)
+        separate.append((result.returncode, result.stdout, result.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 2, 2, 0, 2, 2, 2, 0, 0]
+
+
 def test_simulate_prints_summary(capsys):
     assert main(["simulate", FRESH, "--max-age", "1", "--stop-on-depletion"]) == 0
     out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from iotdraw import (
     parse_model, per_request_drain_mah, run_simulation, sense_energy,
 )
 from iotdraw.energy import drain_mah, joules_to_mah
-from iotdraw.engine import _LANES, _OPS, EventKind, _cut, _matches
+from iotdraw.engine import _LANES, _OPS, EventKind, _cut, _matches, _outputs, _packed
 from iotdraw.model import CONDITION_OPS, ConditionExpr, ConstantSource, TraceSource, UniformSource
 from iotdraw.rng import SplitMix64, _mix64, derive_seed
 
@@ -317,7 +317,7 @@ def test_the_inlined_draw_is_rng_uniform_bit_for_bit(seed, bounds):
     model = dataclasses.replace(model, platforms=tuple(
         probe if p.name == "probe_1" else p for p in model.platforms))
     (plan,) = _build_plans(initial_state(model), [].append)
-    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.logged"
+    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.fire"
     drawn = [e.detail.split()[0] for e in events_of(run_simulation(model), EventKind.SENSE_SAMPLE)]
     reference = SplitMix64(seed)
     assert drawn == [f"value={reference.uniform(lo, hi)!r}" for _ in range(1000)]
@@ -330,7 +330,7 @@ def test_a_counts_only_run_without_watchers_moves_the_stream_once_per_sense(max_
     model = tiny_model(sim_time=999, interval=1, capacity=1000, data="uniform(-5, 30) seed 11")
     state = initial_state(model, freshness=FreshnessPolicy(max_age))
     (plan,) = _build_plans(state, None)
-    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.counted"
+    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.fire"
     # No condition reads an output, so only the reading a cache keeps is drawn.
     monkeypatch.setattr(engine, "_matches", None)
     if not max_age:
@@ -409,6 +409,22 @@ def test_the_packed_count_matches_a_scalar_loop(seed, n, cuts, data):
             cuts = [*cuts, (z, z + 1, True), (z + 1, 2**64, True)]
     expected = [sum((first <= z < end) is inside for z in outputs) for first, end, inside in cuts]
     assert _matches(seed, n, cuts) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+       n=st.sampled_from([0, 1, 255, 256, 1023, 1024, 1025, 2049]))
+def test_the_packed_outputs_are_the_generator_outputs_in_order(seed, n):
+    reference = SplitMix64(seed)
+    expected = [reference.next_u64() for _ in range(n)]
+    assert list(_outputs(seed, n)) == expected
+    # Chunk by chunk, as _matches reads them: the low 64 bits of each lane in turn.
+    chunks = list(_packed(seed, n))
+    full, rest = divmod(n, _LANES)
+    assert [lanes for lanes, _, _ in chunks] == [_LANES] * full + [rest] * (rest > 0)
+    for lanes, ones, _ in chunks:
+        assert ones == sum(1 << 128 * i for i in range(lanes))
+    assert [z >> 128 * i & 2**64 - 1 for lanes, _, z in chunks for i in range(lanes)] == expected
 
 
 def test_an_int_beyond_float_range_is_a_model_error():

@@ -19,7 +19,8 @@ import statistics
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from iotdraw import COLLECT, FreshnessPolicy, lifetime_sweep, run_simulation
+from iotdraw import COLLECT, FreshnessPolicy, csv_event_sink, lifetime_sweep, run_simulation
+from iotdraw.energy import per_request_drain_mah
 from iotdraw.model import (
     CONDITION_OPS, Application, Component, ConditionExpr, ConstantSource, DeviceEnergyProfile,
     EventRequest, GeoLocation, IoTSystemModel, MessageField, MessageType, NetworkLink,
@@ -312,3 +313,51 @@ def test_an_alarm_fails_once_another_plan_depletes_its_device(sensor_interval):
         for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
             assert getattr(report, attribute) == getattr(expected, attribute), (attribute, sink)
     assert [tuple(event) for event in run_simulation(model).events] == expected.events
+
+
+@pytest.mark.parametrize("depleting", [0, 1, 255, 256, 1100, None])
+@pytest.mark.parametrize("max_age", [0, 2])
+@pytest.mark.parametrize("source", [UniformSource(0.0, 30.0, 9), TraceSource((5.0, 25.0, 2.5)),
+                                    ConstantSource(21.0)], ids=["uniform", "sequence", "constant"])
+def test_long_logged_runs_match_the_reference(source, max_age, depleting):
+    # 4100 ticks: many of a streamed log's batches of 256 firings, and a collected run's
+    # draw of more than 1024 readings in one batch.  The probe's sense number ``depleting``
+    # (from 0) depletes it, which without a cache is the plan's firing of that number:
+    # 0, 1, 255 and 256 lie at both edges of the first two streamed batches.  Its readings
+    # ring a bell, and blink the probe itself, which fails once the probe depletes.
+    message = MessageType("M", (MessageField("x"),))
+    per = per_request_drain_mah(_energy(50.0), 10.0)
+    capacity = 50.0 if depleting is None else 5.0 + (depleting + 0.5) * per
+    platforms = (
+        _platform("hub", PlatformTier.FOG),
+        _platform("probe", PlatformTier.DEVICE, energy=_energy(capacity), data_source=source,
+                  services=(ServicePort("p", "IProbe", "CoAP"), ServicePort("l", "ILed", "CoAP"))),
+        _platform("bell", PlatformTier.DEVICE, energy=_energy(50.0),
+                  data_source=ConstantSource(0.0), services=(ServicePort("b", "IBell", "CoAP"),)))
+    model = IoTSystemModel(
+        "long", platforms=platforms,
+        networks=tuple(NetworkLink(d, "hub", protocol="CoAP", latency_ms=1.0, distance_m=10.0)
+                       for d in ("bell", "probe")),
+        applications=(Application("a0", HERE, (
+            Component("poll", periodic_request=PeriodicRequest("read", 1)),
+            Component("alarm", event_request=EventRequest("ring", ConditionExpr("x", ">", 20.0))),
+            Component("led", event_request=EventRequest("blink", ConditionExpr("x", ">=", 5.0))),
+        )),),
+        contracts=(ServiceContract("CProbe", "IProbe", "IProbeClient",
+                                   (Task("read", TaskKind.SENSE),), message),
+                   ServiceContract("CLed", "ILed", "ILedClient",
+                                   (Task("blink", TaskKind.ACTUATE),), message),
+                   ServiceContract("CBell", "IBell", "IBellClient",
+                                   (Task("ring", TaskKind.ACTUATE),), message)),
+        sim_config=SimConfig(simulation_time=4100, rng_seed=0))
+    expected = reference_run(model, max_age)
+    assert expected.lifetimes["probe"] == (None if depleting is None
+                                           else depleting * (max_age + 1))
+    streamed = io.StringIO()
+    for sink in (COLLECT, csv_event_sink(streamed)):
+        report = run_simulation(model, FreshnessPolicy(max_age), sink=sink)
+        for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
+            assert getattr(report, attribute) == getattr(expected, attribute), (attribute, sink)
+        if sink is COLLECT:
+            assert report.events_csv() == _csv(expected.events)
+    assert streamed.getvalue() == _csv(expected.events)
