@@ -54,15 +54,17 @@ counts and ``_outputs`` unpacks.  ``rng.py`` and ``docs/determinism.md``
 remain the draw's specification, as ``energy.py`` is the drain's.
 
 The event log is CSV text, rendered once by the code that logs it: the
-kernels append records to a list as they happen, each item one or more
-whole records.  ``csv_field`` is the one quoting rule: a field holding a
-comma, a quote, ``\r`` or ``\n`` is quoted, its quotes doubled.  The
-sense kernel quotes each row's fixed text once, when a run binds the plan;
-what changes from firing to firing (ticks, ages, float reprs) never needs
-quoting.  There are three sinks.  The default, ``COLLECT``, keeps the text
-on the report: ``SimulationReport.events_csv()`` is the header plus that
-text, and ``SimulationReport.events`` parses it into ``SimEvent`` rows on
-first access.  Any callable that takes a list of CSV text streams the log
+kernels append records to a list in log order, each item one or more
+whole records.  The sense kernel logs one item per batch, its records
+rendered in columns and joined once; the generic kernel one per record.
+``csv_field`` is the one quoting rule: a field holding a comma, a quote,
+``\r`` or ``\n`` is quoted, its quotes doubled.  The sense kernel quotes
+each row's fixed text once, when a run binds the plan; what changes from
+firing to firing (ticks, ages, float reprs) never needs quoting.  There
+are three sinks.  The default, ``COLLECT``, keeps the text on the report:
+``SimulationReport.events_csv()`` is the header plus that text, and
+``SimulationReport.events`` parses it into ``SimEvent`` rows on first
+access.  Any callable that takes a list of CSV text streams the log
 instead: the run hands it the list so far after the tick-0 module rows
 and after each batch, then clears it, so a sink that keeps text must copy
 it.  When streaming, a batch runs at most ``_BATCH_FIRINGS`` firings of
@@ -492,18 +494,6 @@ def _deplete(state: SimulationState, cell: _DeviceCell, now: int) -> None:
         state.halted_by = cell.name
 
 
-def _count_batch(counts: dict[str, int], kind: str, fired: int, senses: int, hits: int,
-                 alerts: int, actuations: int) -> None:
-    """Add one batch of a sense plan to the run's counts."""
-    counts[kind] += fired
-    counts[_SENSED] += senses
-    if hits:
-        counts[_HIT] += hits
-    if alerts:
-        counts[_EVENT] += alerts
-        counts[_ACTUATED] += actuations
-
-
 def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
                   plan: _Plan) -> Callable[[int, int], int]:
     """A plan whose contract is one sense task on a device with a link, read from the
@@ -528,10 +518,15 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
     ``stop`` and by none when it depletes the device.
 
     In a logged run the second pass draws every reading at once, a uniform
-    source's through ``_outputs``.  Then each sense logs one string holding
-    its records, the depletion record when it is the last and depletes the
-    device, and its watchers' records, followed by the hits it serves; their
-    fixed text is quoted when the run binds the plan.
+    source's through ``_outputs``, and renders the batch in columns, seven
+    per sense: its tick, its request, its tick, its sample up to the reading,
+    the reading's ``repr``, the sample's tail, and what follows the sample.
+    That last column holds the depletion record when the sense is the last
+    and depletes the device, then its watchers' records, then the hits it
+    serves.  A watcher's firing senses come from one ``compress`` over the
+    readings; the depleting sense is tested on its own, after its depletion.
+    The fixed text is quoted when the run binds the plan, and the batch is
+    joined into one item of the log.
 
     In a run that keeps only counts the second pass works out only what a
     watcher tests.  What the readings before the last set off is counted:
@@ -545,11 +540,9 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
     interval, request, watchers, cuts = plan.interval, plan.request, plan.watchers, plan.cuts
     cell = state.devices[request.device]
     watched = [state.devices.get(watcher.device) for _, _, watcher in watchers]
-    rng, sample = cell.stream.rng, cell.stream.next
+    rng, sample, source = cell.stream.rng, cell.stream.next, cell.stream.source
     if rng is not None:
-        lo, hi = cell.stream.source.lo, cell.stream.source.hi
-        span = hi - lo
-    kind = request.kind
+        lo, span = source.lo, source.hi - source.lo
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
     counts, lifetimes = state.counts, state.lifetimes
@@ -586,43 +579,60 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
     if log is not None:
         # Each record's fixed text, after its tick, is quoted once.
         consumer, subject = csv_field(request.consumer), csv_field(cell.name)
-        served = f",{kind},{consumer},{csv_field(request.detail)}\n"
-        failed = f",{kind},{consumer},{csv_field(request.detail + ' status=failed:provider-depleted')}\n"
+        served = f",{request.kind},{consumer},{csv_field(request.detail)}\n"
+        failed = f",{request.kind},{consumer},{csv_field(request.detail + ' status=failed:provider-depleted')}\n"
         head, tail = _template("value=", f" {cell.sense_detail} consumer={request.consumer}")
         sensed, sensed_tail = f",{_SENSED},{subject},{head}", tail + "\n"
         head, middle, tail = _template("value=", " age=", f" consumer={request.consumer}")
         hit, hit_middle, hit_tail = f",{_HIT},{subject},{head}", middle, tail + "\n"
         drained = f",{_DEPLETED},{subject},residual_mah="
 
-    def tested(value: float, fired: int = 1, at: int = 0, now: int = 0) -> tuple[int, int]:
-        """The alerts and actuations that a reading sets off in ``fired`` firings.  A
-        logged run logs those firings: cache hits, from tick ``now`` on, on the
-        reading of tick ``at``."""
+    def tested(value: float, fired: int = 1, at: int = 0, now: int = 0) -> str:
+        """Count the alerts and actuations that a reading sets off in ``fired`` firings;
+        in a logged run, those firings' records: cache hits, from tick ``now`` on, on
+        the reading of tick ``at``."""
         found = [outcomes[index] for test, limit, index in tests if test(value, limit)]
-        if log is not None and fired:
-            shown = repr(value)
-            for now in range(now, now + fired * interval, interval):
-                tick = str(now)
-                log(f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - at}{hit_tail}"
-                    + "".join([f"{tick}{event}{shown}{tick.join(pieces)}"
-                               for _, event, pieces in found]))
-        return fired * len(found), fired * sum(outcome[0] for outcome in found)
+        if found:
+            counts[_EVENT] += fired * len(found)
+            counts[_ACTUATED] += fired * sum(outcome[0] for outcome in found)
+        if log is None:
+            return ""
+        records, shown = [], repr(value)
+        for now in range(now, now + fired * interval, interval):
+            tick = str(now)
+            records.append(f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - at}{hit_tail}")
+            records += [f"{tick}{event}{shown}{tick.join(pieces)}" for _, event, pieces in found]
+        return "".join(records)
+
+    def alarms(cols: list[str], values: list[float], begin: int, end: int) -> None:
+        """Count the alerts and actuations that the readings of a logged batch's senses
+        ``begin`` to ``end`` set off, and add their records to ``cols``."""
+        for test, limit, index in tests:
+            count, event, pieces = outcomes[index]
+            # each sense's last column, where its tick is six columns back and its reading two
+            found = list(itertools.compress(range(7 * begin + 6, 7 * end, 7),
+                                            map(test, values[begin:end], itertools.repeat(limit))))
+            counts[_EVENT] += len(found)
+            counts[_ACTUATED] += count * len(found)
+            for at in found:
+                tick = cols[at - 6]
+                cols[at] += f"{tick}{event}{cols[at - 2]}{tick.join(pieces)}"
 
     def fire(now: int, stop: int) -> int:
         residual, depleted = cell.residual_mah, cell.depleted
         cached_value, cached_at = cell.cached_value, cell.cached_at
         refresh()
-        start, senses, failures, alerts, actuations = now, 0, 0, 0, 0
+        start, senses, failures, text = now, 0, 0, ""
         if max_age and cached_at is not None and now - cached_at <= max_age:
             # fresh, whatever the device's health, up to the cache's last fresh tick
             last = cached_at + max_age
             fresh = ((last if last < stop else stop) - now) // interval + 1
-            alerts, actuations = tested(cached_value, fresh, cached_at, now)
+            text = tested(cached_value, fresh, cached_at, now)
             now += fresh * interval
         spent = depleted and now <= stop  # and past the cache's last fresh tick
         if spent and log is not None:  # each firing fails
             failures = (stop - now) // interval + 1
-            log("".join([f"{tick}{failed}" for tick in range(now, stop + 1, interval)]))
+            text += "".join([f"{tick}{failed}" for tick in range(now, stop + 1, interval)])
             now += failures * interval
         elif now <= stop and not depleted:
             # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
@@ -633,49 +643,43 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
             # the firings the last reading serves: its own, and its hits before ``stop``
             weight = 1 if depletes else min((stop - last) // interval, repeats) + 1
             if log is not None:
-                # Pass 2: every reading at once, then each sense's records and its hits.
+                # Pass 2: every reading at once, then the batch's records in columns,
+                # seven per sense: its request, its sample, and the records that follow.
                 if rng is None:
                     values = [sample() for _ in range(senses)]
                 else:
                     values = [lo + span * (z / _MASK64) for z in _outputs(rng.state, senses)]
                     rng.state = (rng.state + senses * _GOLDEN_GAMMA) & _MASK64
-                for now, value in zip(range(now, last + 1, step), values):
-                    shown, tick = repr(value), str(now)
-                    text = f"{tick}{served}{tick}{sensed}{shown}{sensed_tail}"
-                    if now == last and depletes:
-                        depleted = True
-                        _deplete(state, cell, now)
-                        text += f"{tick}{drained}{residual!r}\n"
-                        refresh()
-                    for test, limit, index in tests:
-                        if test(value, limit):
-                            count, event, pieces = outcomes[index]
-                            alerts += 1
-                            actuations += count
-                            text += f"{tick}{event}{shown}{tick.join(pieces)}"
-                    log(text)
-                    if repeats:
-                        more = tested(value, repeats if now < last else weight - 1, now,
-                                      now + interval)
-                        alerts, actuations = alerts + more[0], actuations + more[1]
+                cols = [None, served, None, sensed, None, sensed_tail, ""] * senses
+                cols[0::7] = cols[2::7] = list(map(str, range(now, last + 1, step)))
+                cols[4::7] = map(repr, values)
+                early = senses - depletes  # the senses before the one that depletes the device
+                alarms(cols, values, 0, early)
+                for at in range(early) if repeats else ():
+                    cols[7 * at + 6] += tested(values[at], repeats if at < senses - 1 else weight - 1,
+                                               now + at * step, now + at * step + interval)
+                if depletes:
+                    depleted = True
+                    _deplete(state, cell, last)
+                    refresh()
+                    cols[-1] = f"{cols[-7]}{drained}{residual!r}\n"
+                    alarms(cols, values, early, senses)
+                text += "".join(cols)
+                value = values[-1]
             else:
                 # Pass 2: what each reading before the last sets off, once and once more
                 # per hit it serves.
                 earlier = senses - 1
-                if earlier:
-                    matched = acting = 0
-                    if rng is None:
-                        for _ in range(earlier):
-                            one, act = tested(sample())
-                            matched, acting = matched + one, acting + act
-                    else:
-                        if cuts:
-                            found = _matches(rng.state, earlier, cuts)
-                            matched = sum(found)
-                            acting = sum(count * n for count, (n,) in zip(found, outcomes))
-                        rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
-                    alerts += matched * (repeats + 1)
-                    actuations += acting * (repeats + 1)
+                if rng is None:
+                    for _ in range(earlier):
+                        tested(sample(), repeats + 1)
+                elif earlier:
+                    if cuts:
+                        found = _matches(rng.state, earlier, cuts)
+                        counts[_EVENT] += sum(found) * (repeats + 1)
+                        counts[_ACTUATED] += (repeats + 1) * sum(
+                            count * n for count, (n,) in zip(found, outcomes))
+                    rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
                 if depletes:
                     depleted = True
                     _deplete(state, cell, last)
@@ -683,15 +687,14 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
                 # the last reading, tested after the depletion it may cause
                 if rng is None:
                     value = sample()
-                    matched, acting = tested(value, weight)
-                    alerts, actuations = alerts + matched, actuations + acting
+                    tested(value, weight)
                 elif cuts or max_age:  # rng.uniform's draw, tested on its raw output
                     rng.state = seed = (rng.state + _GOLDEN_GAMMA) & _MASK64
                     z = _mix64(seed)
                     for (first, end, inside), (n,) in zip(cuts, outcomes):
                         if (first <= z < end) is inside:
-                            alerts += weight
-                            actuations += n * weight
+                            counts[_EVENT] += weight
+                            counts[_ACTUATED] += n * weight
                     if max_age:
                         value = lo + span * (z / _MASK64)
                 else:  # no condition tests it and no cache keeps it
@@ -701,8 +704,12 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
             now = last + weight * interval
         cell.residual_mah, cell.depleted = residual, depleted
         cell.cached_value, cell.cached_at = cached_value, cached_at
+        if text:
+            log(text)
         fired = (now - start) // interval
-        _count_batch(counts, kind, fired, senses, fired - senses - failures, alerts, actuations)
+        counts[request.kind] += fired
+        counts[_SENSED] += senses
+        counts[_HIT] += fired - senses - failures
         return ~now if spent and log is None else now
 
     return fire

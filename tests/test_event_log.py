@@ -14,7 +14,7 @@ from iotdraw import (
 )
 from iotdraw.engine import _BATCH_FIRINGS, _line
 
-from conftest import MODELS_DIR, tiny_text
+from conftest import MODELS_DIR, SECOND_SENSOR, tiny_text
 
 # Fields built from pieces that need quoting, pieces that do not, and nothing.
 fields = st.lists(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a", "x=1", " "]),
@@ -133,3 +133,25 @@ def test_a_streaming_sink_gets_at_most_the_cap_of_firings_at_once():
     assert sum(requests) == report.counts["PeriodicRequest"] == 10000
     # A firing logs its request, a sample, and at most an alarm and its actuation.
     assert max(len(batch) for batch in records) <= 4 * _BATCH_FIRINGS
+
+
+def test_a_streaming_sink_gets_at_most_the_cap_of_firings_of_one_plan_among_two():
+    # Two plans on their own devices, at intervals 1 and 700: the first plan's batches
+    # between the second's firings reach the cap.  The first device depletes on the way,
+    # and with a cache some firings are hits.  Each hand-over is one batch of one plan.
+    text = (MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8") + SECOND_SENSOR.replace(
+        "interval_ticks = 1", "interval_ticks = 700")
+    model = parse_model(text.replace("simulation_time = 50000", "simulation_time = 2000"))
+    for max_age in (0, 2):
+        handed = []
+        report = run_simulation(model, FreshnessPolicy(max_age),
+                                sink=lambda texts: handed.append("".join(texts)))
+        assert "".join(handed) == run_simulation(model, FreshnessPolicy(max_age)).log_text
+        assert report.lifetimes["level_sensor_1"] is not None
+        records = [list(csv.reader(io.StringIO(batch, newline=""))) for batch in handed]
+        plans = [{record[2] for record in batch if record[1] == "PeriodicRequest"}
+                 for batch in records]
+        assert max(len(names) for names in plans) == 1 < len(set().union(*plans))
+        requests = [sum(record[1] == "PeriodicRequest" for record in batch) for batch in records]
+        assert max(requests) == _BATCH_FIRINGS  # the cap is reached, and never passed
+        assert sum(requests) == report.counts["PeriodicRequest"]

@@ -361,3 +361,80 @@ def test_long_logged_runs_match_the_reference(source, max_age, depleting):
         if sink is COLLECT:
             assert report.events_csv() == _csv(expected.events)
     assert streamed.getvalue() == _csv(expected.events)
+
+
+@st.composite
+def many_plan_models(draw) -> IoTSystemModel:
+    """Two to six periodic plans over 300 to 5,000 ticks.  Each plan polls one of one
+    to four sensors, so some share a device and some do not, at intervals of 1 to 6.
+    Up to four watchers, in the plans' application or in another, ring one of two
+    bells (one has no link, so it fails as no-route) or blink a sensor, which fails
+    once that sensor depletes; each tests ``x``, which every sensor's message carries,
+    so several watchers test one plan and one watcher tests several plans.  Sensors
+    deplete after a drawn number of senses, or never; one watcher in five senses a
+    sensor, which puts the plans it watches in the generic kernel."""
+    per = per_request_drain_mah(_energy(50.0), 10.0)
+    sensors = [f"s{index}" + draw(_NAME_TAIL) for index in range(draw(st.integers(1, 4)))]
+    platforms, edges = [_platform("hub", PlatformTier.FOG)], []
+    for name in sensors:
+        senses = draw(st.none() | st.integers(0, 40) | st.integers(200, 3000) | st.integers(200, 3000))
+        source = draw(_SOURCE)
+        if isinstance(source, UniformSource):
+            edges += [source.lo, source.hi]
+        platforms.append(_platform(
+            name, PlatformTier.DEVICE, data_source=source,
+            energy=_energy(50.0 if senses is None else 5.0 + (senses + 0.5) * per),
+            services=(ServicePort(f"{name}_read", f"IS{name}", "CoAP"),
+                      ServicePort(f"{name}_led", f"IL{name}", "CoAP"))))
+    bells = ["bell", "mute"]  # only the first has a link
+    platforms += [_platform(name, PlatformTier.DEVICE, energy=_energy(50.0),
+                            data_source=ConstantSource(0.0),
+                            services=(ServicePort(f"{name}_port", f"IB{name}", "CoAP"),))
+                  for name in bells]
+    message = MessageType("M", (MessageField("x"),))
+    contracts = [ServiceContract(f"C{kind}{name}", f"I{kind}{name}", f"I{kind}{name}Client",
+                                 (Task(f"{kind}{name}", task_kind),), message)
+                 for name in sensors for kind, task_kind in (("S", TaskKind.SENSE),
+                                                             ("L", TaskKind.ACTUATE))]
+    contracts += [ServiceContract(f"CB{name}", f"IB{name}", f"IB{name}Client",
+                                  (Task(f"B{name}", TaskKind.ACTUATE),), message)
+                  for name in bells]
+    plans = [Component(f"p{index}", periodic_request=PeriodicRequest(
+                 "S" + draw(st.sampled_from(sensors)), draw(st.integers(1, 6))))
+             for index in range(draw(st.integers(2, 6)))]
+    condition = st.builds(ConditionExpr, st.just("x"), st.sampled_from(CONDITION_OPS),
+                          st.sampled_from(edges) | _READING if edges else _READING)
+    task = st.sampled_from(["Bbell", "Bbell", "Bmute", *("L" + name for name in sensors)])
+    task = st.one_of(*[task] * 4, st.sampled_from(sensors).map("S".__add__))
+    watchers = [Component(f"w{index}", event_request=EventRequest(draw(task), draw(condition)))
+                for index in range(draw(st.integers(0, 4)))]
+    apart = draw(st.lists(st.booleans(), min_size=len(watchers), max_size=len(watchers)))
+    together = [w for w, away in zip(watchers, apart) if not away]
+    applications = [Application("a0", HERE, tuple(draw(st.permutations(plans + together))))]
+    if len(together) < len(watchers):
+        applications.append(Application("a1", HERE, tuple(
+            w for w, away in zip(watchers, apart) if away)))
+    return IoTSystemModel(
+        "many_plans", platforms=tuple(platforms),
+        networks=tuple(NetworkLink(name, "hub", protocol="CoAP", latency_ms=1.0, distance_m=10.0)
+                       for name in [*sensors, "bell"]),
+        applications=tuple(applications), contracts=tuple(contracts),
+        sim_config=SimConfig(simulation_time=draw(st.integers(300, 5000)),
+                             rng_seed=draw(st.integers(0, 2**64 - 1))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_models_with_many_plans_match_the_reference_over_long_horizons(data):
+    model = data.draw(many_plan_models())
+    max_age = data.draw(st.integers(0, 5))
+    halt_on = data.draw(st.sets(st.sampled_from(_devices(model))))
+    expected = reference_run(model, max_age, halt_on)
+    streamed = io.StringIO()
+    for sink in (COLLECT, csv_event_sink(streamed), None):
+        report = run_simulation(model, FreshnessPolicy(max_age), halt_on, sink=sink)
+        for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
+            assert getattr(report, attribute) == getattr(expected, attribute), (attribute, sink)
+        if sink is COLLECT:
+            assert report.events_csv() == _csv(expected.events)
+    assert streamed.getvalue() == _csv(expected.events)
