@@ -340,7 +340,6 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
             raise ModelError(f"bad sweep value {value} for {parameter_name}")
 
     lifetimes: dict[int, list[int]] = {value: [] for value in values}
-    censored: dict[int, int] = {value: 0 for value in values}
     # One model per value, shared by its rounds, so each keeps its derived facts (routes).
     runs = {value: (_with_interval(model, component.name, value), FreshnessPolicy(0))
             if intervals is not None else (model, FreshnessPolicy(value)) for value in values}
@@ -353,17 +352,14 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
                                     seed=run_seed, sink=None,
                                     distance_overrides={device_name: distance})
             lifetime = report.lifetimes.get(device_name)
-            if lifetime is None:
-                censored[value] += 1
-            else:
+            if lifetime is not None:
                 lifetimes[value].append(lifetime)
 
     rows = []
     for value in values:
         observed = lifetimes[value]
-        note = ""
-        if censored[value]:
-            note = f"{censored[value]} round(s) outlived the horizon"
+        censored = rounds - len(observed)
+        note = f"{censored} round(s) outlived the horizon" if censored else ""
         rows.append(SweepRow(
             parameter=value,
             mean=statistics.fmean(observed) if observed else None,

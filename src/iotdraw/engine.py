@@ -60,17 +60,18 @@ rendered in columns and joined once; the generic kernel one per record.
 ``csv_field`` is the one quoting rule: a field holding a comma, a quote,
 ``\r`` or ``\n`` is quoted, its quotes doubled.  The sense kernel quotes
 each row's fixed text once, when a run binds the plan; what changes from
-firing to firing (ticks, ages, float reprs) never needs quoting.  There
-are three sinks.  The default, ``COLLECT``, keeps the text on the report:
-``SimulationReport.events_csv()`` is the header plus that text, and
-``SimulationReport.events`` parses it into ``SimEvent`` rows on first
-access.  Any callable that takes a list of CSV text streams the log
-instead: the run hands it the list so far after the tick-0 module rows
-and after each batch, then clears it, so a sink that keeps text must copy
-it.  When streaming, a batch runs at most ``_BATCH_FIRINGS`` firings of
-its plan, so the list stays small.  ``csv_event_sink(handle)`` writes the
-header and then each list to an open text file in one write, so the log
-never sits in memory, and ``simulate --log`` runs on it.
+firing to firing (ticks, ages, float reprs) never needs quoting.  A
+logged batch runs at most ``_BATCH_FIRINGS`` (256) firings of one plan,
+so the list stays small.  The sink is any callable that takes a list of
+CSV text: before the next batch is chosen, and once more after the last,
+the run hands it the list so far, the tick-0 module rows first, and
+clears it, so the sink gets each batch's list and one that keeps text
+must copy it.  ``csv_event_sink(handle)`` writes the header and then each
+list to an open text file in one write, so the log never sits in memory,
+and ``simulate --log`` runs on it.  ``COLLECT``, the default, is the sink
+that keeps the text on the report: ``SimulationReport.events_csv()`` is
+the header plus that text, and ``SimulationReport.events`` parses it into
+``SimEvent`` rows on first access.
 
 ``None`` keeps only the event counts, and such a run takes a plan off the
 schedule once it is spent: once each of its firings can only count
@@ -104,7 +105,7 @@ from .model import (
     Component, ConditionExpr, ConstantSource, DataSource, DeviceEnergyProfile, IoTSystemModel,
     ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
 )
-from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, _fnv1a, _mix64, derive_seed
+from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, _mix64, derive_seed
 from .validate import task_binding
 
 
@@ -137,8 +138,8 @@ class SimEvent(NamedTuple):
 _HEADER = ",".join(SimEvent._fields) + "\n"
 EventSink = Callable[[Sequence[str]], object]  # takes a list of CSV text, each item whole records
 COLLECT = object()  # the default sink: keep the log's text on the report
-# The most firings of one plan whose records a streaming sink gets at once: a batch's
-# set-up, its packed draw and the sink's write are paid once per this many firings.
+# The most firings of one plan whose records a sink gets at once: a batch's set-up,
+# its packed draw and the sink's write are paid once per this many firings.
 _BATCH_FIRINGS = 256
 
 
@@ -259,9 +260,7 @@ class _Device(NamedTuple):
     transmit_mah: float | None
     sense_detail: str
     source: DataSource
-    # The seed path of its stream, "source" and its name hashed, when its source is
-    # uniform without a seed of its own; None when the stream needs no run seed.
-    tokens: tuple[int, int] | None
+    unseeded: bool  # a uniform source without a seed: its stream's seed derives from the run's
 
 
 def _uplink(energy: DeviceEnergyProfile, sense_j: float, distance_m: float) -> tuple[float, str]:
@@ -277,11 +276,10 @@ def _device(model: IoTSystemModel, platform: Platform) -> _Device:
     sense = sense_energy(energy)
     gateway = gateway_uplink(model, platform)
     transmit_mah, detail = _uplink(energy, sense, gateway[1]) if gateway else (None, "")
-    unseeded = isinstance(source, UniformSource) and source.seed is None
     return _Device(platform.name, energy,
                    *drain_mah(energy.residual_energy_mah, energy.depletion_threshold_mah),
                    sense, joules_to_mah(sense, energy.supply_voltage_v), transmit_mah, detail,
-                   source, (_fnv1a("source"), _fnv1a(platform.name)) if unseeded else None)
+                   source, isinstance(source, UniformSource) and source.seed is None)
 
 
 class _DeviceCell:
@@ -324,17 +322,11 @@ def gateway_uplink(model: IoTSystemModel, device: Platform) -> tuple[float, floa
 
     Ties on latency break by neighbor name, so the choice is stable.
     """
-    best = None
-    for link in model.networks:
-        if device.name not in link.endpoints:
-            continue
-        other = link.endpoint_b if link.endpoint_a == device.name else link.endpoint_a
-        key = (link.latency_ms, other)
-        if best is None or key < best[0]:
-            best = (key, link.distance_m)
-    if best is None:
-        return None
-    return best[0][0], best[1]
+    name = device.name
+    best = min((link for link in model.networks if name in link.endpoints), default=None,
+               key=lambda link: (link.latency_ms,
+                                 link.endpoint_b if link.endpoint_a == name else link.endpoint_a))
+    return None if best is None else (best.latency_ms, best.distance_m)
 
 
 def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = None,
@@ -356,7 +348,7 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     state = SimulationState(model=model, freshness=freshness or FreshnessPolicy(0))
     for device in model.derived(_compile).devices:
         # Only an unseeded uniform source reads its fallback seed.
-        fallback = 0 if device.tokens is None else derive_seed(run_seed, *device.tokens)
+        fallback = derive_seed(run_seed, "source", device.name) if device.unseeded else 0
         state.devices[device.name] = _DeviceCell(device, SampleStream(device.source, fallback),
                                                  device.name in halt_on, overrides.get(device.name))
     unknown = halt_on - state.devices.keys()
@@ -472,13 +464,16 @@ def _build_plans(state: SimulationState, log: Callable[[str], object] | None) ->
             for plan in state.model.derived(_compile).plans]
 
 
+_PROVIDER_DEPLETED = " status=failed:provider-depleted"
+
+
 def _failure(request: _Request, cell: _DeviceCell | None) -> str:
     """The status suffix of a request to ``cell`` not served from the cache: empty
     when the provider can serve it."""
     if cell is None:
         return ""
     if cell.depleted:
-        return " status=failed:provider-depleted"
+        return _PROVIDER_DEPLETED
     if request.tasks and cell.transmit_mah is None:
         return " status=failed:no-route"
     return ""
@@ -580,7 +575,7 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
         # Each record's fixed text, after its tick, is quoted once.
         consumer, subject = csv_field(request.consumer), csv_field(cell.name)
         served = f",{request.kind},{consumer},{csv_field(request.detail)}\n"
-        failed = f",{request.kind},{consumer},{csv_field(request.detail + ' status=failed:provider-depleted')}\n"
+        failed = f",{request.kind},{consumer},{csv_field(request.detail + _PROVIDER_DEPLETED)}\n"
         head, tail = _template("value=", f" {cell.sense_detail} consumer={request.consumer}")
         sensed, sensed_tail = f",{_SENSED},{subject},{head}", tail + "\n"
         head, middle, tail = _template("value=", " age=", f" consumer={request.consumer}")
@@ -914,18 +909,21 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     reports and byte-identical event logs.  The run halts as soon as a
     device named in ``halt_on`` depletes.  ``registry`` supplies
     the execution-module hooks; the default registry carries the built-in
-    analyses.  ``sink`` receives the event log: ``COLLECT`` keeps its CSV
-    text on the report (``report.events_csv()``, parsed into
-    ``report.events`` on first access), a callable gets it as lists of CSV
-    text in log order, each item whole records (and ``report.events``
-    stays empty), and None keeps only the event counts, which makes
-    multi-hundred-thousand-tick runs cheap.
+    analyses.  ``sink`` receives the event log: None keeps only the event
+    counts, which makes multi-hundred-thousand-tick runs cheap; any
+    callable gets each logged batch's list of CSV text, in log order, each
+    item whole records, a batch being at most 256 firings of one plan (and
+    ``report.events`` stays empty); ``COLLECT`` stands for the sink that
+    keeps the text on the report (``report.events_csv()``, parsed into
+    ``report.events`` on first access).
     """
     state = initial_state(model, freshness=freshness, halt_on=halt_on,
                           seed=seed, distance_overrides=distance_overrides)
-    events: list[str] = []  # CSV text, each item whole records
+    collected: list[str] = []
+    if sink is COLLECT:
+        sink = collected.extend
+    events: list[str] = []  # CSV text, each item whole records, handed to the sink
     log = None if sink is None else events.append
-    stream = None if sink is COLLECT else sink  # handed ``events``, which is then cleared
     plans = _build_plans(state, log)
     counts = state.counts
 
@@ -943,9 +941,6 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
             counts[EventKind.MODULE_OUTPUT.value] += 1
             if log is not None:
                 log(_line(0, EventKind.MODULE_OUTPUT.value, name, output))
-        if stream is not None:
-            stream(events)
-            events.clear()
 
     horizon = model.sim_config.simulation_time
     never = horizon + 1
@@ -959,9 +954,12 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
                 closed[index], due[index] = due[index], never
     tick = horizon
     halting = None  # the index of the plan whose firing halted the run
-    while plans:
-        now = min(due)
-        if now > horizon:
+    while True:
+        if events:  # the tick-0 module rows, then each batch's records
+            sink(events)
+            events.clear()
+        now = min(due) if due else never  # min(due, default=never) costs 3x per call
+        if now > horizon or halting is not None:
             break
         # The first plan due runs up to the tick before any other plan is
         # due, or only now if another is due now too: it comes later in
@@ -970,17 +968,13 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         due[index] = never
         later = min(due)
         stop = now if later == now else later - 1 if later <= horizon else horizon
-        if stream is not None:
+        if log is not None:
             stop = min(stop, now + (_BATCH_FIRINGS - 1) * intervals[index])
         due[index] = fires[index](now, stop)
         if due[index] < 0:  # handed over: spent from tick ~due[index] on
             closed[index], due[index] = ~due[index], never
-        if stream is not None:
-            stream(events)
-            events.clear()
         if state.halted_by is not None:
             tick, halting = due[index] - intervals[index], index
-            break
     for index, first in closed.items():
         # A plan after the one that halted the run does not fire on the halting tick.
         last = tick - (halting is not None and index > halting)
@@ -997,7 +991,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         lifetimes={name: state.lifetimes.get(name) for name in state.devices},
         counts={kind: count for kind, count in counts.items() if count},  # in _KINDS order
         module_outputs=dict(state.module_outputs),
-        log_text="".join(events),
+        log_text="".join(collected),
     )
 
 

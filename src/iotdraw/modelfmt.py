@@ -516,9 +516,10 @@ def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
             if name in seen:
                 issues.append(BuildIssue(f"duplicate identifier: {category} {name!r}", name, span))
             seen.add(name)
-    entity_names, interface_names, platform_names, component_names = (
-        {name for name, _, _ in blocks[category]}
-        for category in ("entity", "interface", "platform", "component"))
+    entity_names, interface_names, platform_names = (
+        {name for name, _, _ in blocks[category]} for category in ("entity", "interface", "platform"))
+    # each component's first declaration, where an unclaimed one is reported
+    component_spans = {name: span for name, span, _ in reversed(blocks["component"])}
 
     def guard(make, subject: str, span: SourceSpan):
         # Collect constructor rejections instead of stopping at the first.
@@ -583,7 +584,7 @@ def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
     for name, span, fields in blocks["application"]:
         members = []
         for cname in fields["component_names"]:
-            if cname not in component_names:
+            if cname not in component_spans:
                 issues.append(BuildIssue(f"dangling reference: component {cname!r} (in application {name})",
                                          name, span))
                 continue
@@ -599,8 +600,9 @@ def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
         if members or not fields["component_names"]:
             applications.append(guard(
                 lambda: Application(name, GeoLocation(*fields["region"]), tuple(members)), name, span))
-    for cname in sorted(component_names - set(claimed)):
-        issues.append(BuildIssue(f"component {cname!r} belongs to no application", cname))
+    for cname in sorted(component_spans.keys() - claimed.keys()):
+        issues.append(BuildIssue(f"component {cname!r} belongs to no application", cname,
+                                 component_spans[cname]))
 
     links = []
     seen_pairs: set[frozenset[str]] = set()

@@ -65,10 +65,6 @@ def _find_providers(model: IoTSystemModel, interface: str) -> list[ProviderRef]:
     return sorted(refs, key=lambda r: (r.name, r.port.name))
 
 
-def contracts_for_interface(model: IoTSystemModel, interface: str) -> list[ServiceContract]:
-    return [c for c in model.contracts if c.provider_interface == interface]
-
-
 def contracts_for_task(model: IoTSystemModel, task_name: str) -> list[ServiceContract]:
     return [c for c in model.contracts if c.task(task_name) is not None]
 
@@ -267,13 +263,13 @@ def validate_model(model: IoTSystemModel, path: str | None = None) -> Validation
         diagnostics.append(Diagnostic(WARNING, message, span, code=code))
 
     # A contract is the sole authority for its provider interface.
-    by_interface: dict[str, list[str]] = {}
+    by_interface: dict[str, list[ServiceContract]] = {}
     for contract in model.contracts:
-        by_interface.setdefault(contract.provider_interface, []).append(contract.name)
-    for interface, names in sorted(by_interface.items()):
-        if len(names) > 1:
-            error("ambiguous-contract",
-                  f"interface {interface!r} is declared by several contracts: {', '.join(sorted(names))}")
+        by_interface.setdefault(contract.provider_interface, []).append(contract)
+    for interface, contracts in sorted(by_interface.items()):
+        if len(contracts) > 1:
+            error("ambiguous-contract", f"interface {interface!r} is declared by several contracts: "
+                                        f"{', '.join(sorted(c.name for c in contracts))}")
 
     declared = {c.provider_interface for c in model.contracts} | {c.consumer_interface for c in model.contracts}
     consumer_sides = {c.consumer_interface: c.name for c in model.contracts}
@@ -295,7 +291,7 @@ def validate_model(model: IoTSystemModel, path: str | None = None) -> Validation
     # Requirements resolve through contracts to concrete providers.
     for component in model.all_components():
         for interface in component.required_interfaces:
-            contracts = contracts_for_interface(model, interface)
+            contracts = by_interface.get(interface, ())
             if not contracts:
                 if interface in consumer_sides:
                     error("conjugate-mismatch",

@@ -155,3 +155,30 @@ def test_a_streaming_sink_gets_at_most_the_cap_of_firings_of_one_plan_among_two(
         requests = [sum(record[1] == "PeriodicRequest" for record in batch) for batch in records]
         assert max(requests) == _BATCH_FIRINGS  # the cap is reached, and never passed
         assert sum(requests) == report.counts["PeriodicRequest"]
+
+
+MODULE = """rng_seed = 0
+  execution_module {
+    module = "DeploymentScenarios"
+  }"""
+PERIODIC = """  periodic "ReadProbe" {
+    interval_ticks = 5
+  }
+"""
+
+
+def test_a_run_in_which_no_plan_fires_hands_the_sink_its_module_rows_once():
+    # The only plan first fires at tick 4, past the horizon of 2; without a periodic
+    # request there is no plan at all.  Either way the run hands the sink one list,
+    # after its scheduler loop, holding the tick-0 module rows alone.
+    text = tiny_text(sim_time=2, interval=5).replace("rng_seed = 0", MODULE)
+    assert PERIODIC in text
+    for model in (parse_model(text), parse_model(text.replace(PERIODIC, ""))):
+        buffer, handed = io.StringIO(), []
+        run_simulation(model, sink=csv_event_sink(buffer))
+        assert buffer.getvalue() == run_simulation(model).events_csv()
+        report = run_simulation(model, sink=lambda texts: handed.append("".join(texts)))
+        assert report.counts == {"ModuleOutput": 1}
+        assert len(handed) == 1
+        assert [record[1] for record in csv.reader(io.StringIO(handed[0], newline=""))] == [
+            "ModuleOutput"]

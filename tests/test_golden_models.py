@@ -475,11 +475,11 @@ EXPECTED = {
     'component-in-two-applications':
         "error: [build] component 'Watcher' belongs to both 'TinyApp' and 'Second' (<golden>:76:13)",
     'component-in-no-application':
-        "error: [build] component 'Watcher2' belongs to no application (<golden>:1:1)",
+        "error: [build] component 'Watcher2' belongs to no application (<golden>:77:11)",
     'components-in-no-application-sorted':
-        "error: [build] component 'Watcher0' belongs to no application (<golden>:1:1)\nerror: [build] component 'Watcher2' belongs to no application (<golden>:1:1)",
+        "error: [build] component 'Watcher0' belongs to no application (<golden>:81:11)\nerror: [build] component 'Watcher2' belongs to no application (<golden>:77:11)",
     'application-of-dangling-components':
-        "error: [build] dangling reference: component 'Ghost' (in application TinyApp) (<golden>:72:13)\nerror: [build] component 'Watcher' belongs to no application (<golden>:1:1)",
+        "error: [build] dangling reference: component 'Ghost' (in application TinyApp) (<golden>:72:13)\nerror: [build] component 'Watcher' belongs to no application (<golden>:63:11)",
     'duplicate-link-reversed':
         "error: [build] duplicate link between 'hub' and 'probe_1' (<golden>:76:6)",
     'link-to-itself':
@@ -539,13 +539,13 @@ EXPECTED = {
     'component-unnamed':
         'error: [build] component needs a name (<golden>:76:11)',
     'application-without-components':
-        "error: [build] application TinyApp needs at least one component (<golden>:72:13)\nerror: [build] component 'Watcher' belongs to no application (<golden>:1:1)",
+        "error: [build] application TinyApp needs at least one component (<golden>:72:13)\nerror: [build] component 'Watcher' belongs to no application (<golden>:63:11)",
     'system-tick-seconds-zero':
         'error: [build] tiny: tick duration must be positive (<golden>:2:8)',
     'system-negative-simulation-time':
         'error: [build] tiny: simulation time must be non-negative (<golden>:2:8)',
     'issues-in-build-order':
-        "error: [build] duplicate identifier: entity 'post_1' (<golden>:76:8)\nerror: [build] duplicate identifier: interface 'Probe' (<golden>:79:11)\nerror: [build] hub: CPU frequency must be positive (<golden>:12:5)\nerror: [build] dangling reference: 'ghost' (entity of device probe_1) (<golden>:20:8)\nerror: [build] contract C needs a provider interface (<golden>:80:10)\nerror: [build] dangling reference: component 'Ghost' (in application TinyApp) (<golden>:72:13)\nerror: [build] component 'Watcher2' belongs to no application (<golden>:1:1)\nerror: [build] hub<->probe_1: link distance must be positive (<golden>:48:6)\nerror: [build] tiny: tick duration must be positive (<golden>:2:8)",
+        "error: [build] duplicate identifier: entity 'post_1' (<golden>:76:8)\nerror: [build] duplicate identifier: interface 'Probe' (<golden>:79:11)\nerror: [build] hub: CPU frequency must be positive (<golden>:12:5)\nerror: [build] dangling reference: 'ghost' (entity of device probe_1) (<golden>:20:8)\nerror: [build] contract C needs a provider interface (<golden>:80:10)\nerror: [build] dangling reference: component 'Ghost' (in application TinyApp) (<golden>:72:13)\nerror: [build] component 'Watcher2' belongs to no application (<golden>:82:11)\nerror: [build] hub<->probe_1: link distance must be positive (<golden>:48:6)\nerror: [build] tiny: tick duration must be positive (<golden>:2:8)",
 }
 
 
