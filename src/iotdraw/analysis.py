@@ -41,7 +41,9 @@ class DeploymentScenario:
     scenario (``evaluate_scenarios``).  ``rendered`` is the
     assignment as ``scenario_text`` and ``scenarios_to_csv`` write it, or
     None to render it from ``assignment`` when asked; the search sets it
-    on each scenario it builds, from the prefixes its scenarios share.
+    on each scenario it builds, from the prefixes its scenarios share, so
+    printing a scenario and writing its CSV row, in one pass or apart,
+    render no assignment again.
     Equality ignores it, and neither the constructor nor
     ``dataclasses.replace`` takes or copies it.
     """
@@ -213,23 +215,53 @@ def rank_scenarios(scenarios: list[DeploymentScenario],
     return sorted(scenarios, key=lambda s: (s.response_time_ms, s.id))
 
 
+def _figures(scenario: DeploymentScenario) -> tuple[str, str, str]:
+    """A scenario's figures as its text line and its CSV row write them.
+
+    Returns the text line's bracketed tail, then the CSV row's
+    availability and response-time fields.  A figure is its ``repr``,
+    taken once for both, or "" (and no entry in the tail) when it is None.
+    This is the one place a scenario's figures are formatted.
+    """
+    availability, response = scenario.availability, scenario.response_time_ms
+    if availability is None and response is None:
+        return "", "", ""
+    availability_text = "" if availability is None else repr(availability)
+    response_text = "" if response is None else repr(response)
+    if availability is None:
+        tail = f"  [response_time_ms={response_text}]"
+    elif response is None:
+        tail = f"  [availability={availability_text}]"
+    else:
+        tail = f"  [availability={availability_text} response_time_ms={response_text}]"
+    return tail, availability_text, response_text
+
+
 def scenario_text(scenario: DeploymentScenario) -> str:
-    extras = []
-    if scenario.availability is not None:
-        extras.append(f"availability={scenario.availability!r}")
-    if scenario.response_time_ms is not None:
-        extras.append(f"response_time_ms={scenario.response_time_ms!r}")
-    suffix = f"  [{' '.join(extras)}]" if extras else ""
-    return f"Scenario {scenario.id}: {scenario.assignment_texts()[0]}{suffix}"
+    """One scenario as ``Scenario ID: C>p, C>p``, then the figures it has in brackets."""
+    return f"Scenario {scenario.id}: {scenario.assignment_texts()[0]}{_figures(scenario)[0]}"
 
 
-def scenarios_to_csv(scenarios: list[DeploymentScenario]) -> str:
-    """The scenarios as CSV; the assignment field is quoted by ``csv_field``."""
+def scenarios_to_csv(scenarios: list[DeploymentScenario], shown: list[str] | None = None) -> str:
+    """The scenarios as CSV; the assignment field is quoted by ``csv_field``.
+
+    With ``shown``, each scenario's ``scenario_text`` line is appended to
+    it in the same pass, from the same ``repr`` of each figure, so a
+    caller that prints the scenarios and writes their table renders each
+    scenario once.
+    """
     lines = ["id,assignment,availability,response_time_ms"]
     for s in scenarios:
-        availability = "" if s.availability is None else repr(s.availability)
-        response = "" if s.response_time_ms is None else repr(s.response_time_ms)
-        lines.append(f"{s.id},{csv_field(s.assignment_texts()[1])},{availability},{response}")
+        # Unscored rows, as in the DeploymentScenarios hook's table, and the
+        # search's rendered texts are read without a call per row.
+        if s.availability is None and s.response_time_ms is None:
+            tail = availability = response = ""
+        else:
+            tail, availability, response = _figures(s)
+        texts = s.rendered or s.assignment_texts()
+        lines.append(f"{s.id},{csv_field(texts[1])},{availability},{response}")
+        if shown is not None:
+            shown.append(f"Scenario {s.id}: {texts[0]}{tail}")
     return "\n".join(lines) + "\n"
 
 

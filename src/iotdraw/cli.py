@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import os
 import stat
@@ -70,14 +71,14 @@ def _replacing(path: str):
             os.umask(umask)
             mode = stat.S_IFREG | (0o666 & ~umask)
         if stat.S_ISDIR(mode):
-            raise IsADirectoryError(f"{path!r} is a directory")
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if stat.S_ISREG(mode):
             fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
                                         dir=os.path.dirname(target))
         else:
             fd = os.open(target, os.O_WRONLY | os.O_TRUNC)
     except OSError as exc:
-        raise _IoFailure(f"cannot write {path}: {exc}") from None
+        raise _IoFailure(f"cannot write {path}: {exc.strerror or exc}") from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             if temp is not None:
@@ -86,17 +87,38 @@ def _replacing(path: str):
         if temp is not None:
             os.replace(temp, target)
     except OSError as exc:
-        raise _IoFailure(f"cannot write {path}: {exc}") from None
+        raise _IoFailure(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         if temp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(temp)  # already gone once it has replaced ``path``
 
 
-def _write(path: str, text: str) -> None:
-    with _replacing(path) as handle:
-        handle.write(text)
-    print(f"wrote {path}")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A command's output FILE (``--csv``, ``--log``) for its work, or None without one.
+
+    FILE is opened before the work starts, so an unwritable FILE fails
+    before the work and before anything is printed, and it is replaced as
+    ``_replacing`` replaces it when the block succeeds.  Commands print
+    after the block, so a closed stdout is never reported as FILE's fault.
+    """
+    if path is None:
+        yield None
+    else:
+        with _replacing(path) as handle:
+            yield handle
+
+
+def _write(handle, text: str) -> None:
+    """Write a table to its opened FILE; ``perfbench`` times the writes through this name."""
+    handle.write(text)
+
+
+def _wrote(path: str | None) -> None:
+    """Report an output FILE once the command's result is printed."""
+    if path is not None:
+        print(f"wrote {path}")
 
 
 def _resolve_seed(args) -> int | None:
@@ -139,10 +161,12 @@ def _int_list(low: int):
 
 def _cmd_validate(args) -> int:
     model = _load(args.model)
-    report = validate_model(model, path=args.model)
+    with _output(args.csv) as out:
+        report = validate_model(model, path=args.model)
+        if out is not None:
+            _write(out, report.to_csv())
     print(report.to_text())
-    if args.csv:
-        _write(args.csv, report.to_csv())
+    _wrote(args.csv)
     return 0 if report.ok else 1
 
 
@@ -151,31 +175,33 @@ def _cmd_simulate(args) -> int:
     devices = [p.name for p in model.platforms if p.tier is PlatformTier.DEVICE]
     options = dict(freshness=FreshnessPolicy(args.max_age),
                    halt_on=devices if args.stop_on_depletion else (), seed=_resolve_seed(args))
-    if args.log is None:
-        report = run_simulation(model, sink=None, **options)
-    else:
-        # The log streams to disk batch by batch and appears only if the run succeeds.
-        with _replacing(args.log) as handle:
-            report = run_simulation(model, sink=csv_event_sink(handle), **options)
+    # The log streams to disk batch by batch and appears only if the run succeeds.
+    with _output(args.log) as log:
+        report = run_simulation(model, sink=None if log is None else csv_event_sink(log),
+                                **options)
     print(report.to_text())
-    if args.log is not None:
-        print(f"wrote {args.log}")
+    _wrote(args.log)
     return 0
 
 
 def _cmd_deployments(args) -> int:
     """Both ``deployments`` and ``rank``, which always ranks."""
     model = _load(args.model)
-    if args.rank:
-        scenarios = rank_scenarios(evaluate_scenarios(model), args.rank)
-    else:
-        scenarios = enumerate_deployments(model)
+    with _output(args.csv) as out:
+        if args.rank:
+            scenarios = rank_scenarios(evaluate_scenarios(model), args.rank)
+        else:
+            scenarios = enumerate_deployments(model)
+        if out is not None:
+            # One pass renders each scenario's CSV row and its text line, which
+            # is printed below and dropped with the command's other locals.
+            shown: list[str] = []
+            _write(out, scenarios_to_csv(scenarios, shown))
     summary = f"{len(scenarios)} deployment scenario(s)"
     if args.command == "rank":
         summary += f", best first by {args.rank}"
-    print(*map(scenario_text, scenarios), summary, sep="\n")
-    if args.csv:
-        _write(args.csv, scenarios_to_csv(scenarios))
+    print(*(map(scenario_text, scenarios) if out is None else shown), summary, sep="\n")
+    _wrote(args.csv)
     return 0
 
 
@@ -187,16 +213,18 @@ def _cmd_lifetime(args) -> int:
     model = _load(args.model)
     seed = _resolve_seed(args)
     if sweeping:
-        table = lifetime_sweep(
-            model, args.device,
-            intervals=args.sweep_interval,
-            max_ages=args.sweep_max_age,
-            rounds=SWEEP_ROUNDS if args.rounds is None else args.rounds,
-            seed=seed if seed is not None else model.sim_config.rng_seed,
-        )
+        with _output(args.csv) as out:
+            table = lifetime_sweep(
+                model, args.device,
+                intervals=args.sweep_interval,
+                max_ages=args.sweep_max_age,
+                rounds=SWEEP_ROUNDS if args.rounds is None else args.rounds,
+                seed=seed if seed is not None else model.sim_config.rng_seed,
+            )
+            if out is not None:
+                _write(out, table.to_csv())
         print(table.to_text())
-        if args.csv:
-            _write(args.csv, table.to_csv())
+        _wrote(args.csv)
         return 0
 
     predicted = predicted_lifetime(model, args.device)

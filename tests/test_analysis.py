@@ -257,6 +257,21 @@ def test_scenario_text_and_csv(padova_model):
     assert bare_csv.splitlines()[1].endswith(",,")
 
 
+@pytest.mark.parametrize("availability, response, tail, fields", [
+    (None, None, "", ",,"),
+    (0.1 + 0.2, None, "  [availability=0.30000000000000004]", ",0.30000000000000004,"),
+    (None, 1e-07, "  [response_time_ms=1e-07]", ",,1e-07"),
+    (0.5, 12.25, "  [availability=0.5 response_time_ms=12.25]", ",0.5,12.25"),
+], ids=["unscored", "availability", "response-time", "scored"])
+def test_a_scenario_shows_each_figure_it_has(availability, response, tail, fields):
+    scenario = DeploymentScenario(7, (("A", "x"), ("B", "y")), availability, response)
+    assert scenario_text(scenario) == f"Scenario 7: A>x, B>y{tail}"
+    shown = []
+    assert scenarios_to_csv([scenario], shown) == (
+        f"id,assignment,availability,response_time_ms\n7,A=x;B=y{fields}\n")
+    assert shown == [scenario_text(scenario)]
+
+
 def test_a_scenario_without_rendered_texts_renders_its_assignment(padova_model):
     # The search sets ``rendered``; a scenario built by hand, or copied by
     # ``dataclasses.replace``, renders its assignment when asked, to the same text.
@@ -329,6 +344,9 @@ def assert_search_scores_and_renders_bit_for_bit(model):
     for scenarios in (searched, listed):
         assert [scenario_text(s) for s in scenarios] == [_plain_text(s) for s in scenarios]
         assert scenarios_to_csv(scenarios).split("\n")[1:] == [_plain_row(s) for s in scenarios] + [""]
+        shown = []  # the one-pass render gives the same table and, line for line, the same text
+        assert scenarios_to_csv(scenarios, shown) == scenarios_to_csv(scenarios)
+        assert shown == [_plain_text(s) for s in scenarios]
     return _fallbacks(model, searched)
 
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import dataclasses
+import errno
 import io
 import os
 import stat
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import iotdraw
 from iotdraw import (
     SystemSnapshot, default_registry, enumerate_deployments, evaluate_scenarios,
-    rank_scenarios, validate_model,
+    rank_scenarios, scenario_text, scenarios_to_csv, serialize_model, validate_model,
 )
 from iotdraw.cli import main
 from iotdraw.model import (
@@ -26,7 +28,9 @@ from iotdraw.model import (
     PlatformTier, ServiceContract, ServicePort, Task, TaskKind,
 )
 
-from conftest import MODELS_DIR, UNBOUND_TASK_ERRORS, tiny_text, unbound_task_text
+from conftest import (
+    MODELS_DIR, UNBOUND_TASK_ERRORS, thousand_scenario_model, tiny_text, unbound_task_text,
+)
 
 PADOVA = str(MODELS_DIR / "padova_fw.iot")
 FRESH = str(MODELS_DIR / "freshness_demo.iot")
@@ -251,18 +255,34 @@ def test_failed_run_leaves_the_old_log_alone(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["badmod.iot", "events.csv"]
 
 
+# Each command with an output FILE option: its arguments up to FILE, and the
+# name under which ``iotdraw.cli`` calls the work that must not start.
+_FILE_COMMANDS = {
+    "simulate": (["simulate", FRESH, "--log"], "run_simulation"),
+    "validate": (["validate", FRESH, "--csv"], "validate_model"),
+    "deployments": (["deployments", FRESH, "--csv"], "enumerate_deployments"),
+    "rank": (["rank", FRESH, "--by", "availability", "--csv"], "evaluate_scenarios"),
+    "lifetime": (["lifetime", FRESH, "--device", "level_sensor_1", "--sweep-max-age", "0,1",
+                  "--csv"], "lifetime_sweep"),
+}
+
+
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])
-def test_unwritable_log_exits_two_before_the_run(where, tmp_path, monkeypatch, capsys):
-    target = tmp_path / "missing" / "events.csv" if where == "missing_dir" else tmp_path
+@pytest.mark.parametrize("command", list(_FILE_COMMANDS))
+def test_unwritable_log_exits_two_before_the_run(command, where, tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "out.csv" if where == "missing_dir" else tmp_path
+    argv, work = _FILE_COMMANDS[command]
 
-    def no_run(*args, **kwargs):
-        raise AssertionError("the run started")
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
 
-    monkeypatch.setattr("iotdraw.cli.run_simulation", no_run)
-    assert main(["simulate", FRESH, "--log", str(target)]) == 2
+    monkeypatch.setattr(f"iotdraw.cli.{work}", no_work)
+    assert main([*argv, str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"cannot write {target}" in captured.err
+    # The message names FILE and the OS's reason, not the temporary file beside FILE.
+    reason = os.strerror(errno.ENOENT if where == "missing_dir" else errno.EISDIR)
+    assert captured.err == f"iotdraw: cannot write {target}: {reason}\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -454,6 +474,23 @@ def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path):
     assert err.decode() == ""
 
 
+def test_a_closed_stdout_is_not_taken_for_an_unwritable_csv(tmp_path):
+    # 1,024 scenario lines overflow the pipe's buffer while the command prints.
+    model = tmp_path / "thousand.iot"
+    model.write_text(serialize_model(thousand_scenario_model()), encoding="utf-8")
+    table = tmp_path / "scenarios.csv"
+    env = dict(os.environ)
+    source_root = str(Path(iotdraw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    process = subprocess.Popen([sys.executable, "-m", "iotdraw", "deployments", str(model),
+                                "--csv", str(table)],
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert process.returncode == 1
+    assert err.decode() == ""
+
+
 def test_lifetime_sweeps_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["lifetime", FRESH, "--device", "level_sensor_1",
@@ -536,3 +573,41 @@ def test_every_csv_the_cli_writes_reads_back_field_for_field(names, path):
             [d.severity, d.code, d.message, path, "1"] for d in report.diagnostics]
     hook = default_registry().resolve("DeploymentScenarios")
     assert _records(hook(SystemSnapshot(model, 0, {}))) == _scenario_records(listed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(names=st.lists(_AWKWARD_NAME, min_size=5, max_size=5, unique=True), feasible=st.booleans())
+def test_deployments_print_the_same_text_with_and_without_csv(names, feasible):
+    model = _awkward_model(*names)
+    if not feasible:  # no platform offers the software the consumer needs
+        app = model.applications[0]
+        consumer = dataclasses.replace(app.components[0], required_software=frozenset("t"))
+        app = dataclasses.replace(app, components=(consumer, *app.components[1:]))
+        model = dataclasses.replace(model, applications=(app,))
+    commands = {  # each command line, with the scenarios it shows in its order
+        ("deployments",): enumerate_deployments(model),
+        ("deployments", "--rank", "availability"):
+            rank_scenarios(evaluate_scenarios(model), "availability"),
+        ("rank", "--by", "response-time"):
+            rank_scenarios(evaluate_scenarios(model), "response-time"),
+    }
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iotdraw.cli, "_load", lambda _: model)  # no model file can hold " or \n
+        table = os.path.join(scratch, "table.csv")
+        for (command, *options), scenarios in commands.items():
+            assert len(scenarios) == (4 if feasible else 0)
+            printed = []
+            for extra in ([], ["--csv", table]):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main([command, "model.iot", *options, *extra]) == 0
+                printed.append(out.getvalue())
+            summary = f"{len(scenarios)} deployment scenario(s)"
+            if command == "rank":
+                summary += ", best first by response-time"
+            assert printed[0] == "".join(f"{scenario_text(s)}\n" for s in scenarios) + f"{summary}\n"
+            assert printed[1] == f"{printed[0]}wrote {table}\n"
+            with open(table, encoding="utf-8", newline="") as handle:
+                written = handle.read()
+            assert written == scenarios_to_csv(scenarios)
+            if not feasible:
+                assert written == "id,assignment,availability,response_time_ms\n"
