@@ -376,14 +376,15 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
     runs = {value: (_with_interval(model, component.name, value), FreshnessPolicy(0))
             if intervals is not None else (model, FreshnessPolicy(value)) for value in values}
     lo, hi = SWEEP_DISTANCE_RANGE_M
+    halt_on = frozenset((device_name,))
     for round_index in range(rounds):
         distance = SplitMix64(derive_seed(seed, "distance", round_index)).uniform(lo, hi)
+        overrides = {device_name: distance}  # every run of the round reads it, none changes it
         run_seed = derive_seed(seed, "run", round_index)
         for value, (variant, freshness) in runs.items():
-            report = run_simulation(variant, freshness=freshness, halt_on={device_name},
-                                    seed=run_seed, sink=None,
-                                    distance_overrides={device_name: distance})
-            lifetime = report.lifetimes.get(device_name)
+            report = run_simulation(variant, freshness=freshness, halt_on=halt_on, seed=run_seed,
+                                    sink=None, distance_overrides=overrides)
+            lifetime = report.lifetimes[device_name]
             if lifetime is not None:
                 lifetimes[value].append(lifetime)
 

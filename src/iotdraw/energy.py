@@ -41,8 +41,8 @@ def sense_energy(profile: DeviceEnergyProfile) -> float:
 
 def transmit_energy(profile: DeviceEnergyProfile, distance_m: float) -> float:
     """Energy in joules to radio one packet over ``distance_m`` meters."""
-    if distance_m <= 0:
-        raise ModelError(f"transmit distance must be positive: {distance_m}")
+    if not 0.0 < distance_m < math.inf:  # NaN fails it too
+        raise ModelError(f"transmit distance must be finite and positive: {distance_m}")
     bits = profile.packet_kb * 1000.0
     return (bits * (profile.e_elec_nj_per_bit * 1e-9)
             + bits * distance_m ** profile.loss_exponent_n * (profile.e_amp_pj_per_bit_m * 1e-12))
@@ -69,13 +69,14 @@ def drain_mah(residual_mah: float, threshold_mah: float,
     return residual_mah, residual_mah <= threshold_mah
 
 
-def _units(cost: float, exponent: int) -> tuple[int, bool]:
-    """``cost`` in units of ``2**exponent``, rounded to the nearest, and whether it
-    lies exactly halfway between two, when the count is the lower one."""
+def _units(cost: float, exponent: int) -> tuple[int, int]:
+    """``cost`` in units of ``2**exponent``, rounded to the nearest, and the mask that
+    rounds a difference to even: ``~1`` when the cost lies exactly halfway between
+    two counts, the lower being the count, else ``-1``."""
     scaled = math.ldexp(cost, -exponent)
     whole = math.floor(scaled)
     fraction = scaled - whole
-    return (whole + 1, False) if fraction > 0.5 else (whole, fraction == 0.5)
+    return (whole + 1, -1) if fraction > 0.5 else (whole, ~1 if fraction == 0.5 else -1)
 
 
 def drain_senses_mah(residual_mah: float, threshold_mah: float, sense_mah: float,
@@ -103,21 +104,12 @@ def drain_senses_mah(residual_mah: float, threshold_mah: float, sense_mah: float
         if (0.0 <= sense_mah < residual_mah and 0.0 <= transmit_mah < residual_mah
                 and threshold_mah < residual_mah < math.inf):
             exponent = math.frexp(residual_mah)[1] - 53
-            sense, sense_tie = _units(sense_mah, exponent)
-            transmit, transmit_tie = _units(transmit_mah, exponent)
-
-            def after(units: int) -> int:
-                units -= sense
-                if sense_tie:
-                    units &= ~1
-                units -= transmit
-                if transmit_tie:
-                    units &= ~1
-                return units
-
+            sense, sense_even = _units(sense_mah, exponent)
+            transmit, transmit_even = _units(transmit_mah, exponent)
             # ``first`` after one sense; a tie's parity is settled after it
-            first = after(int(math.ldexp(residual_mah, -exponent)))
-            step = first - after(first)
+            units = int(math.ldexp(residual_mah, -exponent))
+            first = (((units - sense) & sense_even) - transmit) & transmit_even
+            step = first - ((((first - sense) & sense_even) - transmit) & transmit_even)
             # the lowest value a sense may leave in the binade and above the threshold
             bar = math.ldexp(threshold_mah, -exponent) if threshold_mah > 0.0 else 0.0
             low = math.floor(bar) + 1 if bar > 1 << 52 else (1 << 52) + 1
@@ -127,7 +119,9 @@ def drain_senses_mah(residual_mah: float, threshold_mah: float, sense_mah: float
                     run = min(run, (first - low) // step + 1)
                 residual_mah = math.ldexp(first - (run - 1) * step, exponent)
                 senses += run
-                continue
+                if senses == limit:
+                    break
+                # the next sense would leave the binade or deplete the device
         before = residual_mah
         residual_mah, depleted = drain_mah(residual_mah, threshold_mah, sense_mah, transmit_mah)
         senses += 1
@@ -136,6 +130,11 @@ def drain_senses_mah(residual_mah: float, threshold_mah: float, sense_mah: float
         if residual_mah == before:  # so it stays: the drain depends on the residual alone
             return limit, residual_mah
     return senses, residual_mah
+
+
+def transmit_drain_mah(profile: DeviceEnergyProfile, distance_m: float) -> float:
+    """Charge consumed by one transmission over ``distance_m`` meters."""
+    return joules_to_mah(transmit_energy(profile, distance_m), profile.supply_voltage_v)
 
 
 def per_request_drain_mah(profile: DeviceEnergyProfile, distance_m: float) -> float:

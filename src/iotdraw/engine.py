@@ -14,10 +14,11 @@ state, so runs alive at once can share it.  Before tick 0 a run builds
 only what it changes: fresh counts and a cell per device (the residual
 charge and depleted flag, the sample stream, the cached reading, and the
 transmit cost of a device whose distance it overrides), and binds each
-plan's kernel to those cells.  Each plan keeps the tick it fires next: a
-component with interval k fires at ticks k-1, 2k-1, 3k-1, ..., plans due
-on the same tick fire in declaration order, and ticks on which nothing
-fires are never visited.
+plan's kernel to those cells.  Only a logged run renders text then: each
+cell's sense detail, and the fixed text of the sense kernel's records.
+Each plan keeps the tick it fires next: a component with interval k
+fires at ticks k-1, 2k-1, 3k-1, ..., plans due on the same tick fire in
+declaration order, and ticks on which nothing fires are never visited.
 
 Requests served by a device follow the data-freshness rule: if a cached
 reading is at most ``max_age_ticks`` old the consumer gets the cached
@@ -95,12 +96,12 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .energy import (drain_mah, drain_senses_mah, joules_to_mah, sense_energy,
-                     transmit_energy)
+                     transmit_drain_mah, transmit_energy)
 from .model import (
     Component, ConditionExpr, ConstantSource, DataSource, DeviceEnergyProfile, IoTSystemModel,
     ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
@@ -226,14 +227,13 @@ class SampleStream:
 
     def __init__(self, source, fallback_seed: int):
         self.source = source
-        self.rng = None
-        if isinstance(source, ConstantSource):
-            self.next = itertools.repeat(source.value).__next__
-        elif isinstance(source, UniformSource):
+        if isinstance(source, UniformSource):
             self.rng = SplitMix64(fallback_seed if source.seed is None else source.seed)
             self.next = functools.partial(self.rng.uniform, source.lo, source.hi)
         else:
-            self.next = itertools.cycle(source.values).__next__
+            self.rng = None
+            self.next = (itertools.repeat(source.value) if isinstance(source, ConstantSource)
+                         else itertools.cycle(source.values)).__next__
 
 
 _OPS = {
@@ -258,16 +258,9 @@ class _Device(NamedTuple):
     # Over its uplink; None when the device has no link: it can neither report
     # nor be told anything, and a distance override gives it none.
     transmit_mah: float | None
-    sense_detail: str
+    distance_m: float | None
     source: DataSource
     unseeded: bool  # a uniform source without a seed: its stream's seed derives from the run's
-
-
-def _uplink(energy: DeviceEnergyProfile, sense_j: float, distance_m: float) -> tuple[float, str]:
-    """The mAh one transmission over ``distance_m`` costs, and the sense records' energy detail."""
-    transmit = transmit_energy(energy, distance_m)
-    return (joules_to_mah(transmit, energy.supply_voltage_v),
-            f"sense_j={sense_j!r} transmit_j={transmit!r} distance_m={distance_m!r}")
 
 
 def _device(model: IoTSystemModel, platform: Platform) -> _Device:
@@ -275,29 +268,37 @@ def _device(model: IoTSystemModel, platform: Platform) -> _Device:
     energy, source = platform.energy, platform.data_source
     sense = sense_energy(energy)
     gateway = gateway_uplink(model, platform)
-    transmit_mah, detail = _uplink(energy, sense, gateway[1]) if gateway else (None, "")
+    distance = None if gateway is None else gateway[1]
     return _Device(platform.name, energy,
                    *drain_mah(energy.residual_energy_mah, energy.depletion_threshold_mah),
-                   sense, joules_to_mah(sense, energy.supply_voltage_v), transmit_mah, detail,
+                   sense, joules_to_mah(sense, energy.supply_voltage_v),
+                   None if distance is None else transmit_drain_mah(energy, distance), distance,
                    source, isinstance(source, UniformSource) and source.seed is None)
 
 
 class _DeviceCell:
-    """One device's run-time state, started from its compiled ``_Device``."""
+    """One device's run-time state, started from its compiled ``_Device``.
 
-    __slots__ = ("name", "residual_mah", "depleted", "threshold_mah", "sense_mah",
-                 "transmit_mah", "sense_detail", "stream", "cached_value", "cached_at", "halts")
+    A run builds what its kernels read: the battery, the cache, the stream,
+    and the transmit cost at the distance the run gives the device.  Only a
+    logged run reads ``sense_detail``, the energy detail of the device's
+    sense records, so a cell has none until ``_build_plans`` binds a logged
+    run to it.
+    """
+
+    __slots__ = ("name", "residual_mah", "depleted", "threshold_mah", "sense_mah", "transmit_mah",
+                 "distance_m", "sense_detail", "stream", "cached_value", "cached_at", "halts")
 
     def __init__(self, device: _Device, stream: SampleStream, halts: bool,
                  distance_m: float | None = None):
         self.name, self.sense_mah = device.name, device.sense_mah
         self.threshold_mah = device.energy.depletion_threshold_mah
         self.residual_mah, self.depleted = device.residual_mah, device.depleted
-        if distance_m is None or device.transmit_mah is None:
-            self.transmit_mah, self.sense_detail = device.transmit_mah, device.sense_detail
+        if distance_m is None or device.distance_m is None:
+            self.transmit_mah, self.distance_m = device.transmit_mah, device.distance_m
         else:
-            self.transmit_mah, self.sense_detail = _uplink(device.energy, device.sense_j,
-                                                           distance_m)
+            self.transmit_mah = transmit_drain_mah(device.energy, distance_m)
+            self.distance_m = distance_m
         self.stream = stream
         self.cached_value = self.cached_at = None  # the last reading and its tick
         self.halts = halts
@@ -309,11 +310,10 @@ class SimulationState:
 
     model: IoTSystemModel
     freshness: FreshnessPolicy
-    devices: dict[str, _DeviceCell] = field(default_factory=dict)
-    # Every event kind from 0, so the request loops add without a membership test.
-    counts: dict[str, int] = field(default_factory=functools.partial(dict.fromkeys, _KINDS, 0))
-    lifetimes: dict[str, int] = field(default_factory=dict)
-    module_outputs: dict[str, str] = field(default_factory=dict)
+    devices: dict[str, _DeviceCell]
+    counts: dict[str, int]  # every event kind from 0, so the kernels add without a membership test
+    lifetimes: dict[str, int]
+    module_outputs: dict[str, str]
     halted_by: str | None = None
 
 
@@ -338,23 +338,26 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     maps device names to a transmission distance in meters replacing the
     gateway link's distance (used by lifetime sweeps).  A device with no
     link keeps none: it has no gateway to transmit to.  The run halts
-    when a device named in ``halt_on`` depletes.  The model's program is
-    compiled on its first run and kept; each run builds only fresh cells
-    from it.
+    when a device named in ``halt_on`` depletes.  Each name in either
+    must be a device's.  The model's program is compiled on its first run
+    and kept; each run builds from it only fresh counts and a cell per
+    device, which holds no log text (see ``_DeviceCell``).
     """
     run_seed = model.sim_config.rng_seed if seed is None else seed
     overrides = distance_overrides or {}
     halt_on = frozenset(halt_on)
-    state = SimulationState(model=model, freshness=freshness or FreshnessPolicy(0))
+    cells = {}
     for device in model.derived(_compile).devices:
         # Only an unseeded uniform source reads its fallback seed.
         fallback = derive_seed(run_seed, "source", device.name) if device.unseeded else 0
-        state.devices[device.name] = _DeviceCell(device, SampleStream(device.source, fallback),
-                                                 device.name in halt_on, overrides.get(device.name))
-    unknown = halt_on - state.devices.keys()
-    if unknown:
-        raise ModelError(f"cannot halt on {', '.join(sorted(unknown))}: not a device")
-    return state
+        cells[device.name] = _DeviceCell(device, SampleStream(device.source, fallback),
+                                         device.name in halt_on, overrides.get(device.name))
+    for names, verb in ((halt_on, "halt on"), (overrides.keys(), "override the distance of")):
+        if not names <= cells.keys():
+            raise ModelError(f"cannot {verb} {', '.join(sorted(names - cells.keys()))}: "
+                             "not a device")
+    return SimulationState(model, freshness or FreshnessPolicy(0), cells,
+                           dict.fromkeys(_KINDS, 0), {}, {})
 
 
 @dataclass(frozen=True, slots=True)
@@ -459,9 +462,18 @@ def _request(model: IoTSystemModel, devices: Mapping[str, _Device], kind: EventK
 
 
 def _build_plans(state: SimulationState, log: Callable[[str], object] | None) -> list[_Runner]:
-    """Bind each plan of the model's program to this run's cells."""
+    """Bind each plan of the model's program to this run's cells.  A logged run
+    first renders the ``sense_detail`` of each cell with a link."""
+    program = state.model.derived(_compile)
+    if log is not None:
+        for device in program.devices:
+            cell = state.devices[device.name]
+            if cell.distance_m is not None:
+                cell.sense_detail = (f"sense_j={device.sense_j!r} transmit_j="
+                                     f"{transmit_energy(device.energy, cell.distance_m)!r} "
+                                     f"distance_m={cell.distance_m!r}")
     return [_Runner(plan, (_sense_kernel if plan.sensed else _generic_kernel)(state, log, plan))
-            for plan in state.model.derived(_compile).plans]
+            for plan in program.plans]
 
 
 _PROVIDER_DEPLETED = " status=failed:provider-depleted"
@@ -534,20 +546,26 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
     """
     interval, request, watchers, cuts = plan.interval, plan.request, plan.watchers, plan.cuts
     cell = state.devices[request.device]
-    watched = [state.devices.get(watcher.device) for _, _, watcher in watchers]
     rng, sample, source = cell.stream.rng, cell.stream.next, cell.stream.source
     if rng is not None:
         lo, span = source.lo, source.hi - source.lo
     sense_mah, transmit_mah, threshold = cell.sense_mah, cell.transmit_mah, cell.threshold_mah
     max_age = state.freshness.max_age_ticks
     counts, lifetimes = state.counts, state.lifetimes
-    tests = tuple((test, limit, index) for index, (test, limit, _) in enumerate(watchers))
+    # A device depletes during a run only as its lifetime is recorded, so the
+    # watchers' outcomes stand while the number of lifetimes does.
+    outcomes, depletions = [], -1
 
-    def watcher_outcomes() -> list[tuple]:
-        """Per watcher: its actuation count and, with a log, its record's text up to
-        the value and the pieces that a tick joins into the rest of its records."""
-        outcomes = []
-        for (_, _, watcher), target in zip(watchers, watched):
+    def refresh() -> None:
+        """Per watcher, worked out again once a device has depleted: its actuation count
+        and, with a log, its record's text up to the value and the pieces that a tick
+        joins into the rest of its records."""
+        nonlocal outcomes, depletions
+        if depletions == len(lifetimes):
+            return
+        outcomes, depletions = [], len(lifetimes)
+        for _, _, watcher in watchers:
+            target = state.devices.get(watcher.device)
             suffix = _failure(watcher, target)
             actions = () if suffix or target is None else [a for _, a in watcher.tasks]
             if log is None:
@@ -558,16 +576,6 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
             outcomes.append((len(actions), f",{_EVENT},{csv_field(watcher.consumer)},{head}",
                              (tail + "\n", *(f",{_ACTUATED},{device},{csv_field(action)}\n"
                                              for action in actions))))
-        return outcomes
-
-    # A device depletes during a run only as its lifetime is recorded, so the
-    # watchers' outcomes stand while the number of lifetimes does.
-    outcomes, depletions = [], -1
-
-    def refresh() -> None:
-        nonlocal outcomes, depletions
-        if depletions != len(lifetimes):
-            outcomes, depletions = watcher_outcomes(), len(lifetimes)
 
     repeats = max_age // interval  # the cache hits that follow each sense
     step = (repeats + 1) * interval  # the ticks from one sense to the next
@@ -582,11 +590,25 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
         hit, hit_middle, hit_tail = f",{_HIT},{subject},{head}", middle, tail + "\n"
         drained = f",{_DEPLETED},{subject},residual_mah="
 
+        def alarms(cols: list[str], values: list[float], begin: int, end: int) -> None:
+            """Count the alerts and actuations that the readings of a logged batch's senses
+            ``begin`` to ``end`` set off, and add their records to ``cols``."""
+            for (test, limit, _), (count, event, pieces) in zip(watchers, outcomes):
+                # each sense's last column, where its tick is six columns back and its reading two
+                fired = map(test, values[begin:end], itertools.repeat(limit))
+                found = list(itertools.compress(range(7 * begin + 6, 7 * end, 7), fired))
+                counts[_EVENT] += len(found)
+                counts[_ACTUATED] += count * len(found)
+                for at in found:
+                    tick = cols[at - 6]
+                    cols[at] += f"{tick}{event}{cols[at - 2]}{tick.join(pieces)}"
+
     def tested(value: float, fired: int = 1, at: int = 0, now: int = 0) -> str:
         """Count the alerts and actuations that a reading sets off in ``fired`` firings;
         in a logged run, those firings' records: cache hits, from tick ``now`` on, on
         the reading of tick ``at``."""
-        found = [outcomes[index] for test, limit, index in tests if test(value, limit)]
+        found = [outcome for (test, limit, _), outcome in zip(watchers, outcomes)
+                 if test(value, limit)]
         if found:
             counts[_EVENT] += fired * len(found)
             counts[_ACTUATED] += fired * sum(outcome[0] for outcome in found)
@@ -598,20 +620,6 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
             records.append(f"{tick}{served}{tick}{hit}{shown}{hit_middle}{now - at}{hit_tail}")
             records += [f"{tick}{event}{shown}{tick.join(pieces)}" for _, event, pieces in found]
         return "".join(records)
-
-    def alarms(cols: list[str], values: list[float], begin: int, end: int) -> None:
-        """Count the alerts and actuations that the readings of a logged batch's senses
-        ``begin`` to ``end`` set off, and add their records to ``cols``."""
-        for test, limit, index in tests:
-            count, event, pieces = outcomes[index]
-            # each sense's last column, where its tick is six columns back and its reading two
-            found = list(itertools.compress(range(7 * begin + 6, 7 * end, 7),
-                                            map(test, values[begin:end], itertools.repeat(limit))))
-            counts[_EVENT] += len(found)
-            counts[_ACTUATED] += count * len(found)
-            for at in found:
-                tick = cols[at - 6]
-                cols[at] += f"{tick}{event}{cols[at - 2]}{tick.join(pieces)}"
 
     def fire(now: int, stop: int) -> int:
         residual, depleted = cell.residual_mah, cell.depleted
@@ -905,9 +913,12 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     The model's program is compiled on its first run and kept with the
     model object, so repeated runs of one model, such as a sweep's rounds,
     compile it once; each run builds only its own state from it (its
-    cells, sample streams and counts).  Identical inputs (model, seed, freshness policy) produce identical
-    reports and byte-identical event logs.  The run halts as soon as a
-    device named in ``halt_on`` depletes.  ``registry`` supplies
+    cells, sample streams and counts), and a run that keeps only counts
+    renders no text.  Identical inputs (model, seed, freshness policy)
+    produce identical reports and byte-identical event logs.  The run
+    halts as soon as a device named in ``halt_on`` depletes; each name in
+    it and each key of ``distance_overrides`` must be a device's, and an
+    overriding distance must be finite and positive.  ``registry`` supplies
     the execution-module hooks; the default registry carries the built-in
     analyses.  ``sink`` receives the event log: None keeps only the event
     counts, which makes multi-hundred-thousand-tick runs cheap; any
@@ -981,7 +992,9 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         if first <= last:
             counts[EventKind.PERIODIC_REQUEST.value] += (last - first) // intervals[index] + 1
 
-    return SimulationReport(
+    # A frozen dataclass's __init__ sets each field with its own object.__setattr__ call.
+    report = object.__new__(SimulationReport)
+    vars(report).update(
         model_name=model.name,
         simulation_time=horizon,
         tick_seconds=model.sim_config.tick_seconds,
@@ -990,9 +1003,10 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         residual_mah={name: cell.residual_mah for name, cell in state.devices.items()},
         lifetimes={name: state.lifetimes.get(name) for name in state.devices},
         counts={kind: count for kind, count in counts.items() if count},  # in _KINDS order
-        module_outputs=dict(state.module_outputs),
+        module_outputs=state.module_outputs,
         log_text="".join(collected),
     )
+    return report
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotdraw import (
-    DeviceEnergyProfile, joules_to_mah, lifetime_closed_form, per_request_drain_mah,
+    DeviceEnergyProfile, ModelError, joules_to_mah, lifetime_closed_form, per_request_drain_mah,
     sense_energy, transmit_energy,
 )
 from iotdraw import energy
@@ -69,8 +69,10 @@ def test_per_request_drain_reference_value():
 
 
 def test_transmit_rejects_nonpositive_distance():
-    with pytest.raises(Exception):
-        transmit_energy(profile(), 0.0)
+    # NaN compares false with everything, so ``distance <= 0`` alone lets it through.
+    for distance in (0.0, -3.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match="transmit distance must be finite and positive"):
+            transmit_energy(profile(), distance)
 
 
 def test_drain_subtracts_and_flags_depletion():

@@ -1,15 +1,17 @@
 """Discrete-event execution: timing, caching, draining, determinism."""
 
+import copy
 import dataclasses
 import math
+import pickle
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotdraw import (
-    COLLECT, FreshnessPolicy, ModelError, SampleStream, lifetime_closed_form,
-    parse_model, per_request_drain_mah, run_simulation, sense_energy,
+    COLLECT, FreshnessPolicy, ModelError, SampleStream, SimulationReport, lifetime_closed_form,
+    parse_model, per_request_drain_mah, predicted_lifetime, run_simulation, sense_energy,
 )
 from iotdraw.energy import drain_mah, joules_to_mah
 from iotdraw.engine import _LANES, _OPS, EventKind, _cut, _matches, _outputs, _packed
@@ -207,6 +209,58 @@ def test_distance_override_needs_a_link(no_link_file):
     from iotdraw import initial_state, load_model
     state = initial_state(load_model(no_link_file), distance_overrides={"level_sensor_1": 10.0})
     assert state.devices["level_sensor_1"].transmit_mah is None
+
+
+def test_a_distance_override_must_name_a_device():
+    model = tiny_model(sim_time=5, interval=1)
+    for overrides, names in (({"typo": 5.0}, "typo"), ({"hub": 3.0}, "hub"),
+                             ({"probe_1": 5.0, "zz": 1.0, "hub": 2.0}, "hub, zz")):
+        for sink in (None, COLLECT):
+            with pytest.raises(ModelError, match=f"^cannot override the distance of {names}: "
+                                                 "not a device$"):
+                run_simulation(model, sink=sink, distance_overrides=overrides)
+
+
+@pytest.mark.parametrize("distance", [math.nan, math.inf, 0.0, -4.0])
+def test_a_distance_that_is_not_finite_and_positive_is_refused(distance):
+    # Unchecked, a NaN distance drains its device to 0 at tick 0: NaN fails every comparison.
+    model = tiny_model(sim_time=5, interval=1)
+    refused = "transmit distance must be finite and positive"
+    for sink in (None, COLLECT):
+        with pytest.raises(ModelError, match=refused):
+            run_simulation(model, sink=sink, distance_overrides={"probe_1": distance})
+    with pytest.raises(ModelError, match=refused):
+        predicted_lifetime(model, "probe_1", distance_m=distance)
+
+
+def test_a_report_is_a_frozen_dataclass(monkeypatch):
+    from iotdraw import engine
+    model = alarmed_model(sim_time=30, interval=2, data="uniform(0, 40)", condition="level > 20")
+    report = run_simulation(model, FreshnessPolicy(1), seed=5)
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(SimulationReport)}
+    built = SimulationReport(**fields)  # through the dataclass's own __init__
+    assert vars(report) == vars(built) and report == built
+    assert repr(report) == repr(built)
+    assert report == run_simulation(model, FreshnessPolicy(1), seed=5)
+    assert report != run_simulation(model, FreshnessPolicy(1), seed=6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.final_tick = 3
+    changed = dataclasses.replace(report, final_tick=3)
+    assert changed.final_tick == 3 and changed.counts == report.counts
+    assert changed.events_csv() == report.events_csv()
+    # ``events`` is parsed from the log's text once, on first access.
+    parsed = []
+    monkeypatch.setattr(engine, "_rows", lambda text: parsed.append(text) or ("row",))
+    assert "events" not in vars(report) and not parsed
+    assert report.events == report.events == ("row",)
+    assert parsed == [report.log_text]
+    monkeypatch.undo()
+    for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert copied == report and copied is not report
+        assert copied.events_csv() == report.events_csv()
+    fresh = run_simulation(model, FreshnessPolicy(1), seed=5)
+    for copied in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+        assert copied.events == built.events != ()
 
 
 def test_eval_condition_operators():

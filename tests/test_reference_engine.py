@@ -139,21 +139,38 @@ def _csv(rows):
     return "".join(records)
 
 
-@settings(max_examples=400, deadline=None)
-@given(case=runs())
-def test_engine_matches_the_reference(case):
-    model, max_age, halt_on, seed = case
-    expected = reference_run(model, max_age, halt_on, seed=seed)
+def _assert_matches_the_reference(model, max_age, halt_on, seed, distance_overrides=None):
+    """A collected, a streamed and a counts-only run each report what the reference
+    does, and both logs are its log byte for byte."""
+    expected = reference_run(model, max_age, halt_on, seed=seed,
+                             distance_overrides=distance_overrides)
     expected_csv = _csv(expected.events)
     streamed = []
     for sink in (COLLECT, None, streamed.extend):
-        report = run_simulation(model, FreshnessPolicy(max_age), halt_on, seed=seed, sink=sink)
+        report = run_simulation(model, FreshnessPolicy(max_age), halt_on, seed=seed, sink=sink,
+                                distance_overrides=distance_overrides)
         for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
             assert getattr(report, attribute) == getattr(expected, attribute), (attribute, sink)
         if sink is COLLECT:
             assert report.events_csv() == expected_csv
             assert [tuple(event) for event in report.events] == expected.events
     assert "tick,kind,subject,detail\n" + "".join(streamed) == expected_csv
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=runs())
+def test_engine_matches_the_reference(case):
+    _assert_matches_the_reference(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_distance_overrides_match_the_reference(data):
+    # Each overridden device with a link senses at the drawn distance, which its sense
+    # records' detail shows; a device with no link keeps none.
+    model, max_age, halt_on, seed = data.draw(runs())
+    overrides = data.draw(st.dictionaries(st.sampled_from(_devices(model)), st.floats(1.0, 50.0)))
+    _assert_matches_the_reference(model, max_age, halt_on, seed, overrides)
 
 
 @st.composite
