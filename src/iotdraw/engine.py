@@ -49,10 +49,17 @@ The scheduler runs the first plan due, in declaration order, with
 another plan is due on the same tick.  A kernel ends its batch early
 after a firing in which a device depleted.  A run halted by a depletion
 ends after that firing and its event requests: later plans in the
-tick's declaration order do not fire.  The kernels draw packed:
-``_packed`` mixes many outputs of a generator at once, which ``_matches``
-counts and ``_outputs`` unpacks.  ``rng.py`` and ``docs/determinism.md``
-remain the draw's specification, as ``energy.py`` is the drain's.
+tick's declaration order do not fire.
+
+The sense kernel takes a batch's senses in three steps that both run
+modes share: the readings before the last, which a logged run renders
+and a run that keeps only counts only tests; then the depletion that the
+last sense may cause; then the last reading, tested on its value after
+that depletion.  It draws packed: ``_packed`` mixes many outputs of a
+generator at once, which ``_matches`` counts and ``_outputs`` unpacks.
+Only the last reading of a run that keeps only counts is drawn on its
+own, through the stream.  ``rng.py`` and ``docs/determinism.md`` remain
+the draw's specification, as ``energy.py`` is the drain's.
 
 The event log is CSV text, rendered once by the code that logs it: the
 kernels append records to a list in log order, each item one or more
@@ -106,7 +113,7 @@ from .model import (
     Component, ConditionExpr, ConstantSource, DataSource, DeviceEnergyProfile, IoTSystemModel,
     ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
 )
-from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, _mix64, derive_seed
+from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, derive_seed
 from .validate import task_binding
 
 
@@ -405,9 +412,10 @@ class _Runner(NamedTuple):
 def _compile(model: IoTSystemModel) -> _Program:
     """The model's program; runs read it through ``model.derived``, so it is
     compiled once per model object."""
-    devices = {}  # of two devices sharing a name the last declared wins, as in a run's cells
+    devices = {}
     for platform in model.platforms:
-        if platform.tier is PlatformTier.DEVICE:
+        # of two platforms sharing a name the first declared wins, as in ``model.platform``
+        if platform.tier is PlatformTier.DEVICE and model.platform(platform.name) is platform:
             devices[platform.name] = _device(model, platform)
     plans = []
     for app in model.applications:
@@ -509,9 +517,9 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
     One runner serves a logged run and one that keeps only counts.  It keeps
     the cell's fields in locals for a batch, and ends the batch after the
     firing that depletes the device.  A watcher drains nothing, so its
-    outcome changes only when some device depletes (it may be its own): the
-    runner reads the outcomes of ``watcher_outcomes``, worked out again
-    whenever a device has depleted since.
+    outcome changes only when some device depletes (it may be its own):
+    ``refresh`` works the outcomes out again whenever a device has depleted
+    since.
 
     A batch relies on depletion, freshness and the stream's position never
     depending on a reading.  The firings up to the cache's last fresh tick
@@ -524,25 +532,31 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
     interval`` cache hits its reading serves, the last only by those before
     ``stop`` and by none when it depletes the device.
 
-    In a logged run the second pass draws every reading at once, a uniform
-    source's through ``_outputs``, and renders the batch in columns, seven
-    per sense: its tick, its request, its tick, its sample up to the reading,
-    the reading's ``repr``, the sample's tail, and what follows the sample.
-    That last column holds the depletion record when the sense is the last
-    and depletes the device, then its watchers' records, then the hits it
-    serves.  A watcher's firing senses come from one ``compress`` over the
-    readings; the depleting sense is tested on its own, after its depletion.
-    The fixed text is quoted when the run binds the plan, and the batch is
-    joined into one item of the log.
+    The second pass takes the same three steps in both run modes:
 
-    In a run that keeps only counts the second pass works out only what a
-    watcher tests.  What the readings before the last set off is counted:
-    ``_matches`` counts a uniform source's outputs on each condition's range
-    of outputs (``_cut``), and the generator then moves once per sense; the
-    other sources' readings are tested as floats, and a uniform source that
-    no condition watches draws only the reading the cache keeps.  The last
-    reading is tested on its own, after the depletion it may cause, with the
-    hits it serves before ``stop``, and becomes the cached reading.
+    1. The readings before the last.  A logged run draws every reading at
+       once, a uniform source's through ``_outputs``, and renders the batch
+       in columns, seven per sense: its tick, its request, its tick, its
+       sample up to the reading, the reading's ``repr``, the sample's tail,
+       and what follows the sample: its watchers' records, from one
+       ``compress`` per watcher over the readings (``alarms``), then the
+       hits it serves (``tested``).  A run that keeps only counts works out
+       only what a watcher tests: ``_matches`` counts a uniform source's
+       outputs on each condition's range of outputs, and the generator then
+       moves once per reading; the other sources' readings are tested one
+       by one.
+    2. The depletion, when the last sense causes it: ``_deplete``, then
+       ``refresh``.
+    3. The last reading, tested on its value after that depletion, once and
+       once more per hit it serves before ``stop``; it becomes the cached
+       reading.  A logged run adds the depletion record, its watchers'
+       records and its hits to its last column.  A run that keeps only
+       counts draws it through the stream's own ``next``, the draw's
+       specification, except that a uniform source that no condition
+       watches and no cache keeps only moves its generator.
+
+    The fixed text is quoted when the run binds the plan, and a logged
+    batch is joined into one item of the log.
     """
     interval, request, watchers, cuts = plan.interval, plan.request, plan.watchers, plan.cuts
     cell = state.devices[request.device]
@@ -622,8 +636,7 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
         return "".join(records)
 
     def fire(now: int, stop: int) -> int:
-        residual, depleted = cell.residual_mah, cell.depleted
-        cached_value, cached_at = cell.cached_value, cell.cached_at
+        residual, cached_value, cached_at = cell.residual_mah, cell.cached_value, cell.cached_at
         refresh()
         start, senses, failures, text = now, 0, 0, ""
         if max_age and cached_at is not None and now - cached_at <= max_age:
@@ -632,12 +645,12 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
             fresh = ((last if last < stop else stop) - now) // interval + 1
             text = tested(cached_value, fresh, cached_at, now)
             now += fresh * interval
-        spent = depleted and now <= stop  # and past the cache's last fresh tick
+        spent = cell.depleted and now <= stop  # and past the cache's last fresh tick
         if spent and log is not None:  # each firing fails
             failures = (stop - now) // interval + 1
             text += "".join([f"{tick}{failed}" for tick in range(now, stop + 1, interval)])
             now += failures * interval
-        elif now <= stop and not depleted:
+        elif now <= stop and not cell.depleted:
             # Pass 1: drain up to ``stop``, or through the sense that depletes the device.
             senses, residual = drain_senses_mah(residual, threshold, sense_mah, transmit_mah,
                                                 (stop - now) // step + 1)
@@ -645,9 +658,12 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
             depletes = residual <= threshold
             # the firings the last reading serves: its own, and its hits before ``stop``
             weight = 1 if depletes else min((stop - last) // interval, repeats) + 1
+            # Pass 2, in three steps.  First what each reading before the last sets off,
+            # once and once more per hit it serves.
+            earlier = senses - 1
             if log is not None:
-                # Pass 2: every reading at once, then the batch's records in columns,
-                # seven per sense: its request, its sample, and the records that follow.
+                # Every reading at once, then the batch's records in columns, seven
+                # per sense: its request, its sample, and the records that follow.
                 if rng is None:
                     values = [sample() for _ in range(senses)]
                 else:
@@ -656,57 +672,41 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
                 cols = [None, served, None, sensed, None, sensed_tail, ""] * senses
                 cols[0::7] = cols[2::7] = list(map(str, range(now, last + 1, step)))
                 cols[4::7] = map(repr, values)
-                early = senses - depletes  # the senses before the one that depletes the device
-                alarms(cols, values, 0, early)
-                for at in range(early) if repeats else ():
-                    cols[7 * at + 6] += tested(values[at], repeats if at < senses - 1 else weight - 1,
-                                               now + at * step, now + at * step + interval)
-                if depletes:
-                    depleted = True
-                    _deplete(state, cell, last)
-                    refresh()
-                    cols[-1] = f"{cols[-7]}{drained}{residual!r}\n"
-                    alarms(cols, values, early, senses)
-                text += "".join(cols)
+                alarms(cols, values, 0, earlier)
+                for at in range(earlier) if repeats else ():
+                    tick = now + at * step
+                    cols[7 * at + 6] += tested(values[at], repeats, tick, tick + interval)
+            elif rng is None:
+                for _ in range(earlier):
+                    tested(sample(), repeats + 1)
+            elif earlier:
+                if cuts:
+                    found = _matches(rng.state, earlier, cuts)
+                    counts[_EVENT] += sum(found) * (repeats + 1)
+                    counts[_ACTUATED] += (repeats + 1) * sum(
+                        count * n for count, (n,) in zip(found, outcomes))
+                rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
+            if depletes:  # then the depletion the last sense causes
+                _deplete(state, cell, last)
+                refresh()
+            # Then the last reading, tested on its value after that depletion.
+            if log is not None:
                 value = values[-1]
-            else:
-                # Pass 2: what each reading before the last sets off, once and once more
-                # per hit it serves.
-                earlier = senses - 1
-                if rng is None:
-                    for _ in range(earlier):
-                        tested(sample(), repeats + 1)
-                elif earlier:
-                    if cuts:
-                        found = _matches(rng.state, earlier, cuts)
-                        counts[_EVENT] += sum(found) * (repeats + 1)
-                        counts[_ACTUATED] += (repeats + 1) * sum(
-                            count * n for count, (n,) in zip(found, outcomes))
-                    rng.state = (rng.state + earlier * _GOLDEN_GAMMA) & _MASK64
                 if depletes:
-                    depleted = True
-                    _deplete(state, cell, last)
-                    refresh()
-                # the last reading, tested after the depletion it may cause
-                if rng is None:
-                    value = sample()
-                    tested(value, weight)
-                elif cuts or max_age:  # rng.uniform's draw, tested on its raw output
-                    rng.state = seed = (rng.state + _GOLDEN_GAMMA) & _MASK64
-                    z = _mix64(seed)
-                    for (first, end, inside), (n,) in zip(cuts, outcomes):
-                        if (first <= z < end) is inside:
-                            counts[_EVENT] += weight
-                            counts[_ACTUATED] += n * weight
-                    if max_age:
-                        value = lo + span * (z / _MASK64)
-                else:  # no condition tests it and no cache keeps it
-                    rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
+                    cols[-1] = f"{cols[-7]}{drained}{residual!r}\n"
+                alarms(cols, values, earlier, senses)
+                if weight > 1:
+                    cols[-1] += tested(value, weight - 1, last, last + interval)
+                text += "".join(cols)
+            elif rng is None or cuts or max_age:
+                value = sample()
+                tested(value, weight)
+            else:  # no condition tests it and no cache keeps it
+                rng.state = (rng.state + _GOLDEN_GAMMA) & _MASK64
             if max_age:
                 cached_value, cached_at = value, last
             now = last + weight * interval
-        cell.residual_mah, cell.depleted = residual, depleted
-        cell.cached_value, cell.cached_at = cached_value, cached_at
+        cell.residual_mah, cell.cached_value, cell.cached_at = residual, cached_value, cached_at
         if text:
             log(text)
         fired = (now - start) // interval
@@ -721,6 +721,8 @@ def _sense_kernel(state: SimulationState, log: Callable[[str], object] | None,
 def _cut(lo: float, hi: float, op: str, limit: float) -> tuple[int, int, bool]:
     """Where ``op(lo + (hi - lo) * (z / (2**64 - 1)), limit)`` holds over the 64-bit
     outputs ``z``: on ``first <= z < end`` when ``inside``, off it otherwise.
+    It serves only ``_matches``, the packed count of a batch's earlier readings;
+    the last reading is tested on its value.
 
     Each rounding step is monotone, so the reading never decreases as ``z``
     grows, and a condition holds on one range of ``z`` (off one for ``!=``).

@@ -482,6 +482,19 @@ def test_sweep_rejects_repeated_values(freshness_model):
         lifetime_sweep(freshness_model, "level_sensor_1", intervals=[2, 4, 2], rounds=1)
 
 
+def test_sweep_refuses_an_empty_list_of_values(freshness_model):
+    with pytest.raises(ModelError) as refused:
+        lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[])
+    assert (type(refused.value) is ModelError
+            and str(refused.value) == "sweep needs at least one parameter value")
+
+
+def test_a_model_without_an_application_has_no_deployments(freshness_model):
+    model = dataclasses.replace(freshness_model, applications=())
+    assert enumerate_deployments(model) == []
+    assert enumerate_deployments(model, scored=True) == []
+
+
 def test_sweep_gives_no_radio_to_a_device_with_no_link(no_link_file):
     from iotdraw import load_model
     # every request fails for want of a route, as in a plain run, so no round depletes

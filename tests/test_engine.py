@@ -233,6 +233,43 @@ def test_a_distance_that_is_not_finite_and_positive_is_refused(distance):
         predicted_lifetime(model, "probe_1", distance_m=distance)
 
 
+def test_of_two_devices_sharing_a_name_the_run_uses_the_first_as_the_analyses_do(freshness_model):
+    # Built in code: the parser refuses a duplicate name.
+    first = freshness_model.platform("level_sensor_1")
+    energy = dataclasses.replace(first.energy, battery_capacity_mah=50.0, residual_energy_mah=50.0)
+    model = dataclasses.replace(freshness_model, platforms=freshness_model.platforms + (
+        dataclasses.replace(first, energy=energy),))
+    assert model.platform("level_sensor_1") is first
+    assert predicted_lifetime(model, "level_sensor_1") == 399
+    for sink in (None, COLLECT):
+        report = run_simulation(model, sink=sink)
+        assert report == run_simulation(freshness_model, sink=sink)
+        assert report.lifetimes == {"level_sensor_1": 399}
+
+
+def test_a_negative_max_age_is_refused():
+    with pytest.raises(ModelError) as refused:
+        FreshnessPolicy(-1)
+    assert type(refused.value) is ModelError
+    assert str(refused.value) == "max age cannot be negative: -1"
+
+
+def test_uniform_bounds_out_of_order_are_refused():
+    with pytest.raises(ValueError) as refused:
+        SplitMix64(1).uniform(2, 1)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "uniform bounds out of order: [2, 1]"
+
+
+def test_log_text_that_is_not_a_record_is_refused_with_its_offset():
+    report = run_simulation(tiny_model(sim_time=2, interval=1))
+    broken = dataclasses.replace(report, log_text=report.log_text + "not a record\n")
+    with pytest.raises(ValueError) as refused:
+        broken.events
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"no event-log record at offset {len(report.log_text)}"
+
+
 def test_a_report_is_a_frozen_dataclass(monkeypatch):
     from iotdraw import engine
     model = alarmed_model(sim_time=30, interval=2, data="uniform(0, 40)", condition="level > 20")
@@ -383,13 +420,13 @@ def test_a_counts_only_run_without_watchers_moves_the_stream_once_per_sense(max_
     from iotdraw.engine import _build_plans, initial_state
     model = tiny_model(sim_time=999, interval=1, capacity=1000, data="uniform(-5, 30) seed 11")
     state = initial_state(model, freshness=FreshnessPolicy(max_age))
+    cell = state.devices["probe_1"]
+    # No condition reads an output, so only the reading a cache keeps is drawn.
+    if not max_age:
+        cell.stream.next = None  # the kernel binds the stream's draw when it binds the plan
     (plan,) = _build_plans(state, None)
     assert plan.fire.__qualname__ == "_sense_kernel.<locals>.fire"
-    # No condition reads an output, so only the reading a cache keeps is drawn.
     monkeypatch.setattr(engine, "_matches", None)
-    if not max_age:
-        monkeypatch.setattr(engine, "_mix64", None)
-    cell = state.devices["probe_1"]
     reference, drawn, now = SplitMix64(11), [], 0
     # One batch, then several: some start on a fresh cache, and 10..10 draws nothing at max age 3.
     for stop in (0, 9, 10, 57, 999):

@@ -216,6 +216,12 @@ def test_unknown_platform_raises():
         route_between(model, "a", "zz")
 
 
+def test_single_source_routes_refuse_an_unknown_source():
+    with pytest.raises(ModelError) as refused:
+        single_source_routes(diamond_model(), "zz")
+    assert type(refused.value) is ModelError and str(refused.value) == "unknown platform: 'zz'"
+
+
 def test_cached_facts_stay_out_of_equality_and_replace():
     import dataclasses
 
