@@ -412,11 +412,8 @@ class _Runner(NamedTuple):
 def _compile(model: IoTSystemModel) -> _Program:
     """The model's program; runs read it through ``model.derived``, so it is
     compiled once per model object."""
-    devices = {}
-    for platform in model.platforms:
-        # of two platforms sharing a name the first declared wins, as in ``model.platform``
-        if platform.tier is PlatformTier.DEVICE and model.platform(platform.name) is platform:
-            devices[platform.name] = _device(model, platform)
+    devices = {platform.name: _device(model, platform) for platform in model.platforms
+               if platform.tier is PlatformTier.DEVICE}
     plans = []
     for app in model.applications:
         watchers = []
@@ -450,17 +447,14 @@ def _request(model: IoTSystemModel, devices: Mapping[str, _Device], kind: EventK
              condition: ConditionExpr | None = None) -> tuple[_Request, ServiceContract]:
     """The compiled request for one task, and the contract it runs."""
     binding = task_binding(model, task)
-    device = None
-    if binding.provider.kind == "platform":
-        provider = model.platform(binding.provider.name)
-        if provider.tier is PlatformTier.DEVICE:
-            device = provider.name
+    provider = binding.provider
+    device = provider.name if provider.kind == "platform" and provider.name in devices else None
     # Transmit, receive and compute tasks are bookkept by the request itself.
     tasks = tuple((_SENSED, "") if t.kind is TaskKind.SENSE
                   else (_ACTUATED, f"task={t.name} by={consumer.name}")
                   for t in binding.contract.tasks
                   if t.kind is TaskKind.SENSE or t.kind is TaskKind.ACTUATE)
-    detail = f"task={binding.task.name} provider={binding.provider.name}"
+    detail = f"task={binding.task.name} provider={provider.name}"
     if condition is not None:
         detail += f" condition={condition.render()}"
     request = _Request(kind.value, consumer.name, detail, device, tasks,

@@ -10,7 +10,9 @@ instead, so a model can be shared freely between threads and analyses.
 Models are produced by :func:`iotdraw.modelfmt.parse_model`, which reads
 each block of the text straight into its constructor here and resolves
 the names the blocks use.  Each constructor checks its own object's
-invariants; the parser checks uniqueness and references.
+invariants.  :class:`IoTSystemModel`'s also checks that names are unique
+within each category (``repeated_names``), however the model is built;
+the parser checks references.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ def _require(condition: bool, message: str, subject: str = "") -> None:
     """
     if not condition:
         raise ModelError([BuildIssue(message, subject)])
+
+
+def repeated_names(category: str, names, spans=None) -> list[BuildIssue]:
+    """One issue per repeat among ``names``, a category's names in declaration
+    order, at the repeat's span in ``spans`` when given: within a category of
+    a model, names are unique."""
+    seen: set[str] = set()
+    issues = []
+    for at, name in enumerate(names):
+        if name in seen:
+            issues.append(BuildIssue(f"duplicate identifier: {category} {name!r}", name,
+                                     spans[at] if spans else None))
+        seen.add(name)
+    return issues
 
 
 def _finite(number: float) -> bool:
@@ -474,6 +490,17 @@ class IoTSystemModel:
     interfaces: tuple[str, ...] = ()
     sim_config: SimConfig = field(default_factory=SimConfig)
 
+    def __post_init__(self):
+        # The components of all applications are one category.
+        if issues := [issue for category, names in (
+                ("entity", [e.name for e in self.physical_entities]), ("interface", self.interfaces),
+                ("platform", [p.name for p in self.platforms]),
+                ("contract", [c.name for c in self.contracts]),
+                ("component", [c.name for c in self.all_components()]),
+                ("application", [a.name for a in self.applications]),
+        ) for issue in repeated_names(category, names)]:
+            raise ModelError(issues)
+
     def derived(self, compute, *args):
         """``compute(self, *args)``, worked out once per model object.
 
@@ -510,13 +537,12 @@ class IoTSystemModel:
         return self.derived(_components_by_name).get(name)
 
 
-# Built back to front: of two items sharing a name, the first declared wins.
 def _platforms_by_name(model: IoTSystemModel) -> dict[str, Platform]:
-    return {p.name: p for p in reversed(model.platforms)}
+    return {p.name: p for p in model.platforms}
 
 
 def _components_by_name(model: IoTSystemModel) -> dict[str, Component]:
-    return {c.name: c for c in reversed(model.all_components())}
+    return {c.name: c for c in model.all_components()}
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .model import (
     DeviceEnergyProfile, EventRequest, ExecutionModuleDecl, GeoLocation, IoTSystemModel,
     MessageField, MessageType, ModelError, NetworkLink, PeriodicRequest, PhysicalEntity,
     Platform, PlatformTier, ServiceContract, ServicePort, SimConfig, Task, TaskKind,
-    TraceSource, UniformSource, format_number,
+    TraceSource, UniformSource, format_number, repeated_names,
 )
 
 _NUMBER = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -500,7 +500,8 @@ def _named(built) -> tuple:
 def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
     """Resolve the parsed blocks into an immutable, structurally sound model.
 
-    Checks identifier uniqueness within each category, resolves every
+    Checks identifier uniqueness within each category, by the model's
+    rule (``repeated_names``) applied to the blocks, resolves every
     name reference (entities, components, link endpoints, declared
     interfaces), and constructs each model object, whose constructor
     enforces its own invariants.  Contract-level consistency (whether
@@ -511,11 +512,9 @@ def build_system(blocks: dict[str, list[tuple]]) -> IoTSystemModel:
     """
     issues: list[BuildIssue] = []
     for category in _CATEGORIES[1:-1]:  # the system is single and links have no name
-        seen: set[str] = set()
-        for name, span, _ in blocks[category]:
-            if name in seen:
-                issues.append(BuildIssue(f"duplicate identifier: {category} {name!r}", name, span))
-            seen.add(name)
+        declared = blocks[category]
+        issues += repeated_names(category, [name for name, _, _ in declared],
+                                 [span for _, span, _ in declared])
     entity_names, interface_names, platform_names = (
         {name for name, _, _ in blocks[category]} for category in ("entity", "interface", "platform"))
     # each component's first declaration, where an unclaimed one is reported

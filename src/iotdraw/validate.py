@@ -1,12 +1,13 @@
 """Static validation: do the declared parts actually fit together?
 
-Structural soundness (unique names, resolvable references) is already
-guaranteed by model construction.  This layer checks the service-level
-story: every required interface is governed by exactly one contract and
-realized by some provider, ports are typed by contract interfaces,
-requested tasks exist, event conditions talk about fields that some
-periodic sample can deliver, and consumers can actually route to fixed
-providers under the protocol rules.
+Unique names are guaranteed by model construction, and resolvable
+references by the parser (a model built in code is not checked for
+them).  This layer checks the service-level story: every required
+interface is governed by exactly one contract and realized by some
+provider, ports are typed by contract interfaces, requested tasks exist,
+event conditions talk about fields that some periodic sample can
+deliver, and consumers can actually route to fixed providers under the
+protocol rules.
 
 Protocol bridging follows the fog cross-proxy convention: two ports may
 interact either when they speak the same application protocol
@@ -53,16 +54,15 @@ def interface_providers(model: IoTSystemModel, interface: str) -> list[ProviderR
 
 
 def _find_providers(model: IoTSystemModel, interface: str) -> list[ProviderRef]:
-    refs = []
-    for platform in model.platforms:
-        for port in platform.services:
-            if port.interface == interface:
-                refs.append(ProviderRef("platform", platform.name, port))
-    for component in model.all_components():
-        port = component.provided_service
-        if port is not None and port.interface == interface:
-            refs.append(ProviderRef("component", component.name, port))
+    refs = [ref for ref in model.derived(_service_ports) if ref.port.interface == interface]
     return sorted(refs, key=lambda r: (r.name, r.port.name))
+
+
+def _service_ports(model: IoTSystemModel) -> list[ProviderRef]:
+    """Every port of the model: the platforms', in order, then the components'."""
+    return ([ProviderRef("platform", p.name, port) for p in model.platforms for port in p.services]
+            + [ProviderRef("component", c.name, c.provided_service) for c in model.all_components()
+               if c.provided_service is not None])
 
 
 def contracts_for_task(model: IoTSystemModel, task_name: str) -> list[ServiceContract]:
@@ -275,18 +275,11 @@ def validate_model(model: IoTSystemModel, path: str | None = None) -> Validation
     consumer_sides = {c.consumer_interface: c.name for c in model.contracts}
 
     # Ports must be typed by contract interfaces.
-    for platform in model.platforms:
-        for port in platform.services:
-            if port.interface not in declared:
-                error("undeclared-interface",
-                      f"service {port.name!r} on platform {platform.name!r} uses interface "
-                      f"{port.interface!r}, which no contract declares")
-    for component in model.all_components():
-        port = component.provided_service
-        if port is not None and port.interface not in declared:
+    for ref in model.derived(_service_ports):
+        if ref.port.interface not in declared:
             error("undeclared-interface",
-                  f"service {port.name!r} on component {component.name!r} uses interface "
-                  f"{port.interface!r}, which no contract declares")
+                  f"service {ref.port.name!r} on {ref.kind} {ref.name!r} uses interface "
+                  f"{ref.port.interface!r}, which no contract declares")
 
     # Requirements resolve through contracts to concrete providers.
     for component in model.all_components():

@@ -233,18 +233,15 @@ def test_a_distance_that_is_not_finite_and_positive_is_refused(distance):
         predicted_lifetime(model, "probe_1", distance_m=distance)
 
 
-def test_of_two_devices_sharing_a_name_the_run_uses_the_first_as_the_analyses_do(freshness_model):
-    # Built in code: the parser refuses a duplicate name.
+def test_a_second_device_sharing_a_name_is_refused_before_any_run(freshness_model):
+    # Built in code: the model refuses a repeated name, as the parser does.
     first = freshness_model.platform("level_sensor_1")
     energy = dataclasses.replace(first.energy, battery_capacity_mah=50.0, residual_energy_mah=50.0)
-    model = dataclasses.replace(freshness_model, platforms=freshness_model.platforms + (
-        dataclasses.replace(first, energy=energy),))
-    assert model.platform("level_sensor_1") is first
-    assert predicted_lifetime(model, "level_sensor_1") == 399
-    for sink in (None, COLLECT):
-        report = run_simulation(model, sink=sink)
-        assert report == run_simulation(freshness_model, sink=sink)
-        assert report.lifetimes == {"level_sensor_1": 399}
+    with pytest.raises(ModelError) as refused:
+        dataclasses.replace(freshness_model, platforms=freshness_model.platforms + (
+            dataclasses.replace(first, energy=energy),))
+    assert [(issue.message, issue.subject, issue.span) for issue in refused.value.issues] == [
+        ("duplicate identifier: platform 'level_sensor_1'", "level_sensor_1", None)]
 
 
 def test_a_negative_max_age_is_refused():

@@ -4,12 +4,14 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotdraw.model import (
-    Component, ConditionExpr, ConstantSource, GeoLocation, ModelError, NetworkLink,
-    PeriodicRequest, Platform, PlatformTier, Route, SimConfig, TraceSource, single_source_routes,
+    Application, Component, ConditionExpr, ConstantSource, GeoLocation, IoTSystemModel, ModelError,
+    NetworkLink, PeriodicRequest, Platform, PlatformTier, Route, SimConfig, TraceSource,
+    single_source_routes,
 )
-from iotdraw.modelfmt import parse_model
+from iotdraw.modelfmt import parse_model, serialize_model
 from iotdraw.validate import route_between
 
 BASE_BLOCKS = (
@@ -61,6 +63,92 @@ def test_collections_are_name_sorted():
 def test_duplicate_names_rejected_per_category():
     messages = issues_of(BASE + 'cloud "cloudy" {}')
     assert any("cloudy" in m and "duplicate" in m.lower() for m in messages)
+
+
+# Each category of names: the model field that holds it (components are held by
+# applications), and the keywords its blocks start with.
+NAMED = {
+    "entity": ("physical_entities", ("entity",)),
+    "interface": ("interfaces", ("interface",)),
+    "platform": ("platforms", tuple(tier.value for tier in PlatformTier)),
+    "contract": ("contracts", ("contract",)),
+    "component": ("applications", ("component",)),
+    "application": ("applications", ("application",)),
+}
+
+
+def names_in(model, category):
+    if category == "component":
+        return [c.name for c in model.all_components()]
+    return [getattr(item, "name", item) for item in getattr(model, NAMED[category][0])]
+
+
+def repeated(model, category, name, at, in_own_application=True):
+    """The fields of ``model`` with the element ``name`` of ``category`` listed again,
+    at ``at`` in its collection; a component is listed again in its own application
+    or in a new, second one, and an application again with renamed members."""
+    attr, _ = NAMED[category]
+    items = getattr(model, attr)
+    if category == "component":
+        app = next(app for app in model.applications if name in app.component_names)
+        component = model.component(name)
+        if in_own_application:
+            members = app.components[:at] + (component,) + app.components[at:]
+            items = tuple(dataclasses.replace(a, components=members) if a is app else a
+                          for a in items)
+        else:
+            items += (Application(app.name + "_2", app.region, (component,)),)
+    else:
+        item = next(i for i in items if getattr(i, "name", i) == name)
+        if category == "application":  # with members of its own, so that only its name repeats
+            item = dataclasses.replace(item, components=tuple(
+                dataclasses.replace(c, name=c.name + "_2") for c in item.components))
+        items = items[:at] + (item,) + items[at:]
+    return {attr: items}
+
+
+def with_second_block(text, category, name):
+    """``text`` with the block that declares ``name`` in ``category`` written again."""
+    headers = {f'{keyword} "{name}"' for keyword in NAMED[category][1]}
+    block, = [b.strip() for b in text.split("\n\n") if b.split(" {", 1)[0] in headers]
+    return f"{text}\n{block}\n"
+
+
+def assert_refused_as_the_parser_refuses(model, category, name, changes, via_constructor):
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+    with pytest.raises(ModelError) as refused:
+        if via_constructor:
+            IoTSystemModel(**{**fields, **changes})
+        else:
+            dataclasses.replace(model, **changes)
+    message = f"duplicate identifier: {category} {name!r}"
+    assert [(i.message, i.subject, i.span) for i in refused.value.issues] == [(message, name, None)]
+    diagnostics = parse_model(with_second_block(serialize_model(model), category, name))
+    assert message in [d.message for d in diagnostics]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_model_refuses_one_repeated_name_with_the_parsers_message(padova_model, freshness_model,
+                                                                    data):
+    model = data.draw(st.sampled_from([padova_model, freshness_model]))
+    names = {category: names_in(model, category) for category in NAMED}
+    category = data.draw(st.sampled_from(sorted(c for c in NAMED if names[c])))
+    name = data.draw(st.sampled_from(names[category]))
+    in_own_application = data.draw(st.booleans())
+    size = len(names[category]) if category != "component" else len(
+        next(a for a in model.applications if name in a.component_names).components)
+    changes = repeated(model, category, name, data.draw(st.integers(0, size)), in_own_application)
+    assert_refused_as_the_parser_refuses(model, category, name, changes, data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("via_constructor", [False, True])
+def test_monitor_listed_twice_in_tankwatch_is_refused(freshness_model, via_constructor):
+    # Unrefused, a counts-only run made a plan for each copy: 100,002 periodic requests, not 50,001.
+    changes = repeated(freshness_model, "component", "Monitor", 1)
+    assert [a.component_names for a in changes["applications"]] == [("Monitor", "Monitor")]
+    assert_refused_as_the_parser_refuses(freshness_model, "component", "Monitor", changes,
+                                         via_constructor)
 
 
 def test_unknown_entity_reference():
