@@ -252,13 +252,8 @@ def scenarios_to_csv(scenarios: list[DeploymentScenario], shown: list[str] | Non
     """
     lines = ["id,assignment,availability,response_time_ms"]
     for s in scenarios:
-        # Unscored rows, as in the DeploymentScenarios hook's table, and the
-        # search's rendered texts are read without a call per row.
-        if s.availability is None and s.response_time_ms is None:
-            tail = availability = response = ""
-        else:
-            tail, availability, response = _figures(s)
-        texts = s.rendered or s.assignment_texts()
+        tail, availability, response = _figures(s)
+        texts = s.rendered or s.assignment_texts()  # the search's rendered texts, when it kept them
         lines.append(f"{s.id},{csv_field(texts[1])},{availability},{response}")
         if shown is not None:
             shown.append(f"Scenario {s.id}: {texts[0]}{tail}")

@@ -49,18 +49,24 @@ def _load(path: str):
 
 
 @contextlib.contextmanager
-def _replacing(path: str):
-    """A text handle on a new file beside ``path`` that replaces ``path`` when the block succeeds.
+def _output(path: str | None):
+    """A command's output FILE (``--csv``, ``--log``) for its work, or None without one.
 
-    ``path`` is followed through symlinks, so the file that replaces it
-    is the link's target and the link stays a link.  The file is created
-    before the block runs, so an unwritable ``path`` fails first.  If the
-    block raises, the new file is removed and any existing ``path`` is
-    left as it was.  A target that exists and is not a regular file, such
-    as a FIFO or a device, cannot be replaced: it is written in place.
-    A file that is replaced keeps its permission bits; a new one gets
-    ``0o666`` less the umask, as ``open()`` would give it.
+    The handle is on a new file beside FILE that replaces FILE when the
+    block succeeds.  FILE is followed through symlinks, so the file that
+    replaces it is the link's target and the link stays a link.  The new
+    file is created before the block runs, so an unwritable FILE fails
+    before the work and before anything is printed.  If the block raises,
+    the new file is removed and any existing FILE is left as it was.  A
+    target that exists and is not a regular file, such as a FIFO or a
+    device, cannot be replaced: it is written in place.  A file that is
+    replaced keeps its permission bits; a new one gets ``0o666`` less the
+    umask, as ``open()`` would give it.  Commands print after the block,
+    so a closed stdout is never reported as FILE's fault.
     """
+    if path is None:
+        yield None
+        return
     temp = None
     try:
         target = os.path.realpath(path)
@@ -92,22 +98,6 @@ def _replacing(path: str):
         if temp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(temp)  # already gone once it has replaced ``path``
-
-
-@contextlib.contextmanager
-def _output(path: str | None):
-    """A command's output FILE (``--csv``, ``--log``) for its work, or None without one.
-
-    FILE is opened before the work starts, so an unwritable FILE fails
-    before the work and before anything is printed, and it is replaced as
-    ``_replacing`` replaces it when the block succeeds.  Commands print
-    after the block, so a closed stdout is never reported as FILE's fault.
-    """
-    if path is None:
-        yield None
-    else:
-        with _replacing(path) as handle:
-            yield handle
 
 
 def _write(handle, text: str) -> None:

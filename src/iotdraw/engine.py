@@ -86,10 +86,11 @@ schedule once it is spent: once each of its firings can only count
 itself (``_spent``).  Its provider is not a device, its device has no
 link, or its device is depleted and the cache no longer serves it.
 Depleted batteries never recover and only a sense refreshes a cache, so
-a spent plan stays spent.  A plan spent before tick 0 never runs; any
-other is handed over by its kernel at the first firing that finds it
-spent.  Its firings from then up to the last tick run are counted in
-closed form, and the report equals that of the full run.
+a spent plan stays spent.  Its runner hands it over to the scheduler at
+the first firing that finds it spent, and a plan spent before tick 0 is
+bound to a runner that hands it over at its first due tick.  Its firings
+from then up to the last tick run are counted in closed form, and the
+report equals that of the full run.
 
 Declared execution modules run exactly once, before tick 0; an unknown
 module name aborts the run before any tick executes.
@@ -111,7 +112,8 @@ from .energy import (drain_mah, drain_senses_mah, joules_to_mah, sense_energy,
                      transmit_drain_mah, transmit_energy)
 from .model import (
     Component, ConditionExpr, ConstantSource, DataSource, DeviceEnergyProfile, IoTSystemModel,
-    ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, csv_field,
+    ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, _require_ticks,
+    csv_field,
 )
 from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, derive_seed
 from .validate import task_binding
@@ -218,6 +220,7 @@ class FreshnessPolicy:
     max_age_ticks: int = 0
 
     def __post_init__(self):
+        _require_ticks(self, "max_age_ticks")
         if self.max_age_ticks < 0:
             raise ModelError(f"max age cannot be negative: {self.max_age_ticks}")
 
@@ -402,13 +405,6 @@ class _Program(NamedTuple):
     plans: tuple[_Plan, ...]
 
 
-class _Runner(NamedTuple):
-    """A plan bound to one run: the runner of its kernel, over the run's cells."""
-
-    plan: _Plan
-    fire: Callable[[int, int], int]
-
-
 def _compile(model: IoTSystemModel) -> _Program:
     """The model's program; runs read it through ``model.derived``, so it is
     compiled once per model object."""
@@ -463,9 +459,14 @@ def _request(model: IoTSystemModel, devices: Mapping[str, _Device], kind: EventK
     return request, binding.contract
 
 
-def _build_plans(state: SimulationState, log: Callable[[str], object] | None) -> list[_Runner]:
-    """Bind each plan of the model's program to this run's cells.  A logged run
-    first renders the ``sense_detail`` of each cell with a link."""
+def _build_plans(state: SimulationState,
+                 log: Callable[[str], object] | None) -> list[Callable[[int, int], int]]:
+    """Bind each plan of the model's program to this run's cells: the runner of
+    its kernel, in the program's order.  A run that keeps only counts binds a
+    plan that is spent before tick 0 to ``_handed_over``, so the scheduler
+    takes it off at its first due tick, as it takes any plan a kernel hands
+    over.  A logged run first renders the ``sense_detail`` of each cell with
+    a link."""
     program = state.model.derived(_compile)
     if log is not None:
         for device in program.devices:
@@ -474,8 +475,15 @@ def _build_plans(state: SimulationState, log: Callable[[str], object] | None) ->
                 cell.sense_detail = (f"sense_j={device.sense_j!r} transmit_j="
                                      f"{transmit_energy(device.energy, cell.distance_m)!r} "
                                      f"distance_m={cell.distance_m!r}")
-    return [_Runner(plan, (_sense_kernel if plan.sensed else _generic_kernel)(state, log, plan))
+    devices = state.devices
+    return [_handed_over if log is None and _spent(plan.request, devices.get(plan.request.device))
+            else (_sense_kernel if plan.sensed else _generic_kernel)(state, log, plan)
             for plan in program.plans]
+
+
+def _handed_over(now: int, stop: int) -> int:
+    """The runner of a plan spent before tick 0: it hands the plan over at once."""
+    return ~now
 
 
 _PROVIDER_DEPLETED = " status=failed:provider-depleted"
@@ -931,7 +939,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         sink = collected.extend
     events: list[str] = []  # CSV text, each item whole records, handed to the sink
     log = None if sink is None else events.append
-    plans = _build_plans(state, log)
+    fires = _build_plans(state, log)
     counts = state.counts
 
     # Execution modules run once, before the loop; resolve all of them
@@ -951,14 +959,9 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
 
     horizon = model.sim_config.simulation_time
     never = horizon + 1
-    intervals = [plan.interval for plan, _ in plans]
+    intervals = [plan.interval for plan in model.derived(_compile).plans]
     due = [interval - 1 for interval in intervals]
-    fires = [fire for _, fire in plans]
     closed: dict[int, int] = {}  # plan index -> its first firing counted in closed form
-    if log is None:
-        for index, (plan, _) in enumerate(plans):
-            if _spent(plan.request, state.devices.get(plan.request.device)):
-                closed[index], due[index] = due[index], never
     tick = horizon
     halting = None  # the index of the plan whose firing halted the run
     while True:

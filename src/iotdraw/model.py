@@ -95,6 +95,13 @@ def _require_finite(obj, *names: str, subject: str = "") -> None:
                  f"{name} must be finite, got {_shown(number)}", subject)
 
 
+def _require_ticks(obj, name: str) -> None:
+    """Reject ``obj`` unless its field ``name``, a count of ticks, is an int."""
+    number = getattr(obj, name)
+    _require(isinstance(number, int),
+             f"{type(obj).__name__}.{name} must be a whole number of ticks, got {number!r}")
+
+
 def format_number(value: float) -> str:
     """Integral values print bare (``20``), all others as their ``repr``."""
     return str(int(value)) if value == int(value) else repr(value)
@@ -410,6 +417,7 @@ class PeriodicRequest:
 
     def __post_init__(self):
         _require_finite(self, "interval_ticks")
+        _require_ticks(self, "interval_ticks")
         _require(self.interval_ticks >= 1, "request interval must be at least 1 tick")
 
 
@@ -475,6 +483,7 @@ class SimConfig:
 
     def __post_init__(self):
         _require_finite(self, "simulation_time", "tick_seconds")
+        _require_ticks(self, "simulation_time")
         _require(self.simulation_time >= 0, "simulation time must be non-negative")
         _require(self.tick_seconds > 0, "tick duration must be positive")
 

@@ -534,6 +534,11 @@ def test_sweep_argument_validation(freshness_model):
         lifetime_sweep(freshness_model, "fog_hub", intervals=[1])
     with pytest.raises(ModelError, match="round"):
         lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[0], rounds=0)
+    # A count of ticks is an int: a float one printed a row of its own.
+    with pytest.raises(ModelError, match=r"interval_ticks must be a whole number of ticks, got 1\.5"):
+        lifetime_sweep(freshness_model, "level_sensor_1", intervals=[1.5], rounds=2)
+    with pytest.raises(ModelError, match=r"max_age_ticks must be a whole number of ticks, got 0\.5"):
+        lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[0.5], rounds=2)
 
 
 def test_sweep_csv_shape(freshness_model):

@@ -404,8 +404,8 @@ def test_the_inlined_draw_is_rng_uniform_bit_for_bit(seed, bounds):
     probe = dataclasses.replace(model.platform("probe_1"), data_source=UniformSource(lo, hi, seed))
     model = dataclasses.replace(model, platforms=tuple(
         probe if p.name == "probe_1" else p for p in model.platforms))
-    (plan,) = _build_plans(initial_state(model), [].append)
-    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.fire"
+    (fire,) = _build_plans(initial_state(model), [].append)
+    assert fire.__qualname__ == "_sense_kernel.<locals>.fire"
     drawn = [e.detail.split()[0] for e in events_of(run_simulation(model), EventKind.SENSE_SAMPLE)]
     reference = SplitMix64(seed)
     assert drawn == [f"value={reference.uniform(lo, hi)!r}" for _ in range(1000)]
@@ -421,13 +421,13 @@ def test_a_counts_only_run_without_watchers_moves_the_stream_once_per_sense(max_
     # No condition reads an output, so only the reading a cache keeps is drawn.
     if not max_age:
         cell.stream.next = None  # the kernel binds the stream's draw when it binds the plan
-    (plan,) = _build_plans(state, None)
-    assert plan.fire.__qualname__ == "_sense_kernel.<locals>.fire"
+    (fire,) = _build_plans(state, None)
+    assert fire.__qualname__ == "_sense_kernel.<locals>.fire"
     monkeypatch.setattr(engine, "_matches", None)
     reference, drawn, now = SplitMix64(11), [], 0
     # One batch, then several: some start on a fresh cache, and 10..10 draws nothing at max age 3.
     for stop in (0, 9, 10, 57, 999):
-        now = plan.fire(now, stop)
+        now = fire(now, stop)
         while len(drawn) < state.counts["SenseSample"]:
             drawn.append(reference.uniform(-5.0, 30.0))
         assert cell.stream.rng.state == reference.state, stop
@@ -626,6 +626,35 @@ def test_the_kernel_that_finds_its_plan_spent_hands_it_over(max_age, monkeypatch
         assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
 
 
+LINKLESS_SECOND_SENSOR = (SECOND_SENSOR[:SECOND_SENSOR.index('link "level_sensor_2"')]
+                          + SECOND_SENSOR[SECOND_SENSOR.index('contract "RequestLevelSensor2"'):
+                                          SECOND_SENSOR.index('application "TankWatch2"')])
+
+
+@pytest.mark.parametrize("components", ['["Monitor", "Monitor2"]', '["Monitor2", "Monitor"]'])
+@pytest.mark.parametrize("max_age", [0, 2])
+def test_a_plan_spent_from_tick_0_is_counted_up_to_the_halt(max_age, components):
+    # Monitor2 polls a device with no link, so its plan is spent from tick 0;
+    # the run halts when Monitor's sensor depletes.
+    from iotdraw.engine import _build_plans, _handed_over, initial_state
+    text = ((MODELS_DIR / "freshness_demo.iot").read_text(encoding="utf-8")
+            .replace('components = ["Monitor"]', f"components = {components}")
+            + LINKLESS_SECOND_SENSOR)
+    model = parse_model(text, "<linkless_second_sensor>")
+    assert not isinstance(model, list), [d.render() for d in model]
+    assert _handed_over in _build_plans(initial_state(model), None)
+    quiet = run_simulation(model, FreshnessPolicy(max_age), {"level_sensor_1"}, sink=None)
+    loud = run_simulation(model, FreshnessPolicy(max_age), {"level_sensor_1"})
+    for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
+        assert getattr(quiet, attribute) == getattr(loud, attribute), attribute
+    # A plan declared after the halting plan does not fire on the halting tick.
+    after = components.index("Monitor2") > components.index('"Monitor"')
+    assert quiet.final_tick == 399 * (max_age + 1)
+    assert quiet.counts["PeriodicRequest"] == 2 * (quiet.final_tick + 1) - after
+    if not max_age:
+        assert quiet.counts["PeriodicRequest"] == (799 if after else 800)
+
+
 RINGER = """
 component "Ringer" {
   cpu_demand_cycles = 500
@@ -711,8 +740,8 @@ def test_a_watcher_on_a_device_that_another_sense_plan_depletes(max_age, drain_a
     model = parse_model(text, "<drained-bell>")
     assert not isinstance(model, list), [d.render() for d in model]
     for log in ([].append, None):
-        assert {plan.fire.__qualname__.split(".")[0]
-                for plan in _build_plans(initial_state(model), log)} == {"_sense_kernel"}
+        assert {fire.__qualname__.split(".")[0]
+                for fire in _build_plans(initial_state(model), log)} == {"_sense_kernel"}
     loud = run_simulation(model, FreshnessPolicy(max_age))
     quiet = run_simulation(model, FreshnessPolicy(max_age), sink=None)
     bell = loud.lifetimes["bell_1"]

@@ -11,6 +11,7 @@ from iotdraw.model import (
     NetworkLink, PeriodicRequest, Platform, PlatformTier, Route, SimConfig, TraceSource,
     single_source_routes,
 )
+from iotdraw.engine import FreshnessPolicy
 from iotdraw.modelfmt import parse_model, serialize_model
 from iotdraw.validate import route_between
 
@@ -242,11 +243,22 @@ def test_non_device_platform_rejects_device_fields():
     (lambda m: PeriodicRequest("Read", -math.inf),
      "PeriodicRequest.interval_ticks must be finite, got -inf"),
     (lambda m: GeoLocation(math.nan, 0.0), "GeoLocation.latitude must be finite, got nan"),
+    *((lambda m, ticks=ticks: PeriodicRequest("Read", ticks),
+       f"PeriodicRequest.interval_ticks must be a whole number of ticks, got {ticks}")
+      for ticks in (1.5, 2.0)),
+    *((lambda m, ticks=ticks: dataclasses.replace(m.sim_config, simulation_time=ticks),
+       f"SimConfig.simulation_time must be a whole number of ticks, got {ticks}")
+      for ticks in (1.5, 2.0)),
+    *((lambda m, ticks=ticks: FreshnessPolicy(ticks),
+       f"FreshnessPolicy.max_age_ticks must be a whole number of ticks, got {ticks}")
+      for ticks in (1.5, 2.0)),
 ], ids=["mtbf", "packet", "sim-time", "tick", "constant", "trace", "latency", "cpu-demand",
-        "interval", "latitude"])
+        "interval", "latitude", "interval-1.5", "interval-2.0", "sim-time-1.5", "sim-time-2.0",
+        "max-age-1.5", "max-age-2.0"])
 def test_a_non_finite_number_built_in_code_is_a_model_error(padova_model, build, message):
     # The parser refuses such numbers; a model built in code must too, or an
     # analysis reads nan (an inf MTBF made most padova availabilities nan).
+    # A count of ticks must also be an int: a float one ran into a bare TypeError.
     with pytest.raises(ModelError) as refused:
         build(padova_model)
     assert str(refused.value) == message

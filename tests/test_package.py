@@ -44,3 +44,29 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_top_level_name_is_used():
+    # A module's own definitions whose names start with one underscore serve
+    # the package alone, so each must be read somewhere in it.
+    package = Path(iotdraw.__file__).resolve().parent
+    defined, loaded = [], set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.name}:{node.lineno}", name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [f"{at}: {name}" for at, name in defined if name not in loaded] == []
