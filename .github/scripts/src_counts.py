@@ -32,6 +32,9 @@ def counts(source):
 def git(*args):
     return subprocess.run(["git", *args], capture_output=True, text=True)
 
+if len(sys.argv) < 2:
+    print("usage: python3 .github/scripts/src_counts.py BASE FILE...", file=sys.stderr)
+    sys.exit(2)
 base, paths = sys.argv[1], set(sys.argv[2:])
 if base:  # files the pull request deletes are listed too
     listed = git("ls-tree", "--name-only", base, "src/iotdraw/").stdout.split()

@@ -12,15 +12,17 @@ tables' costs into a worst-case response time and multiplies platform
 availabilities, and ``evaluate_scenarios`` is the search with scores.
 It scores and renders as it places: each depth extends its parent's
 sum, product and text, so a scenario costs one step past the prefix it
-shares with its siblings.  Lifetime sweeps measure how a device's
-battery horizon moves as a request interval or freshness window changes.
+shares with its siblings, and the leaf finishes its text line and CSV
+row.  Lifetime sweeps measure how a device's battery horizon moves as a
+request interval or freshness window changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .energy import lifetime_closed_form
 from .engine import FreshnessPolicy, gateway_uplink, run_simulation
@@ -38,31 +40,32 @@ class DeploymentScenario:
     ``assignment`` holds (component, platform) pairs sorted by component
     name; ids start at 1 and follow enumeration order.  ``availability``
     and ``response_time_ms`` are None unless the search scored the
-    scenario (``evaluate_scenarios``).  ``rendered`` is the
-    assignment as ``scenario_text`` and ``scenarios_to_csv`` write it, or
-    None to render it from ``assignment`` when asked; the search sets it
-    on each scenario it builds, from the prefixes its scenarios share, so
-    printing a scenario and writing its CSV row, in one pass or apart,
-    render no assignment again.
-    Equality ignores it, and neither the constructor nor
-    ``dataclasses.replace`` takes or copies it.
+    scenario (``evaluate_scenarios``).  ``rendered`` holds the scenario's
+    finished ``scenario_text`` line and ``scenarios_to_csv`` row.  The
+    search stores them on each scenario it builds, from the prefixes its
+    scenarios share, so printing a scenario and writing its CSV row
+    render no assignment again; any other scenario, built by hand or
+    copied by ``dataclasses.replace``, renders them from
+    ``assignment_texts`` when first asked.  It is not a field: equality,
+    ``repr`` and ``dataclasses.replace`` ignore it.
     """
 
     id: int
     assignment: tuple[tuple[str, str], ...]
     availability: float | None = None
     response_time_ms: float | None = None
-    rendered: tuple[str, str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def assignment_map(self) -> dict[str, str]:
         return dict(self.assignment)
 
     def assignment_texts(self) -> tuple[str, str]:
         """The assignment as ``C>p, C>p`` for text and as ``C=p;C=p`` for CSV."""
-        if self.rendered is not None:
-            return self.rendered
         pieces = [_rendered_pair(c, p, i == 0) for i, (c, p) in enumerate(self.assignment)]
         return "".join(shown for shown, _ in pieces), "".join(written for _, written in pieces)
+
+    @functools.cached_property
+    def rendered(self) -> tuple[str, str]:
+        return _render(self, *self.assignment_texts())
 
 
 def _rendered_pair(component: str, platform: str, first: bool) -> tuple[str, str]:
@@ -163,7 +166,7 @@ def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[D
         elif product is None:
             product = _joint_availability(model, set(hosts[:depth + 1]))
         scenario = DeploymentScenario(len(scenarios) + 1, tuple(chosen), product, total)
-        object.__setattr__(scenario, "rendered", (shown, written))
+        object.__setattr__(scenario, "rendered", _render(scenario, shown, written))
         scenarios.append(scenario)
     return scenarios
 
@@ -215,49 +218,36 @@ def rank_scenarios(scenarios: list[DeploymentScenario],
     return sorted(scenarios, key=lambda s: (s.response_time_ms, s.id))
 
 
-def _figures(scenario: DeploymentScenario) -> tuple[str, str, str]:
-    """A scenario's figures as its text line and its CSV row write them.
+def _render(scenario: DeploymentScenario, shown: str, written: str) -> tuple[str, str]:
+    """The scenario's text line and CSV row, from its assignment as ``assignment_texts`` gives it.
 
-    Returns the text line's bracketed tail, then the CSV row's
-    availability and response-time fields.  A figure is its ``repr``,
-    taken once for both, or "" (and no entry in the tail) when it is None.
-    This is the one place a scenario's figures are formatted.
+    The line is ``Scenario ID: C>p, C>p``, then the figures the scenario
+    has in brackets; the row leaves a figure it lacks empty.  A figure is
+    its ``repr``, taken once for both.  This is the one place a scenario
+    is formatted.
     """
     availability, response = scenario.availability, scenario.response_time_ms
-    if availability is None and response is None:
-        return "", "", ""
     availability_text = "" if availability is None else repr(availability)
     response_text = "" if response is None else repr(response)
     if availability is None:
-        tail = f"  [response_time_ms={response_text}]"
+        tail = "" if response is None else f"  [response_time_ms={response_text}]"
     elif response is None:
         tail = f"  [availability={availability_text}]"
     else:
         tail = f"  [availability={availability_text} response_time_ms={response_text}]"
-    return tail, availability_text, response_text
+    return (f"Scenario {scenario.id}: {shown}{tail}",
+            f"{scenario.id},{csv_field(written)},{availability_text},{response_text}")
 
 
 def scenario_text(scenario: DeploymentScenario) -> str:
     """One scenario as ``Scenario ID: C>p, C>p``, then the figures it has in brackets."""
-    return f"Scenario {scenario.id}: {scenario.assignment_texts()[0]}{_figures(scenario)[0]}"
+    return scenario.rendered[0]
 
 
-def scenarios_to_csv(scenarios: list[DeploymentScenario], shown: list[str] | None = None) -> str:
-    """The scenarios as CSV; the assignment field is quoted by ``csv_field``.
-
-    With ``shown``, each scenario's ``scenario_text`` line is appended to
-    it in the same pass, from the same ``repr`` of each figure, so a
-    caller that prints the scenarios and writes their table renders each
-    scenario once.
-    """
-    lines = ["id,assignment,availability,response_time_ms"]
-    for s in scenarios:
-        tail, availability, response = _figures(s)
-        texts = s.rendered or s.assignment_texts()  # the search's rendered texts, when it kept them
-        lines.append(f"{s.id},{csv_field(texts[1])},{availability},{response}")
-        if shown is not None:
-            shown.append(f"Scenario {s.id}: {texts[0]}{tail}")
-    return "\n".join(lines) + "\n"
+def scenarios_to_csv(scenarios: list[DeploymentScenario]) -> str:
+    """The scenarios as CSV, one ``rendered`` row each, its assignment quoted by ``csv_field``."""
+    return "\n".join(["id,assignment,availability,response_time_ms",
+                      *(s.rendered[1] for s in scenarios)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -334,12 +324,13 @@ def _with_interval(model: IoTSystemModel, component_name: str,
 
 
 SWEEP_DISTANCE_RANGE_M = (1.0, 50.0)
+SWEEP_ROUNDS = 30  # a sweep's rounds per value unless the caller gives them
 
 
 def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
                    intervals: list[int] | None = None,
                    max_ages: list[int] | None = None,
-                   rounds: int = 30, seed: int = 0) -> SweepTable:
+                   rounds: int = SWEEP_ROUNDS, seed: int = 0) -> SweepTable:
     """Measure mean device lifetime across one varied parameter.
 
     Exactly one of ``intervals`` (request period sweep, caching off) or
@@ -347,7 +338,8 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
     given.  Each round draws one transmission distance from
     ``SWEEP_DISTANCE_RANGE_M`` and reuses it for every parameter value, so
     the values are compared under identical conditions and only the swept
-    parameter moves the result.
+    parameter moves the result.  Each value is checked by the
+    ``PeriodicRequest`` or ``FreshnessPolicy`` built from it, before any run.
     """
     if (intervals is None) == (max_ages is None):
         raise ModelError("sweep exactly one of intervals or max_ages")
@@ -362,9 +354,6 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
         raise ModelError(f"sweep values repeat: {values}")
     if rounds < 1:
         raise ModelError(f"sweep needs at least one round, got {rounds}")
-    for value in values:
-        if value < (1 if intervals is not None else 0):
-            raise ModelError(f"bad sweep value {value} for {parameter_name}")
 
     lifetimes: dict[int, list[int]] = {value: [] for value in values}
     # One model per value, shared by its rounds, so each keeps its derived facts (routes).

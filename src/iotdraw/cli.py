@@ -17,7 +17,7 @@ import sys
 import tempfile
 
 from .analysis import (
-    RANK_METRICS, enumerate_deployments, evaluate_scenarios, lifetime_sweep,
+    RANK_METRICS, SWEEP_ROUNDS, enumerate_deployments, evaluate_scenarios, lifetime_sweep,
     predicted_lifetime, rank_scenarios, scenario_text, scenarios_to_csv,
 )
 from .engine import FreshnessPolicy, csv_event_sink, gateway_uplink, run_simulation
@@ -26,7 +26,6 @@ from .modelfmt import parse_model, read_model_text
 from .validate import validate_model
 
 SEED_ENV_VAR = "IOTDRAW_SEED"
-SWEEP_ROUNDS = 30  # a sweep's rounds per value when --rounds is not given
 
 
 class _DomainFailure(Exception):
@@ -183,14 +182,11 @@ def _cmd_deployments(args) -> int:
         else:
             scenarios = enumerate_deployments(model)
         if out is not None:
-            # One pass renders each scenario's CSV row and its text line, which
-            # is printed below and dropped with the command's other locals.
-            shown: list[str] = []
-            _write(out, scenarios_to_csv(scenarios, shown))
+            _write(out, scenarios_to_csv(scenarios))
     summary = f"{len(scenarios)} deployment scenario(s)"
     if args.command == "rank":
         summary += f", best first by {args.rank}"
-    print(*(map(scenario_text, scenarios) if out is None else shown), summary, sep="\n")
+    print(*map(scenario_text, scenarios), summary, sep="\n")
     _wrote(args.csv)
     return 0
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DeviceEnergyProfile, ModelError
+from .model import DeviceEnergyProfile, ModelError, _number
 
 WH_PER_JOULE = 0.000277778
 
@@ -41,8 +41,8 @@ def sense_energy(profile: DeviceEnergyProfile) -> float:
 
 def transmit_energy(profile: DeviceEnergyProfile, distance_m: float) -> float:
     """Energy in joules to radio one packet over ``distance_m`` meters."""
-    if not 0.0 < distance_m < math.inf:  # NaN fails it too
-        raise ModelError(f"transmit distance must be finite and positive: {distance_m}")
+    if not (_number(distance_m) and 0.0 < distance_m < math.inf):  # NaN fails it too
+        raise ModelError(f"transmit distance must be finite and positive: {distance_m!r}")
     bits = profile.packet_kb * 1000.0
     return (bits * (profile.e_elec_nj_per_bit * 1e-9)
             + bits * distance_m ** profile.loss_exponent_n * (profile.e_amp_pj_per_bit_m * 1e-12))

@@ -112,7 +112,7 @@ from .energy import (drain_mah, drain_senses_mah, joules_to_mah, sense_energy,
                      transmit_drain_mah, transmit_energy)
 from .model import (
     Component, ConditionExpr, ConstantSource, DataSource, DeviceEnergyProfile, IoTSystemModel,
-    ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, _require_ticks,
+    ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, _require_whole,
     csv_field,
 )
 from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, derive_seed
@@ -220,7 +220,7 @@ class FreshnessPolicy:
     max_age_ticks: int = 0
 
     def __post_init__(self):
-        _require_ticks(self, "max_age_ticks")
+        _require_whole(self, "max_age_ticks", "ticks")
         if self.max_age_ticks < 0:
             raise ModelError(f"max age cannot be negative: {self.max_age_ticks}")
 

@@ -86,20 +86,34 @@ def _shown(number: float) -> str:
         f"an integer of {number.bit_length()} bits")
 
 
-def _require_finite(obj, *names: str, subject: str = "") -> None:
-    """Reject ``obj`` unless each of its fields ``names`` is ``_finite``; ``subject``
-    is the name of the object, which the message then starts with."""
+def _number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is neither here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_numbers(obj, *names: str, subject: str = "", finite: bool = True) -> None:
+    """Reject ``obj`` unless each of its fields ``names`` is a ``_number`` and, unless
+    ``finite`` is false, ``_finite``; ``subject`` is the name of the object, which
+    the message then starts with."""
     for name in names:
-        number = getattr(obj, name)
-        _require(_finite(number), f"{subject + ': ' if subject else ''}{type(obj).__name__}."
-                 f"{name} must be finite, got {_shown(number)}", subject)
+        value = getattr(obj, name)
+        if not _number(value):
+            problem = f"a number, got {value!r}"
+        elif finite and not _finite(value):
+            problem = f"finite, got {_shown(value)}"
+        else:
+            continue
+        raise ModelError([BuildIssue(f"{subject + ': ' if subject else ''}{type(obj).__name__}."
+                                     f"{name} must be {problem}", subject)])
 
 
-def _require_ticks(obj, name: str) -> None:
-    """Reject ``obj`` unless its field ``name``, a count of ticks, is an int."""
-    number = getattr(obj, name)
-    _require(isinstance(number, int),
-             f"{type(obj).__name__}.{name} must be a whole number of ticks, got {number!r}")
+def _require_whole(obj, name: str, unit: str = "") -> None:
+    """Reject ``obj`` unless its field ``name``, a count of ``unit`` if given, is an int
+    (a bool is not one here)."""
+    value = getattr(obj, name)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{type(obj).__name__}.{name} must be a whole number"
+                         f"{' of ' + unit if unit else ''}, got {value!r}")
 
 
 def format_number(value: float) -> str:
@@ -129,7 +143,7 @@ class GeoLocation:
     longitude: float
 
     def __post_init__(self):
-        _require_finite(self, "latitude", "longitude")
+        _require_numbers(self, "latitude", "longitude")
         _require(-90.0 <= self.latitude <= 90.0, f"latitude out of range: {self.latitude}")
         _require(-180.0 <= self.longitude <= 180.0, f"longitude out of range: {self.longitude}")
 
@@ -173,9 +187,10 @@ class DeviceEnergyProfile:
     depletion_threshold_mah: float = 5.0
 
     def __post_init__(self):
-        _require_finite(self, "battery_capacity_mah", "residual_energy_mah", "supply_voltage_v",
-                        "sense_current_ma", "sense_duration_ms", "packet_kb", "e_elec_nj_per_bit",
-                        "e_amp_pj_per_bit_m", "loss_exponent_n", "depletion_threshold_mah")
+        _require_numbers(self, "battery_capacity_mah", "residual_energy_mah", "supply_voltage_v",
+                         "sense_current_ma", "sense_duration_ms", "packet_kb", "e_elec_nj_per_bit",
+                         "e_amp_pj_per_bit_m", "loss_exponent_n", "depletion_threshold_mah")
+        _require_whole(self, "loss_exponent_n")
         _require(self.battery_capacity_mah > 0, "battery capacity must be positive")
         _require(0 <= self.residual_energy_mah <= self.battery_capacity_mah,
                  "residual charge must lie within the battery capacity")
@@ -195,7 +210,7 @@ class ConstantSource:
     value: float
 
     def __post_init__(self):
-        _require_finite(self, "value")
+        _require_numbers(self, "value")
 
 
 @dataclass(frozen=True)
@@ -211,6 +226,9 @@ class UniformSource:
     seed: int | None = None
 
     def __post_init__(self):
+        _require_numbers(self, "lo", "hi", finite=False)
+        if self.seed is not None:
+            _require_whole(self, "seed")
         bounds = f"[{_shown(self.lo)}, {_shown(self.hi)}]"
         _require(self.lo <= self.hi, f"uniform bounds out of order: {bounds}")
         _require(_finite(self.hi - self.lo),
@@ -227,6 +245,8 @@ class TraceSource:
     def __post_init__(self):
         _require(len(self.values) > 0, "trace source needs at least one value")
         for value in self.values:
+            if not _number(value):
+                raise ModelError(f"TraceSource.values must be numbers, got {value!r}")
             _require(_finite(value), f"trace values must be finite, got {_shown(value)}")
 
 
@@ -281,7 +301,7 @@ class Platform:
 
     def __post_init__(self):
         _require(bool(self.name), "platform needs a name")
-        _require_finite(self, "cpu_frequency_ghz", "mtbf_hours", "mttr_hours", subject=self.name)
+        _require_numbers(self, "cpu_frequency_ghz", "mtbf_hours", "mttr_hours", subject=self.name)
         _require(self.cpu_frequency_ghz > 0, f"{self.name}: CPU frequency must be positive", self.name)
         _require(self.mtbf_hours > 0, f"{self.name}: MTBF must be positive", self.name)
         _require(self.mttr_hours >= 0, f"{self.name}: MTTR must be non-negative", self.name)
@@ -306,7 +326,7 @@ class NetworkLink:
 
     def __post_init__(self):
         _require(self.endpoint_a != self.endpoint_b, f"link endpoints must differ: {self.endpoint_a}")
-        _require_finite(self, "latency_ms", "distance_m")
+        _require_numbers(self, "latency_ms", "distance_m")
         _require(self.latency_ms >= 0, "link latency must be non-negative")
         _require(self.distance_m > 0, "link distance must be positive")
 
@@ -401,6 +421,7 @@ class ConditionExpr:
     def __post_init__(self):
         _require(self.op in CONDITION_OPS, f"unknown condition operator: {self.op}")
         _require(bool(self.field), "condition needs a field name")
+        _require_numbers(self, "threshold", finite=False)
         _require(_finite(self.threshold),
                  f"condition threshold must be finite, got {_shown(self.threshold)}")
 
@@ -416,8 +437,8 @@ class PeriodicRequest:
     interval_ticks: int
 
     def __post_init__(self):
-        _require_finite(self, "interval_ticks")
-        _require_ticks(self, "interval_ticks")
+        _require_numbers(self, "interval_ticks")
+        _require_whole(self, "interval_ticks", "ticks")
         _require(self.interval_ticks >= 1, "request interval must be at least 1 tick")
 
 
@@ -441,7 +462,7 @@ class Component:
 
     def __post_init__(self):
         _require(bool(self.name), "component needs a name")
-        _require_finite(self, "mean_cpu_demand_cycles", subject=self.name)
+        _require_numbers(self, "mean_cpu_demand_cycles", subject=self.name)
         _require(self.mean_cpu_demand_cycles > 0, f"{self.name}: CPU demand must be positive", self.name)
 
 
@@ -482,8 +503,9 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _require_finite(self, "simulation_time", "tick_seconds")
-        _require_ticks(self, "simulation_time")
+        _require_numbers(self, "simulation_time", "tick_seconds")
+        _require_whole(self, "simulation_time", "ticks")
+        _require_whole(self, "rng_seed")
         _require(self.simulation_time >= 0, "simulation time must be non-negative")
         _require(self.tick_seconds > 0, "tick duration must be positive")
 

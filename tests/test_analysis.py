@@ -266,22 +266,20 @@ def test_scenario_text_and_csv(padova_model):
 def test_a_scenario_shows_each_figure_it_has(availability, response, tail, fields):
     scenario = DeploymentScenario(7, (("A", "x"), ("B", "y")), availability, response)
     assert scenario_text(scenario) == f"Scenario 7: A>x, B>y{tail}"
-    shown = []
-    assert scenarios_to_csv([scenario], shown) == (
+    assert scenarios_to_csv([scenario]) == (
         f"id,assignment,availability,response_time_ms\n7,A=x;B=y{fields}\n")
-    assert shown == [scenario_text(scenario)]
 
 
 def test_a_scenario_without_rendered_texts_renders_its_assignment(padova_model):
-    # The search sets ``rendered``; a scenario built by hand, or copied by
+    # The search stores ``rendered``; a scenario built by hand, or copied by
     # ``dataclasses.replace``, renders its assignment when asked, to the same text.
     searched = evaluate_scenarios(padova_model)
     for scenario in (searched[0], searched[13], searched[-1]):
-        assert scenario.rendered is not None
+        assert "rendered" in vars(scenario)
         by_hand = DeploymentScenario(scenario.id, scenario.assignment, scenario.availability,
                                      scenario.response_time_ms)
         for copy in (by_hand, dataclasses.replace(scenario)):
-            assert copy.rendered is None
+            assert "rendered" not in vars(copy)
             assert scenario_text(copy) == scenario_text(scenario)
             assert scenarios_to_csv([copy]) == scenarios_to_csv([scenario])
         # A copy with another assignment renders that one, not its parent's.
@@ -344,9 +342,9 @@ def assert_search_scores_and_renders_bit_for_bit(model):
     for scenarios in (searched, listed):
         assert [scenario_text(s) for s in scenarios] == [_plain_text(s) for s in scenarios]
         assert scenarios_to_csv(scenarios).split("\n")[1:] == [_plain_row(s) for s in scenarios] + [""]
-        shown = []  # the one-pass render gives the same table and, line for line, the same text
-        assert scenarios_to_csv(scenarios, shown) == scenarios_to_csv(scenarios)
-        assert shown == [_plain_text(s) for s in scenarios]
+        copies = [dataclasses.replace(s) for s in scenarios]  # rendered on demand, not searched
+        assert [scenario_text(c) for c in copies] == [scenario_text(s) for s in scenarios]
+        assert scenarios_to_csv(copies) == scenarios_to_csv(scenarios)
     return _fallbacks(model, searched)
 
 
@@ -539,6 +537,23 @@ def test_sweep_argument_validation(freshness_model):
         lifetime_sweep(freshness_model, "level_sensor_1", intervals=[1.5], rounds=2)
     with pytest.raises(ModelError, match=r"max_age_ticks must be a whole number of ticks, got 0\.5"):
         lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[0.5], rounds=2)
+
+
+@pytest.mark.parametrize("sweep, message", [
+    (dict(intervals=[4, 0]), "request interval must be at least 1 tick"),
+    (dict(max_ages=[0, -1]), "max age cannot be negative: -1"),
+    (dict(intervals=[True]), "PeriodicRequest.interval_ticks must be a number, got True"),
+], ids=["interval-0", "max-age-minus-1", "interval-bool"])
+def test_a_sweep_value_is_checked_by_what_it_builds_before_any_run(
+        freshness_model, monkeypatch, sweep, message):
+    from iotdraw import analysis
+
+    def run_simulation(*args, **kwargs):
+        raise AssertionError("a sweep ran before refusing a value")
+    monkeypatch.setattr(analysis, "run_simulation", run_simulation)
+    with pytest.raises(ModelError) as refused:
+        lifetime_sweep(freshness_model, "level_sensor_1", rounds=2, **sweep)
+    assert str(refused.value) == message
 
 
 def test_sweep_csv_shape(freshness_model):

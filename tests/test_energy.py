@@ -34,7 +34,7 @@ def profile(**overrides):
         packet_kb=2.0,
         e_elec_nj_per_bit=50.0,
         e_amp_pj_per_bit_m=100.0,
-        loss_exponent_n=2.0,
+        loss_exponent_n=2,
         depletion_threshold_mah=5.0,
     )
     base.update(overrides)
@@ -53,7 +53,7 @@ def test_transmit_energy_reference_value():
 
 
 def test_transmit_scales_with_loss_exponent():
-    close = transmit_energy(profile(loss_exponent_n=3.0), 2.0)
+    close = transmit_energy(profile(loss_exponent_n=3), 2.0)
     # amplifier term: 2000*100e-12*8 = 1.6e-6, electronics 1e-4
     assert close == pytest.approx(1e-4 + 1.6e-6, rel=REL)
 
@@ -261,7 +261,7 @@ def test_drain_monotonic_in_distance():
             packet_kb=rnd.uniform(0.5, 8.0),
             e_elec_nj_per_bit=rnd.uniform(10.0, 100.0),
             e_amp_pj_per_bit_m=rnd.uniform(10.0, 200.0),
-            loss_exponent_n=float(rnd.choice([2, 3, 4])),
+            loss_exponent_n=rnd.choice([2, 3, 4]),
             supply_voltage_v=rnd.uniform(1.8, 5.0),
         )
         d1 = rnd.uniform(1.0, 40.0)

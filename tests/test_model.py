@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from iotdraw.model import (
     Application, Component, ConditionExpr, ConstantSource, GeoLocation, IoTSystemModel, ModelError,
     NetworkLink, PeriodicRequest, Platform, PlatformTier, Route, SimConfig, TraceSource,
-    single_source_routes,
+    UniformSource, single_source_routes,
 )
-from iotdraw.engine import FreshnessPolicy
+from iotdraw.engine import FreshnessPolicy, run_simulation
 from iotdraw.modelfmt import parse_model, serialize_model
 from iotdraw.validate import route_between
 
@@ -252,13 +252,48 @@ def test_non_device_platform_rejects_device_fields():
     *((lambda m, ticks=ticks: FreshnessPolicy(ticks),
        f"FreshnessPolicy.max_age_ticks must be a whole number of ticks, got {ticks}")
       for ticks in (1.5, 2.0)),
+    # Not numbers, and bools, which are ints to Python but never a number here.
+    (lambda m: PeriodicRequest("Read", "5"),
+     "PeriodicRequest.interval_ticks must be a number, got '5'"),
+    (lambda m: SimConfig(tick_seconds="60"), "SimConfig.tick_seconds must be a number, got '60'"),
+    (lambda m: GeoLocation("1", 2), "GeoLocation.latitude must be a number, got '1'"),
+    (lambda m: ConstantSource(None), "ConstantSource.value must be a number, got None"),
+    (lambda m: ConditionExpr("x", ">", "3"), "ConditionExpr.threshold must be a number, got '3'"),
+    (lambda m: UniformSource("0", 30), "UniformSource.lo must be a number, got '0'"),
+    (lambda m: TraceSource((1.0, "2")), "TraceSource.values must be numbers, got '2'"),
+    (lambda m: PeriodicRequest("Read", True),
+     "PeriodicRequest.interval_ticks must be a number, got True"),
+    (lambda m: FreshnessPolicy(True),
+     "FreshnessPolicy.max_age_ticks must be a whole number of ticks, got True"),
+    (lambda m: SimConfig(simulation_time=False),
+     "SimConfig.simulation_time must be a number, got False"),
+    (lambda m: NetworkLink("a", "b", "CoAP", latency_ms=True, distance_m=1.0),
+     "NetworkLink.latency_ms must be a number, got True"),
+    # Whole-number fields that are not counts of ticks: written out, a float or
+    # a bool in one made text the parser refuses, and a run met a bare TypeError.
+    *((lambda m, seed=seed: SimConfig(rng_seed=seed),
+       f"SimConfig.rng_seed must be a whole number, got {seed!r}") for seed in (1.5, True, "7")),
+    *((lambda m, seed=seed: UniformSource(0, 30, seed),
+       f"UniformSource.seed must be a whole number, got {seed!r}") for seed in (1.5, True, "7")),
+    (lambda m: dataclasses.replace(m.platform("water_sensor_1").energy, loss_exponent_n=2.5),
+     "DeviceEnergyProfile.loss_exponent_n must be a whole number, got 2.5"),
+    (lambda m: dataclasses.replace(m.platform("water_sensor_1").energy, loss_exponent_n=True),
+     "DeviceEnergyProfile.loss_exponent_n must be a number, got True"),
+    *((lambda m, distance=distance: run_simulation(
+        m, sink=None, distance_overrides={"water_sensor_1": distance}),
+       f"transmit distance must be finite and positive: {distance!r}") for distance in ("5", True)),
 ], ids=["mtbf", "packet", "sim-time", "tick", "constant", "trace", "latency", "cpu-demand",
         "interval", "latitude", "interval-1.5", "interval-2.0", "sim-time-1.5", "sim-time-2.0",
-        "max-age-1.5", "max-age-2.0"])
+        "max-age-1.5", "max-age-2.0", "interval-str", "tick-str", "latitude-str", "constant-none",
+        "threshold-str", "uniform-lo-str", "trace-str", "interval-bool", "max-age-bool",
+        "sim-time-bool", "latency-bool", "seed-1.5", "seed-bool", "seed-str", "uniform-seed-1.5",
+        "uniform-seed-bool", "uniform-seed-str", "loss-exponent-2.5", "loss-exponent-bool",
+        "distance-str", "distance-bool"])
 def test_a_non_finite_number_built_in_code_is_a_model_error(padova_model, build, message):
     # The parser refuses such numbers; a model built in code must too, or an
     # analysis reads nan (an inf MTBF made most padova availabilities nan).
     # A count of ticks must also be an int: a float one ran into a bare TypeError.
+    # Anything that is not a number is refused by name, not by a bare TypeError.
     with pytest.raises(ModelError) as refused:
         build(padova_model)
     assert str(refused.value) == message
