@@ -22,19 +22,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import statistics
-from dataclasses import dataclass
 
 from .energy import lifetime_closed_form
 from .engine import FreshnessPolicy, gateway_uplink, run_simulation
 from .model import (
-    Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier, csv_field,
+    Component, IoTSystemModel, ModelError, PeriodicRequest, PlatformTier, Record, _require_whole,
+    _setattr, csv_field,
 )
 from .rng import SplitMix64, derive_seed
 from .validate import dependency_edges, edge_table, eligible_hosts, task_binding
 
 
-@dataclass(frozen=True)
-class DeploymentScenario:
+class DeploymentScenario(Record):
     """One complete component-to-platform assignment.
 
     ``assignment`` holds (component, platform) pairs sorted by component
@@ -65,7 +64,7 @@ class DeploymentScenario:
 
     @functools.cached_property
     def rendered(self) -> tuple[str, str]:
-        return _render(self, *self.assignment_texts())
+        return _render(self.id, self.availability, self.response_time_ms, *self.assignment_texts())
 
 
 def _rendered_pair(component: str, platform: str, first: bool) -> tuple[str, str]:
@@ -165,8 +164,15 @@ def enumerate_deployments(model: IoTSystemModel, scored: bool = False) -> list[D
             product = total = None
         elif product is None:
             product = _joint_availability(model, set(hosts[:depth + 1]))
-        scenario = DeploymentScenario(len(scenarios) + 1, tuple(chosen), product, total)
-        object.__setattr__(scenario, "rendered", _render(scenario, shown, written))
+        number = len(scenarios) + 1
+        # What the constructor does, without its argument handling: a scenario has no
+        # checks, and each field is set as the constructor sets it.
+        scenario = object.__new__(DeploymentScenario)
+        _setattr(scenario, "id", number)
+        _setattr(scenario, "assignment", tuple(chosen))
+        _setattr(scenario, "availability", product)
+        _setattr(scenario, "response_time_ms", total)
+        _setattr(scenario, "rendered", _render(number, product, total, shown, written))
         scenarios.append(scenario)
     return scenarios
 
@@ -218,15 +224,16 @@ def rank_scenarios(scenarios: list[DeploymentScenario],
     return sorted(scenarios, key=lambda s: (s.response_time_ms, s.id))
 
 
-def _render(scenario: DeploymentScenario, shown: str, written: str) -> tuple[str, str]:
-    """The scenario's text line and CSV row, from its assignment as ``assignment_texts`` gives it.
+def _render(number: int, availability: float | None, response: float | None, shown: str,
+            written: str) -> tuple[str, str]:
+    """The text line and CSV row of scenario ``number``, from its figures and its
+    assignment as ``assignment_texts`` gives it.
 
     The line is ``Scenario ID: C>p, C>p``, then the figures the scenario
     has in brackets; the row leaves a figure it lacks empty.  A figure is
     its ``repr``, taken once for both.  This is the one place a scenario
     is formatted.
     """
-    availability, response = scenario.availability, scenario.response_time_ms
     availability_text = "" if availability is None else repr(availability)
     response_text = "" if response is None else repr(response)
     if availability is None:
@@ -235,8 +242,8 @@ def _render(scenario: DeploymentScenario, shown: str, written: str) -> tuple[str
         tail = f"  [availability={availability_text}]"
     else:
         tail = f"  [availability={availability_text} response_time_ms={response_text}]"
-    return (f"Scenario {scenario.id}: {shown}{tail}",
-            f"{scenario.id},{csv_field(written)},{availability_text},{response_text}")
+    return (f"Scenario {number}: {shown}{tail}",
+            f"{number},{csv_field(written)},{availability_text},{response_text}")
 
 
 def scenario_text(scenario: DeploymentScenario) -> str:
@@ -250,8 +257,7 @@ def scenarios_to_csv(scenarios: list[DeploymentScenario]) -> str:
                       *(s.rendered[1] for s in scenarios)]) + "\n"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     parameter: int
     mean: float | None
     stddev: float | None
@@ -259,8 +265,7 @@ class SweepRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(Record):
     parameter_name: str  # interval_ticks or max_age_ticks
     device: str
     rounds: int
@@ -352,6 +357,8 @@ def lifetime_sweep(model: IoTSystemModel, device_name: str, *,
         raise ModelError("sweep needs at least one parameter value")
     if len(set(values)) < len(values):
         raise ModelError(f"sweep values repeat: {values}")
+    _require_whole(rounds, "rounds")
+    _require_whole(seed, "seed")
     if rounds < 1:
         raise ModelError(f"sweep needs at least one round, got {rounds}")
 

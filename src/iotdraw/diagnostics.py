@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .model import Record
 
 ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based position of a token or declaration in a model file."""
 
     file: str
@@ -24,8 +23,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One problem found in a model, either syntactic or semantic.
 
     ``span`` is None for diagnostics raised against an in-memory model

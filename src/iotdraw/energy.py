@@ -39,10 +39,15 @@ def sense_energy(profile: DeviceEnergyProfile) -> float:
             * (profile.sense_duration_ms * 1e-3))
 
 
-def transmit_energy(profile: DeviceEnergyProfile, distance_m: float) -> float:
-    """Energy in joules to radio one packet over ``distance_m`` meters."""
+def require_distance(distance_m: float) -> None:
+    """Refuse a transmit distance that is not a finite, positive number."""
     if not (_number(distance_m) and 0.0 < distance_m < math.inf):  # NaN fails it too
         raise ModelError(f"transmit distance must be finite and positive: {distance_m!r}")
+
+
+def transmit_energy(profile: DeviceEnergyProfile, distance_m: float) -> float:
+    """Energy in joules to radio one packet over ``distance_m`` meters."""
+    require_distance(distance_m)
     bits = profile.packet_kb * 1000.0
     return (bits * (profile.e_elec_nj_per_bit * 1e-9)
             + bits * distance_m ** profile.loss_exponent_n * (profile.e_amp_pj_per_bit_m * 1e-12))

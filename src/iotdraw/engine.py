@@ -104,16 +104,15 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
-from .energy import (drain_mah, drain_senses_mah, joules_to_mah, sense_energy,
+from .energy import (drain_mah, drain_senses_mah, joules_to_mah, require_distance, sense_energy,
                      transmit_drain_mah, transmit_energy)
 from .model import (
     Component, ConditionExpr, ConstantSource, DataSource, DeviceEnergyProfile, IoTSystemModel,
-    ModelError, Platform, PlatformTier, ServiceContract, TaskKind, UniformSource, _require_whole,
-    csv_field,
+    ModelError, Platform, PlatformTier, Record, ServiceContract, TaskKind, UniformSource,
+    _require_whole, csv_field,
 )
 from .rng import _GOLDEN_GAMMA, _MASK64, SplitMix64, derive_seed
 from .validate import task_binding
@@ -213,14 +212,13 @@ def csv_event_sink(handle: TextIO) -> EventSink:
     return sink
 
 
-@dataclass(frozen=True)
-class FreshnessPolicy:
+class FreshnessPolicy(Record):
     """Cache acceptance window in ticks; 0 disables caching entirely."""
 
     max_age_ticks: int = 0
 
     def __post_init__(self):
-        _require_whole(self, "max_age_ticks", "ticks")
+        _require_whole(self.max_age_ticks, "FreshnessPolicy.max_age_ticks", "ticks")
         if self.max_age_ticks < 0:
             raise ModelError(f"max age cannot be negative: {self.max_age_ticks}")
 
@@ -305,6 +303,8 @@ class _DeviceCell:
         self.threshold_mah = device.energy.depletion_threshold_mah
         self.residual_mah, self.depleted = device.residual_mah, device.depleted
         if distance_m is None or device.distance_m is None:
+            if distance_m is not None:  # unused without a link, but refused as a linked one is
+                require_distance(distance_m)
             self.transmit_mah, self.distance_m = device.transmit_mah, device.distance_m
         else:
             self.transmit_mah = transmit_drain_mah(device.energy, distance_m)
@@ -314,17 +314,19 @@ class _DeviceCell:
         self.halts = halts
 
 
-@dataclass
 class SimulationState:
     """Everything that changes during a run; the model itself never does."""
 
-    model: IoTSystemModel
-    freshness: FreshnessPolicy
-    devices: dict[str, _DeviceCell]
-    counts: dict[str, int]  # every event kind from 0, so the kernels add without a membership test
-    lifetimes: dict[str, int]
-    module_outputs: dict[str, str]
-    halted_by: str | None = None
+    __slots__ = ("model", "freshness", "devices", "counts", "lifetimes", "module_outputs",
+                 "halted_by")
+
+    def __init__(self, model: IoTSystemModel, freshness: FreshnessPolicy,
+                 devices: dict[str, _DeviceCell], counts: dict[str, int],
+                 lifetimes: dict[str, int], module_outputs: dict[str, str],
+                 halted_by: str | None = None):
+        self.model, self.freshness, self.devices = model, freshness, devices
+        self.counts = counts  # every event kind from 0, so the kernels add without a membership test
+        self.lifetimes, self.module_outputs, self.halted_by = lifetimes, module_outputs, halted_by
 
 
 def gateway_uplink(model: IoTSystemModel, device: Platform) -> tuple[float, float] | None:
@@ -354,6 +356,7 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     device, which holds no log text (see ``_DeviceCell``).
     """
     run_seed = model.sim_config.rng_seed if seed is None else seed
+    _require_whole(run_seed, "seed")
     overrides = distance_overrides or {}
     halt_on = frozenset(halt_on)
     cells = {}
@@ -370,31 +373,38 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
                            dict.fromkeys(_KINDS, 0), {}, {})
 
 
-@dataclass(frozen=True, slots=True)
 class _Request:
-    """One request as compiled: what it logs and what it asks of its provider."""
+    """One request as compiled: what it logs and what it asks of its provider.
 
-    kind: str
-    consumer: str
-    detail: str
-    device: str | None  # the provider when it is a device, else None
-    tasks: tuple[tuple[str, str], ...]  # (_SENSED, "") or (_ACTUATED, log detail), over the link
-    senses: bool  # it can sense or read the cache: a sense task on a device with a link
+    It and ``_Plan`` are ``__slots__`` classes because each run reads their
+    fields, and a slot reads faster than a ``NamedTuple`` field.  Nothing
+    changes either once compiled.
+    """
+
+    __slots__ = ("kind", "consumer", "detail", "device", "tasks", "senses")
+
+    def __init__(self, kind: str, consumer: str, detail: str, device: str | None,
+                 tasks: tuple[tuple[str, str], ...], senses: bool):
+        self.kind, self.consumer, self.detail = kind, consumer, detail
+        self.device = device  # the provider when it is a device, else None
+        self.tasks = tasks  # (_SENSED, "") or (_ACTUATED, log detail), over the link
+        self.senses = senses  # it can sense or read the cache: a sense task on a device with a link
 
 
 # (test, threshold, event request): the request fires when test(reading, threshold) holds.
 _Watcher = tuple[Callable[[float, float], bool], float, _Request]
 
 
-@dataclass(frozen=True, slots=True)
 class _Plan:
     """A periodic request as compiled, with the event requests its samples feed."""
 
-    interval: int
-    request: _Request
-    watchers: tuple[_Watcher, ...]
-    sensed: bool  # it runs in ``_sense_kernel``, else in ``_generic_kernel``
-    cuts: tuple[tuple[int, int, bool], ...]  # per watcher, its ``_cut`` on a uniform source
+    __slots__ = ("interval", "request", "watchers", "sensed", "cuts")
+
+    def __init__(self, interval: int, request: _Request, watchers: tuple[_Watcher, ...],
+                 sensed: bool, cuts: tuple[tuple[int, int, bool], ...]):
+        self.interval, self.request, self.watchers = interval, request, watchers
+        self.sensed = sensed  # it runs in ``_sense_kernel``, else in ``_generic_kernel``
+        self.cuts = cuts  # per watcher, its ``_cut`` on a uniform source
 
 
 class _Program(NamedTuple):
@@ -991,7 +1001,8 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
         if first <= last:
             counts[EventKind.PERIODIC_REQUEST.value] += (last - first) // intervals[index] + 1
 
-    # A frozen dataclass's __init__ sets each field with its own object.__setattr__ call.
+    # One fill of the report's fields: its constructor, which checks nothing, sets them
+    # one object.__setattr__ call at a time.
     report = object.__new__(SimulationReport)
     vars(report).update(
         model_name=model.name,
@@ -1008,8 +1019,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     return report
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     model_name: str
     simulation_time: int
     tick_seconds: float

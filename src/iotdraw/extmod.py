@@ -10,16 +10,14 @@ shared with the run, and a hook may run its snapshot's model itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 from .analysis import enumerate_deployments, evaluate_scenarios, rank_scenarios, scenarios_to_csv
-from .model import IoTSystemModel, ModelError
+from .model import IoTSystemModel, ModelError, Record
 
 
-@dataclass(frozen=True)
-class SystemSnapshot:
+class SystemSnapshot(Record):
     """What an execution module is allowed to look at."""
 
     model: IoTSystemModel

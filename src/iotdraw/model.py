@@ -13,17 +13,118 @@ the names the blocks use.  Each constructor checks its own object's
 invariants.  :class:`IoTSystemModel`'s also checks that names are unique
 within each category (``repeated_names``), however the model is built;
 the parser checks references.
+
+Every model object, and every other record of the package, is a
+:class:`Record`: a class that lists its fields as annotations, with plain
+default values where it has them, and checks its invariants in
+``__post_init__``.  A record keeps what a frozen dataclass gives: it is
+built by position or keyword, compares equal and hashes by its fields in
+order, prints as ``Name(field=value, ...)``, refuses assignment and
+deletion with ``dataclasses.FrozenInstanceError``, and survives
+``pickle`` and ``copy.deepcopy``; ``dataclasses.fields``,
+``dataclasses.replace`` (which checks the copy again) and ``match``
+patterns work on it.  Its methods are shared by all records and no code
+is generated for a class, so defining the package's records costs its
+start-up little.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import inspect
 import math
-from dataclasses import dataclass, field
+import operator
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .diagnostics import SourceSpan
+if TYPE_CHECKING:
+    from .diagnostics import SourceSpan
+
+
+class _FieldSignature:
+    """``inspect.signature`` of a record class: one parameter per field, in order,
+    with its default."""
+
+    def __get__(self, record, cls) -> inspect.Signature:
+        return inspect.Signature([
+            inspect.Parameter(field.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                              annotation=field.type, default=inspect.Parameter.empty
+                              if field.default is dataclasses.MISSING else field.default)
+            for field in dataclasses.fields(cls)])
+
+
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base class of the package's records: immutable values compared by their fields.
+
+    Defining a subclass applies ``dataclasses.dataclass(init=False,
+    repr=False, eq=False)`` to it, which collects its fields without
+    generating any method, and keeps a table of the field names and
+    defaults that the methods here read.  A default is a plain value; a
+    ``default_factory`` is not supported.
+
+    The constructor sets each field with ``object.__setattr__``, as a
+    frozen dataclass's does, so that the instance keeps its attributes in
+    the compact form CPython gives an object whose ``__dict__`` is never
+    asked for; filling ``vars(record)`` in one step would give every
+    record a dictionary of its own, about 64 bytes more.
+    """
+
+    __signature__ = _FieldSignature()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+        fields = dataclasses.fields(cls)
+        cls._names = names = tuple(field.name for field in fields)
+        cls._defaults = {field.name: field.default for field in fields
+                         if field.default is not dataclasses.MISSING}
+        values = operator.attrgetter(*names)
+        # What equality and hashing compare: a tuple, as a frozen dataclass's do.
+        cls._values = staticmethod(values if len(names) > 1 else lambda record: (values(record),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        if not kwargs and len(args) == len(names):
+            fields = zip(names, args)
+        else:
+            fields = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or len(fields) != len(names)
+                    or not kwargs.keys() <= self.__dataclass_fields__.keys()
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                try:
+                    self.__signature__.bind(*args, **kwargs)  # each field one value, or its default
+                except TypeError as refused:
+                    raise TypeError(f"{self.__class__.__qualname__}(): {refused}") from None
+            fields = fields.items()
+        for name, value in fields:
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the record's invariants; this record has none."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._names])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class ModelError(ValueError):
@@ -40,8 +141,7 @@ class ModelError(ValueError):
         super().__init__("; ".join(issue.message for issue in self.issues))
 
 
-@dataclass(frozen=True)
-class BuildIssue:
+class BuildIssue(Record):
     message: str
     subject: str = ""
     span: SourceSpan | None = None
@@ -107,13 +207,12 @@ def _require_numbers(obj, *names: str, subject: str = "", finite: bool = True) -
                                      f"{name} must be {problem}", subject)])
 
 
-def _require_whole(obj, name: str, unit: str = "") -> None:
-    """Reject ``obj`` unless its field ``name``, a count of ``unit`` if given, is an int
-    (a bool is not one here)."""
-    value = getattr(obj, name)
+def _require_whole(value, what: str, unit: str = "") -> None:
+    """Reject ``value``, named ``what`` in the message and a count of ``unit`` if
+    given, unless it is an int (a bool is not one here)."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelError(f"{type(obj).__name__}.{name} must be a whole number"
-                         f"{' of ' + unit if unit else ''}, got {value!r}")
+        raise ModelError(f"{what} must be a whole number{' of ' + unit if unit else ''}, "
+                         f"got {value!r}")
 
 
 def format_number(value: float) -> str:
@@ -137,8 +236,7 @@ def csv_field(text: str) -> str:
 # Geography and physical context
 
 
-@dataclass(frozen=True)
-class GeoLocation:
+class GeoLocation(Record):
     latitude: float
     longitude: float
 
@@ -148,8 +246,7 @@ class GeoLocation:
         _require(-180.0 <= self.longitude <= 180.0, f"longitude out of range: {self.longitude}")
 
 
-@dataclass(frozen=True)
-class PhysicalEntity:
+class PhysicalEntity(Record):
     """A real-world object a device is attached to (a pole, a pipe, a wall)."""
 
     name: str
@@ -163,8 +260,7 @@ class PhysicalEntity:
 # Energy and data acquisition
 
 
-@dataclass(frozen=True)
-class DeviceEnergyProfile:
+class DeviceEnergyProfile(Record):
     """Battery and radio parameters of one device.
 
     Unit conventions follow the first-order sensing/transmission energy
@@ -190,7 +286,7 @@ class DeviceEnergyProfile:
         _require_numbers(self, "battery_capacity_mah", "residual_energy_mah", "supply_voltage_v",
                          "sense_current_ma", "sense_duration_ms", "packet_kb", "e_elec_nj_per_bit",
                          "e_amp_pj_per_bit_m", "loss_exponent_n", "depletion_threshold_mah")
-        _require_whole(self, "loss_exponent_n")
+        _require_whole(self.loss_exponent_n, "DeviceEnergyProfile.loss_exponent_n")
         _require(self.battery_capacity_mah > 0, "battery capacity must be positive")
         _require(0 <= self.residual_energy_mah <= self.battery_capacity_mah,
                  "residual charge must lie within the battery capacity")
@@ -205,16 +301,14 @@ class DeviceEnergyProfile:
                  "depletion threshold must be below the battery capacity")
 
 
-@dataclass(frozen=True)
-class ConstantSource:
+class ConstantSource(Record):
     value: float
 
     def __post_init__(self):
         _require_numbers(self, "value")
 
 
-@dataclass(frozen=True)
-class UniformSource:
+class UniformSource(Record):
     """Uniform draws over the closed interval [lo, hi], whose width must be finite.
 
     ``seed`` pins this source to its own stream; when None the stream is
@@ -228,7 +322,7 @@ class UniformSource:
     def __post_init__(self):
         _require_numbers(self, "lo", "hi", finite=False)
         if self.seed is not None:
-            _require_whole(self, "seed")
+            _require_whole(self.seed, "UniformSource.seed")
         bounds = f"[{_shown(self.lo)}, {_shown(self.hi)}]"
         _require(self.lo <= self.hi, f"uniform bounds out of order: {bounds}")
         _require(_finite(self.hi - self.lo),
@@ -236,8 +330,7 @@ class UniformSource:
         _require(_finite(self.lo) and _finite(self.hi), f"uniform bounds must be finite: {bounds}")
 
 
-@dataclass(frozen=True)
-class TraceSource:
+class TraceSource(Record):
     """Replays a fixed sequence of readings, cycling at the end."""
 
     values: tuple[float, ...]
@@ -263,8 +356,7 @@ class PlatformTier(Enum):
     DEVICE = "device"
 
 
-@dataclass(frozen=True)
-class ServicePort:
+class ServicePort(Record):
     """A named service endpoint typed by a contract interface."""
 
     name: str
@@ -277,8 +369,7 @@ class ServicePort:
         _require(bool(self.protocol), f"service port {self.name} needs a protocol", self.name)
 
 
-@dataclass(frozen=True)
-class Platform:
+class Platform(Record):
     """A compute location: cloud datacenter, fog node, or edge device.
 
     Devices additionally carry an energy profile, a data source for their
@@ -314,8 +405,7 @@ class Platform:
                      self.name)
 
 
-@dataclass(frozen=True)
-class NetworkLink:
+class NetworkLink(Record):
     """Undirected link between two platforms; endpoints are stored sorted."""
 
     endpoint_a: str
@@ -347,8 +437,7 @@ class TaskKind(Enum):
     COMPUTE = "compute"
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(Record):
     name: str
     kind: TaskKind
 
@@ -359,8 +448,7 @@ class Task:
 FIELD_KINDS = ("number", "integer", "text", "boolean")
 
 
-@dataclass(frozen=True)
-class MessageField:
+class MessageField(Record):
     name: str
     kind: str = "number"
 
@@ -368,8 +456,7 @@ class MessageField:
         _require(self.kind in FIELD_KINDS, f"unknown field kind: {self.kind}")
 
 
-@dataclass(frozen=True)
-class MessageType:
+class MessageType(Record):
     name: str
     fields: tuple[MessageField, ...] = ()
 
@@ -377,8 +464,7 @@ class MessageType:
         return tuple(f.name for f in self.fields)
 
 
-@dataclass(frozen=True)
-class ServiceContract:
+class ServiceContract(Record):
     """Pairs a provider interface with its consumer-side conjugate.
 
     The tasks listed here are what consumers may request; the message
@@ -410,8 +496,7 @@ class ServiceContract:
 CONDITION_OPS = ("<", "<=", ">", ">=", "=", "!=")
 
 
-@dataclass(frozen=True)
-class ConditionExpr:
+class ConditionExpr(Record):
     """Threshold test over one message field, e.g. ``level_cm > 20``."""
 
     field: str
@@ -429,8 +514,7 @@ class ConditionExpr:
         return f"{self.field} {self.op} {format_number(self.threshold)}"
 
 
-@dataclass(frozen=True)
-class PeriodicRequest:
+class PeriodicRequest(Record):
     """Requests a contract task every ``interval_ticks`` ticks."""
 
     task: str
@@ -438,20 +522,18 @@ class PeriodicRequest:
 
     def __post_init__(self):
         _require_numbers(self, "interval_ticks")
-        _require_whole(self, "interval_ticks", "ticks")
+        _require_whole(self.interval_ticks, "PeriodicRequest.interval_ticks", "ticks")
         _require(self.interval_ticks >= 1, "request interval must be at least 1 tick")
 
 
-@dataclass(frozen=True)
-class EventRequest:
+class EventRequest(Record):
     """Requests a contract task whenever a delivered sample satisfies the condition."""
 
     task: str
     condition: ConditionExpr
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     name: str
     mean_cpu_demand_cycles: float = 1.0
     required_software: frozenset[str] = frozenset()
@@ -466,8 +548,7 @@ class Component:
         _require(self.mean_cpu_demand_cycles > 0, f"{self.name}: CPU demand must be positive", self.name)
 
 
-@dataclass(frozen=True)
-class Application:
+class Application(Record):
     name: str
     region: GeoLocation
     components: tuple[Component, ...]
@@ -481,8 +562,7 @@ class Application:
         return tuple(c.name for c in self.components)
 
 
-@dataclass(frozen=True)
-class ExecutionModuleDecl:
+class ExecutionModuleDecl(Record):
     """Reference to an analysis hook to run before the simulation loop."""
 
     module: str
@@ -493,8 +573,7 @@ class ExecutionModuleDecl:
         _require(bool(self.module), "execution module declaration needs a module name")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Static run parameters; the tick counter itself is simulation state."""
 
     simulation_time: int = 0
@@ -504,14 +583,13 @@ class SimConfig:
 
     def __post_init__(self):
         _require_numbers(self, "simulation_time", "tick_seconds")
-        _require_whole(self, "simulation_time", "ticks")
-        _require_whole(self, "rng_seed")
+        _require_whole(self.simulation_time, "SimConfig.simulation_time", "ticks")
+        _require_whole(self.rng_seed, "SimConfig.rng_seed")
         _require(self.simulation_time >= 0, "simulation time must be non-negative")
         _require(self.tick_seconds > 0, "tick duration must be positive")
 
 
-@dataclass(frozen=True)
-class IoTSystemModel:
+class IoTSystemModel(Record):
     name: str
     platforms: tuple[Platform, ...] = ()
     networks: tuple[NetworkLink, ...] = ()
@@ -519,7 +597,7 @@ class IoTSystemModel:
     contracts: tuple[ServiceContract, ...] = ()
     physical_entities: tuple[PhysicalEntity, ...] = ()
     interfaces: tuple[str, ...] = ()
-    sim_config: SimConfig = field(default_factory=SimConfig)
+    sim_config: SimConfig = SimConfig()
 
     def __post_init__(self):
         # The components of all applications are one category.
@@ -580,8 +658,7 @@ def _components_by_name(model: IoTSystemModel) -> dict[str, Component]:
 # Routing
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """A minimum-latency path between two platforms, endpoints included."""
 
     latency_ms: float

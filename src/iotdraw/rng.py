@@ -15,6 +15,8 @@ and ``uniform(x, x) == x``.
 
 from __future__ import annotations
 
+import functools
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -27,6 +29,7 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.cache  # each label hashed once: a sweep derives its seeds from the same two
 def _fnv1a(text: str) -> int:
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):

@@ -17,12 +17,10 @@ path between them and can translate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import ERROR, WARNING, Diagnostic, SourceSpan
 from .model import (
-    Component, IoTSystemModel, ModelError, Platform, PlatformTier, Route, ServiceContract,
-    ServicePort, Task, csv_field, single_source_routes,
+    Component, IoTSystemModel, ModelError, Platform, PlatformTier, Record, Route,
+    ServiceContract, ServicePort, Task, csv_field, single_source_routes,
 )
 
 
@@ -30,8 +28,7 @@ from .model import (
 # Binding resolution (shared with the engine and the analyses)
 
 
-@dataclass(frozen=True)
-class ProviderRef:
+class ProviderRef(Record):
     """One realization of an interface: a platform port or a component port."""
 
     kind: str  # "platform" | "component"
@@ -39,8 +36,7 @@ class ProviderRef:
     port: ServicePort
 
 
-@dataclass(frozen=True)
-class TaskBinding:
+class TaskBinding(Record):
     """A requested task resolved to its contract and serving provider."""
 
     task: Task
@@ -91,8 +87,7 @@ def task_binding(model: IoTSystemModel, task_name: str) -> TaskBinding:
     return TaskBinding(contract.task(task_name), contract, providers[0])
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(Record):
     """A consumer component wired to the provider chosen for one requirement."""
 
     consumer: str
@@ -220,8 +215,7 @@ def _processing_time_ms(model: IoTSystemModel, edge: DependencyEdge, provider_ho
 # The validator
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     model_name: str
     diagnostics: tuple[Diagnostic, ...]
 

@@ -537,6 +537,13 @@ def test_sweep_argument_validation(freshness_model):
         lifetime_sweep(freshness_model, "level_sensor_1", intervals=[1.5], rounds=2)
     with pytest.raises(ModelError, match=r"max_age_ticks must be a whole number of ticks, got 0\.5"):
         lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[0.5], rounds=2)
+    # Rounds and the seed are whole numbers too: a bool ran one round, the rest a bare TypeError.
+    for arguments, refused in ((dict(rounds="3"), "rounds must be a whole number, got '3'"),
+                               (dict(rounds=True), "rounds must be a whole number, got True"),
+                               (dict(seed=1.5), r"seed must be a whole number, got 1\.5"),
+                               (dict(seed="7"), "seed must be a whole number, got '7'")):
+        with pytest.raises(ModelError, match=f"^{refused}$"):
+            lifetime_sweep(freshness_model, "level_sensor_1", max_ages=[0], **arguments)
 
 
 @pytest.mark.parametrize("sweep, message", [

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from collections import defaultdict
 
 import pytest
@@ -209,6 +210,22 @@ def test_distance_override_needs_a_link(no_link_file):
     from iotdraw import initial_state, load_model
     state = initial_state(load_model(no_link_file), distance_overrides={"level_sensor_1": 10.0})
     assert state.devices["level_sensor_1"].transmit_mah is None
+
+
+@pytest.mark.parametrize("distance", ["5", math.nan, True], ids=["text", "nan", "bool"])
+def test_a_distance_override_is_checked_without_a_link(no_link_file, distance):
+    # A device without a link is given no distance, but a bad one is refused all the same.
+    from iotdraw import load_model
+    with pytest.raises(ModelError, match="^transmit distance must be finite and positive: "):
+        run_simulation(load_model(no_link_file), sink=None,
+                       distance_overrides={"level_sensor_1": distance})
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["float", "bool", "text"])
+def test_a_run_seed_must_be_a_whole_number(seed):
+    # A float or text seed was accepted when no source drew from it, and a bool always.
+    with pytest.raises(ModelError, match=f"^seed must be a whole number, got {re.escape(repr(seed))}$"):
+        run_simulation(tiny_model(sim_time=5, interval=1), seed=seed)
 
 
 def test_a_distance_override_must_name_a_device():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from iotdraw.model import (
     Application, Component, ConditionExpr, ConstantSource, GeoLocation, IoTSystemModel, ModelError,
-    NetworkLink, PeriodicRequest, Platform, PlatformTier, Route, SimConfig, TraceSource,
+    NetworkLink, PeriodicRequest, Platform, PlatformTier, Route, ServicePort, SimConfig, TraceSource,
     UniformSource, single_source_routes,
 )
 from iotdraw.engine import FreshnessPolicy, run_simulation
@@ -388,3 +388,27 @@ def test_copies_and_pickles_leave_the_cache_behind():
         assert clone._derived == {}
         assert route_between(clone, "a", "d") == route_between(primed, "a", "d")
 
+
+
+@pytest.mark.parametrize("args, kwargs, refused", [
+    (("Port", "Iface", "CoAP", "extra"), {}, "too many positional arguments"),
+    (("Port",), {"name": "Other", "interface": "Iface", "protocol": "CoAP"},
+     "multiple values for argument 'name'"),
+    (("Port", "Iface"), {"zone": "CoAP"}, "missing a required argument: 'protocol'"),
+    ((), {"name": "Port", "interface": "Iface", "protocol": "CoAP", "zone": "x"},
+     "got an unexpected keyword argument 'zone'"),
+    (("Port",), {"interface": "Iface"}, "missing a required argument: 'protocol'"),
+], ids=["too-many", "twice", "unknown-for-missing", "unknown", "missing"])
+def test_a_record_refuses_a_call_that_does_not_give_each_field_one_value(args, kwargs, refused):
+    with pytest.raises(TypeError, match=refused):
+        ServicePort(*args, **kwargs)
+
+
+def test_a_record_is_built_by_position_keyword_and_default():
+    built = [ServicePort("Port", "Iface", "CoAP"),
+             ServicePort("Port", protocol="CoAP", interface="Iface"),
+             ServicePort(protocol="CoAP", name="Port", interface="Iface")]
+    assert all(vars(port) == {"name": "Port", "interface": "Iface", "protocol": "CoAP"}
+               for port in built)
+    assert GeoLocation(1.0, longitude=2.0) == GeoLocation(1.0, 2.0)
+    assert SimConfig(tick_seconds=30.0) == SimConfig(0, 30.0, (), 0)

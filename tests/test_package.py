@@ -70,3 +70,22 @@ def test_every_private_top_level_name_is_used():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     assert [f"{at}: {name}" for at, name in defined if name not in loaded] == []
+
+
+def test_no_class_has_methods_generated_from_source_text():
+    # A method compiled from a string at import (as dataclasses and other code
+    # generators make them) costs start-up on every command; the package's
+    # classes define theirs in their modules.
+    import iotdraw.cli  # noqa: F401  (loads every module a command can reach)
+    generated = []
+    for name, module in sorted(sys.modules.items()):
+        if name != "iotdraw" and not name.startswith("iotdraw."):
+            continue
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == name:
+                methods = [attr for attr, value in vars(cls).items()
+                           if getattr(getattr(value, "__code__", None), "co_filename", "")
+                           == "<string>"]
+                if methods:
+                    generated.append(f"{name}.{cls.__qualname__}: {', '.join(methods)}")
+    assert generated == []
