@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DeviceEnergyProfile, ModelError, _number
+from .model import DeviceEnergyProfile, ModelError, _number, _require_whole
 
 WH_PER_JOULE = 0.000277778
 
@@ -55,7 +55,9 @@ def transmit_energy(profile: DeviceEnergyProfile, distance_m: float) -> float:
 
 def joules_to_mah(joules: float, voltage_v: float) -> float:
     """Convert joules to milliamp-hours at the given supply voltage."""
-    if voltage_v <= 0:
+    if not _number(voltage_v):
+        raise ModelError(f"voltage must be a number, got {voltage_v!r}")
+    if not voltage_v > 0:  # NaN fails it too
         raise ModelError(f"voltage must be positive: {voltage_v}")
     return 1000.0 * (joules * WH_PER_JOULE) / voltage_v
 
@@ -160,6 +162,7 @@ def lifetime_closed_form(profile: DeviceEnergyProfile, distance_m: float,
     requests: the run subtracts each cost in turn, so it can land one
     interval later still.
     """
+    _require_whole(interval_ticks, "interval", "ticks")
     if interval_ticks < 1:
         raise ModelError(f"interval must be at least 1 tick: {interval_ticks}")
     per_request = per_request_drain_mah(profile, distance_m)

@@ -69,16 +69,16 @@ rendered in columns and joined once; the generic kernel one per record.
 ``\r`` or ``\n`` is quoted, its quotes doubled.  The sense kernel quotes
 each row's fixed text once, when a run binds the plan; what changes from
 firing to firing (ticks, ages, float reprs) never needs quoting.  A
-logged batch runs at most ``_BATCH_FIRINGS`` (256) firings of one plan,
-so the list stays small.  The sink is any callable that takes a list of
-CSV text: before the next batch is chosen, and once more after the last,
-the run hands it the list so far, the tick-0 module rows first, and
-clears it, so the sink gets each batch's list and one that keeps text
-must copy it.  ``csv_event_sink(handle)`` writes the header and then each
-list to an open text file in one write, so the log never sits in memory,
-and ``simulate --log`` runs on it.  ``COLLECT``, the default, is the sink
-that keeps the text on the report: ``SimulationReport.events_csv()`` is
-the header plus that text, and ``SimulationReport.events`` parses it into
+logged batch runs at most ``_BATCH_FIRINGS`` (256) firings of one plan.
+Before the next batch is chosen, and once more after the last, the run
+joins what it has logged since and hands that text to the sink, any
+callable that takes a ``str``.  So each call gets one or more whole
+records, in log order, the tick-0 module rows first, and at most
+``_BATCH_FIRINGS`` firings of one plan.  ``csv_event_sink(handle)``
+writes the header and returns ``handle.write``, so the log never sits in
+memory, and ``simulate --log`` runs on it.  ``COLLECT``, the default,
+keeps the text on the report: ``SimulationReport.events_csv()`` is the
+header plus that text, and ``SimulationReport.events`` parses it into
 ``SimEvent`` rows on first access.
 
 ``None`` keeps only the event counts, and such a run takes a plan off the
@@ -104,8 +104,9 @@ import operator
 import re
 import sys
 from array import array
+from collections.abc import Collection, Mapping  # isinstance on these is 3x faster than on typing's
 from enum import Enum
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .energy import (drain_mah, drain_senses_mah, joules_to_mah, require_distance, sense_energy,
                      transmit_drain_mah, transmit_energy)
@@ -145,7 +146,7 @@ class SimEvent(NamedTuple):
 
 
 _HEADER = ",".join(SimEvent._fields) + "\n"
-EventSink = Callable[[Sequence[str]], object]  # takes a list of CSV text, each item whole records
+EventSink = Callable[[str], object]  # takes CSV text, one or more whole records
 COLLECT = object()  # the default sink: keep the log's text on the report
 # The most firings of one plan whose records a sink gets at once: a batch's set-up,
 # its packed draw and the sink's write are paid once per this many firings.
@@ -172,14 +173,13 @@ def _rows(text: str) -> tuple[SimEvent, ...]:
     ``csv.reader`` reads the same rows, but it refuses a field longer than
     ``csv.field_size_limit()``, and a module row holds its hook's whole output.
     """
-    rows = []
-    at = 0
+    rows, at = [], 0
     while at < len(text):
         record = _RECORD.match(text, at)
         if record is None:
             raise ValueError(f"no event-log record at offset {at}")
-        tick, kind, subject, detail = record.groups()
-        rows.append(SimEvent(int(tick), _unquoted(kind), _unquoted(subject), _unquoted(detail)))
+        tick, *fields = record.groups()
+        rows.append(SimEvent(int(tick), *map(_unquoted, fields)))
         at = record.end()
     return tuple(rows)
 
@@ -197,19 +197,12 @@ def _template(*pieces: str) -> tuple[str, ...]:
 
 
 def csv_event_sink(handle: TextIO) -> EventSink:
-    """Write the event log's header to ``handle``; return the sink that writes each list of CSV text.
+    """Write the event log's header to ``handle`` and return ``handle.write`` as the sink.
 
-    Every item of a list is one or more whole records, quoted by
-    ``csv_field`` when they were logged; a list is joined and written at once.
     ``SimulationReport.events_csv`` is the same header plus the same text.
     """
-    write = handle.write
-    write(_HEADER)
-
-    def sink(texts: Sequence[str]) -> None:
-        write("".join(texts))
-
-    return sink
+    handle.write(_HEADER)
+    return handle.write
 
 
 class FreshnessPolicy(Record):
@@ -298,7 +291,7 @@ class _DeviceCell:
                  "distance_m", "sense_detail", "stream", "cached_value", "cached_at", "halts")
 
     def __init__(self, device: _Device, stream: SampleStream, halts: bool,
-                 distance_m: float | None = None):
+                 distance_m: float | None):
         self.name, self.sense_mah = device.name, device.sense_mah
         self.threshold_mah = device.energy.depletion_threshold_mah
         self.residual_mah, self.depleted = device.residual_mah, device.depleted
@@ -315,18 +308,21 @@ class _DeviceCell:
 
 
 class SimulationState:
-    """Everything that changes during a run; the model itself never does."""
+    """Everything that changes during a run; the model itself never does.
+
+    It starts as every run does: no event counted, no lifetime ended, no
+    module output and no halt.
+    """
 
     __slots__ = ("model", "freshness", "devices", "counts", "lifetimes", "module_outputs",
                  "halted_by")
 
     def __init__(self, model: IoTSystemModel, freshness: FreshnessPolicy,
-                 devices: dict[str, _DeviceCell], counts: dict[str, int],
-                 lifetimes: dict[str, int], module_outputs: dict[str, str],
-                 halted_by: str | None = None):
+                 devices: dict[str, _DeviceCell]):
         self.model, self.freshness, self.devices = model, freshness, devices
-        self.counts = counts  # every event kind from 0, so the kernels add without a membership test
-        self.lifetimes, self.module_outputs, self.halted_by = lifetimes, module_outputs, halted_by
+        # every event kind from 0, so the kernels add without a membership test
+        self.counts = dict.fromkeys(_KINDS, 0)
+        self.lifetimes, self.module_outputs, self.halted_by = {}, {}, None
 
 
 def gateway_uplink(model: IoTSystemModel, device: Platform) -> tuple[float, float] | None:
@@ -351,13 +347,21 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     gateway link's distance (used by lifetime sweeps).  A device with no
     link keeps none: it has no gateway to transmit to.  The run halts
     when a device named in ``halt_on`` depletes.  Each name in either
-    must be a device's.  The model's program is compiled on its first run
-    and kept; each run builds from it only fresh counts and a cell per
-    device, which holds no log text (see ``_DeviceCell``).
+    must be a device's.  An argument of the wrong type, a single name as
+    ``halt_on`` included, is refused with a ``ModelError`` that names it.
+    The model's program is compiled on its first run and kept; each run
+    builds from it only fresh counts and a cell per device, which holds no
+    log text (see ``_DeviceCell``).
     """
     run_seed = model.sim_config.rng_seed if seed is None else seed
     _require_whole(run_seed, "seed")
-    overrides = distance_overrides or {}
+    overrides = {} if distance_overrides is None else distance_overrides
+    if not (freshness is None or isinstance(freshness, FreshnessPolicy)):
+        raise ModelError(f"freshness must be a FreshnessPolicy or None, got {freshness!r}")
+    if isinstance(halt_on, str) or not isinstance(halt_on, Collection):
+        raise ModelError(f"halt_on must be a collection of device names, got {halt_on!r}")
+    if not isinstance(overrides, (dict, Mapping)):  # a dict passes at a fifth of the ABC's cost
+        raise ModelError(f"distance_overrides must map devices to distances, got {overrides!r}")
     halt_on = frozenset(halt_on)
     cells = {}
     for device in model.derived(_compile).devices:
@@ -367,10 +371,9 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
                                          device.name in halt_on, overrides.get(device.name))
     for names, verb in ((halt_on, "halt on"), (overrides.keys(), "override the distance of")):
         if not names <= cells.keys():
-            raise ModelError(f"cannot {verb} {', '.join(sorted(names - cells.keys()))}: "
+            raise ModelError(f"cannot {verb} {', '.join(sorted(map(str, names - cells.keys())))}: "
                              "not a device")
-    return SimulationState(model, freshness or FreshnessPolicy(0), cells,
-                           dict.fromkeys(_KINDS, 0), {}, {})
+    return SimulationState(model, freshness or FreshnessPolicy(), cells)
 
 
 class _Request:
@@ -936,18 +939,17 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     the execution-module hooks; the default registry carries the built-in
     analyses.  ``sink`` receives the event log: None keeps only the event
     counts, which makes multi-hundred-thousand-tick runs cheap; any
-    callable gets each logged batch's list of CSV text, in log order, each
-    item whole records, a batch being at most 256 firings of one plan (and
-    ``report.events`` stays empty); ``COLLECT`` stands for the sink that
-    keeps the text on the report (``report.events_csv()``, parsed into
-    ``report.events`` on first access).
+    callable gets the log as CSV text, a batch at a time, as the module
+    docstring says (and ``report.events`` stays empty); ``COLLECT`` stands
+    for the sink that keeps the text on the report (``report.events_csv()``,
+    parsed into ``report.events`` on first access).
     """
     state = initial_state(model, freshness=freshness, halt_on=halt_on,
                           seed=seed, distance_overrides=distance_overrides)
     collected: list[str] = []
     if sink is COLLECT:
-        sink = collected.extend
-    events: list[str] = []  # CSV text, each item whole records, handed to the sink
+        sink = collected.append
+    events: list[str] = []  # CSV text, each item whole records, joined for the sink
     log = None if sink is None else events.append
     fires = _build_plans(state, log)
     counts = state.counts
@@ -976,7 +978,7 @@ def run_simulation(model: IoTSystemModel, freshness: FreshnessPolicy | None = No
     halting = None  # the index of the plan whose firing halted the run
     while True:
         if events:  # the tick-0 module rows, then each batch's records
-            sink(events)
+            sink("".join(events))
             events.clear()
         now = min(due) if due else never  # min(due, default=never) costs 3x per call
         if now > horizon or halting is not None:
@@ -1044,22 +1046,19 @@ class SimulationReport(Record):
         return _HEADER + self.log_text
 
     def to_text(self) -> str:
-        lines = []
         halt = f" (halted when {self.halted_by} depleted)" if self.halted_by else ""
-        lines.append(f"simulation {self.model_name!r}: ran ticks 0..{self.final_tick} "
-                     f"of {self.simulation_time}{halt}")
+        lines = [f"simulation {self.model_name!r}: ran ticks 0..{self.final_tick} "
+                 f"of {self.simulation_time}{halt}"]
         if self.counts:
             lines.append("events: " + " ".join(f"{kind}={count}"
                                                for kind, count in self.counts.items()))
-        for name in sorted(self.residual_mah):
-            residual = self.residual_mah[name]
+        for name, residual in sorted(self.residual_mah.items()):
+            line = f"device {name}: residual {residual:.6g} mAh"
             lifetime = self.lifetimes.get(name)
-            if lifetime is None:
-                lines.append(f"device {name}: residual {residual:.6g} mAh")
-            else:
+            if lifetime is not None:
                 days = lifetime * self.tick_seconds / 86400.0
-                lines.append(f"device {name}: residual {residual:.6g} mAh, "
-                             f"depleted at tick {lifetime} (~{days:.1f} days)")
-        for module, output in self.module_outputs.items():
-            lines.append(f"module {module}: {len(output.splitlines())} line(s)")
+                line += f", depleted at tick {lifetime} (~{days:.1f} days)"
+            lines.append(line)
+        lines += [f"module {module}: {len(output.splitlines())} line(s)"
+                  for module, output in self.module_outputs.items()]
         return "\n".join(lines)

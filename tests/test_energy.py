@@ -10,6 +10,7 @@ and the charge conversion goes through watt-hours at the rounded
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +253,35 @@ def test_lifetime_closed_form_uses_residual_not_capacity():
     per = per_request_drain_mah(profile(), 10.0)
     p = profile(battery_capacity_mah=35.0, residual_energy_mah=5.0 + 10.5 * per)
     assert lifetime_closed_form(p, 10.0, 2) == 20
+
+
+@pytest.mark.parametrize("interval", [1.5, 2.0, True, "3", None],
+                         ids=["fraction", "float", "bool", "text", "none"])
+def test_lifetime_closed_form_refuses_an_interval_that_is_not_a_whole_number(interval):
+    # 1.5 gave 598.5 ticks and True ran as one tick.
+    refused = f"^interval must be a whole number of ticks, got {re.escape(repr(interval))}$"
+    with pytest.raises(ModelError, match=refused):
+        lifetime_closed_form(profile(), 10.0, interval)
+
+
+@pytest.mark.parametrize("interval", [0, -3])
+def test_lifetime_closed_form_refuses_an_interval_below_one_tick(interval):
+    with pytest.raises(ModelError, match=f"^interval must be at least 1 tick: {interval}$"):
+        lifetime_closed_form(profile(), 10.0, interval)
+
+
+@pytest.mark.parametrize("voltage", [True, "3.0", None], ids=["bool", "text", "none"])
+def test_joules_to_mah_refuses_a_voltage_that_is_not_a_number(voltage):
+    # True converted as 1 V, and text raised a bare TypeError.
+    refused = f"^voltage must be a number, got {re.escape(repr(voltage))}$"
+    with pytest.raises(ModelError, match=refused):
+        joules_to_mah(1.0, voltage)
+
+
+@pytest.mark.parametrize("voltage", [0.0, -1.0, math.nan])
+def test_joules_to_mah_refuses_a_voltage_that_is_not_positive(voltage):
+    with pytest.raises(ModelError, match=f"^voltage must be positive: {voltage}$"):
+        joules_to_mah(1.0, voltage)
 
 
 def test_drain_monotonic_in_distance():

@@ -268,6 +268,29 @@ def test_a_negative_max_age_is_refused():
     assert str(refused.value) == "max age cannot be negative: -1"
 
 
+@pytest.mark.parametrize("argument, value, wanted", [
+    ("freshness", 2, "must be a FreshnessPolicy or None"),
+    ("freshness", FreshnessPolicy, "must be a FreshnessPolicy or None"),
+    ("halt_on", "level_sensor_1", "must be a collection of device names"),
+    ("halt_on", None, "must be a collection of device names"),
+    ("distance_overrides", [("level_sensor_1", 5.0)], "must map devices to distances"),
+    ("distance_overrides", [], "must map devices to distances"),
+], ids=["int-freshness", "policy-class", "one-name", "no-halt-on", "pairs", "empty-list"])
+def test_a_run_argument_of_the_wrong_type_is_refused(freshness_model, argument, value, wanted):
+    # Each was a bare AttributeError or TypeError, ran as max age 0 (the class), or read a
+    # name letter by letter ("cannot halt on 1, _, e, l, ...").
+    message = f"^{argument} {wanted}, got {re.escape(repr(value))}$"
+    for sink in (None, COLLECT):
+        with pytest.raises(ModelError, match=message) as refused:
+            run_simulation(freshness_model, sink=sink, **{argument: value})
+        assert type(refused.value) is ModelError
+
+
+def test_a_name_to_halt_on_that_is_not_text_is_refused_as_not_a_device(freshness_model):
+    with pytest.raises(ModelError, match="^cannot halt on 1, None: not a device$"):
+        run_simulation(freshness_model, halt_on=[1, None], sink=None)
+
+
 def test_uniform_bounds_out_of_order_are_refused():
     with pytest.raises(ValueError) as refused:
         SplitMix64(1).uniform(2, 1)

@@ -42,7 +42,7 @@ def _written_by_sink(texts):
     buffer = io.StringIO()
     sink = csv_event_sink(buffer)
     for batch in texts:
-        sink(batch)
+        sink("".join(batch))
     return buffer.getvalue()
 
 
@@ -124,7 +124,7 @@ def test_a_streaming_sink_gets_at_most_the_cap_of_firings_at_once():
     text = (MODELS_DIR / "padova_fw.iot").read_text(encoding="utf-8")
     model = parse_model(text.replace("simulation_time = 1051200", "simulation_time = 20000"))
     handed = []
-    report = run_simulation(model, sink=lambda texts: handed.append("".join(texts)))
+    report = run_simulation(model, sink=handed.append)
     assert "".join(handed) == run_simulation(model).log_text
     records = [list(csv.reader(io.StringIO(batch, newline=""))) for batch in handed]
     assert records[0] == [record for record in records[0] if record[1] == "ModuleOutput"]
@@ -144,8 +144,7 @@ def test_a_streaming_sink_gets_at_most_the_cap_of_firings_of_one_plan_among_two(
     model = parse_model(text.replace("simulation_time = 50000", "simulation_time = 2000"))
     for max_age in (0, 2):
         handed = []
-        report = run_simulation(model, FreshnessPolicy(max_age),
-                                sink=lambda texts: handed.append("".join(texts)))
+        report = run_simulation(model, FreshnessPolicy(max_age), sink=handed.append)
         assert "".join(handed) == run_simulation(model, FreshnessPolicy(max_age)).log_text
         assert report.lifetimes["level_sensor_1"] is not None
         records = [list(csv.reader(io.StringIO(batch, newline=""))) for batch in handed]
@@ -169,7 +168,7 @@ PERIODIC = """  periodic "ReadProbe" {
 
 def test_a_run_in_which_no_plan_fires_hands_the_sink_its_module_rows_once():
     # The only plan first fires at tick 4, past the horizon of 2; without a periodic
-    # request there is no plan at all.  Either way the run hands the sink one list,
+    # request there is no plan at all.  Either way the run hands the sink one text,
     # after its scheduler loop, holding the tick-0 module rows alone.
     text = tiny_text(sim_time=2, interval=5).replace("rng_seed = 0", MODULE)
     assert PERIODIC in text
@@ -177,7 +176,7 @@ def test_a_run_in_which_no_plan_fires_hands_the_sink_its_module_rows_once():
         buffer, handed = io.StringIO(), []
         run_simulation(model, sink=csv_event_sink(buffer))
         assert buffer.getvalue() == run_simulation(model).events_csv()
-        report = run_simulation(model, sink=lambda texts: handed.append("".join(texts)))
+        report = run_simulation(model, sink=handed.append)
         assert report.counts == {"ModuleOutput": 1}
         assert len(handed) == 1
         assert [record[1] for record in csv.reader(io.StringIO(handed[0], newline=""))] == [

@@ -38,7 +38,7 @@ def _run(model, case, registry=None):
     """What a run of ``case`` on ``model`` reports, its log text included."""
     seed, max_age, halt_on, overrides, sink = case
     streamed = []
-    chosen = {"collect": COLLECT, "stream": streamed.extend, "none": None}[sink]
+    chosen = {"collect": COLLECT, "stream": streamed.append, "none": None}[sink]
     report = run_simulation(model, FreshnessPolicy(max_age), halt_on, seed=seed, sink=chosen,
                             distance_overrides=overrides, registry=registry)
     log = report.log_text if sink == "collect" else "".join(streamed)
@@ -57,8 +57,8 @@ def _shared_runs(model, cases):
         seed, max_age, halt_on, overrides, _ = cases[index]
         streamed, started = [], []
 
-        def sink(texts):
-            streamed.extend(texts)
+        def sink(text):
+            streamed.append(text)
             if not started:  # the next case runs while this one is alive
                 started.append(True)
                 run_nested(index + 1)

@@ -1,4 +1,5 @@
-"""The README's quick tour, run command by command through the CLI.
+"""The README's quick tour, run command by command through the CLI, and its
+Python API examples, run as written.
 
 Each ``$ iotdraw ...`` command of the tour runs through ``cli.main`` from
 the repository root.  The output lines the README shows must be the ones
@@ -9,10 +10,12 @@ only appear in order.
 
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
+from iotdraw import load_model, run_simulation
 from iotdraw.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,7 +51,6 @@ def test_the_tour_has_its_six_examples():
                          ids=[f"{n}-{command.split()[1]}" for n, (command, _) in enumerate(EXAMPLES)])
 def test_tour_output_is_what_the_readme_shows(command, shown, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("IOTDRAW_SEED", raising=False)
     argv = shlex.split(command)[1:]
     head = None
     if "|" in argv:
@@ -63,3 +65,29 @@ def test_tour_output_is_what_the_readme_shows(command, shown, monkeypatch, capsy
         assert all(line in remaining for line in shown if line != "..."), printed
     else:
         assert printed == shown
+
+
+def api_examples() -> list[str]:
+    """The code of each python block of the Python API section, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_the_python_api_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    # In one namespace, as a reader pasting them in turn would, from a directory that
+    # holds the shipped models and nothing the examples write.
+    shutil.copytree(ROOT / "models", tmp_path / "models")
+    monkeypatch.chdir(tmp_path)
+    blocks = api_examples()
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    lifetimes, assignment = capsys.readouterr().out.splitlines()
+    assert namespace["report"].halted_by == "water_sensor_1"
+    assert lifetimes == repr(namespace["report"].lifetimes)
+    assert namespace["report"].lifetimes["water_sensor_1"] is not None
+    assert assignment == repr(dict(namespace["best"].assignment))
+    collected = run_simulation(load_model(str(tmp_path / "models" / "freshness_demo.iot")))
+    assert (tmp_path / "events.csv").read_text(encoding="utf-8") == collected.events_csv()

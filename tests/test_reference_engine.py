@@ -146,7 +146,7 @@ def _assert_matches_the_reference(model, max_age, halt_on, seed, distance_overri
                              distance_overrides=distance_overrides)
     expected_csv = _csv(expected.events)
     streamed = []
-    for sink in (COLLECT, None, streamed.extend):
+    for sink in (COLLECT, None, streamed.append):
         report = run_simulation(model, FreshnessPolicy(max_age), halt_on, seed=seed, sink=sink,
                                 distance_overrides=distance_overrides)
         for attribute in ("counts", "residual_mah", "lifetimes", "final_tick", "halted_by"):
