@@ -104,9 +104,8 @@ import operator
 import re
 import sys
 from array import array
-from collections.abc import Collection, Mapping  # isinstance on these is 3x faster than on typing's
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .energy import (drain_mah, drain_senses_mah, joules_to_mah, require_distance, sense_energy,
                      transmit_drain_mah, transmit_energy)
@@ -173,13 +172,14 @@ def _rows(text: str) -> tuple[SimEvent, ...]:
     ``csv.reader`` reads the same rows, but it refuses a field longer than
     ``csv.field_size_limit()``, and a module row holds its hook's whole output.
     """
-    rows, at = [], 0
+    rows = []
+    at = 0
     while at < len(text):
         record = _RECORD.match(text, at)
         if record is None:
             raise ValueError(f"no event-log record at offset {at}")
-        tick, *fields = record.groups()
-        rows.append(SimEvent(int(tick), *map(_unquoted, fields)))
+        tick, kind, subject, detail = record.groups()
+        rows.append(SimEvent(int(tick), _unquoted(kind), _unquoted(subject), _unquoted(detail)))
         at = record.end()
     return tuple(rows)
 
@@ -291,7 +291,7 @@ class _DeviceCell:
                  "distance_m", "sense_detail", "stream", "cached_value", "cached_at", "halts")
 
     def __init__(self, device: _Device, stream: SampleStream, halts: bool,
-                 distance_m: float | None):
+                 distance_m: float | None = None):
         self.name, self.sense_mah = device.name, device.sense_mah
         self.threshold_mah = device.energy.depletion_threshold_mah
         self.residual_mah, self.depleted = device.residual_mah, device.depleted
@@ -308,21 +308,18 @@ class _DeviceCell:
 
 
 class SimulationState:
-    """Everything that changes during a run; the model itself never does.
-
-    It starts as every run does: no event counted, no lifetime ended, no
-    module output and no halt.
-    """
+    """Everything that changes during a run; the model itself never does."""
 
     __slots__ = ("model", "freshness", "devices", "counts", "lifetimes", "module_outputs",
                  "halted_by")
 
     def __init__(self, model: IoTSystemModel, freshness: FreshnessPolicy,
-                 devices: dict[str, _DeviceCell]):
+                 devices: dict[str, _DeviceCell], counts: dict[str, int],
+                 lifetimes: dict[str, int], module_outputs: dict[str, str],
+                 halted_by: str | None = None):
         self.model, self.freshness, self.devices = model, freshness, devices
-        # every event kind from 0, so the kernels add without a membership test
-        self.counts = dict.fromkeys(_KINDS, 0)
-        self.lifetimes, self.module_outputs, self.halted_by = {}, {}, None
+        self.counts = counts  # every event kind from 0, so the kernels add without a membership test
+        self.lifetimes, self.module_outputs, self.halted_by = lifetimes, module_outputs, halted_by
 
 
 def gateway_uplink(model: IoTSystemModel, device: Platform) -> tuple[float, float] | None:
@@ -358,11 +355,14 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
     overrides = {} if distance_overrides is None else distance_overrides
     if not (freshness is None or isinstance(freshness, FreshnessPolicy)):
         raise ModelError(f"freshness must be a FreshnessPolicy or None, got {freshness!r}")
-    if isinstance(halt_on, str) or not isinstance(halt_on, Collection):
-        raise ModelError(f"halt_on must be a collection of device names, got {halt_on!r}")
-    if not isinstance(overrides, (dict, Mapping)):  # a dict passes at a fifth of the ABC's cost
+    if not isinstance(overrides, (dict, Mapping)):  # a dict passes without the alias's slow check
         raise ModelError(f"distance_overrides must map devices to distances, got {overrides!r}")
-    halt_on = frozenset(halt_on)
+    try:
+        if isinstance(halt_on, str):
+            raise TypeError
+        halt_on = frozenset(halt_on)
+    except TypeError:  # one name, no collection at all, or a name that cannot be hashed
+        raise ModelError(f"halt_on must be a collection of device names, got {halt_on!r}") from None
     cells = {}
     for device in model.derived(_compile).devices:
         # Only an unseeded uniform source reads its fallback seed.
@@ -373,7 +373,8 @@ def initial_state(model: IoTSystemModel, *, freshness: FreshnessPolicy | None = 
         if not names <= cells.keys():
             raise ModelError(f"cannot {verb} {', '.join(sorted(map(str, names - cells.keys())))}: "
                              "not a device")
-    return SimulationState(model, freshness or FreshnessPolicy(), cells)
+    return SimulationState(model, freshness or FreshnessPolicy(0), cells,
+                           dict.fromkeys(_KINDS, 0), {}, {})
 
 
 class _Request:
@@ -1046,19 +1047,22 @@ class SimulationReport(Record):
         return _HEADER + self.log_text
 
     def to_text(self) -> str:
+        lines = []
         halt = f" (halted when {self.halted_by} depleted)" if self.halted_by else ""
-        lines = [f"simulation {self.model_name!r}: ran ticks 0..{self.final_tick} "
-                 f"of {self.simulation_time}{halt}"]
+        lines.append(f"simulation {self.model_name!r}: ran ticks 0..{self.final_tick} "
+                     f"of {self.simulation_time}{halt}")
         if self.counts:
             lines.append("events: " + " ".join(f"{kind}={count}"
                                                for kind, count in self.counts.items()))
-        for name, residual in sorted(self.residual_mah.items()):
-            line = f"device {name}: residual {residual:.6g} mAh"
+        for name in sorted(self.residual_mah):
+            residual = self.residual_mah[name]
             lifetime = self.lifetimes.get(name)
-            if lifetime is not None:
+            if lifetime is None:
+                lines.append(f"device {name}: residual {residual:.6g} mAh")
+            else:
                 days = lifetime * self.tick_seconds / 86400.0
-                line += f", depleted at tick {lifetime} (~{days:.1f} days)"
-            lines.append(line)
-        lines += [f"module {module}: {len(output.splitlines())} line(s)"
-                  for module, output in self.module_outputs.items()]
+                lines.append(f"device {name}: residual {residual:.6g} mAh, "
+                             f"depleted at tick {lifetime} (~{days:.1f} days)")
+        for module, output in self.module_outputs.items():
+            lines.append(f"module {module}: {len(output.splitlines())} line(s)")
         return "\n".join(lines)

@@ -273,9 +273,12 @@ def test_a_negative_max_age_is_refused():
     ("freshness", FreshnessPolicy, "must be a FreshnessPolicy or None"),
     ("halt_on", "level_sensor_1", "must be a collection of device names"),
     ("halt_on", None, "must be a collection of device names"),
+    ("halt_on", 5, "must be a collection of device names"),
+    ("halt_on", [["level_sensor_1"]], "must be a collection of device names"),
     ("distance_overrides", [("level_sensor_1", 5.0)], "must map devices to distances"),
     ("distance_overrides", [], "must map devices to distances"),
-], ids=["int-freshness", "policy-class", "one-name", "no-halt-on", "pairs", "empty-list"])
+], ids=["int-freshness", "policy-class", "one-name", "no-halt-on", "int-halt-on", "unhashable-name",
+        "pairs", "empty-list"])
 def test_a_run_argument_of_the_wrong_type_is_refused(freshness_model, argument, value, wanted):
     # Each was a bare AttributeError or TypeError, ran as max age 0 (the class), or read a
     # name letter by letter ("cannot halt on 1, _, e, l, ...").

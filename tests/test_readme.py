@@ -51,6 +51,7 @@ def test_the_tour_has_its_six_examples():
                          ids=[f"{n}-{command.split()[1]}" for n, (command, _) in enumerate(EXAMPLES)])
 def test_tour_output_is_what_the_readme_shows(command, shown, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("IOTDRAW_SEED", raising=False)
     argv = shlex.split(command)[1:]
     head = None
     if "|" in argv:
